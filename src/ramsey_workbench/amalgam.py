@@ -11,13 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .arrows import HOLDS as ARROW_HOLDS, arrow_check
+from . import FAILS, HOLDS
+from .arrows import arrow_check
 from .category import FiniteCategory
 from .errors import ArrowDoesNotHold, FactorSearchFailed
-
-HOLDS = "HOLDS"
-FAILS = "FAILS"
-UNKNOWN = "UNKNOWN-AT-BOUND"
 
 
 @dataclass
@@ -188,7 +185,7 @@ def extract_amalgamable_pair(cat: FiniteCategory, a: str, k: int, c: str,
             raise ValueError("g_i must land in C")
 
     verdict = arrow_check(cat, d, c, a, k, k - 1)
-    if verdict.status != ARROW_HOLDS:
+    if verdict.status != HOLDS:
         raise ArrowDoesNotHold(
             f"{d} -> ({c})^{a}_({k},{k - 1}) is {verdict.status}")
 
@@ -266,7 +263,7 @@ def find_extraction_instance(cat: FiniteCategory, a: str, k: int, *,
             for d in cat.objects:
                 verdict = arrow_check(cat, d, c, a, k, k - 1,
                                       node_budget=node_budget)
-                if verdict.status == ARROW_HOLDS:
+                if verdict.status == HOLDS:
                     return a, k, c, d, list(gs), list(f_tuple)
     return None
 

@@ -17,12 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import FAILS, HOLDS, UNKNOWN
 from .errors import BudgetExceeded
 from .category import FiniteCategory
-
-HOLDS = "HOLDS"
-FAILS = "FAILS"
-UNKNOWN = "UNKNOWN-AT-BOUND"
 
 
 @dataclass(frozen=True)

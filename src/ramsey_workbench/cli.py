@@ -88,8 +88,7 @@ def _coloring_cert(kind: str, c: str, b: str, a: str, k: int, t: int,
     }
 
 
-def _composition_cert(cat_path: str, lhs: list[str], rhs: list[str],
-                      note: str) -> dict:
+def _composition_cert(lhs: list[str], rhs: list[str], note: str) -> dict:
     return {"type": "composition-equality", "lhs": lhs, "rhs": rhs,
             "note": note}
 
@@ -218,7 +217,6 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
             arrow_rep = is_amalgamation_arrow(cat, w["f"])
             for inst in arrow_rep.witnesses[:WITNESS_CAP]:
                 report_out["certificates"].append(_composition_cert(
-                    args.catalog,
                     [inst.r, inst.g, w["f"]], [inst.s, inst.h, w["f"]],
                     note=f"amalgamation arrow for {w['A']}"))
         return EXIT_BY_STATUS[rep.status], report_out
@@ -232,7 +230,6 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
                                        "notes": rep.notes})
         for w in rep.witnesses[:WITNESS_CAP]:
             report_out["certificates"].append(_composition_cert(
-                args.catalog,
                 [w["r"], w["tuple"][w["i"]]], [w["s"], w["tuple"][w["j"]]],
                 note="pair amalgam"))
         return EXIT_BY_STATUS[rep.status], report_out

@@ -17,12 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import FAILS, HOLDS
 from .category import FiniteCategory, Skeletonization
 from .errors import ExpansionOverflow, WorkbenchError
 from .structures import (Embedding, Signature, Structure, canonical_key)
-
-HOLDS = "HOLDS"
-FAILS = "FAILS"
 
 
 @dataclass(frozen=True)

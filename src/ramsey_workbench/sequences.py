@@ -14,15 +14,13 @@ report UNKNOWN-AT-BOUND when the bound is the only obstacle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
+from . import FAILS, HOLDS, UNKNOWN
 from .errors import ShapeMismatch, TruncationOverflow, WorkbenchError
 from .structures import (Embedding, Structure, automorphisms, compose,
                          enumerate_embeddings, identity)
-
-HOLDS = "HOLDS"
-FAILS = "FAILS"
-UNKNOWN = "UNKNOWN-AT-BOUND"
 
 
 @dataclass(frozen=True)
@@ -304,12 +302,13 @@ def weak_fraisse_check(seq: TruncatedSequence, catalog: list[Structure],
     while a cofinality gap is a definite failure for this chain.
     """
     top = seq.length - 1
+    hom = functools.cache(enumerate_embeddings)   # each hom-set once per call
     cof: dict[str, int] = {}
     missing: list[str] = []
     for c in catalog:
         hit = None
         for n in range(seq.length):
-            if enumerate_embeddings(c, seq.objects[n]):
+            if hom(c, seq.objects[n]):
                 hit = n
                 break
         if hit is None:
@@ -322,18 +321,13 @@ def weak_fraisse_check(seq: TruncatedSequence, catalog: list[Structure],
 
     def absorbs(n: int, m: int) -> bool:
         w_nm = seq.bonding(n, m)
+        levels = [(seq.objects[k], seq.bonding(n, k))
+                  for k in range(m, min(k_max, top) + 1)]
         for c in catalog:
-            for f in enumerate_embeddings(seq.objects[m], c):
-                ok = False
-                for k in range(m, min(k_max, top) + 1):
-                    w_nk = seq.bonding(n, k)
-                    for g in enumerate_embeddings(c, seq.objects[k]):
-                        if compose(g, compose(f, w_nm)) == w_nk:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
+            for f in hom(seq.objects[m], c):
+                fw = compose(f, w_nm)
+                if not any(compose(g, fw) == w_nk
+                           for x_k, w_nk in levels for g in hom(c, x_k)):
                     return False
         return True
 
@@ -393,19 +387,20 @@ def weak_homogeneity_check(f_struct: Structure,
     rule of this module is left open; the verdict stays FAILS.
     """
     auts = automorphisms(f_struct)
+    hom = functools.cache(enumerate_embeddings)   # each hom-set once per call
     witnesses = []
     for a in catalog:
-        for f in enumerate_embeddings(a, f_struct):
+        for f in hom(a, f_struct):
             found = None
             for b in catalog:
-                for e in enumerate_embeddings(a, b):
-                    for i in enumerate_embeddings(b, f_struct):
+                into_f = hom(b, f_struct)
+                for e in hom(a, b):
+                    for i in into_f:
                         if compose(i, e) != f:
                             continue
-                        ie = compose(i, e)
                         exchangeable = all(
-                            any(compose(h, compose(j, e)) == ie for h in auts)
-                            for j in enumerate_embeddings(b, f_struct)
+                            any(compose(h, je) == f for h in auts)
+                            for je in (compose(j, e) for j in into_f)
                         )
                         if exchangeable:
                             found = {"A": a.name, "f": f.map, "B": b.name,

@@ -5,6 +5,13 @@ constants over a fixed signature (relation and constant symbols only).
 Embeddings are injective maps that preserve and reflect every relation and
 fix constants; they are the morphisms everywhere else in the engine.
 
+Every ``Embedding`` is valid by construction.  The constructor checks each
+map once, where it enters the program (enumeration, sequence files,
+canonical forms, colimits); ``compose`` builds composites without checking
+again, since a composite of embeddings is an embedding.  Code inside the
+engine therefore trusts any ``Embedding`` it is handed, and the category
+layer composes by looking composite maps up instead of building them.
+
 All types are immutable and hashable, all operations are pure, and every
 enumeration is returned in a deterministic (lexicographic) order so that
 certificates built on top of them are reproducible byte for byte.
@@ -156,14 +163,22 @@ def identity(a: Structure) -> Embedding:
     return Embedding(a, a, tuple(range(a.size)))
 
 
+def _trusted(source: Structure, target: Structure,
+             images: tuple[int, ...]) -> Embedding:
+    """An Embedding built without ``__post_init__``; for composites only."""
+    e = object.__new__(Embedding)
+    e.__dict__.update(source=source, target=target, map=images)
+    return e
+
+
 def compose(g: Embedding, f: Embedding) -> Embedding:
-    """Composite g . f (apply f first)."""
+    """Composite g . f (apply f first), valid because g and f are."""
     if f.target != g.source:
         raise WorkbenchError("embeddings not composable")
-    return Embedding(f.source, g.target, tuple(g.map[v] for v in f.map))
+    return _trusted(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
-def _tuples_touching(size_bound: int, last: int, arity: int):
+def _tuples_touching(last: int, arity: int):
     """Tuples over {0..last} that mention ``last``, lexicographically."""
     for t in itertools.product(range(last + 1), repeat=arity):
         if last in t:
@@ -196,7 +211,7 @@ def enumerate_embeddings(a: Structure, b: Structure) -> list[Embedding]:
         for rname, _ in sig.relations:
             ar = sig.arity(rname)
             per.append((a.rel(rname), b.rel(rname),
-                        tuple(_tuples_touching(n, i, ar))))
+                        tuple(_tuples_touching(i, ar))))
         checks.append(per)
 
     out: list[Embedding] = []

@@ -6,6 +6,7 @@ from ramsey_workbench.category import (FiniteCategory, abstract_from_json,
                                        check_axioms, op, skeletonize,
                                        tables_equal)
 from ramsey_workbench.errors import MissingIsoData, WorkbenchError
+from ramsey_workbench.structures import Embedding
 
 import oracles
 
@@ -85,6 +86,27 @@ class TestAxioms:
             [empty_graph(1, name="E1"), path_graph(2, name="P2"),
              path_graph(3), path_graph(4)])
         assert locally_finite_verdict(filled, "P4") == "HOLDS"
+
+
+class TestValidateOnce:
+    def test_checkers_make_no_further_validations(self, monkeypatch):
+        from ramsey_workbench.amalgam import wap_check
+
+        calls = []
+        validate = Embedding.__post_init__
+
+        def counting(self):
+            calls.append(self.map)
+            validate(self)
+
+        monkeypatch.setattr(Embedding, "__post_init__", counting)
+        cat = FiniteCategory.from_structures(lo_catalog(6))
+        assert calls   # the build validates what it enumerates
+        calls.clear()
+        report = check_axioms(cat)
+        assert report.all_mono and set(report.locally_finite.values()) == {"HOLDS"}
+        assert wap_check(cat).status == "HOLDS"
+        assert calls == []
 
 
 class TestOp:

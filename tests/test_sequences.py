@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ramsey_workbench.catalogs import (complete_graph, empty_graph,
+                                       find_isomorphic, graph_catalog,
                                        linear_order, lo_catalog, path_graph)
 from ramsey_workbench.errors import ShapeMismatch, TruncationOverflow
 from ramsey_workbench.sequences import (ColimitResult, SeqMorphism,
@@ -20,6 +21,8 @@ from ramsey_workbench.sequences import (ColimitResult, SeqMorphism,
 from ramsey_workbench.structures import (Embedding, compose,
                                          enumerate_embeddings, identity,
                                          isomorphic)
+
+import oracles
 
 
 def lo_chain(n, length=None):
@@ -374,6 +377,34 @@ class TestHomogeneity:
 
     def test_empty_catalog_vacuous(self):
         assert weak_homogeneity_check(path_graph(3), []).status == "HOLDS"
+
+    def test_empty_graph_witnesses_match_oracle(self):
+        # E4 has all 24 permutations as automorphisms, so every j: B -> E4
+        # is exchangeable and the first B that factors f is the witness
+        catalog = graph_catalog(4)
+        e4 = find_isomorphic(catalog, empty_graph(4))
+        expected = oracles.weak_homogeneity_witnesses(e4, catalog)
+        report = weak_homogeneity_check(e4, catalog)
+        assert report.status == "HOLDS"
+        assert [(w["A"], w["f"], w["B"]) for w in report.witnesses] == expected
+
+    @pytest.mark.parametrize("f_struct", graph_catalog(4, min_n=4),
+                             ids=lambda s: s.name)
+    def test_four_vertex_graphs_over_smaller_catalog_match_oracle(self, f_struct):
+        catalog = graph_catalog(3)
+        expected = oracles.weak_homogeneity_witnesses(f_struct, catalog)
+        report = weak_homogeneity_check(f_struct, catalog)
+        found = [(w["A"], w["f"], w["B"]) for w in report.witnesses]
+        bare = next((i for i, (_, _, b) in enumerate(expected) if b is None),
+                    None)
+        if bare is None:
+            assert report.status == "HOLDS"
+            assert found == expected
+        else:
+            assert report.status == "FAILS"
+            assert found == expected[:bare]
+            a, f, _ = expected[bare]
+            assert (report.failure["A"], report.failure["f"]) == (a, f)
 
 
 class TestSequenceJson:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, empty_graph, graph,
-                                       linear_order, path_graph)
+                                       graph_catalog, linear_order, lo_catalog,
+                                       path_graph)
+from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.errors import SignatureMismatch, WorkbenchError
 from ramsey_workbench.structures import (Embedding, Signature, Structure,
                                          automorphisms, canonical_form,
@@ -136,6 +138,39 @@ class TestEmbeddingAlgebra:
             Embedding(linear_order(2), linear_order(3), (1, 0))
         with pytest.raises(WorkbenchError):
             Embedding(linear_order(2), linear_order(3), (0, 0))
+
+
+class TestComposeDifferential:
+    """Unchecked composites against the validating constructor."""
+
+    @pytest.fixture(scope="class", params=["lo5", "graphs3"])
+    def cat(self, request):
+        catalog = lo_catalog(5) if request.param == "lo5" else graph_catalog(3)
+        return FiniteCategory.from_structures(catalog)
+
+    def test_composites_match_validated_embeddings(self, cat):
+        pairs = 0
+        for g, f in cat.composable_pairs():
+            ef, eg = cat.embedding(f), cat.embedding(g)
+            oracle = Embedding(ef.source, eg.target,
+                               tuple(eg.map[v] for v in ef.map))
+            assert compose(eg, ef) == oracle
+            by_scan = [m for m in cat.hom(cat.source(f), cat.target(g))
+                       if cat.embedding(m) == oracle]
+            assert [cat.compose(g, f)] == by_scan
+            pairs += 1
+        assert pairs > 0
+
+    def test_non_composable_pairs_raise(self, cat):
+        mids = list(cat.all_morphisms())
+        for g in mids:
+            for f in mids:
+                if cat.target(f) == cat.source(g):
+                    continue
+                with pytest.raises(WorkbenchError):
+                    compose(cat.embedding(g), cat.embedding(f))
+                with pytest.raises(WorkbenchError):
+                    cat.compose(g, f)
 
 
 class TestCanonicalForm:
