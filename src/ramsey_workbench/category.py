@@ -233,30 +233,35 @@ class AxiomReport:
         }
 
 
-def _covering_morphisms(cat, f_obj, span):
-    """Pairs (D, r) with r: D -> f_obj whose image covers ``span``."""
+def _morphisms_into(cat: FiniteCategory, f_obj: str) -> list[tuple]:
+    """Every morphism into f_obj as (source, map, image, position map).
+
+    Listed in (source size, source, id) order, the order covers are tried in.
+    """
+    into = sorted(((d, r) for d in cat.objects for r in cat.hom(d, f_obj)),
+                  key=lambda dr: (cat.structure(dr[0]).size, *dr))
     out = []
-    for d in cat.objects:
-        for r in cat.hom(d, f_obj):
-            emb = cat.embedding(r)
-            if span <= set(emb.map):
-                out.append((d, r))
+    for d, r in into:
+        m = cat.embedding(r).map
+        out.append((d, m, frozenset(m), {v: i for i, v in enumerate(m)}))
     return out
 
 
-def _pullback_along(cat: FiniteCategory, cover: str, e: str) -> str | None:
-    """The morphism u with cover . u = e, or None if e's image misses cover.
+def _pullback_along(cat: FiniteCategory, cover: tuple, src: str,
+                    m: tuple[int, ...]) -> str | None:
+    """The morphism u with cover . u = m (a map from src), or None if m's
+    image misses the cover.
 
-    Covers are injective, so u is unique: its map is e's map read back
-    through cover, and it is looked up in hom(source e, source cover)
+    Covers are injective, so u is unique: its map is m read back through
+    the cover's position map, and it is looked up in hom(src, source cover)
     rather than validated again.
     """
-    pos = {v: i for i, v in enumerate(cat.embedding(cover).map)}
+    d, _, _, pos = cover
     try:
-        m = tuple(pos[v] for v in cat.embedding(e).map)
+        u = tuple(map(pos.__getitem__, m))
     except KeyError:
         return None
-    return cat._emb_index.get((cat.source(e), cat.source(cover), m))
+    return cat._emb_index.get((src, d, u))
 
 
 def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
@@ -267,40 +272,22 @@ def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
     cover is inconclusive at this catalog (a larger one might supply it),
     so the negative verdict is UNKNOWN-AT-BOUND rather than FAILS.
     """
-    for a in cat.objects:
-        for b in cat.objects:
-            for e in cat.hom(a, f_obj):
-                e_map = cat.embedding(e).map
-                for f in cat.hom(b, f_obj):
-                    span = set(e_map) | set(cat.embedding(f).map)
-                    covers = _covering_morphisms(cat, f_obj, span)
-                    if not covers:
-                        return "UNKNOWN-AT-BOUND"
-                    covers.sort(key=lambda dr: (cat.structure(dr[0]).size, dr[0], dr[1]))
-                    found = False
-                    for _, r in covers:
-                        if _pullback_along(cat, r, e) is None or \
-                                _pullback_along(cat, r, f) is None:
-                            continue
-                        if _defeated(cat, r, e, f, covers):
-                            continue
-                        found = True
-                        break
-                    if not found:
-                        return "UNKNOWN-AT-BOUND"
+    into = _morphisms_into(cat, f_obj)
+    for a, e_map, e_image, _ in into:
+        for b, f_map, f_image, _ in into:
+            span = e_image | f_image
+            # covers through which both e and f factor
+            covers = [r for r in into if span <= r[2]
+                      and _pullback_along(cat, r, a, e_map) is not None
+                      and _pullback_along(cat, r, b, f_map) is not None]
+            # r is defeated if some cover admits no mediating embedding
+            # under it (mediators are unique here because covers are
+            # injective)
+            if not any(all(_pullback_along(cat, r2, r[0], r[1]) is not None
+                           for r2 in covers)
+                       for r in covers):
+                return "UNKNOWN-AT-BOUND"
     return "HOLDS"
-
-
-def _defeated(cat, r, e, f, covers):
-    # r is defeated if some contender cover admits no mediating embedding
-    # under it (mediators are unique here because covers are injective).
-    for _, r2 in covers:
-        if _pullback_along(cat, r2, e) is None or \
-                _pullback_along(cat, r2, f) is None:
-            continue
-        if _pullback_along(cat, r2, r) is None:
-            return True
-    return False
 
 
 def check_axioms(cat: FiniteCategory, *, include_local_finiteness: bool = True) -> AxiomReport:

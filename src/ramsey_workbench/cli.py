@@ -384,32 +384,40 @@ def replay(report_path: str) -> tuple[int, dict]:
     """Re-verify every certificate in a report by direct evaluation."""
     with open(report_path, encoding="utf-8") as fh:
         report = json.load(fh)
-    cat = None
+    cat = structures = None
     if "catalog" in report:
         path = report["catalog"]["path"]
         if _sha256(path) != report["catalog"]["sha256"]:
             raise CorruptCertificate("catalog file changed since the report")
         try:
-            cat = FiniteCategory.from_structures(load_catalog(path))
+            structures = load_catalog(path)
         except (WorkbenchError, KeyError):
             cat = load_abstract(path)
+
+    def category(what: str) -> FiniteCategory:
+        # built on the first certificate that reads it: most reports have none
+        nonlocal cat
+        if cat is None:
+            if structures is None:
+                raise CorruptCertificate(f"{what} without a catalog")
+            cat = FiniteCategory.from_structures(structures)
+        return cat
+
     replayed = 0
     for cert in report.get("certificates", []):
         kind = cert.get("type")
         if kind == "bad-coloring":
-            if cat is None:
-                raise CorruptCertificate("bad-coloring without a catalog")
+            c = category("bad-coloring")
             coloring = Coloring(tuple(cert["domain"]), cert["k"],
                                 tuple(cert["values"]))
-            if not verify_bad_coloring(cat, cert["C"], cert["B"], cert["A"],
+            if not verify_bad_coloring(c, cert["C"], cert["B"], cert["A"],
                                        cert["t"], coloring):
                 raise CorruptCertificate(
                     f"bad coloring does not replay: {cert['kind']}")
         elif kind == "composition-equality":
-            if cat is None:
-                raise CorruptCertificate("composition without a catalog")
-            lhs = _compose_chain(cat, cert["lhs"])
-            rhs = _compose_chain(cat, cert["rhs"])
+            c = category("composition")
+            lhs = _compose_chain(c, cert["lhs"])
+            rhs = _compose_chain(c, cert["rhs"])
             if lhs != rhs:
                 raise CorruptCertificate(f"composition differs: {cert['note']}")
         elif kind == "map-equality":

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import FAILS, HOLDS
-from .category import FiniteCategory, Skeletonization
+from .category import FiniteCategory, Skeletonization, skeletonize
 from .errors import ExpansionOverflow, WorkbenchError
 from .structures import (Embedding, Signature, Structure, canonical_key)
 
@@ -77,22 +77,14 @@ class ExpansionSpace:
                  *, fiber_budget: int = 200_000):
         self.cat = cat
         self.fiber_budget = fiber_budget
-        keys = {}
-        reps = []
-        for obj in cat.objects:
-            key = canonical_key(cat.structure(obj))
-            if key not in keys:
-                keys[key] = obj
-                reps.append(obj)
-        self.reps: list[str] = reps
-        self.rep_of: dict[str, str] = {
-            obj: keys[canonical_key(cat.structure(obj))] for obj in cat.objects
-        }
+        skeleton = skeletonize(cat)
+        self.reps: list[str] = skeleton.representative_objects
+        self.rep_of: dict[str, str] = skeleton.representatives
         if isinstance(degrees, DegreeAssignment):
             given = {r: t for r, t in degrees.degrees}
-            self.degrees = DegreeAssignment.make(reps, given)
+            self.degrees = DegreeAssignment.make(self.reps, given)
         else:
-            self.degrees = DegreeAssignment.make(reps, dict(degrees))
+            self.degrees = DegreeAssignment.make(self.reps, dict(degrees))
         self._hom_index: dict[tuple[str, str], dict[str, int]] = {}
 
     def hom_list(self, rep: str, obj: str) -> list[str]:

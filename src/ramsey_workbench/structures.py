@@ -309,37 +309,59 @@ def _level_slots(sig: Signature, n: int) -> list[list[tuple[int, tuple[int, ...]
     return slots
 
 
+def _merge_orbits(root: list[int], gamma: list[int]) -> None:
+    """Join the cycles of gamma in a union-find whose roots are least."""
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for x, y in enumerate(gamma):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            root[max(rx, ry)] = min(rx, ry)
+
+
 def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
     """Least relabeling of ``a`` over all permutations, plus the witness.
 
     The order minimized is: membership bits of all relation tuples listed by
     growing maximum coordinate (then relation, then lexicographic tuple),
-    with constant positions as the final tie-break.  Exhaustive search with
-    branch-and-bound on the determined key prefix; identical output for
-    isomorphic inputs, and the witness is the identity when the input is
-    already canonical.
+    with constant positions as the final tie-break.  The search walks
+    permutations in lexicographic order with branch-and-bound on the
+    determined key prefix, and the witness is the first least leaf in that
+    order, so it is the identity when the input is already canonical.
+
+    Automorphism pruning (as in nauty and Traces): a leaf that ties the best
+    key gives the automorphism mapping the best leaf's elements, position by
+    position, onto its own.  At each node a child is explored only if it is
+    the least element of its orbit under the automorphisms found so far that
+    fix the current prefix pointwise.  A skipped subtree is the image of an
+    earlier explored one under such an automorphism, so it repeats earlier
+    keys only, and the first least leaf is never skipped.  Symmetric inputs
+    such as empty and complete graphs no longer cost n! leaves.
     """
     n = a.size
-    sig = a.signature
     if n == 0:
         return a, Embedding(a, a, ())
-    slots = _level_slots(sig, n)
     tables = [table for _, table in a.relations]
+    levels = [[(tables[ri], t) for ri, t in slots]
+              for slots in _level_slots(a.signature, n)]
 
     def level_bits(pre: list[int], p: int) -> tuple[int, ...]:
-        return tuple(
-            1 if tuple(pre[v] for v in t) in tables[ri] else 0
-            for ri, t in slots[p]
-        )
+        get = pre.__getitem__
+        return tuple([1 if tuple(map(get, t)) in table else 0
+                      for table, t in levels[p]])
 
     def tail(pre: list[int]) -> tuple[int, ...]:
-        pos = {e: i for i, e in enumerate(pre)}
-        return tuple(pos[v] for _, v in a.constants)
+        return tuple(pre.index(v) for _, v in a.constants)
 
     ident = list(range(n))
     best_bits = [level_bits(ident, p) for p in range(n)]
     best_tail = tail(ident)
     best_pre = tuple(ident)
+    auts: list[list[int]] = []   # element -> image, in the order found
 
     pre: list[int] = []
     used = [False] * n
@@ -359,13 +381,31 @@ def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
         nonlocal best_bits, best_tail, best_pre
         if p == n:
             cmp = compare_prefix()
-            if cmp < 0 or (cmp == 0 and tail(pre) < best_tail):
-                best_bits = list(cur_bits)
-                best_tail = tail(pre)
-                best_pre = tuple(pre)
+            cur_tail = tail(pre)
+            if cmp == 0 and cur_tail == best_tail:
+                # a tie: best_pre[i] -> pre[i] is an automorphism, trivial
+                # only at the first leaf, which is the initial best
+                if pre != ident:
+                    gamma = [0] * n
+                    for x, y in zip(best_pre, pre):
+                        gamma[x] = y
+                    auts.append(gamma)
+            elif cmp < 0 or (cmp == 0 and cur_tail < best_tail):
+                best_bits, best_tail, best_pre = list(cur_bits), cur_tail, tuple(pre)
             return
+        # orbits of the automorphisms found so far that fix the prefix,
+        # merged as they arrive; None until one does
+        root = None
+        merged = 0
         for e in range(n):
             if used[e]:
+                continue
+            for gamma in auts[merged:]:
+                if all(gamma[v] == v for v in pre):
+                    root = root or list(range(n))
+                    _merge_orbits(root, gamma)
+            merged = len(auts)
+            if root is not None and root[e] != e:
                 continue
             pre.append(e)
             used[e] = True

@@ -50,8 +50,12 @@ def render(s: Structure):
             s.constants)
 
 
-def brute_min_relabeling(a: Structure) -> Structure:
-    """Minimum over all permutations of the package's canonical slot order."""
+def brute_canonical_form(a: Structure) -> tuple[Structure, tuple[int, ...]]:
+    """The first least permutation in lex order, as (relabeled, position map).
+
+    Permutations list the elements by new position; the key is the package's
+    canonical slot order, with constant positions as the tie-break.
+    """
     from ramsey_workbench.structures import _level_slots
 
     slots = _level_slots(a.signature, a.size)
@@ -70,7 +74,12 @@ def brute_min_relabeling(a: Structure) -> Structure:
     pos = [0] * a.size
     for i, e in enumerate(best):
         pos[e] = i
-    return a.relabel(tuple(pos))
+    return a.relabel(tuple(pos)), tuple(pos)
+
+
+def brute_min_relabeling(a: Structure) -> Structure:
+    """Minimum over all permutations of the package's canonical slot order."""
+    return brute_canonical_form(a)[0]
 
 
 def brute_arrow_status(hom_ac, copies, k, t) -> str:

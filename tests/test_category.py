@@ -1,10 +1,11 @@
 import pytest
 
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
-                                       linear_order, lo_catalog, path_graph)
+                                       graph_catalog, linear_order, lo_catalog,
+                                       path_graph)
 from ramsey_workbench.category import (FiniteCategory, abstract_from_json,
-                                       check_axioms, op, skeletonize,
-                                       tables_equal)
+                                       check_axioms, locally_finite_verdict,
+                                       op, skeletonize, tables_equal)
 from ramsey_workbench.errors import MissingIsoData, WorkbenchError
 from ramsey_workbench.structures import Embedding
 
@@ -86,6 +87,10 @@ class TestAxioms:
             [empty_graph(1, name="E1"), path_graph(2, name="P2"),
              path_graph(3), path_graph(4)])
         assert locally_finite_verdict(filled, "P4") == "HOLDS"
+
+    def test_local_finiteness_on_graph_catalog(self):
+        cat = FiniteCategory.from_structures(graph_catalog(3))
+        assert {locally_finite_verdict(cat, f) for f in cat.objects} == {"HOLDS"}
 
 
 class TestValidateOnce:

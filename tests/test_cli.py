@@ -184,6 +184,34 @@ class TestReplay:
         with pytest.raises(CorruptCertificate):
             replay(str(out))
 
+    def test_skeleton_report_replays_without_building_the_category(
+            self, lo_paths, tmp_path, monkeypatch):
+        from ramsey_workbench import category
+
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "cat", "skeleton",
+                    "--catalog", lo_paths["lo4"]]) == 0
+        calls = []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: calls.append((a, b)) or real(a, b))
+        assert run(["--out", str(tmp_path / "rep.json"),
+                    "replay", str(out)]) == 0
+        assert calls == []
+
+    def test_replay_errors_exit_three(self, tmp_path):
+        catalog = tmp_path / "lo4.json"
+        save_catalog(lo_catalog(4), catalog)
+        out = tmp_path / "r.json"
+        run(["--out", str(out), "cat", "skeleton", "--catalog", str(catalog)])
+        save_catalog(lo_catalog(3), catalog)
+        assert run(["replay", str(out)]) == 3
+        orphan = tmp_path / "orphan.json"
+        orphan.write_text(json.dumps({"certificates": [
+            {"type": "composition-equality", "lhs": ["x"], "rhs": ["x"],
+             "note": "no catalog"}]}))
+        assert run(["replay", str(orphan)]) == 3
+
     def test_empty_report_succeeds(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"certificates": []}))

@@ -13,6 +13,8 @@ from ramsey_workbench.expansion import (DegreeAssignment, ExpansionSpace,
                                         orbit_age_analysis,
                                         transport_expansion)
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def p3_space():
@@ -34,6 +36,18 @@ class TestFibers:
             for rep in p3_space.reps:
                 expected *= p3_space.degrees.of(rep) ** len(cat.hom(rep, obj))
             assert p3_space.fiber_size(obj) == expected
+
+    def test_representatives_are_first_in_each_class(self):
+        catalog = [complete_graph(2, name="K2"), path_graph(3),
+                   empty_graph(1, name="K1"),
+                   graph(3, [(0, 2), (2, 1)], name="P3r"),
+                   graph(2, [(1, 0)], name="K2b")]
+        space = ExpansionSpace(FiniteCategory.from_structures(catalog), {})
+        first = {s.name: next(r.name for r in catalog
+                              if oracles.brute_isomorphic(r, s))
+                 for s in catalog}
+        assert space.rep_of == first
+        assert space.reps == ["K2", "P3", "K1"]
 
     def test_unit_degrees_give_single_expansion(self):
         cat = FiniteCategory.from_structures(lo_catalog(3))

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, empty_graph, graph,
-                                       graph_catalog, linear_order, lo_catalog,
-                                       path_graph)
+from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, complete_graph,
+                                       empty_graph, graph, graph_catalog,
+                                       linear_order, lo_catalog, path_graph,
+                                       save_catalog)
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.errors import SignatureMismatch, WorkbenchError
 from ramsey_workbench.structures import (Embedding, Signature, Structure,
@@ -26,6 +29,42 @@ def small_graphs(max_n=4):
         return graph(n, edges)
 
     return build()
+
+
+MIXED_SIGNATURE = Signature(relations=(("r", 2), ("t", 3)), constants=("c",))
+
+
+@st.composite
+def mixed_structures(draw, max_n=6):
+    """A binary and a ternary relation, sparse or co-sparse, and a constant."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    elt = st.integers(min_value=0, max_value=n - 1)
+    tables = {}
+    for name, arity in MIXED_SIGNATURE.relations:
+        table = draw(st.sets(st.tuples(*[elt] * arity), max_size=8))
+        if draw(st.booleans()):
+            table = set(itertools.product(range(n), repeat=arity)) - table
+        tables[name] = table
+    return Structure.make(MIXED_SIGNATURE, n, tables, {"c": draw(elt)})
+
+
+@st.composite
+def graph_pairs(draw, max_n=6):
+    """A graph and a relabeled copy, with one vertex pair toggled or not."""
+    g = draw(small_graphs(max_n))
+    perm = draw(st.permutations(range(g.size)))
+    edges = {frozenset((perm[u], perm[v])) for u, v in g.rel("edge")}
+    if g.size >= 2 and draw(st.booleans()):
+        pair = draw(st.sampled_from(list(itertools.combinations(range(g.size), 2))))
+        edges ^= {frozenset(pair)}
+    return g, graph(g.size, [tuple(e) for e in edges])
+
+
+def to_networkx(g: Structure) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.size))
+    out.add_edges_from(g.rel("edge"))
+    return out
 
 
 class TestSignatureAndStructure:
@@ -232,6 +271,49 @@ class TestCanonicalForm:
         c = star(0, [1, 2], root=1)
         assert canonical_form(a)[0] == canonical_form(b)[0]
         assert canonical_form(a)[0] != canonical_form(c)[0]
+
+
+class TestCanonicalFormContract:
+    """Canon and witness against the first least permutation in lex order."""
+
+    def test_every_graph_up_to_four_vertices(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(2 ** len(pairs)):
+                g = graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+                canon, iso = canonical_form(g)
+                want, position = oracles.brute_canonical_form(g)
+                assert canon == want and iso.map == position
+
+    @given(mixed_structures())
+    def test_structures_with_ternary_relation_and_constant(self, s):
+        canon, iso = canonical_form(s)
+        want, position = oracles.brute_canonical_form(s)
+        assert canon == want and iso.map == position
+
+    @given(graph_pairs())
+    def test_equal_forms_exactly_for_vf2_isomorphic_graphs(self, pair):
+        g, h = pair
+        vf2 = nx.algorithms.isomorphism.GraphMatcher(
+            to_networkx(g), to_networkx(h)).is_isomorphic()
+        assert (canonical_form(g)[0] == canonical_form(h)[0]) == vf2
+        assert isomorphic(g, h) == vf2
+
+    @pytest.mark.parametrize("build", [empty_graph, complete_graph])
+    def test_symmetric_graph_is_its_own_form(self, build):
+        # 9! leaves without automorphism pruning
+        g = build(9)
+        canon, iso = canonical_form(g)
+        assert canon == g and iso.is_identity
+
+
+class TestCatalogBytes:
+    def test_graph_catalog_5_json_is_pinned(self, tmp_path):
+        # catalog order and the G{n}_{i} names rest on canonical_key
+        path = tmp_path / "g5.json"
+        save_catalog(graph_catalog(5), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a05b9e4fb2b80013dfc35c721372083d0265a2b57b0c28b4b9085d65984f297f")
 
 
 class TestIsomorphismInvariance:
