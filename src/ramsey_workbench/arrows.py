@@ -6,8 +6,16 @@ it means searching for a counterexample ("bad") coloring in which every w
 sees more than t colors; the relation holds exactly when that search
 exhausts.
 
-Two independent routes are provided: a pruned, symmetry-reduced DFS
-(`arrow_check`) and a full enumeration oracle (`oracle_arrow_check`).
+Three independent routes are provided:
+
+- `arrow_check`, the engine's search: forward checking and a fail-first
+  variable order on an explicit stack, with Aut(C) symmetry broken by a
+  lex-leader test that holds under any variable order;
+- `lex_arrow_check`, a recursive DFS that colors hom(A, C) in its fixed
+  order and prunes only dead witnesses, kept as the differential oracle for
+  the search;
+- `oracle_arrow_check`, full enumeration of every coloring.
+
 They must agree on every instance within the oracle's budget, and the
 test suite enforces that.
 """
@@ -35,9 +43,6 @@ class Coloring:
             raise ValueError("coloring is not total")
         if any(not (0 <= v < self.k) for v in self.values):
             raise ValueError("color out of range")
-
-    def value_of(self, mid: str) -> int:
-        return self.values[self.domain.index(mid)]
 
     def used_colors(self) -> int:
         return len(set(self.values))
@@ -71,6 +76,8 @@ class ArrowInstance:
 
     @staticmethod
     def build(cat: FiniteCategory, c: str, b: str, a: str) -> "ArrowInstance":
+        """Read the instance through `cat.hom` and `cat.compose` only, so
+        `category.HomSets` serves as well as a full category."""
         domain = tuple(cat.hom(a, c))
         hom_ab = tuple(cat.hom(a, b))
         hom_bc = tuple(cat.hom(b, c))
@@ -95,7 +102,11 @@ def is_bad(inst: ArrowInstance, values, t: int) -> bool:
 
 
 def verify_bad_coloring(cat, c, b, a, t, coloring: Coloring) -> bool:
-    """Replay a FAILS certificate by direct evaluation."""
+    """Replay a FAILS certificate by direct evaluation.
+
+    `cat` is a `FiniteCategory` or a `category.HomSets`, which enumerates
+    only the three hom-sets the instance reads.
+    """
     inst = ArrowInstance.build(cat, c, b, a)
     if inst.domain != coloring.domain:
         return False
@@ -115,9 +126,225 @@ def _domain_permutations(cat: FiniteCategory, c: str, inst: ArrowInstance):
     return sorted(perms)
 
 
+def _dominated(perms, values) -> bool:
+    """Some Aut(C) image of the coloring has a smaller normal form.
+
+    The normal form of a coloring renames its colors in order of first
+    appearance along the domain order, so it is the same for every color
+    renaming.  The comparison runs along the domain order for as long as
+    both the coloring and its image are colored there, so it reads only
+    positions already fixed and never depends on the order they were
+    colored in.
+    """
+    for perm in perms:
+        mine: dict[int, int] = {}
+        image: dict[int, int] = {}
+        for j, v in enumerate(values):
+            u = values[perm[j]]
+            if u < 0 or v < 0:
+                break
+            x = image.setdefault(u, len(image))
+            y = mine.setdefault(v, len(mine))
+            if x != y:
+                if x < y:
+                    return True
+                break
+    return False
+
+
+def _lex_dominated(perms, values, depth: int) -> bool:
+    """`_dominated` for a coloring of the first `depth` positions whose
+    colors already appear in order; `lex_arrow_check` keeps this test of
+    its own so that the two searches share no pruning code."""
+    for perm in perms:
+        rename: dict[int, int] = {}
+        for j in range(depth):
+            v = values[perm[j]]
+            if v < 0:
+                break
+            canon = rename.setdefault(v, len(rename))
+            if canon < values[j]:
+                return True
+            if canon > values[j]:
+                break
+    return False
+
+
+def _trivial_verdict(inst: ArrowInstance, k: int, t: int,
+                     degenerate: str | None) -> ArrowVerdict | None:
+    """The verdict of an instance that needs no search, else None."""
+    if not inst.witnesses:
+        # no witness exists and at least one coloring always does
+        bad = Coloring(inst.domain, k, tuple(0 for _ in inst.domain))
+        return ArrowVerdict(FAILS, bad, ArrowStats(), degenerate,
+                            note="hom(B,C) is empty")
+    if t >= k or not inst.hom_ab:
+        return ArrowVerdict(HOLDS, None, ArrowStats(), degenerate,
+                            note="every witness sees at most t colors")
+    return None
+
+
+def _search_verdict(search, inst: ArrowInstance, k: int, t: int,
+                    stats: ArrowStats, degenerate: str | None) -> ArrowVerdict:
+    """Run `search()`, which returns a bad coloring or None, as a verdict."""
+    try:
+        leaf = search()
+    except BudgetExceeded:
+        return ArrowVerdict(UNKNOWN, None, stats, degenerate,
+                            note="node budget exhausted")
+    if leaf is None:
+        return ArrowVerdict(HOLDS, None, stats, degenerate)
+    bad = Coloring(inst.domain, k, tuple(leaf))
+    assert is_bad(inst, bad.values, t)
+    return ArrowVerdict(FAILS, bad, stats, degenerate)
+
+
 def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
                 node_budget: int | None = None,
                 symmetry: bool = True) -> ArrowVerdict:
+    """Decide the arrow by a forward-checking search for a bad coloring.
+
+    Each position of hom(A, C) keeps a domain of colors.  A witness copy is
+    tight when its seen colors plus its unassigned positions make exactly
+    t + 1: each unassigned position must then bring a new color, so the
+    seen colors are struck from their domains (forward checking).  A
+    wiped-out domain is a witness prune.  The next position is the one with
+    the smallest domain, then the most incident copies, then the lowest
+    index (fail-first).  It takes a color already used or the least unused
+    one: unused colors are never struck, so they are interchangeable.
+
+    With symmetry on, a node is cut when some Aut(C) image of its coloring
+    has a smaller normal form (`_dominated`).  This is sound under the
+    fail-first order.  Take a bad coloring X whose normal form is least
+    among its Aut(C) images; every color renaming of X has that least form
+    too, so the test never cuts a renaming of X.  Forward checking strikes
+    only colors that no bad extension uses, and renaming two unused colors
+    changes nothing colored so far, so the search follows some renaming of
+    X down to a leaf.  Hence a leaf is reached exactly when a bad coloring
+    exists, with symmetry on or off.
+
+    Exhaustion proves HOLDS; a leaf is a verifiable FAILS certificate;
+    exceeding the node budget yields UNKNOWN-AT-BOUND.
+    """
+    if k < 1 or t < 1:
+        raise ValueError("k and t must be positive")
+    inst = ArrowInstance.build(cat, c, b, a)
+    degenerate = None if inst.hom_ab else "empty-hom-A-B"
+    trivial = _trivial_verdict(inst, k, t, degenerate)
+    if trivial is not None:
+        return trivial
+    stats = ArrowStats()
+    perms = _domain_permutations(cat, c, inst) if symmetry else []
+    return _search_verdict(
+        lambda: _forward_search(inst, k, t, perms, node_budget, stats),
+        inst, k, t, stats, degenerate)
+
+
+def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
+                    node_budget: int | None, stats: ArrowStats):
+    """The search of `arrow_check`: a bad coloring as a list, or None.
+
+    Domains and seen colors are bitmasks.  Every change to a domain or a
+    seen set is logged on a trail as (list, index, old value), and a frame
+    undoes its last assignment by popping the trail back to its mark.
+    """
+    m = len(inst.domain)
+    need = t + 1
+    copies = [tuple(sorted(set(copy))) for copy in inst.copies]
+    stats.nodes += 1
+    if any(len(copy) < need for copy in copies):
+        stats.witness_prunes += 1       # a witness that can never see t+1
+        return None
+    incidence: list[list[int]] = [[] for _ in range(m)]
+    for wi, copy in enumerate(copies):
+        for i in copy:
+            incidence[i].append(wi)
+    degree = [len(ws) for ws in incidence]
+    values = [-1] * m
+    dom = [(1 << k) - 1] * m
+    seen = [0] * len(copies)
+    free = [len(copy) for copy in copies]
+    trail: list[tuple[list[int], int, int]] = []
+
+    def assign(p: int, col: int) -> bool:
+        """Color p and strike along tight copies; False on a wipe-out."""
+        values[p] = col
+        bit = 1 << col
+        alive = True
+        for wi in incidence[p]:
+            free[wi] -= 1
+            s = seen[wi]
+            if not s & bit:
+                trail.append((seen, wi, s))
+                s |= bit
+                seen[wi] = s
+            if free[wi] and s.bit_count() + free[wi] == need:
+                for q in copies[wi]:
+                    d = dom[q]
+                    if values[q] < 0 and d & s:
+                        trail.append((dom, q, d))
+                        d &= ~s
+                        dom[q] = d
+                        if not d:
+                            alive = False
+        return alive
+
+    def unassign(p: int, mark: int) -> None:
+        values[p] = -1
+        for wi in incidence[p]:
+            free[wi] += 1
+        while len(trail) > mark:
+            arr, i, old = trail.pop()
+            arr[i] = old
+
+    def select() -> int:
+        best, best_size, best_deg = -1, k + 1, -1
+        for q in range(m):
+            if values[q] < 0:
+                size = dom[q].bit_count()
+                if size < best_size or (size == best_size
+                                        and degree[q] > best_deg):
+                    best, best_size, best_deg = q, size, degree[q]
+        return best
+
+    def frame(used: int) -> list:
+        # [position, candidate colors, next candidate, colors used, trail mark]
+        p = select()
+        d = dom[p]
+        cands = [col for col in range(min(used + 1, k)) if d >> col & 1]
+        return [p, cands, 0, used, 0]
+
+    stack = [frame(0)]
+    while stack:
+        top = stack[-1]
+        p, cands, i, used, mark = top
+        if values[p] >= 0:
+            unassign(p, mark)
+        if i == len(cands):
+            stack.pop()
+            continue
+        col = cands[i]
+        top[2] = i + 1
+        top[4] = len(trail)
+        depth = len(stack)
+        if not assign(p, col):
+            stats.witness_prunes += 1
+            continue
+        if perms and _dominated(perms, values):
+            stats.symmetry_prunes += 1
+            continue
+        stats.nodes += 1
+        if node_budget is not None and stats.nodes > node_budget:
+            raise BudgetExceeded()
+        if depth == m:
+            return values
+        stack.append(frame(max(used, col + 1)))
+    return None
+
+
+def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
+                    t: int, *, node_budget: int | None = None,
+                    symmetry: bool = True) -> ArrowVerdict:
     """Decide the arrow by DFS over partial colorings of hom(A, C).
 
     Colors are assigned to the domain in its fixed order.  A branch dies as
@@ -127,26 +354,19 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     Aut(C) post-composition combined with color renaming; both reductions
     preserve the existence of bad colorings, so verdicts are unchanged.
 
-    Exhaustion proves HOLDS; a surviving leaf is a verifiable FAILS
+    This is the differential oracle for `arrow_check`; no command selects
+    it.  Exhaustion proves HOLDS; a surviving leaf is a verifiable FAILS
     certificate; exceeding the node budget yields UNKNOWN-AT-BOUND.
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be positive")
-    stats = ArrowStats()
     inst = ArrowInstance.build(cat, c, b, a)
-    degenerate = None
-    if not inst.hom_ab:
-        degenerate = "empty-hom-A-B"
+    degenerate = None if inst.hom_ab else "empty-hom-A-B"
+    trivial = _trivial_verdict(inst, k, t, degenerate)
+    if trivial is not None:
+        return trivial
+    stats = ArrowStats()
     m = len(inst.domain)
-
-    if not inst.witnesses:
-        # no witness exists and at least one coloring always does
-        bad = Coloring(inst.domain, k, tuple(0 for _ in range(m)))
-        return ArrowVerdict(FAILS, bad, stats, degenerate,
-                            note="hom(B,C) is empty")
-    if t >= k or not inst.hom_ab:
-        return ArrowVerdict(HOLDS, None, stats, degenerate,
-                            note="every witness sees at most t colors")
 
     incidence: list[list[int]] = [[] for _ in range(m)]
     for wi, copy in enumerate(inst.copies):
@@ -159,32 +379,11 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     seen: list[set[int]] = [set() for _ in inst.copies]
     unassigned = [len(copy) for copy in inst.copies]
 
-    def dominated(depth: int) -> bool:
-        # some Aut(C)-permuted, color-renamed image is lexicographically
-        # smaller on its determined prefix; such a prefix can never extend
-        # to an orbit-minimal coloring
-        for perm in perms:
-            rename: dict[int, int] = {}
-            for j in range(depth):
-                v = values[perm[j]]
-                if v < 0:
-                    break
-                canon = rename.setdefault(v, len(rename))
-                if canon < values[j]:
-                    return True
-                if canon > values[j]:
-                    break
-        return False
-
-    bad_leaf: list[int] | None = None
-
     def rec(depth: int, used: int) -> bool:
-        nonlocal bad_leaf
         stats.nodes += 1
         if node_budget is not None and stats.nodes > node_budget:
             raise BudgetExceeded()
         if depth == m:
-            bad_leaf = list(values)
             return True
         top = min(used + 1, k)
         for col in range(top):
@@ -201,7 +400,7 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
                     ok = False
             if not ok:
                 stats.witness_prunes += 1
-            elif perms and dominated(depth + 1):
+            elif perms and _lex_dominated(perms, values, depth + 1):
                 stats.symmetry_prunes += 1
                 ok = False
             if ok and rec(depth + 1, max(used, col + 1)):
@@ -213,16 +412,8 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
             values[depth] = -1
         return False
 
-    try:
-        found = rec(0, 0)
-    except BudgetExceeded:
-        return ArrowVerdict(UNKNOWN, None, stats, degenerate,
-                            note="node budget exhausted")
-    if found:
-        bad = Coloring(inst.domain, k, tuple(bad_leaf))
-        assert is_bad(inst, bad.values, t)
-        return ArrowVerdict(FAILS, bad, stats, degenerate)
-    return ArrowVerdict(HOLDS, None, stats, degenerate)
+    return _search_verdict(lambda: values if rec(0, 0) else None,
+                           inst, k, t, stats, degenerate)
 
 
 def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,

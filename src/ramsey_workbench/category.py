@@ -26,6 +26,23 @@ class Morphism:
     emb: Embedding | None = field(default=None, compare=False)
 
 
+def _named(catalog: list[Structure]) -> dict[str, Structure]:
+    """The catalog by object name, unnamed structures as S<index>."""
+    if catalog:
+        sig = catalog[0].signature
+        if any(s.signature != sig for s in catalog):
+            raise SignatureMismatch("catalog structures disagree on signature")
+    names = [s.name or f"S{i}" for i, s in enumerate(catalog)]
+    if len(set(names)) != len(names):
+        raise WorkbenchError("catalog object names must be distinct")
+    return dict(zip(names, catalog))
+
+
+def _mid(a: str, b: str, k: int) -> str:
+    """The id of the k-th embedding of a into b in lex order."""
+    return f"{a}->{b}#{k}"
+
+
 class FiniteCategory:
     def __init__(self, objects, homs, morphisms, identities, compose_table=None,
                  structures=None, compose_fn=None):
@@ -54,16 +71,8 @@ class FiniteCategory:
     @staticmethod
     def from_structures(catalog: list[Structure]) -> "FiniteCategory":
         """Embedding category on a catalog; morphism ids are lex ranks."""
-        if catalog:
-            sig = catalog[0].signature
-            if any(s.signature != sig for s in catalog):
-                raise SignatureMismatch("catalog structures disagree on signature")
-        names = []
-        for i, s in enumerate(catalog):
-            names.append(s.name or f"S{i}")
-        if len(set(names)) != len(names):
-            raise WorkbenchError("catalog object names must be distinct")
-        structures = dict(zip(names, catalog))
+        structures = _named(catalog)
+        names = list(structures)
         homs: dict[tuple[str, str], list[str]] = {}
         morphisms: dict[str, Morphism] = {}
         identities: dict[str, str] = {}
@@ -73,7 +82,7 @@ class FiniteCategory:
                 embs = enumerate_embeddings(structures[a], structures[b])
                 mids = []
                 for k, e in enumerate(embs):
-                    mid = f"{a}->{b}#{k}"
+                    mid = _mid(a, b, k)
                     mids.append(mid)
                     morphisms[mid] = Morphism(mid, a, b, e)
                     emb_index[(a, b, e.map)] = mid
@@ -171,6 +180,47 @@ class FiniteCategory:
             return self.structures[a]
         except KeyError:
             raise MissingIsoData(f"object {a!r} has no attached structure")
+
+
+class HomSets:
+    """The hom-sets of a catalog, each enumerated when first read.
+
+    `hom` and `compose` give the ids and composites of
+    `FiniteCategory.from_structures` on the same catalog, so a question that
+    reads a few hom-sets (replaying a bad coloring reads three) does not
+    build the whole category.  Unknown names have empty hom-sets, as in
+    `FiniteCategory.hom`.
+    """
+
+    def __init__(self, catalog: list[Structure]):
+        self.structures = _named(catalog)
+        self._homs: dict[tuple[str, str], list[str]] = {}
+        self._maps: dict[str, tuple[str, str, tuple[int, ...]]] = {}
+        self._index: dict[tuple[str, str, tuple[int, ...]], str] = {}
+
+    def hom(self, a: str, b: str) -> list[str]:
+        mids = self._homs.get((a, b))
+        if mids is None:
+            mids = []
+            if a in self.structures and b in self.structures:
+                embs = enumerate_embeddings(self.structures[a],
+                                            self.structures[b])
+                for k, e in enumerate(embs):
+                    mid = _mid(a, b, k)
+                    mids.append(mid)
+                    self._maps[mid] = (a, b, e.map)
+                    self._index[(a, b, e.map)] = mid
+            self._homs[(a, b)] = mids
+        return mids
+
+    def compose(self, g: str, f: str) -> str:
+        """Composite g . f (f first)."""
+        a, b, f_map = self._maps[f]
+        b2, c, g_map = self._maps[g]
+        if b != b2:
+            raise WorkbenchError(f"{g!r} . {f!r} not composable")
+        self.hom(a, c)
+        return self._index[(a, c, tuple(map(g_map.__getitem__, f_map)))]
 
 
 def op(cat: FiniteCategory) -> FiniteCategory:

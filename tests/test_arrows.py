@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ramsey_workbench.arrows import (FAILS, HOLDS, UNKNOWN, ArrowInstance,
                                      Coloring, arrow_check, export_cnf,
                                      find_ramsey_witness, is_bad,
-                                     oracle_arrow_check, verify_bad_coloring)
-from ramsey_workbench.catalogs import lo_catalog, graph_catalog, path_graph
-from ramsey_workbench.category import FiniteCategory
+                                     lex_arrow_check, oracle_arrow_check,
+                                     verify_bad_coloring)
+from ramsey_workbench.catalogs import (complete_graph, graph_catalog,
+                                       linear_order, lo_catalog, path_graph)
+from ramsey_workbench.category import FiniteCategory, Morphism
 from ramsey_workbench.errors import BudgetExceeded
 
 import oracles
@@ -217,3 +220,147 @@ class TestCertificates:
         tampered = Coloring(verdict.bad_coloring.domain, 2,
                             tuple(0 for _ in vals))
         assert not verify_bad_coloring(lo6, "LO5", "LO3", "LO2", 1, tampered)
+
+
+# -- the forward-checking search against the lex DFS and the oracle ----------
+
+CHAINS = lo_catalog(6)
+GRAPHS = graph_catalog(4)
+ORACLE_SCANS = 50_000
+
+
+@st.composite
+def arrow_questions(draw):
+    """C, B and A from the chains up to LO6 or the graphs on at most 4
+    vertices, with A embedding in B and B in C, 2 <= k <= 3 and t < k, as a
+    catalog of just those objects."""
+    pool = draw(st.sampled_from([CHAINS, GRAPHS]))
+
+    def below(top):
+        return [s for s in pool if oracles.brute_embeddings(s, top)]
+
+    c = draw(st.sampled_from(pool))
+    b = draw(st.sampled_from(below(c)))
+    a = draw(st.sampled_from(below(b)))
+    catalog = [s for s in pool if s in (a, b, c)]
+    k = draw(st.integers(2, 3))
+    t = draw(st.integers(1, k - 1))
+    return catalog, c.name, b.name, a.name, k, t
+
+
+class TestSearchDifferential:
+    @given(arrow_questions())
+    def test_search_matches_lex_dfs_and_oracle(self, question):
+        catalog, c, b, a, k, t = question
+        cat = FiniteCategory.from_structures(catalog)
+        inst = ArrowInstance.build(cat, c, b, a)
+        verdicts = [check(cat, c, b, a, k, t, symmetry=symmetry)
+                    for check in (arrow_check, lex_arrow_check)
+                    for symmetry in (True, False)]
+        statuses = {v.status for v in verdicts}
+        if k ** len(inst.domain) <= ORACLE_SCANS:
+            statuses.add(oracle_arrow_check(cat, c, b, a, k, t).status)
+        assert len(statuses) == 1, (c, b, a, k, t, statuses)
+        for v in verdicts:
+            if v.status == FAILS:
+                assert is_bad(inst, v.bad_coloring.values, t)
+        again = arrow_check(cat, c, b, a, k, t)
+        assert again.stats == verdicts[0].stats
+        assert again.bad_coloring == verdicts[0].bad_coloring
+
+    def test_benchmark_questions_agree_with_lex_dfs(self):
+        cat = FiniteCategory.from_structures(lo_catalog(8))
+        for c, b, a, k, t, expected in [("LO8", "LO3", "LO2", 2, 1, HOLDS),
+                                        ("LO8", "LO3", "LO2", 3, 1, FAILS),
+                                        ("LO7", "LO4", "LO3", 2, 1, FAILS),
+                                        ("LO5", "LO3", "LO2", 3, 2, HOLDS)]:
+            fast = arrow_check(cat, c, b, a, k, t)
+            slow = lex_arrow_check(cat, c, b, a, k, t)
+            assert fast.status == slow.status == expected, (c, b, a, k, t)
+            assert fast.stats.nodes < slow.stats.nodes
+
+
+class TestGroundTruth:
+    def test_lo14_three_colors_avoid_monochromatic_triples(self):
+        # R(3,3,3) = 17, so three colors of the pairs of a 14-chain can
+        # leave every one of its C(14,3) = 364 triples two-colored
+        cat = FiniteCategory.from_structures(
+            [linear_order(n) for n in (2, 3, 14)])
+        verdict = arrow_check(cat, "LO14", "LO3", "LO2", 3, 1)
+        assert verdict.status == FAILS
+        color = {cat.embedding(mid).map: v for mid, v in
+                 zip(verdict.bad_coloring.domain, verdict.bad_coloring.values)}
+        assert set(color) == set(itertools.combinations(range(14), 2))
+        triples = list(itertools.combinations(range(14), 3))
+        assert len(triples) == 364
+        for triple in triples:
+            assert len({color[p] for p in itertools.combinations(triple, 2)}) > 1
+
+    def test_lo6_needs_tens_of_nodes(self, lo6):
+        verdict = arrow_check(lo6, "LO6", "LO3", "LO2", 2, 1)
+        assert verdict.status == HOLDS
+        assert 10 < verdict.stats.nodes < 100
+
+    def test_deep_instance_runs_without_recursion(self):
+        # 1,100 positions in disjoint pairs, each pair a witness copy: the
+        # only bad 2-colorings split every pair, found at depth 1,100
+        pairs = 550
+        objects = ["A", "B", "C"]
+        homs = {("A", "A"): ["idA"], ("B", "B"): ["idB"], ("C", "C"): ["idC"],
+                ("A", "B"): ["f0", "f1"],
+                ("B", "C"): [f"w{i}" for i in range(pairs)],
+                ("A", "C"): [f"x{i}" for i in range(2 * pairs)]}
+        morphisms = {mid: Morphism(mid, s, t)
+                     for (s, t), mids in homs.items() for mid in mids}
+
+        def compose(g, f):
+            if f.startswith("id"):
+                return g
+            if g.startswith("id"):
+                return f
+            return f"x{2 * int(g[1:]) + int(f[1:])}"
+
+        cat = FiniteCategory(objects, homs, morphisms,
+                             {o: f"id{o}" for o in objects}, compose_fn=compose)
+        verdict = arrow_check(cat, "C", "B", "A", 2, 1)
+        assert verdict.status == FAILS
+        values = verdict.bad_coloring.values
+        assert all(values[2 * i] != values[2 * i + 1] for i in range(pairs))
+
+
+class TestSymmetryPath:
+    @pytest.mark.parametrize("catalog, sources", [
+        # Aut(K5) = S5 acting on maps from every complete graph
+        ([complete_graph(n) for n in range(1, 6)], None),
+        # vertex colorings of every graph on at most 4 vertices
+        (GRAPHS, ["G1_0"]),
+    ], ids=["complete-graphs", "points-of-graphs"])
+    def test_cuts_keep_verdicts(self, catalog, sources):
+        cat = FiniteCategory.from_structures(catalog)
+        cut = 0
+        for c, b, a in itertools.product(cat.objects, repeat=3):
+            if (sources is not None and a not in sources
+                    or not (cat.hom(a, b) and cat.hom(b, c))):
+                continue
+            for k in (2, 3):
+                for t in range(1, k):
+                    on = arrow_check(cat, c, b, a, k, t)
+                    off = arrow_check(cat, c, b, a, k, t, symmetry=False)
+                    lex = lex_arrow_check(cat, c, b, a, k, t, symmetry=False)
+                    assert on.status == off.status == lex.status, (c, b, a, k, t)
+                    if k ** len(cat.hom(a, c)) <= ORACLE_SCANS:
+                        assert (oracle_arrow_check(cat, c, b, a, k, t).status
+                                == on.status), (c, b, a, k, t)
+                    cut += on.stats.symmetry_prunes > 0
+        assert cut > 0
+
+    def test_k5_prunes_by_symmetry_with_the_same_verdict(self):
+        cat = FiniteCategory.from_structures(
+            [complete_graph(n) for n in range(1, 6)])
+        on = arrow_check(cat, "K5", "K3", "K2", 3, 2, symmetry=True)
+        off = arrow_check(cat, "K5", "K3", "K2", 3, 2, symmetry=False)
+        assert on.stats.symmetry_prunes > 0
+        assert off.stats.symmetry_prunes == 0
+        assert on.status == off.status == FAILS
+        inst = ArrowInstance.build(cat, "K5", "K3", "K2")
+        assert is_bad(inst, on.bad_coloring.values, 2)

@@ -62,6 +62,19 @@ class TestArrowCommand:
                     "-k", "2", "-t", "1"])
         assert code == 2
 
+    def test_lo10_three_colors_fail_within_the_node_budget(self, tmp_path):
+        # R(3,3,3) = 17 > 10: a bad coloring exists and must be found
+        catalog = tmp_path / "lo10.json"
+        save_catalog([linear_order(n) for n in (2, 3, 10)], catalog)
+        out = tmp_path / "r.json"
+        code = run(["--out", str(out), "--budget-nodes", "200000",
+                    "arrow", "--catalog", str(catalog),
+                    "--C", "LO10", "--B", "LO3", "--A", "LO2",
+                    "-k", "3", "-t", "1"])
+        assert code == 1
+        assert run(["--out", str(tmp_path / "rep.json"),
+                    "replay", str(out)]) == 0
+
     def test_cnf_export(self, lo_paths, tmp_path):
         out = tmp_path / "r.json"
         cnf = tmp_path / "bad.cnf"
@@ -198,6 +211,44 @@ class TestReplay:
         assert run(["--out", str(tmp_path / "rep.json"),
                     "replay", str(out)]) == 0
         assert calls == []
+
+    def test_bad_coloring_replays_from_three_hom_sets(self, tmp_path,
+                                                      monkeypatch):
+        from ramsey_workbench import category
+
+        catalog = tmp_path / "lo8.json"
+        save_catalog(lo_catalog(8), catalog)
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "arrow", "--catalog", str(catalog),
+                    "--C", "LO8", "--B", "LO3", "--A", "LO2",
+                    "-k", "3", "-t", "1"]) == 1
+        enumerated, built = [], []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: enumerated.append((a.name, b.name))
+                            or real(a, b))
+        real_build = category.FiniteCategory.from_structures
+        monkeypatch.setattr(category.FiniteCategory, "from_structures",
+                            staticmethod(lambda structures: built.append(1)
+                                         or real_build(structures)))
+        assert run(["--out", str(tmp_path / "rep.json"),
+                    "replay", str(out)]) == 0
+        assert built == []
+        assert sorted(enumerated) == [("LO2", "LO3"), ("LO2", "LO8"),
+                                      ("LO3", "LO8")]
+
+    def test_bad_coloring_with_unknown_object_is_corrupt(self, lo_paths,
+                                                         tmp_path):
+        out = tmp_path / "r.json"
+        run(["--out", str(out), "arrow", "--catalog", lo_paths["lo6"],
+             "--C", "LO5", "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"])
+        report = json.loads(out.read_text())
+        report["certificates"][0]["C"] = "LO99"
+        out.write_text(json.dumps(report))
+        from ramsey_workbench.cli import replay
+        with pytest.raises(CorruptCertificate):
+            replay(str(out))
+        assert run(["replay", str(out)]) == 3
 
     def test_replay_errors_exit_three(self, tmp_path):
         catalog = tmp_path / "lo4.json"
