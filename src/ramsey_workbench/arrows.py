@@ -77,7 +77,7 @@ class ArrowInstance:
     @staticmethod
     def build(cat: FiniteCategory, c: str, b: str, a: str) -> "ArrowInstance":
         """Read the instance through `cat.hom` and `cat.compose` only, so
-        `category.HomSets` serves as well as a full category."""
+        only hom(A,C), hom(A,B) and hom(B,C) are enumerated."""
         domain = tuple(cat.hom(a, c))
         hom_ab = tuple(cat.hom(a, b))
         hom_bc = tuple(cat.hom(b, c))
@@ -104,8 +104,7 @@ def is_bad(inst: ArrowInstance, values, t: int) -> bool:
 def verify_bad_coloring(cat, c, b, a, t, coloring: Coloring) -> bool:
     """Replay a FAILS certificate by direct evaluation.
 
-    `cat` is a `FiniteCategory` or a `category.HomSets`, which enumerates
-    only the three hom-sets the instance reads.
+    Only the three hom-sets the instance reads are enumerated.
     """
     inst = ArrowInstance.build(cat, c, b, a)
     if inst.domain != coloring.domain:

@@ -50,12 +50,6 @@ def empty_graph(n: int, name: str | None = None) -> Structure:
     return graph(n, [], name=name or f"E{n}")
 
 
-def cycle_graph(n: int, name: str | None = None) -> Structure:
-    if n < 3:
-        raise WorkbenchError("cycles need at least 3 vertices")
-    return graph(n, [(i, (i + 1) % n) for i in range(n)], name=name or f"C{n}")
-
-
 def all_graphs(n: int) -> list[Structure]:
     """One representative per isomorphism class of simple graphs on n vertices.
 

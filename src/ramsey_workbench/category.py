@@ -4,6 +4,17 @@ Two flavors share one interface: structure-backed categories, whose
 morphisms are embeddings and whose composition is map composition, and
 abstract categories loaded from a JSON table.  Everything downstream
 (arrow search, amalgamation, expansions) works through this interface.
+
+A structure-backed category enumerates each hom-set the first time it is
+read, so a question pays only for the hom-sets it reads.  Ids do not depend
+on the read order: ``A->B#k`` is always the k-th embedding of A into B in
+enumeration order.  Hence the rule: every read of ``_homs``, ``_mor``,
+``_identities`` or ``_emb_index`` goes through a method that reads the
+hom-set first (``hom``, ``identity``, ``morphism``, ``source``, ``target``,
+``compose``), and a helper that reads ``_emb_index`` directly reads the
+hom-sets it looks up beforehand.  An id whose hom-set is unread, say one
+from a certificate, is resolved by reading the rest of the category.  Table and ``op`` categories have every hom-set up front; a
+missing one is empty.
 """
 
 from __future__ import annotations
@@ -13,9 +24,10 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import MissingIsoData, SignatureMismatch, WorkbenchError
-from .structures import (Embedding, Structure, automorphisms, canonical_form,
-                         canonical_key, compose as compose_embeddings,
-                         enumerate_embeddings, identity, refinement_partition)
+from .structures import (Embedding, Structure, canonical_form,
+                         compose as compose_embeddings, enumerate_embeddings)
+# not called here: perfbench/spans.py wraps these two names in this module
+from .structures import canonical_key, refinement_partition  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -24,23 +36,6 @@ class Morphism:
     src: str
     tgt: str
     emb: Embedding | None = field(default=None, compare=False)
-
-
-def _named(catalog: list[Structure]) -> dict[str, Structure]:
-    """The catalog by object name, unnamed structures as S<index>."""
-    if catalog:
-        sig = catalog[0].signature
-        if any(s.signature != sig for s in catalog):
-            raise SignatureMismatch("catalog structures disagree on signature")
-    names = [s.name or f"S{i}" for i, s in enumerate(catalog)]
-    if len(set(names)) != len(names):
-        raise WorkbenchError("catalog object names must be distinct")
-    return dict(zip(names, catalog))
-
-
-def _mid(a: str, b: str, k: int) -> str:
-    """The id of the k-th embedding of a into b in lex order."""
-    return f"{a}->{b}#{k}"
 
 
 class FiniteCategory:
@@ -70,56 +65,85 @@ class FiniteCategory:
 
     @staticmethod
     def from_structures(catalog: list[Structure]) -> "FiniteCategory":
-        """Embedding category on a catalog; morphism ids are lex ranks."""
-        structures = _named(catalog)
-        names = list(structures)
-        homs: dict[tuple[str, str], list[str]] = {}
-        morphisms: dict[str, Morphism] = {}
-        identities: dict[str, str] = {}
-        emb_index: dict[tuple[str, str, tuple[int, ...]], str] = {}
-        for a in names:
-            for b in names:
-                embs = enumerate_embeddings(structures[a], structures[b])
-                mids = []
-                for k, e in enumerate(embs):
-                    mid = _mid(a, b, k)
-                    mids.append(mid)
-                    morphisms[mid] = Morphism(mid, a, b, e)
-                    emb_index[(a, b, e.map)] = mid
-                    if a == b and e.is_identity:
-                        identities[a] = mid
-                homs[(a, b)] = mids
-        cat = FiniteCategory(names, homs, morphisms, identities,
-                             structures=structures)
-        cat._emb_index = emb_index
+        """Embedding category on a catalog; morphism ids are lex ranks.
+
+        Nothing is enumerated here: each hom-set is read on demand.
+        Unnamed structures are named S<index>."""
+        if catalog:
+            sig = catalog[0].signature
+            if any(s.signature != sig for s in catalog):
+                raise SignatureMismatch("catalog structures disagree on signature")
+        names = [s.name or f"S{i}" for i, s in enumerate(catalog)]
+        if len(set(names)) != len(names):
+            raise WorkbenchError("catalog object names must be distinct")
+        structures = dict(zip(names, catalog))
+        cat = FiniteCategory(structures, {}, {}, {}, structures=structures)
+        cat._emb_index = {}
         return cat
 
     # -- basic interface ---------------------------------------------------
 
     def hom(self, a: str, b: str) -> list[str]:
-        return self._homs.get((a, b), [])
+        mids = self._homs.get((a, b))
+        if mids is not None:
+            return mids
+        if (self._emb_index is None or a not in self.structures
+                or b not in self.structures):
+            return []
+        mids = self._homs[(a, b)] = []
+        embs = enumerate_embeddings(self.structures[a], self.structures[b])
+        for k, e in enumerate(embs):
+            mid = f"{a}->{b}#{k}"
+            mids.append(mid)
+            self._mor[mid] = Morphism(mid, a, b, e)
+            self._emb_index[(a, b, e.map)] = mid
+            if a == b and e.is_identity:
+                self._identities[a] = mid
+        return mids
 
     def morphism(self, mid: str) -> Morphism:
+        try:
+            return self._mor[mid]
+        except KeyError:
+            if self._emb_index is None:
+                raise
+        # an id from outside, say a certificate: its hom-set may be unread
+        for _ in self.all_morphisms():
+            pass
         return self._mor[mid]
 
     def embedding(self, mid: str) -> Embedding:
-        e = self._mor[mid].emb
+        e = self.morphism(mid).emb
         if e is None:
             raise WorkbenchError(f"morphism {mid!r} carries no embedding")
         return e
 
     def identity(self, a: str) -> str:
-        return self._identities[a]
+        try:
+            return self._identities[a]
+        except KeyError:
+            self.hom(a, a)
+            return self._identities[a]
 
+    # source, target and compose index _mor first: morphism() costs a call
     def source(self, mid: str) -> str:
-        return self._mor[mid].src
+        try:
+            return self._mor[mid].src
+        except KeyError:
+            return self.morphism(mid).src
 
     def target(self, mid: str) -> str:
-        return self._mor[mid].tgt
+        try:
+            return self._mor[mid].tgt
+        except KeyError:
+            return self.morphism(mid).tgt
 
     def compose(self, g: str, f: str) -> str:
         """Composite g . f (f first)."""
-        mf, mg = self._mor[f], self._mor[g]
+        try:
+            mf, mg = self._mor[f], self._mor[g]
+        except KeyError:
+            mf, mg = self.morphism(f), self.morphism(g)
         if mf.tgt != mg.src:
             raise WorkbenchError(f"{g!r} . {f!r} not composable")
         if self._compose_fn is not None:
@@ -130,8 +154,12 @@ class FiniteCategory:
             except KeyError:
                 raise WorkbenchError(f"composition table misses {g!r} . {f!r}")
         # map() rather than a generator: a closure would cost every call a cell
-        composite = tuple(map(mg.emb.map.__getitem__, mf.emb.map))
-        return self._emb_index[(mf.src, mg.tgt, composite)]
+        key = (mf.src, mg.tgt, tuple(map(mg.emb.map.__getitem__, mf.emb.map)))
+        try:
+            return self._emb_index[key]
+        except KeyError:
+            self.hom(mf.src, mg.tgt)
+            return self._emb_index[key]
 
     def all_morphisms(self):
         for a in self.objects:
@@ -182,54 +210,15 @@ class FiniteCategory:
             raise MissingIsoData(f"object {a!r} has no attached structure")
 
 
-class HomSets:
-    """The hom-sets of a catalog, each enumerated when first read.
-
-    `hom` and `compose` give the ids and composites of
-    `FiniteCategory.from_structures` on the same catalog, so a question that
-    reads a few hom-sets (replaying a bad coloring reads three) does not
-    build the whole category.  Unknown names have empty hom-sets, as in
-    `FiniteCategory.hom`.
-    """
-
-    def __init__(self, catalog: list[Structure]):
-        self.structures = _named(catalog)
-        self._homs: dict[tuple[str, str], list[str]] = {}
-        self._maps: dict[str, tuple[str, str, tuple[int, ...]]] = {}
-        self._index: dict[tuple[str, str, tuple[int, ...]], str] = {}
-
-    def hom(self, a: str, b: str) -> list[str]:
-        mids = self._homs.get((a, b))
-        if mids is None:
-            mids = []
-            if a in self.structures and b in self.structures:
-                embs = enumerate_embeddings(self.structures[a],
-                                            self.structures[b])
-                for k, e in enumerate(embs):
-                    mid = _mid(a, b, k)
-                    mids.append(mid)
-                    self._maps[mid] = (a, b, e.map)
-                    self._index[(a, b, e.map)] = mid
-            self._homs[(a, b)] = mids
-        return mids
-
-    def compose(self, g: str, f: str) -> str:
-        """Composite g . f (f first)."""
-        a, b, f_map = self._maps[f]
-        b2, c, g_map = self._maps[g]
-        if b != b2:
-            raise WorkbenchError(f"{g!r} . {f!r} not composable")
-        self.hom(a, c)
-        return self._index[(a, c, tuple(map(g_map.__getitem__, f_map)))]
-
-
 def op(cat: FiniteCategory) -> FiniteCategory:
     """Opposite category: hom-sets swapped, composition reversed."""
-    homs = {(b, a): list(mids) for (a, b), mids in cat._homs.items()}
-    morphisms = {
-        mid: Morphism(mid, m.tgt, m.src, m.emb) for mid, m in cat._mor.items()
-    }
-    return FiniteCategory(cat.objects, homs, morphisms, cat._identities,
+    homs = {(b, a): cat.hom(a, b) for a in cat.objects for b in cat.objects}
+    morphisms = {}
+    for mid in cat.all_morphisms():
+        m = cat.morphism(mid)
+        morphisms[mid] = Morphism(mid, m.tgt, m.src, m.emb)
+    identities = {a: cat.identity(a) for a in cat.objects}
+    return FiniteCategory(cat.objects, homs, morphisms, identities,
                           structures=cat.structures,
                           compose_fn=lambda g, f: cat.compose(f, g))
 
@@ -304,7 +293,8 @@ def _pullback_along(cat: FiniteCategory, cover: tuple, src: str,
 
     Covers are injective, so u is unique: its map is m read back through
     the cover's position map, and it is looked up in hom(src, source cover)
-    rather than validated again.
+    rather than validated again.  The caller reads hom(src, source of
+    cover) beforehand: a miss here means no such morphism.
     """
     d, _, _, pos = cover
     try:
@@ -323,6 +313,10 @@ def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
     so the negative verdict is UNKNOWN-AT-BOUND rather than FAILS.
     """
     into = _morphisms_into(cat, f_obj)
+    sources = {d for d, *_ in into}
+    for x in sources:
+        for y in sources:
+            cat.hom(x, y)    # every hom-set _pullback_along looks up
     for a, e_map, e_image, _ in into:
         for b, f_map, f_image, _ in into:
             span = e_image | f_image
@@ -389,7 +383,7 @@ def check_axioms(cat: FiniteCategory, *, include_local_finiteness: bool = True) 
         mono_failures=mono_failures,
         finiteness={
             "objects": len(cat.objects),
-            "morphisms": sum(len(v) for v in cat._homs.values()),
+            "morphisms": sum(1 for _ in cat.all_morphisms()),
             "all_hom_sets_finite": True,
         },
         below_sets=below,
@@ -424,36 +418,22 @@ class Skeletonization:
                 seen.append(r)
         return seen
 
-    def skeleton_category(self) -> FiniteCategory:
-        reps = self.representative_objects
-        return FiniteCategory.from_structures(
-            [self.parent.structure(r) for r in reps]
-        )
-
 
 def skeletonize(cat: FiniteCategory) -> Skeletonization:
     """Pick one representative per isomorphism class, with witnessing isos.
 
     Representatives are the first catalog object in each class; classes are
-    keyed by canonical form, with the invariant partition as a pre-filter.
+    keyed by canonical form.
     """
     if set(cat.structures) != set(cat.objects):
         raise MissingIsoData("skeletonization needs structures on every object")
-    canon: dict[str, tuple[Structure, Embedding]] = {}
-    prefilter: dict[str, tuple] = {}
-    for a in cat.objects:
-        s = cat.structure(a)
-        prefilter[a] = (s.size, tuple(sorted(refinement_partition(s))))
-        canon[a] = canonical_form(s)
+    canon = {a: canonical_form(cat.structure(a)) for a in cat.objects}
 
-    reps: dict[tuple, str] = {}
+    reps: dict[Structure, str] = {}
     representatives: dict[str, str] = {}
     canon_iso: dict[str, Embedding] = {}
     for a in cat.objects:
-        key = canonical_key(cat.structure(a))
-        if key not in reps:
-            reps[key] = a
-        rep = reps[key]
+        rep = reps.setdefault(canon[a][0], a)
         representatives[a] = rep
         iso_a = canon[a][1]
         iso_rep = canon[rep][1]

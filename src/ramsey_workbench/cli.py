@@ -22,8 +22,8 @@ from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check,
 from .amalgam import (failure_chain, is_amalgamation_arrow, two_of_k_check,
                       verify_pairwise_non_amalgamable, wap_check)
 from .catalogs import load_catalog
-from .category import (FiniteCategory, HomSets, check_axioms, load_abstract,
-                       op, skeletonize, tables_equal)
+from .category import (FiniteCategory, check_axioms, load_abstract, op,
+                       skeletonize, tables_equal)
 from .degrees import degree_interval
 from .errors import CorruptCertificate, WorkbenchError
 from .expansion import (ExpansionSpace, check_forgetful,
@@ -384,7 +384,7 @@ def replay(report_path: str) -> tuple[int, dict]:
     """Re-verify every certificate in a report by direct evaluation."""
     with open(report_path, encoding="utf-8") as fh:
         report = json.load(fh)
-    cat = structures = homs = None
+    cat = None
     if "catalog" in report:
         path = report["catalog"]["path"]
         if _sha256(path) != report["catalog"]["sha256"]:
@@ -394,33 +394,23 @@ def replay(report_path: str) -> tuple[int, dict]:
         except (WorkbenchError, KeyError):
             cat = load_abstract(path)
         else:
-            # a bad coloring reads three hom-sets; enumerate only those
-            homs = HomSets(structures)
-
-    def category(what: str) -> FiniteCategory:
-        # built on the first certificate that reads it: most reports have none
-        nonlocal cat
-        if cat is None:
-            if structures is None:
-                raise CorruptCertificate(f"{what} without a catalog")
             cat = FiniteCategory.from_structures(structures)
-        return cat
 
     replayed = 0
     for cert in report.get("certificates", []):
         kind = cert.get("type")
+        if kind in ("bad-coloring", "composition-equality") and cat is None:
+            raise CorruptCertificate(f"{kind} without a catalog")
         if kind == "bad-coloring":
-            c = homs if homs is not None else category("bad-coloring")
             coloring = Coloring(tuple(cert["domain"]), cert["k"],
                                 tuple(cert["values"]))
-            if not verify_bad_coloring(c, cert["C"], cert["B"], cert["A"],
+            if not verify_bad_coloring(cat, cert["C"], cert["B"], cert["A"],
                                        cert["t"], coloring):
                 raise CorruptCertificate(
                     f"bad coloring does not replay: {cert['kind']}")
         elif kind == "composition-equality":
-            c = category("composition")
-            lhs = _compose_chain(c, cert["lhs"])
-            rhs = _compose_chain(c, cert["rhs"])
+            lhs = _compose_chain(cat, cert["lhs"])
+            rhs = _compose_chain(cat, cert["rhs"])
             if lhs != rhs:
                 raise CorruptCertificate(f"composition differs: {cert['note']}")
         elif kind == "map-equality":

@@ -152,17 +152,6 @@ def compose_transformations(t2: Transformation, t1: Transformation) -> Transform
     return Transformation(t1.source, t2.target, phi, comps)
 
 
-@dataclass(frozen=True)
-class SeqMorphism:
-    """An equivalence class of transformations, by chosen representative."""
-
-    representative: Transformation
-
-    def same_class(self, other: "SeqMorphism",
-                   bound: int | None = None) -> EquivVerdict:
-        return equiv_check(self.representative, other.representative, bound)
-
-
 def all_transformations(src: TruncatedSequence,
                         tgt: TruncatedSequence) -> list[Transformation]:
     """Exhaustive enumeration; intended for short truncations in tests."""

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
                                        graph_catalog, linear_order, lo_catalog,
@@ -7,7 +8,7 @@ from ramsey_workbench.category import (FiniteCategory, abstract_from_json,
                                        check_axioms, locally_finite_verdict,
                                        op, skeletonize, tables_equal)
 from ramsey_workbench.errors import MissingIsoData, WorkbenchError
-from ramsey_workbench.structures import Embedding
+from ramsey_workbench.structures import Embedding, enumerate_embeddings
 
 import oracles
 
@@ -92,6 +93,74 @@ class TestAxioms:
         cat = FiniteCategory.from_structures(graph_catalog(3))
         assert {locally_finite_verdict(cat, f) for f in cat.objects} == {"HOLDS"}
 
+    @pytest.mark.parametrize("catalog", [
+        graph_catalog(3),
+        [empty_graph(1, name="E1"), path_graph(3), path_graph(4)],
+    ], ids=["graphs3", "gap"])
+    def test_local_finiteness_reads_the_hom_sets_it_looks_up(self, catalog):
+        full = FiniteCategory.from_structures(catalog)
+        list(full.all_morphisms())
+        for f in full.objects:
+            fresh = FiniteCategory.from_structures(catalog)
+            assert (locally_finite_verdict(fresh, f)
+                    == locally_finite_verdict(full, f))
+
+
+CHAINS = lo_catalog(6)
+GRAPHS = graph_catalog(4)
+
+
+@st.composite
+def read_orders(draw):
+    """A sub-catalog of the chains up to LO6 or the graphs on at most 4
+    vertices, and its hom-sets in a random read order."""
+    pool = draw(st.sampled_from([CHAINS, GRAPHS]))
+    catalog = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5,
+                            unique=True))
+    catalog.sort(key=pool.index)
+    names = [s.name for s in catalog]
+    order = draw(st.permutations([(a, b) for a in names for b in names]))
+    return catalog, order
+
+
+class TestReadOnDemand:
+    @given(read_orders())
+    def test_any_read_order_gives_the_catalog_order_category(self, question):
+        catalog, order = question
+        ordered = FiniteCategory.from_structures(catalog)
+        homs = {(a, b): ordered.hom(a, b)
+                for a in ordered.objects for b in ordered.objects}
+        lazy = FiniteCategory.from_structures(catalog)
+        read = []
+        for a, b in order:
+            assert lazy.identity(b) == ordered.identity(b)
+            assert lazy.hom(a, b) == homs[(a, b)]
+            # composites may land in a hom-set not read yet
+            for x, y in read:
+                if y == a:
+                    for f in lazy.hom(x, a):
+                        for g in lazy.hom(a, b):
+                            assert lazy.compose(g, f) == ordered.compose(g, f)
+            read.append((a, b))
+        for g, f in ordered.composable_pairs():
+            assert lazy.compose(g, f) == ordered.compose(g, f)
+        for (a, b), mids in homs.items():
+            embs = enumerate_embeddings(lazy.structure(a), lazy.structure(b))
+            assert [lazy.embedding(m).map for m in mids] == [e.map for e in embs]
+            assert mids == [f"{a}->{b}#{k}" for k in range(len(mids))]
+
+    def test_outside_id_reads_the_rest(self):
+        cat = FiniteCategory.from_structures(lo_catalog(4))
+        assert cat.compose("LO3->LO4#3", "LO2->LO3#2") == "LO2->LO4#5"
+        assert cat.target("LO1->LO2#1") == "LO2"
+        with pytest.raises(KeyError):
+            cat.morphism("LO4->LO1#0")
+
+    def test_unknown_object_has_empty_hom_sets(self):
+        cat = FiniteCategory.from_structures(lo_catalog(2))
+        assert cat.hom("LO2", "LO99") == []
+        assert cat.hom("LO99", "LO99") == []
+
 
 class TestValidateOnce:
     def test_checkers_make_no_further_validations(self, monkeypatch):
@@ -106,7 +175,8 @@ class TestValidateOnce:
 
         monkeypatch.setattr(Embedding, "__post_init__", counting)
         cat = FiniteCategory.from_structures(lo_catalog(6))
-        assert calls   # the build validates what it enumerates
+        list(cat.all_morphisms())
+        assert calls   # reading the hom-sets validates what it enumerates
         calls.clear()
         report = check_axioms(cat)
         assert report.all_mono and set(report.locally_finite.values()) == {"HOLDS"}

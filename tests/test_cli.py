@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ramsey_workbench.catalogs import (graph, linear_order, lo_catalog,
-                                       save_catalog)
+                                       path_graph, save_catalog)
 from ramsey_workbench.cli import run
 from ramsey_workbench.errors import CorruptCertificate
 
@@ -184,6 +184,11 @@ class TestReplay:
              "--wap"])
         assert run(["--out", str(tmp_path / "rep.json"),
                     "replay", str(out)]) == 0
+        # an id no hom-set holds is an input error, not a crash
+        report = json.loads(out.read_text())
+        report["certificates"][0]["lhs"][0] = "LO4->LO1#0"
+        out.write_text(json.dumps(report))
+        assert run(["replay", str(out)]) == 3
 
     def test_tampered_report_rejected(self, lo_paths, tmp_path):
         out = tmp_path / "r.json"
@@ -222,18 +227,13 @@ class TestReplay:
         assert run(["--out", str(out), "arrow", "--catalog", str(catalog),
                     "--C", "LO8", "--B", "LO3", "--A", "LO2",
                     "-k", "3", "-t", "1"]) == 1
-        enumerated, built = [], []
+        enumerated = []
         real = category.enumerate_embeddings
         monkeypatch.setattr(category, "enumerate_embeddings",
                             lambda a, b: enumerated.append((a.name, b.name))
                             or real(a, b))
-        real_build = category.FiniteCategory.from_structures
-        monkeypatch.setattr(category.FiniteCategory, "from_structures",
-                            staticmethod(lambda structures: built.append(1)
-                                         or real_build(structures)))
         assert run(["--out", str(tmp_path / "rep.json"),
                     "replay", str(out)]) == 0
-        assert built == []
         assert sorted(enumerated) == [("LO2", "LO3"), ("LO2", "LO8"),
                                       ("LO3", "LO8")]
 
@@ -269,6 +269,36 @@ class TestReplay:
         from ramsey_workbench.cli import replay
         code, result = replay(str(path))
         assert code == 0 and result["replayed"] == 0
+
+
+class TestReadOnDemand:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from ramsey_workbench import category
+
+        reads = []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: reads.append((a.name, b.name))
+                            or real(a, b))
+        return reads
+
+    def test_arrow_reads_four_hom_sets(self, tmp_path, reads):
+        catalog = tmp_path / "lo8.json"
+        save_catalog(lo_catalog(8), catalog)
+        assert run(["--out", str(tmp_path / "r.json"), "arrow",
+                    "--catalog", str(catalog), "--C", "LO8", "--B", "LO3",
+                    "--A", "LO2", "-k", "2", "-t", "1"]) == 0
+        assert sorted(reads) == [("LO2", "LO3"), ("LO2", "LO8"),
+                                 ("LO3", "LO8"), ("LO8", "LO8")]
+
+    def test_skeleton_reads_none(self, tmp_path, reads):
+        catalog = tmp_path / "g.json"
+        save_catalog([path_graph(3), graph(3, [(0, 2), (2, 1)], name="P3r"),
+                      graph(2, [(0, 1)], name="K2")], catalog)
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "skeleton",
+                    "--catalog", str(catalog)]) == 0
+        assert reads == []
 
 
 class TestDeterminism:

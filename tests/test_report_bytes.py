@@ -1,0 +1,102 @@
+"""Report bytes are a contract: pin one small question per subcommand and action.
+
+Each pin is the sha256 of the report's ``status``, ``verdicts`` and
+``certificates`` serialized as ``cli`` serializes a report.  ``command`` and
+``catalog.path`` carry temporary paths, so they are left out.  A change that
+alters a pin alters what users read; it must say so and update the pin.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
+                                       graph_catalog, lo_catalog, path_graph,
+                                       save_catalog)
+from ramsey_workbench.cli import run
+
+# (name, argv with {placeholders}, exit code, sha256)
+QUESTIONS = [
+    ("cat-check", ["cat", "check", "--catalog", "{lo4}"], 0,
+     "ed15ae256200c1d4c832bbe0acd9ac0b9ac24e909b527ff3b7a881cec6383473"),
+    ("cat-skeleton", ["cat", "skeleton", "--catalog", "{skel}"], 0,
+     "83aca388f68cdfd833c3eda1b6320ecdc1c15f926bc54d28216a7210d5f01fe7"),
+    ("cat-op", ["cat", "op", "--catalog", "{lo4}"], 0,
+     "5f8cb28e9e01270a99158af8ac645094baf198604c31a47d6d8771552a270511"),
+    ("arrow", ["arrow", "--catalog", "{lo6}", "--C", "LO5", "--B", "LO3",
+               "--A", "LO2", "-k", "2", "-t", "1"], 1,
+     "970c5cf078ceb9003ff3949b7340c3d27b99383d53ede9afd3f49498e1a75117"),
+    ("degree", ["degree", "--catalog", "{lo4}", "--A", "LO2", "--kmax", "2",
+                "--bmax", "2"], 0,
+     "7d0b5bbd274b3bd2537f3d30c2817165bedc4bff6a93b3ff8af038e2d7ac6039"),
+    ("amalgam-wap", ["amalgam", "--wap", "--catalog", "{lo4}"], 0,
+     "d89f581f916835d5415c5589336dac8d1a03bbe0133809fe050190209483eec1"),
+    ("amalgam-two-of-k", ["amalgam", "--two-of-k", "3", "--A", "LO2",
+                          "--catalog", "{lo6}"], 1,
+     "6fbd017060493de065f8aa32bb8710443c2dfe4a1544b418c912b6eff298a3d1"),
+    ("amalgam-chain", ["amalgam", "--chain", "--A", "LO1", "--depth", "3",
+                       "--catalog", "{lo4}"], 0,
+     "4e9859d02a44f5827a8611c0437450b22e1a46ecb3dcd48700a2ee117a3cdb4a"),
+    ("seq-colim", ["seq", "colim", "--catalog", "{lo4}", "--seq", "{seq}"], 0,
+     "f22edce3c38da39eeafa5b033becb895bdb41a65a9a9ab70fa8520061c638f74"),
+    ("seq-wfcheck", ["seq", "wfcheck", "--catalog", "{lo4}", "--seq", "{seq}",
+                     "--mmax", "3", "--kmax", "3"], 1,
+     "37583540d4c56d8fe650497ad20c359821237e3e44859cb61b54bcb4d9df3efd"),
+    ("seq-whom", ["seq", "whom", "--catalog", "{g3}", "--obj", "G3_1"], 0,
+     "965ef9d0d4d1dbe2f1d776f6834ba6702fedb3809f5e319fe6cbbf5b54dabc35"),
+    ("expand-build", ["expand", "build", "--catalog", "{p3}",
+                      "--degrees", "{deg}"], 0,
+     "81c124c11bf8aa5c944d055a8bd247716d849f3772bae890877d261f2ddf3a81"),
+    ("expand-check", ["expand", "check", "--catalog", "{p3}",
+                      "--degrees", "{deg}"], 0,
+     "6212750cfb1821df64521030425c8d6dcd50f4dd1372127a08643db6a1492a2a"),
+    ("expand-orbits", ["expand", "orbits", "--catalog", "{p3}",
+                       "--degrees", "{deg}", "--obj", "P3"], 0,
+     "1cd0fde587696996a0d467ea84054760fe8a4f6e2fdf011504854521da0fe0b1"),
+    ("expand-ep", ["expand", "ep", "--catalog", "{p3}",
+                   "--degrees", "{deg}"], 1,
+     "60ba2dfe88a69bdd32cf5f24dfbf5af00876d1570b2143bb01a5bb678e65238c"),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {}
+
+    def put(key, catalog=None, doc=None):
+        path = root / f"{key}.json"
+        if catalog is not None:
+            save_catalog(catalog, path)
+        else:
+            path.write_text(json.dumps(doc))
+        paths["{" + key + "}"] = str(path)
+
+    put("lo4", lo_catalog(4))
+    put("lo6", lo_catalog(6))
+    put("skel", [path_graph(3), graph(3, [(0, 2), (2, 1)], name="P3r"),
+                 complete_graph(2), graph(2, [(1, 0)], name="K2r"),
+                 empty_graph(1)])
+    put("g3", graph_catalog(3))
+    put("p3", [empty_graph(1, name="K1"), complete_graph(2, name="K2"),
+               path_graph(3)])
+    put("seq", doc={"objects": ["LO1", "LO2", "LO3"],
+                    "bonding": {"0->1": [0], "1->2": [0, 1]}})
+    put("deg", doc={"degrees": {"K2": 2}})
+    return paths
+
+
+def digest(report: dict) -> str:
+    pinned = {k: report[k] for k in ("status", "verdicts", "certificates")}
+    text = json.dumps(pinned, sort_keys=True, indent=2, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name,argv,code,pin", QUESTIONS,
+                         ids=[q[0] for q in QUESTIONS])
+def test_report_bytes_are_pinned(inputs, tmp_path, name, argv, code, pin):
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "--seed", "7"]
+               + [inputs.get(tok, tok) for tok in argv]) == code
+    assert digest(json.loads(out.read_text(encoding="utf-8"))) == pin

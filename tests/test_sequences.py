@@ -7,8 +7,8 @@ from ramsey_workbench.catalogs import (complete_graph, empty_graph,
                                        find_isomorphic, graph_catalog,
                                        linear_order, lo_catalog, path_graph)
 from ramsey_workbench.errors import ShapeMismatch, TruncationOverflow
-from ramsey_workbench.sequences import (ColimitResult, SeqMorphism,
-                                        TruncatedSequence, Transformation,
+from ramsey_workbench.sequences import (ColimitResult, TruncatedSequence,
+                                        Transformation,
                                         all_transformations, colimit,
                                         compose_transformations,
                                         constant_sequence,
