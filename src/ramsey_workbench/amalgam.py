@@ -34,16 +34,6 @@ class AmalgamationReport:
     failure: dict | None = None
     notes: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "status": self.status,
-            "witnesses": [w.__dict__ if hasattr(w, "__dict__") else w
-                          for w in self.witnesses],
-            "failure": self.failure,
-            "notes": self.notes,
-        }
-
 
 class AmalgamEngine:
     """Shared memo for amalgam searches over one category."""

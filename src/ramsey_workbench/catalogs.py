@@ -117,24 +117,55 @@ def catalog_to_json(catalog: list[Structure]) -> dict:
     }
 
 
+def _check(value, kind: type, what: str):
+    """value if its JSON type is kind; type() so that true is not the int 1."""
+    if type(value) is not kind:
+        raise WorkbenchError(f"catalog {what} must be {kind.__name__}, "
+                             f"not {value!r}")
+    return value
+
+
 def catalog_from_json(doc: dict) -> list[Structure]:
+    """The catalog a JSON document describes.
+
+    Every field is type-checked here, so a malformed document raises
+    WorkbenchError at load rather than TypeError deep in a search.
+    """
+    sig_doc = _check(_check(doc, dict, "document")["signature"], dict, "signature")
+    relations = []
+    for r in _check(sig_doc["relations"], list, "relation list"):
+        r = _check(r, dict, "relation symbol")
+        relations.append((_check(r["name"], str, "relation name"),
+                          _check(r["arity"], int, "arity")))
     sig = Signature(
-        relations=tuple((r["name"], r["arity"]) for r in doc["signature"]["relations"]),
-        constants=tuple(doc["signature"].get("constants", ())),
+        relations=tuple(relations),
+        constants=tuple(_check(c, str, "constant symbol") for c in
+                        _check(sig_doc.get("constants", []), list, "constant list")),
     )
     out = []
     names = set()
-    for spec in doc["structures"]:
-        name = spec["name"]
+    for spec in _check(doc["structures"], list, "structure list"):
+        spec = _check(spec, dict, "structure")
+        name = _check(spec["name"], str, "structure name")
         if name in names:
             raise WorkbenchError(f"duplicate structure name {name!r}")
         names.add(name)
-        out.append(Structure.make(
-            sig, spec["size"],
-            {k: [tuple(t) for t in v] for k, v in spec.get("relations", {}).items()},
-            spec.get("constants", {}),
-            name=name,
-        ))
+        size = _check(spec["size"], int, f"size of {name}")
+        if size < 0:
+            raise WorkbenchError(f"catalog size of {name} is negative")
+        tables = {}
+        for rname, table in _check(spec.get("relations", {}), dict,
+                                   f"relations of {name}").items():
+            rows = _check(table, list, f"{rname} table of {name}")
+            if not all(type(t) is list and all(type(v) is int for v in t)
+                       for t in rows):
+                raise WorkbenchError(f"catalog {rname} table of {name} must "
+                                     f"be a list of int lists")
+            tables[rname] = [tuple(t) for t in rows]
+        constants = _check(spec.get("constants", {}), dict, f"constants of {name}")
+        for cname, v in constants.items():
+            _check(v, int, f"constant {cname} of {name}")
+        out.append(Structure.make(sig, size, tables, constants, name=name))
     return out
 
 

@@ -99,8 +99,7 @@ def _composition_cert(lhs: list[str], rhs: list[str], note: str) -> dict:
 def _cmd_cat(args) -> tuple[int, dict]:
     cat = _load_category(args)
     if args.cat_action == "check":
-        rep = check_axioms(cat,
-                           include_local_finiteness=not args.skip_local_finiteness)
+        rep = check_axioms(cat)
         status = HOLDS if (rep.all_mono and rep.directed and rep.identity_ok
                            and rep.associativity_ok) else FAILS
         if status == HOLDS and "UNKNOWN-AT-BOUND" in rep.locally_finite.values():
@@ -454,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("cat_action", choices=["check", "skeleton", "op"])
     cat.add_argument("--catalog", required=True)
     cat.add_argument("--abstract", action="store_true")
-    cat.add_argument("--skip-local-finiteness", action="store_true")
 
     arrow = sub.add_parser("arrow", help="decide a partition arrow")
     arrow.add_argument("--catalog", required=True)

@@ -6,6 +6,7 @@ verdicts by scanning every coloring.  Expected values in the test suite are
 frozen from these, not from the implementations under test.
 """
 
+import functools
 import itertools
 
 from ramsey_workbench.structures import Structure
@@ -167,3 +168,30 @@ def weak_homogeneity_witnesses(f_struct: Structure, catalog):
 
     return [(a.name, f, witness(a, f))
             for a in catalog for f in into_f[a.name]]
+
+
+def brute_locally_finite(catalog, f_struct: Structure) -> str:
+    """HOLDS / UNKNOWN-AT-BOUND for joint covers into F, by the definition.
+
+    f_struct is one of the catalog's structures.  For every pair of maps
+    e: A -> F and f: B -> F from catalog objects, some cover r: D -> F must
+    exist (e = r.u and f = r.v for maps u, v) that factors through every
+    cover r2 (r = r2.w for a map w).  Each factoring is found by searching
+    the embeddings into the middle object for one whose composite is the
+    target map.
+    """
+    embeddings = functools.cache(brute_embeddings)
+
+    def factors(a, m, d, r):
+        """Is m: A -> F equal to r.u for some map u: A -> D?"""
+        return any(tuple(r[x] for x in u) == m for u in embeddings(a, d))
+
+    into = [(d, r) for d in catalog for r in embeddings(d, f_struct)]
+    for a, e in into:
+        for b, f in into:
+            covers = [(d, r) for d, r in into
+                      if factors(a, e, d, r) and factors(b, f, d, r)]
+            if not any(all(factors(d, r, d2, r2) for d2, r2 in covers)
+                       for d, r in covers):
+                return "UNKNOWN-AT-BOUND"
+    return "HOLDS"

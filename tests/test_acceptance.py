@@ -404,8 +404,8 @@ def test_09_duality(lo5_category):
     for mid in cat.all_morphisms():
         assert cat.is_mono(mid) == o.is_epi(mid)
         assert cat.is_epi(mid) == o.is_mono(mid)
-    fwd = check_axioms(cat, include_local_finiteness=False)
-    dual = check_axioms(o, include_local_finiteness=False)
+    fwd = check_axioms(cat)
+    dual = check_axioms(o)
     dually_directed = all(
         any(cat.hom(c, a) and cat.hom(c, b) for c in cat.objects)
         for a in cat.objects for b in cat.objects)

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
-                                       graph_catalog, linear_order, lo_catalog,
-                                       path_graph)
+from ramsey_workbench.catalogs import (all_graphs, complete_graph,
+                                       empty_graph, graph, graph_catalog,
+                                       linear_order, lo_catalog, path_graph)
 from ramsey_workbench.category import (FiniteCategory, abstract_from_json,
                                        check_axioms, locally_finite_verdict,
                                        op, skeletonize, tables_equal)
@@ -50,12 +50,12 @@ class TestFromStructures:
 
 class TestAxioms:
     def test_embedding_category_all_mono(self, lo4):
-        report = check_axioms(lo4, include_local_finiteness=False)
+        report = check_axioms(lo4)
         assert report.all_mono
         assert report.identity_ok and report.associativity_ok
 
     def test_lo_directed(self, lo4):
-        report = check_axioms(lo4, include_local_finiteness=False)
+        report = check_axioms(lo4)
         assert report.directed
         assert all(w == "LO4" or lo4.hom(w, "LO4")
                    for w in report.directed_witnesses.values())
@@ -63,12 +63,12 @@ class TestAxioms:
     def test_incompatible_graphs_not_directed(self):
         cat = FiniteCategory.from_structures(
             [graph(2, [(0, 1)], name="K2"), empty_graph(2, name="E2")])
-        report = check_axioms(cat, include_local_finiteness=False)
+        report = check_axioms(cat)
         assert not report.directed
         assert ("K2", "E2") in report.directed_failures
 
     def test_below_sets_explicit(self, lo4):
-        report = check_axioms(lo4, include_local_finiteness=False)
+        report = check_axioms(lo4)
         assert report.below_sets["LO3"] == ["LO1", "LO2", "LO3"]
 
     def test_local_finiteness_on_chain_catalog(self):
@@ -104,6 +104,20 @@ class TestAxioms:
             fresh = FiniteCategory.from_structures(catalog)
             assert (locally_finite_verdict(fresh, f)
                     == locally_finite_verdict(full, f))
+
+
+GRAPHS3 = graph_catalog(3)
+# E4 and K4 are left out: 24 automorphisms make the oracle slow
+RICH_F = [g for g in all_graphs(4) if len(oracles.brute_automorphisms(g)) <= 8]
+
+
+@given(st.sampled_from(RICH_F),
+       st.lists(st.sampled_from(GRAPHS3), min_size=1, max_size=4, unique=True))
+def test_local_finiteness_matches_the_definition(f_struct, below):
+    catalog = sorted(below, key=GRAPHS3.index) + [f_struct]
+    cat = FiniteCategory.from_structures(catalog)
+    assert (locally_finite_verdict(cat, f_struct.name)
+            == oracles.brute_locally_finite(catalog, f_struct))
 
 
 CHAINS = lo_catalog(6)
@@ -199,9 +213,25 @@ class TestOp:
             assert lo4.is_mono(mid) == o.is_epi(mid)
             assert lo4.is_epi(mid) == o.is_mono(mid)
 
+    def test_non_mono_swaps_to_non_epi(self):
+        # g sends the two morphisms A -> B to the same composite
+        cat = abstract_from_json({
+            "objects": ["A", "B", "C"],
+            "homs": {"A->A": ["idA"], "B->B": ["idB"], "C->C": ["idC"],
+                     "A->B": ["f1", "f2"], "B->C": ["g"], "A->C": ["h"]},
+            "compose": {"g∘f1": "h", "g∘f2": "h"},
+            "identities": {"A": "idA", "B": "idB", "C": "idC"},
+        })
+        o = op(cat)
+        assert not cat.is_mono("g") and not o.is_epi("g")
+        assert cat.is_epi("g") and o.is_mono("g")
+        for mid in cat.all_morphisms():
+            assert cat.is_mono(mid) == o.is_epi(mid)
+            assert cat.is_epi(mid) == o.is_mono(mid)
+
     def test_directedness_dualizes(self):
         cat = FiniteCategory.from_structures(lo_catalog(3))
-        rep = check_axioms(op(cat), include_local_finiteness=False)
+        rep = check_axioms(op(cat))
         # dually directed: common source instead of common target
         assert rep.directed
 
@@ -267,7 +297,7 @@ class TestAbstractCategories:
 
     def test_not_directed(self):
         cat = abstract_from_json(self.V_POSET)
-        report = check_axioms(cat, include_local_finiteness=False)
+        report = check_axioms(cat)
         assert not report.directed
 
     def test_bad_hom_key_rejected(self):

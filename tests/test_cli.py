@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from ramsey_workbench.catalogs import (graph, linear_order, lo_catalog,
-                                       path_graph, save_catalog)
+from ramsey_workbench.catalogs import (catalog_to_json, graph, linear_order,
+                                       lo_catalog, path_graph, save_catalog)
 from ramsey_workbench.cli import run
 from ramsey_workbench.errors import CorruptCertificate
 
@@ -316,3 +317,52 @@ class TestDeterminism:
              "--catalog", lo_paths["lo4"]])
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 99
+
+
+def _fields(doc, path=()):
+    """Paths to every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+LO3_DOC = catalog_to_json(lo_catalog(3))
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+class TestCatalogValidation:
+    def _set(self, path, value):
+        doc = json.loads(json.dumps(LO3_DOC))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    @pytest.mark.parametrize("path,value", [
+        (("structures", 1, "size"), "2"),
+        (("structures", 2, "relations", "lt"), 5),
+        (("structures", 0, "size"), -1),
+    ], ids=["string-size", "int-table", "negative-size"])
+    def test_malformed_field_exits_three(self, tmp_path, path, value):
+        catalog = tmp_path / "c.json"
+        catalog.write_text(json.dumps(self._set(path, value)))
+        assert run(["cat", "check", "--catalog", str(catalog)]) == 3
+
+    @given(st.sampled_from(list(_fields(LO3_DOC))), JSON_VALUES)
+    def test_any_wrong_typed_field_exits_three(self, lo_paths, path, value):
+        original = LO3_DOC
+        for key in path:
+            original = original[key]
+        # type() so that a bool never stands in for an int
+        assume(type(value) is not type(original))
+        catalog = lo_paths["root"] / "mutant.json"
+        catalog.write_text(json.dumps(self._set(path, value)))
+        assert run(["--out", str(lo_paths["root"] / "mutant-report.json"),
+                    "cat", "check", "--catalog", str(catalog)]) == 3

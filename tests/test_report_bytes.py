@@ -20,6 +20,10 @@ from ramsey_workbench.cli import run
 QUESTIONS = [
     ("cat-check", ["cat", "check", "--catalog", "{lo4}"], 0,
      "ed15ae256200c1d4c832bbe0acd9ac0b9ac24e909b527ff3b7a881cec6383473"),
+    ("cat-check-gap", ["cat", "check", "--catalog", "{gap}"], 2,
+     "b5607e86d62045f54b7de03abdb619e6fb244e8867a8e25790b57501d087eb16"),
+    ("cat-check-graphs", ["cat", "check", "--catalog", "{g3}"], 1,
+     "bcbd07ee5606ecb5fa4af51d3d65f34e6802fb5c526628e816df00d9ce89fdb5"),
     ("cat-skeleton", ["cat", "skeleton", "--catalog", "{skel}"], 0,
      "83aca388f68cdfd833c3eda1b6320ecdc1c15f926bc54d28216a7210d5f01fe7"),
     ("cat-op", ["cat", "op", "--catalog", "{lo4}"], 0,
@@ -79,6 +83,8 @@ def inputs(tmp_path_factory):
                  complete_graph(2), graph(2, [(1, 0)], name="K2r"),
                  empty_graph(1)])
     put("g3", graph_catalog(3))
+    # local finiteness is UNKNOWN-AT-BOUND on P4 without the edge P2
+    put("gap", [empty_graph(1, name="E1"), path_graph(3), path_graph(4)])
     put("p3", [empty_graph(1, name="K1"), complete_graph(2, name="K2"),
                path_graph(3)])
     put("seq", doc={"objects": ["LO1", "LO2", "LO3"],
