@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import WorkbenchError
+from .errors import WorkbenchError, check_type
 from .structures import Signature, Structure, canonical_key
 
 LO_SIGNATURE = Signature(relations=(("lt", 2),))
@@ -50,30 +50,57 @@ def empty_graph(n: int, name: str | None = None) -> Structure:
     return graph(n, [], name=name or f"E{n}")
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j < n, in lex order: bit b of an edge mask."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def all_graphs(n: int) -> list[Structure]:
     """One representative per isomorphism class of simple graphs on n vertices.
 
-    Sorted by canonical key, so sparser graphs come first.
-    """
-    import itertools
+    Sorted by canonical key, so sparser graphs come first.  Each class is
+    represented by its least edge mask, where bit b of the mask is set when
+    ``_pairs(n)[b]`` is an edge.
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen: dict[tuple, Structure] = {}
-    for mask in range(2 ** len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-        g = graph(n, edges)
-        key = canonical_key(g)
-        if key not in seen:
-            seen[key] = g
-    ordered = sorted(seen.items(), key=lambda kv: kv[0])
+    The classes on k vertices are generated from those on k - 1 by vertex
+    extension: shift each representative H up by one vertex, join a new
+    vertex 0 to each subset S of {1..k-1}, and keep, per canonical key, the
+    candidate of least mask.  That candidate is the least mask of its class.
+    The pairs (0, s) are the k - 1 lowest bits of a mask and the pairs of
+    {1..k-1} keep their lex order above them, so the least-mask member G of
+    a class is vertex 0 joined to G - 0 shifted, and G - 0 must be the least
+    mask of its own class: a smaller isomorphic copy would, with vertex 0
+    joined to the corresponding neighbours, give a smaller mask isomorphic
+    to G.  So G is among the candidates, and no candidate in its class has
+    a smaller mask.  Hence every class is found with the same representative
+    as a scan of all 2^C(k,2) masks in increasing order.
+    """
+    if n < 0:
+        raise WorkbenchError(f"a graph cannot have {n} vertices")
+    if n <= 1:
+        return [graph(n, [], name=f"G{n}_0")]
+    reps = [0]                      # the graph on one vertex
+    for k in range(2, n + 1):
+        pairs = _pairs(k)
+        # bit b of a (k-1)-vertex mask lands on bit lift[b] after the shift
+        lift = [pairs.index((i + 1, j + 1)) for i, j in _pairs(k - 1)]
+        least: dict[tuple, int] = {}
+        for h in reps:
+            high = sum(1 << lift[b] for b in range(len(lift)) if h >> b & 1)
+            for s in range(1 << (k - 1)):
+                mask = high | s
+                key = canonical_key(graph(k, _edges(pairs, mask)))
+                if key not in least or mask < least[key]:
+                    least[key] = mask
+        reps = least.values()
     return [
-        graph(n, _undirected_pairs(g), name=f"G{n}_{i}")
-        for i, (_, g) in enumerate(ordered)
+        graph(n, _edges(pairs, mask), name=f"G{n}_{i}")
+        for i, (_, mask) in enumerate(sorted(least.items()))
     ]
 
 
-def _undirected_pairs(g: Structure):
-    return sorted({(min(u, v), max(u, v)) for u, v in g.rel("edge")})
+def _edges(pairs, mask: int) -> list[tuple[int, int]]:
+    return [p for b, p in enumerate(pairs) if mask >> b & 1]
 
 
 def graph_catalog(max_n: int, min_n: int = 1) -> list[Structure]:
@@ -118,18 +145,13 @@ def catalog_to_json(catalog: list[Structure]) -> dict:
 
 
 def _check(value, kind: type, what: str):
-    """value if its JSON type is kind; type() so that true is not the int 1."""
-    if type(value) is not kind:
-        raise WorkbenchError(f"catalog {what} must be {kind.__name__}, "
-                             f"not {value!r}")
-    return value
+    return check_type(value, kind, f"catalog {what}")
 
 
 def catalog_from_json(doc: dict) -> list[Structure]:
     """The catalog a JSON document describes.
 
-    Every field is type-checked here, so a malformed document raises
-    WorkbenchError at load rather than TypeError deep in a search.
+    Every field is type-checked here (see ``errors.check_type``).
     """
     sig_doc = _check(_check(doc, dict, "document")["signature"], dict, "signature")
     relations = []

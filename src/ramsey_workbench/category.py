@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import MissingIsoData, SignatureMismatch, WorkbenchError
+from .errors import (MissingIsoData, SignatureMismatch, WorkbenchError,
+                     check_type)
 from .structures import (Embedding, Structure, canonical_form,
                          compose as compose_embeddings, enumerate_embeddings)
 # not called here: perfbench/spans.py wraps these two names in this module
@@ -173,7 +174,13 @@ class FiniteCategory:
                             yield g, f
 
     def automorphism_ids(self, a: str) -> list[str]:
-        """Invertible endomorphisms of a."""
+        """Invertible endomorphisms of a.
+
+        In a structure category that is all of hom(a, a): a self-embedding
+        of a finite structure is a bijection that preserves and reflects
+        every relation and constant, so it is an automorphism."""
+        if self._emb_index is not None:
+            return list(self.hom(a, a))
         out = []
         for f in self.hom(a, a):
             for g in self.hom(a, a):
@@ -408,23 +415,32 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
 
 
 def abstract_from_json(doc: dict) -> FiniteCategory:
-    objects = list(doc["objects"])
+    """The category a JSON table describes, every field type-checked."""
+    doc = check_type(doc, dict, "category document")
+    objects = [check_type(a, str, "object")
+               for a in check_type(doc["objects"], list, "object list")]
     homs: dict[tuple[str, str], list[str]] = {}
     morphisms: dict[str, Morphism] = {}
-    for key, mids in doc["homs"].items():
+    for key, mids in check_type(doc["homs"], dict, "hom-set table").items():
         src, _, tgt = key.partition("->")
         if not tgt:
             raise WorkbenchError(f"bad hom key {key!r}")
-        homs[(src, tgt)] = list(mids)
-        for mid in mids:
+        homs[(src, tgt)] = [check_type(mid, str, f"morphism of {key}")
+                            for mid in check_type(mids, list, f"hom-set {key}")]
+        for mid in homs[(src, tgt)]:
             morphisms[mid] = Morphism(mid, src, tgt)
+    table = check_type(doc.get("compose", {}), dict, "composition table")
+    if not all(type(mid) is str for mid in table.values()):
+        raise WorkbenchError("every composite must be a morphism id string")
     compose_table: dict[tuple[str, str], str] = {}
-    for key, mid in doc.get("compose", {}).items():
+    for key, mid in table.items():
         g, _, f = key.partition("∘")
         if not f:
             raise WorkbenchError(f"bad composition key {key!r}")
         compose_table[(g, f)] = mid
-    identities = dict(doc["identities"])
+    identities = check_type(doc["identities"], dict, "identity table")
+    if not all(type(mid) is str for mid in identities.values()):
+        raise WorkbenchError("every identity must be a morphism id string")
     for a in objects:
         ia = identities[a]
         for b in objects:

@@ -25,7 +25,7 @@ from .catalogs import load_catalog
 from .category import (FiniteCategory, check_axioms, load_abstract, op,
                        skeletonize, tables_equal)
 from .degrees import degree_interval
-from .errors import CorruptCertificate, WorkbenchError
+from .errors import CorruptCertificate, WorkbenchError, check_type
 from .expansion import (ExpansionSpace, check_forgetful,
                         expansion_property_check, orbit_age_analysis)
 from .sequences import (colimit, sequence_from_json, weak_fraisse_check,
@@ -310,7 +310,9 @@ def _load_degrees(args) -> dict[str, int]:
         return {}
     with open(args.degrees, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return {k: int(v) for k, v in doc.get("degrees", doc).items()}
+    doc = check_type(doc, dict, "degree file")
+    degrees = check_type(doc.get("degrees", doc), dict, "degree table")
+    return {k: check_type(v, int, f"degree of {k}") for k, v in degrees.items()}
 
 
 def _cmd_expand(args) -> tuple[int, dict]:

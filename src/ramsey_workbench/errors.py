@@ -43,3 +43,13 @@ class ExpansionOverflow(WorkbenchError):
 
 class CorruptCertificate(WorkbenchError):
     """A replayed certificate is malformed or fails re-verification."""
+
+
+def check_type(value, kind: type, what: str):
+    """value if its JSON type is kind; type() so that true is not the int 1.
+
+    Loaders call this on every field they read, so a malformed document
+    raises WorkbenchError at load rather than TypeError deep in a search."""
+    if type(value) is not kind:
+        raise WorkbenchError(f"{what} must be {kind.__name__}, not {value!r}")
+    return value

@@ -15,10 +15,12 @@ report UNKNOWN-AT-BOUND when the bound is the only obstacle.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 
 from . import FAILS, HOLDS, UNKNOWN
-from .errors import ShapeMismatch, TruncationOverflow, WorkbenchError
+from .errors import (ShapeMismatch, TruncationOverflow, WorkbenchError,
+                     check_type)
 from .structures import (Embedding, Structure, automorphisms, compose,
                          enumerate_embeddings, identity)
 
@@ -412,13 +414,23 @@ def weak_homogeneity_check(f_struct: Structure,
 
 
 def sequence_from_json(doc: dict, catalog: list[Structure]) -> TruncatedSequence:
+    """The sequence a JSON document describes, every field type-checked."""
     by_name = {s.name: s for s in catalog}
+    doc = check_type(doc, dict, "sequence document")
+    names = check_type(doc["objects"], list, "sequence object list")
     try:
-        objects = tuple(by_name[n] for n in doc["objects"])
+        objects = tuple(by_name[check_type(n, str, "sequence object")]
+                        for n in names)
     except KeyError as exc:
         raise WorkbenchError(f"sequence references unknown structure {exc}")
     bondings = {}
-    for key, spec in doc.get("bonding", {}).items():
+    for key, spec in check_type(doc.get("bonding", {}), dict,
+                                "sequence bondings").items():
+        # decimal without leading zeros, so no two keys name one bonding
+        if not re.fullmatch(r"(0|[1-9][0-9]*)->(0|[1-9][0-9]*)", key):
+            raise WorkbenchError(f"bad bonding key {key!r}")
+        if not all(type(v) is int for v in check_type(spec, list, f"bonding {key}")):
+            raise WorkbenchError(f"bonding {key} must be a list of ints")
         n, _, m = key.partition("->")
         bondings[(int(n), int(m))] = tuple(spec)
     steps = []

@@ -83,6 +83,36 @@ def brute_min_relabeling(a: Structure) -> Structure:
     return brute_canonical_form(a)[0]
 
 
+def brute_graph_classes(n: int) -> list[frozenset]:
+    """The edge set of each class's least edge mask, over all 2^C(n,2) masks.
+
+    Bit b of a mask is the b-th pair (i, j), i < j, in lex order.  Each
+    mask's class is its image under all n! relabellings, and a mask is kept
+    when it is the least of its class.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {p: b for b, p in enumerate(pairs)}
+
+    def relabel(mask, perm):
+        out = 0
+        for b, (i, j) in enumerate(pairs):
+            if mask >> b & 1:
+                out |= 1 << bit[tuple(sorted((perm[i], perm[j])))]
+        return out
+
+    least = set()
+    seen = set()
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        orbit = {relabel(mask, perm)
+                 for perm in itertools.permutations(range(n))}
+        seen |= orbit
+        least.add(min(orbit))
+    return [frozenset(p for b, p in enumerate(pairs) if m >> b & 1)
+            for m in sorted(least)]
+
+
 def brute_arrow_status(hom_ac, copies, k, t) -> str:
     """Scan all k^|hom(A,C)| colorings; FAILS iff some coloring is bad."""
     m = len(hom_ac)

@@ -33,6 +33,21 @@ class TestFromStructures:
         assert len(cat.hom("P3", "P3")) == 2
         assert len(cat.automorphism_ids("P3")) == 2
 
+    @pytest.mark.parametrize("catalog", [
+        lo_catalog(5), graph_catalog(4),
+        [complete_graph(n) for n in range(1, 6)]], ids=["lo5", "g4", "k5"])
+    def test_automorphism_ids_are_the_endomorphisms(self, catalog):
+        cat = FiniteCategory.from_structures(catalog)
+        for s in catalog:
+            a = s.name
+            endo, one = cat.hom(a, a), cat.identity(a)
+            inverted = [f for f in endo if any(
+                cat.compose(g, f) == one == cat.compose(f, g) for g in endo)]
+            ids = cat.automorphism_ids(a)
+            assert ids == inverted
+            assert sorted(cat.embedding(m).map for m in ids) == (
+                oracles.brute_automorphisms(s))
+
     def test_composition_matches_embeddings(self, lo4):
         for f in lo4.hom("LO2", "LO3"):
             for g in lo4.hom("LO3", "LO4"):

@@ -366,3 +366,52 @@ class TestCatalogValidation:
         catalog.write_text(json.dumps(self._set(path, value)))
         assert run(["--out", str(lo_paths["root"] / "mutant-report.json"),
                     "cat", "check", "--catalog", str(catalog)]) == 3
+
+
+ABSTRACT_DOC = {"objects": ["A"], "homs": {"A->A": ["a"]},
+                "identities": {"A": "a"}, "compose": {"a∘a": "a"}}
+
+
+class TestLoaderValidation:
+    """Malformed sequence, abstract-category and degree files exit 3."""
+
+    @pytest.mark.parametrize("bonding", [
+        {"0->1": "x", "1->2": [0, 1]},
+        {"0->one": [0], "1->2": [0, 1]},
+        {"0->1": [0], "00->1": [0], "1->2": [0, 1]},
+    ], ids=["string-map", "non-int-level", "leading-zero"])
+    def test_malformed_sequence_exits_three(self, lo_paths, tmp_path, bonding):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"objects": ["LO1", "LO2", "LO3"],
+                                        "bonding": bonding}))
+        assert run(["--out", str(tmp_path / "r.json"), "seq", "colim",
+                    "--catalog", lo_paths["lo4"], "--seq", str(seq_path)]) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("homs", {"A->A": 5}),
+        ("compose", {"a∘a": ["a"]}),
+    ], ids=["int-hom-set", "list-composite"])
+    def test_malformed_abstract_category_exits_three(self, tmp_path, field,
+                                                     value):
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(dict(ABSTRACT_DOC, **{field: value})))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
+                    "--abstract", "--catalog", str(path)]) == 3
+
+    def test_well_formed_abstract_category_loads(self, tmp_path):
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(ABSTRACT_DOC))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
+                    "--abstract", "--catalog", str(path)]) == 0
+
+    @pytest.mark.parametrize("degree", [2.5, "2", True],
+                             ids=["float", "string", "bool"])
+    def test_non_int_degree_exits_three(self, tmp_path, degree):
+        cat_path = tmp_path / "g.json"
+        save_catalog([graph(1, [], name="K1"), graph(2, [(0, 1)], name="K2"),
+                      path_graph(3)], cat_path)
+        degrees_path = tmp_path / "deg.json"
+        degrees_path.write_text(json.dumps({"degrees": {"K2": degree}}))
+        assert run(["--out", str(tmp_path / "r.json"), "expand", "check",
+                    "--catalog", str(cat_path),
+                    "--degrees", str(degrees_path)]) == 3

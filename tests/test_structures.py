@@ -5,10 +5,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, complete_graph,
-                                       empty_graph, graph, graph_catalog,
-                                       linear_order, lo_catalog, path_graph,
-                                       save_catalog)
+from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, all_graphs,
+                                       complete_graph, empty_graph, graph,
+                                       graph_catalog, linear_order, lo_catalog,
+                                       path_graph, save_catalog)
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.errors import SignatureMismatch, WorkbenchError
 from ramsey_workbench.structures import (Embedding, Signature, Structure,
@@ -307,13 +307,52 @@ class TestCanonicalFormContract:
         assert canon == g and iso.is_identity
 
 
+@pytest.fixture(scope="module")
+def catalog_6():
+    return graph_catalog(6)
+
+
+def _sha256_of_saved(catalog, path) -> str:
+    save_catalog(catalog, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestCatalogBytes:
+    # catalog order and the G{n}_{i} names rest on canonical_key; both pins
+    # were taken from the scan over all 2^C(n,2) edge masks
     def test_graph_catalog_5_json_is_pinned(self, tmp_path):
-        # catalog order and the G{n}_{i} names rest on canonical_key
-        path = tmp_path / "g5.json"
-        save_catalog(graph_catalog(5), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        assert _sha256_of_saved(graph_catalog(5), tmp_path / "g5.json") == (
             "a05b9e4fb2b80013dfc35c721372083d0265a2b57b0c28b4b9085d65984f297f")
+
+    def test_graph_catalog_6_json_is_pinned(self, tmp_path, catalog_6):
+        assert _sha256_of_saved(catalog_6, tmp_path / "g6.json") == (
+            "1074e3635cb5bc5d05382747b7962b1d6e19302e35516eb1d6a80a67be494710")
+
+
+def _edge_set(g: Structure) -> frozenset:
+    return frozenset((u, v) for u, v in g.rel("edge") if u < v)
+
+
+class TestGraphGeneration:
+    @pytest.mark.parametrize("n", range(6))
+    def test_least_mask_representatives_match_the_scan(self, n):
+        got = [_edge_set(g) for g in all_graphs(n)]
+        assert len(got) == len(set(got))
+        assert set(got) == set(oracles.brute_graph_classes(n))
+
+    def test_six_vertices_follow_a000088_and_vf2(self, catalog_6):
+        counts = [sum(1 for g in catalog_6 if g.size == n) for n in range(1, 7)]
+        assert counts == [1, 2, 4, 11, 34, 156]
+        six = [to_networkx(g) for g in catalog_6 if g.size == 6]
+        for i, g in enumerate(six):
+            for h in six[i + 1:]:
+                assert not nx.is_isomorphic(g, h)
+
+    def test_edge_cases(self):
+        assert [(g.name, g.size) for g in all_graphs(0)] == [("G0_0", 0)]
+        assert [(g.name, g.size) for g in all_graphs(1)] == [("G1_0", 1)]
+        with pytest.raises(WorkbenchError):
+            all_graphs(-1)
 
 
 class TestIsomorphismInvariance:
