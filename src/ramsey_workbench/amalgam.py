@@ -44,7 +44,8 @@ class AmalgamEngine:
 
     def amalgamate(self, u: str, v: str):
         """First (D, r, s) with r.u = s.v, scanning catalog order; None if
-        no catalog object amalgamates the cospan."""
+        no catalog object amalgamates the cospan.  Per D, a dict holds the
+        first s for each s.v, so each r finds its first s by one lookup."""
         key = (u, v)
         if key in self._memo:
             return self._memo[key]
@@ -52,13 +53,16 @@ class AmalgamEngine:
         bu, bv = cat.target(u), cat.target(v)
         found = None
         for d in cat.objects:
-            for r in cat.hom(bu, d):
-                ru = cat.compose(r, u)
-                for s in cat.hom(bv, d):
-                    if ru == cat.compose(s, v):
-                        found = (d, r, s)
-                        break
-                if found:
+            hom_u = cat.hom(bu, d)
+            if not hom_u:
+                continue
+            first: dict[str, str] = {}
+            for s in cat.hom(bv, d):
+                first.setdefault(cat.compose(s, v), s)
+            for r in hom_u:
+                s = first.get(cat.compose(r, u))
+                if s is not None:
+                    found = (d, r, s)
                     break
             if found:
                 break

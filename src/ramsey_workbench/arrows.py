@@ -76,16 +76,12 @@ class ArrowInstance:
 
     @staticmethod
     def build(cat: FiniteCategory, c: str, b: str, a: str) -> "ArrowInstance":
-        """Read the instance through `cat.hom` and `cat.compose` only, so
+        """Read the instance through `cat.hom` and `cat.post` only, so
         only hom(A,C), hom(A,B) and hom(B,C) are enumerated."""
         domain = tuple(cat.hom(a, c))
         hom_ab = tuple(cat.hom(a, b))
         hom_bc = tuple(cat.hom(b, c))
-        index = {mid: i for i, mid in enumerate(domain)}
-        copies = tuple(
-            tuple(index[cat.compose(w, f)] for f in hom_ab)
-            for w in hom_bc
-        )
+        copies = tuple(cat.post(w, a) for w in hom_bc)
         return ArrowInstance(domain, copies, hom_bc, hom_ab)
 
 
@@ -112,15 +108,15 @@ def verify_bad_coloring(cat, c, b, a, t, coloring: Coloring) -> bool:
     return is_bad(inst, coloring.values, t)
 
 
-def _domain_permutations(cat: FiniteCategory, c: str, inst: ArrowInstance):
-    """Permutations of the domain induced by Aut(C) acting by post-composition."""
-    index = {mid: i for i, mid in enumerate(inst.domain)}
+def _domain_permutations(cat: FiniteCategory, a: str, c: str):
+    """Permutations of the domain hom(A, C) induced by Aut(C) acting by
+    post-composition."""
     perms = set()
     for g in cat.automorphism_ids(c):
         if g == cat.identity(c):
             continue
-        perm = tuple(index[cat.compose(g, mid)] for mid in inst.domain)
-        if perm != tuple(range(len(inst.domain))):
+        perm = cat.post(g, a)
+        if perm != tuple(range(len(perm))):
             perms.add(perm)
     return sorted(perms)
 
@@ -233,7 +229,7 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     if trivial is not None:
         return trivial
     stats = ArrowStats()
-    perms = _domain_permutations(cat, c, inst) if symmetry else []
+    perms = _domain_permutations(cat, a, c) if symmetry else []
     return _search_verdict(
         lambda: _forward_search(inst, k, t, perms, node_budget, stats),
         inst, k, t, stats, degenerate)
@@ -372,7 +368,7 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
         for i in copy:
             incidence[i].append(wi)
 
-    perms = _domain_permutations(cat, c, inst) if symmetry else []
+    perms = _domain_permutations(cat, a, c) if symmetry else []
 
     values = [-1] * m
     seen: list[set[int]] = [set() for _ in inst.copies]

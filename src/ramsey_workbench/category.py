@@ -9,11 +9,17 @@ A structure-backed category enumerates each hom-set the first time it is
 read, so a question pays only for the hom-sets it reads.  Ids do not depend
 on the read order: ``A->B#k`` is always the k-th embedding of A into B in
 enumeration order.  Hence the rule: every read of ``_homs``, ``_mor``,
-``_identities`` or ``_emb_index`` goes through a method that reads the
-hom-set first (``hom``, ``identity``, ``morphism``, ``source``, ``target``,
-``compose``).  An id whose hom-set is unread, say one from a
+``_identities``, ``_pos`` or ``_emb_index`` goes through a method that reads
+the hom-set first (``hom``, ``identity``, ``morphism``, ``source``, ``target``,
+``compose``, ``post``).  An id whose hom-set is unread, say one from a
 certificate, is resolved by reading the rest of the category.  Table and
 ``op`` categories have every hom-set up front; a missing one is empty.
+
+The integer kernel: ``position(mid)`` is the k of mid in its hom-set, and the
+row ``post(w, a)`` maps hom(a, source w) into hom(a, target w) by positions.
+Hot loops compare rows, not composites.  Rows are faithful only if every
+composite lies in its hom-set, so table references are checked at load and
+trusted after; a composite the table leaves out is an error at use.
 """
 
 from __future__ import annotations
@@ -50,12 +56,12 @@ class FiniteCategory:
         self.structures: dict[str, Structure] = dict(structures or {})
         self._compose_fn = compose_fn
         self._emb_index: dict[tuple[str, str, tuple[int, ...]], str] | None = None
-        seen: set[str] = set()
+        self._pos: dict[str, int] = {}
         for (s, t), mids in self._homs.items():
-            for mid in mids:
-                if mid in seen:
+            for k, mid in enumerate(mids):
+                if mid in self._pos:
                     raise WorkbenchError(f"morphism {mid!r} appears in two hom-sets")
-                seen.add(mid)
+                self._pos[mid] = k
                 m = self._mor[mid]
                 if (m.src, m.tgt) != (s, t):
                     raise WorkbenchError(f"morphism {mid!r} filed under wrong hom-set")
@@ -94,6 +100,7 @@ class FiniteCategory:
         for k, e in enumerate(embs):
             mid = f"{a}->{b}#{k}"
             mids.append(mid)
+            self._pos[mid] = k
             self._mor[mid] = Morphism(mid, a, b, e)
             self._emb_index[(a, b, e.map)] = mid
             if a == b and e.is_identity:
@@ -160,6 +167,17 @@ class FiniteCategory:
             self.hom(mf.src, mg.tgt)
             return self._emb_index[key]
 
+    def position(self, mid: str) -> int:
+        """Index of mid in its hom-set: the k of ``A->B#k``."""
+        self.morphism(mid)
+        return self._pos[mid]
+
+    def post(self, w: str, a: str) -> tuple[int, ...]:
+        """Position of w.f for each f in hom(a, source w), in order.  Reads
+        only hom(a, source w) and hom(a, target w)."""
+        pos, compose = self._pos, self.compose
+        return tuple([pos[compose(w, f)] for f in self.hom(a, self.source(w))])
+
     def all_morphisms(self):
         for a in self.objects:
             for b in self.objects:
@@ -191,13 +209,9 @@ class FiniteCategory:
         return out
 
     def is_mono(self, mid: str) -> bool:
-        """mid . g are pairwise distinct over each hom(a, source)."""
-        b = self.source(mid)
-        for a in self.objects:
-            pool = self.hom(a, b)
-            if len({self.compose(mid, g) for g in pool}) != len(pool):
-                return False
-        return True
+        """Every row post(mid, a) is injective."""
+        return all(len(set(row)) == len(row)
+                   for row in (self.post(mid, a) for a in self.objects))
 
     def is_epi(self, mid: str) -> bool:
         """g . mid are pairwise distinct over each hom(target, c)."""
@@ -302,7 +316,11 @@ def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
 
 
 def check_axioms(cat: FiniteCategory) -> AxiomReport:
-    mono_failures = [m for m in cat.all_morphisms() if not cat.is_mono(m)]
+    # rows[w][a] = post(w, a) for each a below source(w); they die with the call
+    rows = {w: {a: cat.post(w, a) for a in cat.objects if cat.hom(a, cat.source(w))}
+            for w in cat.all_morphisms()}
+    mono_failures = [w for w, by_a in rows.items()    # as in is_mono
+                     if any(len(set(r)) < len(r) for r in by_a.values())]
 
     identity_ok = True
     for a in cat.objects:
@@ -312,13 +330,15 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
                 if cat.compose(f, ia) != f or cat.compose(cat.identity(b), f) != f:
                     identity_ok = False
 
+    # h.(g.f) = (h.g).f for all f: post(h.g, a) is post(h, a) after post(g, a)
     associativity_ok = True
-    for g, f in cat.composable_pairs():
-        c = cat.target(g)
+    for g, by_a in rows.items():
         for d in cat.objects:
-            for h in cat.hom(c, d):
-                if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f):
-                    associativity_ok = False
+            for h in cat.hom(cat.target(g), d):
+                row_hg, row_h = rows[cat.compose(h, g)], rows[h]
+                for a, row in by_a.items():
+                    if row_hg[a] != tuple(map(row_h[a].__getitem__, row)):
+                        associativity_ok = False
 
     below = {
         b: sorted(a for a in cat.objects if cat.hom(a, b))
@@ -415,16 +435,18 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
 
 
 def abstract_from_json(doc: dict) -> FiniteCategory:
-    """The category a JSON table describes, every field type-checked."""
+    """The category a JSON table describes, every field type-checked and
+    every reference checked: hom keys name objects, identities and composites
+    lie in their hom-sets.  Nothing checks them later."""
     doc = check_type(doc, dict, "category document")
     objects = [check_type(a, str, "object")
                for a in check_type(doc["objects"], list, "object list")]
     homs: dict[tuple[str, str], list[str]] = {}
     morphisms: dict[str, Morphism] = {}
     for key, mids in check_type(doc["homs"], dict, "hom-set table").items():
-        src, _, tgt = key.partition("->")
-        if not tgt:
-            raise WorkbenchError(f"bad hom key {key!r}")
+        src, sep, tgt = key.partition("->")
+        if not sep or src not in objects or tgt not in objects:
+            raise WorkbenchError(f"hom key {key!r} is not A->B for declared A, B")
         homs[(src, tgt)] = [check_type(mid, str, f"morphism of {key}")
                             for mid in check_type(mids, list, f"hom-set {key}")]
         for mid in homs[(src, tgt)]:
@@ -434,15 +456,21 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
         raise WorkbenchError("every composite must be a morphism id string")
     compose_table: dict[tuple[str, str], str] = {}
     for key, mid in table.items():
-        g, _, f = key.partition("∘")
-        if not f:
-            raise WorkbenchError(f"bad composition key {key!r}")
+        g, sep, f = key.partition("∘")
+        mg, mf, m = morphisms.get(g), morphisms.get(f), morphisms.get(mid)
+        if not sep or mg is None or mf is None or mf.tgt != mg.src:
+            raise WorkbenchError(f"composition key {key!r} names no composable pair")
+        if m is None or (m.src, m.tgt) != (mf.src, mg.tgt):
+            raise WorkbenchError(
+                f"composite {key!r} = {mid!r} is not in hom({mf.src}, {mg.tgt})")
         compose_table[(g, f)] = mid
     identities = check_type(doc["identities"], dict, "identity table")
     if not all(type(mid) is str for mid in identities.values()):
         raise WorkbenchError("every identity must be a morphism id string")
     for a in objects:
         ia = identities[a]
+        if ia not in homs.get((a, a), ()):
+            raise WorkbenchError(f"identity {ia!r} of {a!r} is not in hom({a}, {a})")
         for b in objects:
             for f in homs.get((a, b), []):
                 compose_table.setdefault((f, ia), f)

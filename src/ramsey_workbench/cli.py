@@ -21,9 +21,9 @@ from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check,
                      export_cnf, oracle_arrow_check, verify_bad_coloring)
 from .amalgam import (failure_chain, is_amalgamation_arrow, two_of_k_check,
                       verify_pairwise_non_amalgamable, wap_check)
-from .catalogs import load_catalog
-from .category import (FiniteCategory, check_axioms, load_abstract, op,
-                       skeletonize, tables_equal)
+from .catalogs import catalog_from_json, load_catalog
+from .category import (FiniteCategory, abstract_from_json, check_axioms,
+                       load_abstract, op, skeletonize, tables_equal)
 from .degrees import degree_interval
 from .errors import CorruptCertificate, WorkbenchError, check_type
 from .expansion import (ExpansionSpace, check_forgetful,
@@ -390,10 +390,12 @@ def replay(report_path: str) -> tuple[int, dict]:
         path = report["catalog"]["path"]
         if _sha256(path) != report["catalog"]["sha256"]:
             raise CorruptCertificate("catalog file changed since the report")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)   # parsed once for either reading
         try:
-            structures = load_catalog(path)
+            structures = catalog_from_json(doc)
         except (WorkbenchError, KeyError):
-            cat = load_abstract(path)
+            cat = abstract_from_json(doc)
         else:
             cat = FiniteCategory.from_structures(structures)
 

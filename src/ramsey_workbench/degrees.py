@@ -197,10 +197,8 @@ def _essential_at_core(cat: FiniteCategory, lam_values, a: str, b: str,
     coarsening of lam.  Kernels only, so enumerating with k_max colors in
     first-appearance order covers every k <= k_max."""
     domain = tuple(cat.hom(a, f_obj))
-    hom_ab = tuple(cat.hom(a, b))
     hom_bf = tuple(cat.hom(b, f_obj))
     m = len(domain)
-    index = {mid: i for i, mid in enumerate(domain)}
     lam_classes = _kernel_classes(lam_values)
 
     if not hom_bf:
@@ -210,7 +208,7 @@ def _essential_at_core(cat: FiniteCategory, lam_values, a: str, b: str,
     # per witness w: groups of domain indices that chi must keep constant
     w_groups: list[list[list[int]]] = []
     for w in hom_bf:
-        mapped = [index[cat.compose(w, f)] for f in hom_ab]
+        mapped = cat.post(w, a)
         w_groups.append([[mapped[i] for i in cls] for cls in lam_classes])
 
     if not lam_classes:

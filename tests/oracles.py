@@ -225,3 +225,29 @@ def brute_locally_finite(catalog, f_struct: Structure) -> str:
                        for d, r in covers):
                 return "UNKNOWN-AT-BOUND"
     return "HOLDS"
+
+
+def brute_associative(cat) -> bool:
+    """h.(g.f) == (h.g).f for every composable triple, one triple at a time."""
+    for a in cat.objects:
+        for b in cat.objects:
+            for f in cat.hom(a, b):
+                for c in cat.objects:
+                    for g in cat.hom(b, c):
+                        for d in cat.objects:
+                            for h in cat.hom(c, d):
+                                if (cat.compose(h, cat.compose(g, f))
+                                        != cat.compose(cat.compose(h, g), f)):
+                                    return False
+    return True
+
+
+def first_amalgam(cat, u, v):
+    """The first (D, r, s) with r.u == s.v: D in catalog order, then r, then
+    s in hom order; None when no catalog object amalgamates u and v."""
+    for d in cat.objects:
+        for r in cat.hom(cat.target(u), d):
+            for s in cat.hom(cat.target(v), d):
+                if cat.compose(r, u) == cat.compose(s, v):
+                    return d, r, s
+    return None

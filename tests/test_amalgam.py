@@ -8,10 +8,12 @@ from ramsey_workbench.amalgam import (AmalgamEngine, extract_amalgamable_pair,
                                       two_of_k_check,
                                       verify_pairwise_non_amalgamable,
                                       wap_check)
-from ramsey_workbench.catalogs import (empty_graph, graph, lo_catalog,
-                                       linear_order)
+from ramsey_workbench.catalogs import (empty_graph, graph, graph_catalog,
+                                       linear_order, lo_catalog)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import ArrowDoesNotHold, FactorSearchFailed
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +24,6 @@ def lo5():
 @pytest.fixture(scope="module")
 def lo6():
     return FiniteCategory.from_structures(lo_catalog(6))
-
-
-def brute_amalgamates(cat, u, v):
-    for d in cat.objects:
-        for r in cat.hom(cat.target(u), d):
-            for s in cat.hom(cat.target(v), d):
-                if cat.compose(r, u) == cat.compose(s, v):
-                    return True
-    return False
 
 
 class TestAmalgamationArrows:
@@ -48,8 +41,8 @@ class TestAmalgamationArrows:
         report = is_amalgamation_arrow(lo5, lo5.identity("LO2"))
         assert report.status == "FAILS"
         g, h = report.failure["g"], report.failure["h"]
-        assert not brute_amalgamates(lo5, lo5.compose(g, lo5.identity("LO2")),
-                                     lo5.compose(h, lo5.identity("LO2")))
+        assert oracles.first_amalgam(lo5, lo5.compose(g, lo5.identity("LO2")),
+                                     lo5.compose(h, lo5.identity("LO2"))) is None
 
     def test_arrow_into_top_object_holds(self, lo5):
         f = lo5.hom("LO2", "LO5")[0]
@@ -272,3 +265,19 @@ class TestFailureChain:
 
     def test_depth_zero_gives_empty_chain(self, lo5):
         assert failure_chain(lo5, "LO2", 0) == []
+
+
+class TestWitnessOrder:
+    """The witness is in report bytes, so amalgamate must return exactly
+    the nested scan's first (D, r, s), not merely some amalgam."""
+
+    @pytest.mark.parametrize("cat", [
+        FiniteCategory.from_structures(lo_catalog(5)),
+        FiniteCategory.from_structures(graph_catalog(3)),
+        abstract_from_json(V_POSET), abstract_from_json(W_POSET),
+    ], ids=["lo5", "g3", "v-poset", "w-poset"])
+    def test_amalgamate_returns_the_first_witness(self, cat):
+        engine = AmalgamEngine(cat)
+        for u, v in itertools.product(list(cat.all_morphisms()), repeat=2):
+            if cat.source(u) == cat.source(v):
+                assert engine.amalgamate(u, v) == oracles.first_amalgam(cat, u, v)

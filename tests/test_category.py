@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ramsey_workbench.catalogs import (all_graphs, complete_graph,
                                        empty_graph, graph, graph_catalog,
@@ -135,6 +135,57 @@ def test_local_finiteness_matches_the_definition(f_struct, below):
             == oracles.brute_locally_finite(catalog, f_struct))
 
 
+@st.composite
+def random_tables(draw):
+    """A well-typed table on 1-3 objects with random composites.
+
+    hom(a, b) is non-empty for a <= b, or for every pair, so every
+    composable pair has somewhere to land.  Identities come first in their
+    hom-set and their composites are left to the loader; every other
+    composite is drawn from the right hom-set, so most tables are not
+    associative."""
+    n = draw(st.integers(1, 3))
+    full = draw(st.booleans())
+    objects = [f"O{i}" for i in range(n)]
+    homs = {}
+    for i, a in enumerate(objects):
+        for j, b in enumerate(objects):
+            if i == j or full or i < j:
+                size = draw(st.integers(1, 3 if i == j else 2))
+                homs[(a, b)] = [f"m{i}{j}{k}" for k in range(size)]
+    identities = {a: homs[(a, a)][0] for a in objects}
+    compose = {}
+    for (a, b), fs in homs.items():
+        for c in objects:
+            for g in homs.get((b, c), []):
+                for f in fs:
+                    if identities[b] not in (f, g):
+                        compose[f"{g}∘{f}"] = draw(st.sampled_from(homs[(a, c)]))
+    return {"objects": objects,
+            "homs": {f"{a}->{b}": fs for (a, b), fs in homs.items()},
+            "identities": identities, "compose": compose}
+
+
+class TestAssociativityOracle:
+    """Associativity by rows of post-composition against the triple scan."""
+
+    @settings(max_examples=150)
+    @given(random_tables())
+    def test_random_tables_match_the_triple_scan(self, doc):
+        cat = abstract_from_json(doc)
+        assert (check_axioms(cat).associativity_ok
+                == oracles.brute_associative(cat))
+
+    @pytest.mark.parametrize("cat", [
+        FiniteCategory.from_structures(lo_catalog(4)),
+        FiniteCategory.from_structures(graph_catalog(3)),
+        op(FiniteCategory.from_structures(lo_catalog(3))),
+    ], ids=["lo4", "g3", "op-lo3"])
+    def test_catalog_categories_are_associative(self, cat):
+        assert oracles.brute_associative(cat)
+        assert check_axioms(cat).associativity_ok
+
+
 CHAINS = lo_catalog(6)
 GRAPHS = graph_catalog(4)
 
@@ -189,6 +240,48 @@ class TestReadOnDemand:
         cat = FiniteCategory.from_structures(lo_catalog(2))
         assert cat.hom("LO2", "LO99") == []
         assert cat.hom("LO99", "LO99") == []
+
+
+class TestPositionsAndRows:
+    """position(mid) is the index of mid in its hom-set, and post(w, a)
+    lists the position of w.f for each f in hom(a, source w)."""
+
+    @pytest.mark.parametrize("cat", [
+        FiniteCategory.from_structures(lo_catalog(4)),
+        FiniteCategory.from_structures(graph_catalog(3)),
+        op(FiniteCategory.from_structures(lo_catalog(3))),
+        abstract_from_json({"objects": ["A", "B"],
+                            "homs": {"A->A": ["a"], "B->B": ["b", "t"],
+                                     "A->B": ["f", "g"]},
+                            "identities": {"A": "a", "B": "b"},
+                            "compose": {"t∘t": "b", "t∘f": "g", "t∘g": "f"}}),
+    ], ids=["lo4", "g3", "op-lo3", "table"])
+    def test_rows_index_the_composites(self, cat):
+        for w in cat.all_morphisms():
+            assert cat.hom(cat.source(w), cat.target(w))[cat.position(w)] == w
+            for a in cat.objects:
+                into = cat.hom(a, cat.target(w))
+                assert cat.post(w, a) == tuple(
+                    into.index(cat.compose(w, f))
+                    for f in cat.hom(a, cat.source(w)))
+
+    def test_structure_position_is_the_id_suffix(self):
+        cat = FiniteCategory.from_structures(graph_catalog(3))
+        for mid in cat.all_morphisms():
+            assert cat.position(mid) == int(mid.rpartition("#")[2])
+
+    def test_post_reads_two_hom_sets(self, monkeypatch):
+        from ramsey_workbench import category
+
+        cat = FiniteCategory.from_structures(lo_catalog(4))
+        w = cat.hom("LO2", "LO3")[1]
+        calls = []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: calls.append((a.name, b.name))
+                            or real(a, b))
+        assert cat.post(w, "LO1") == (0, 2)
+        assert sorted(calls) == [("LO1", "LO2"), ("LO1", "LO3")]
 
 
 class TestValidateOnce:

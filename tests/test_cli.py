@@ -370,6 +370,11 @@ class TestCatalogValidation:
 
 ABSTRACT_DOC = {"objects": ["A"], "homs": {"A->A": ["a"]},
                 "identities": {"A": "a"}, "compose": {"a∘a": "a"}}
+# A -> B by f, with identities a and b
+TWO_OBJECT_DOC = {"objects": ["A", "B"],
+                  "homs": {"A->A": ["a"], "B->B": ["b"], "A->B": ["f"]},
+                  "identities": {"A": "a", "B": "b"},
+                  "compose": {"f∘a": "f", "b∘f": "f"}}
 
 
 class TestLoaderValidation:
@@ -397,6 +402,33 @@ class TestLoaderValidation:
         path.write_text(json.dumps(dict(ABSTRACT_DOC, **{field: value})))
         assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
                     "--abstract", "--catalog", str(path)]) == 3
+
+    @pytest.mark.parametrize("doc", [
+        dict(TWO_OBJECT_DOC,
+             homs=dict(TWO_OBJECT_DOC["homs"], **{"A->C": ["x"]})),
+        dict(ABSTRACT_DOC, identities={"A": "z"}),
+        dict(TWO_OBJECT_DOC, identities={"A": "f", "B": "b"}),
+        dict(TWO_OBJECT_DOC, compose={"q∘a": "a"}),
+        dict(TWO_OBJECT_DOC, compose={"a∘f": "a"}),
+        dict(TWO_OBJECT_DOC, compose={"f∘a": "a"}),
+    ], ids=["undeclared-object", "unknown-identity", "identity-off-diagonal",
+            "unknown-morphism", "non-composable", "composite-in-wrong-hom-set"])
+    @pytest.mark.parametrize("action", ["check", "op"])
+    def test_bad_reference_in_abstract_category_exits_three(
+            self, tmp_path, doc, action):
+        """Positions are trusted past the loader, so references are
+        checked there: each defect exits 3 on every route."""
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", action,
+                    "--abstract", "--catalog", str(path)]) == 3
+
+    @pytest.mark.parametrize("action", ["check", "op"])
+    def test_two_object_abstract_category_holds(self, tmp_path, action):
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(TWO_OBJECT_DOC))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", action,
+                    "--abstract", "--catalog", str(path)]) == 0
 
     def test_well_formed_abstract_category_loads(self, tmp_path):
         path = tmp_path / "abstract.json"

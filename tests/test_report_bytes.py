@@ -7,6 +7,7 @@ alters a pin alters what users read; it must say so and update the pin.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -61,7 +62,46 @@ QUESTIONS = [
     ("expand-ep", ["expand", "ep", "--catalog", "{p3}",
                    "--degrees", "{deg}"], 1,
      "60ba2dfe88a69bdd32cf5f24dfbf5af00876d1570b2143bb01a5bb678e65238c"),
+    ("cat-check-abstract", ["cat", "check", "--abstract", "--catalog",
+                            "{lo5t}"], 0,
+     "5d51e3d0c3fd521dc1861e1ca092a54b6bd310eaf4be2a333cc79c09dda24078"),
+    ("cat-op-abstract", ["cat", "op", "--abstract", "--catalog", "{lo5t}"], 0,
+     "f017e5a6bd7de883acef0b51d2edff5f89d46b4506a6bf23037343e6f0ccb662"),
+    ("amalgam-wap-abstract", ["amalgam", "--wap", "--abstract", "--catalog",
+                              "{lo5t}"], 0,
+     "5fc73e48cc0162a960550085557f6a94078b5d60ae0666dd33b67ff234d65d5c"),
+    ("amalgam-two-of-k-abstract", ["amalgam", "--two-of-k", "3", "--A", "LO2",
+                                   "--abstract", "--catalog", "{lo5t}"], 1,
+     "8f76f56ba5e1fe4592b78f48bc931c16cb79f48c28ff829738cf217bb5247359"),
 ]
+
+
+def lo_table(n: int) -> dict:
+    """Compose-table dump of the embedding category of LO1..LOn.
+
+    An increasing map LOa -> LOb is an a-subset of range(b); in lex order
+    the subsets get the ``LOa->LOb#k`` ids of the embedding route.  Built
+    by hand, so the ``--abstract`` pins do not depend on ``compose``.
+    """
+    subsets = {(a, b): list(itertools.combinations(range(b), a))
+               for a in range(1, n + 1) for b in range(a, n + 1)}
+
+    def mid(a, b, s):
+        return f"LO{a}->LO{b}#{subsets[(a, b)].index(s)}"
+
+    compose = {}
+    for (a, b), fs in subsets.items():
+        for c in range(b, n + 1):
+            for g in subsets[(b, c)]:
+                for f in fs:
+                    compose[f"{mid(b, c, g)}∘{mid(a, b, f)}"] = mid(
+                        a, c, tuple(g[i] for i in f))
+    return {"objects": [f"LO{a}" for a in range(1, n + 1)],
+            "homs": {f"LO{a}->LO{b}": [mid(a, b, s) for s in subs]
+                     for (a, b), subs in subsets.items()},
+            "compose": compose,
+            "identities": {f"LO{a}": f"LO{a}->LO{a}#0"
+                           for a in range(1, n + 1)}}
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +130,7 @@ def inputs(tmp_path_factory):
     put("seq", doc={"objects": ["LO1", "LO2", "LO3"],
                     "bonding": {"0->1": [0], "1->2": [0, 1]}})
     put("deg", doc={"degrees": {"K2": 2}})
+    put("lo5t", doc=lo_table(5))
     return paths
 
 
