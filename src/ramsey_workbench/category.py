@@ -12,7 +12,7 @@ enumeration order.  Hence the rule: every read of ``_homs``, ``_mor``,
 ``_identities``, ``_pos`` or ``_emb_index`` goes through a method that reads
 the hom-set first (``hom``, ``identity``, ``morphism``, ``source``, ``target``,
 ``compose``, ``post``).  An id whose hom-set is unread, say one from a
-certificate, is resolved by reading the rest of the category.  Table and
+certificate, is resolved by reading the one hom-set it names.  Table and
 ``op`` categories have every hom-set up front; a missing one is empty.
 
 The integer kernel: ``position(mid)`` is the k of mid in its hom-set, and the
@@ -113,9 +113,16 @@ class FiniteCategory:
         except KeyError:
             if self._emb_index is None:
                 raise
-        # an id from outside, say a certificate: its hom-set may be unread
-        for _ in self.all_morphisms():
-            pass
+        # an id from outside, say a certificate: read the hom-set it names.
+        # Names may hold "->" or "#", so try every split into two objects.
+        head, sep, _ = mid.rpartition("#")
+        parts = head.split("->") if sep else []
+        for i in range(1, len(parts)):
+            a, b = "->".join(parts[:i]), "->".join(parts[i:])
+            if a in self.structures and b in self.structures:
+                self.hom(a, b)
+                if mid in self._mor:
+                    break
         return self._mor[mid]
 
     def embedding(self, mid: str) -> Embedding:

@@ -10,12 +10,21 @@ a single fiber (automorphism orbits, ages, minimal-age selection) are the
 finite counterparts of the closure arguments used on infinite limits:
 fibers here are finite and discrete, so closures collapse to orbits, and
 reports say so.
+
+The restriction lemma: e: A -> B transports A* into B* exactly when A* is
+restriction(B*, e), whose colorings read B*'s colorings at the positions of
+the rows ``post(e, rep)``.  So the forgetful audit needs no scan over pairs
+of fibers.  Reasonable (every A* extends along e) means every A* is the
+restriction of some B*, and unique restrictions means each restriction
+occurs exactly once in fiber(A): two hash lookups per morphism.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import FAILS, HOLDS
 from .category import FiniteCategory, Skeletonization, skeletonize
@@ -85,18 +94,9 @@ class ExpansionSpace:
             self.degrees = DegreeAssignment.make(self.reps, given)
         else:
             self.degrees = DegreeAssignment.make(self.reps, dict(degrees))
-        self._hom_index: dict[tuple[str, str], dict[str, int]] = {}
 
     def hom_list(self, rep: str, obj: str) -> list[str]:
         return self.cat.hom(rep, obj)
-
-    def _index(self, rep: str, obj: str) -> dict[str, int]:
-        key = (rep, obj)
-        if key not in self._hom_index:
-            self._hom_index[key] = {
-                mid: i for i, mid in enumerate(self.cat.hom(rep, obj))
-            }
-        return self._hom_index[key]
 
     # -- fibers -------------------------------------------------------------
 
@@ -129,12 +129,10 @@ class ExpansionSpace:
         if cat.source(f) != cstar.base or cat.target(f) != dstar.base:
             return False
         for rep in self.reps:
-            src_idx = self._index(rep, cstar.base)
-            dst_idx = self._index(rep, dstar.base)
             c_colors = cstar.colors(rep)
             d_colors = dstar.colors(rep)
-            for e, i in src_idx.items():
-                if d_colors[dst_idx[cat.compose(f, e)]] != c_colors[i]:
+            for i, e in enumerate(cat.hom(rep, cstar.base)):
+                if d_colors[cat.position(cat.compose(f, e))] != c_colors[i]:
                     return False
         return True
 
@@ -147,15 +145,9 @@ class ExpansionSpace:
         cat = self.cat
         if cat.target(e) != bstar.base:
             raise WorkbenchError("restriction needs a morphism into the base")
-        a = cat.source(e)
-        theta = []
-        for rep in self.reps:
-            b_idx = self._index(rep, bstar.base)
-            b_colors = bstar.colors(rep)
-            values = tuple(b_colors[b_idx[cat.compose(e, h)]]
-                           for h in self.hom_list(rep, a))
-            theta.append((rep, values))
-        return ExpandedObject(a, tuple(theta))
+        return ExpandedObject(cat.source(e), tuple(
+            (rep, tuple(map(bstar.colors(rep).__getitem__, cat.post(e, rep))))
+            for rep in self.reps))
 
     def logical_action(self, fstar: ExpandedObject, g: str) -> ExpandedObject:
         """The unique expansion with g color-preserving into fstar."""
@@ -260,64 +252,104 @@ class ForgetfulReport:
                 and self.precompact)
 
 
+def _restrict_column(column: list[tuple[int, ...]], row: tuple[int, ...]):
+    """(c[p] for p in row) for each coloring c in column, as tuples."""
+    if not row:
+        return itertools.repeat((), len(column))
+    if len(row) == 1:
+        return zip(map(itemgetter(row[0]), column))
+    return map(itemgetter(*row), column)
+
+
 def check_forgetful(space: ExpansionSpace,
                     fibers: dict[str, list[ExpandedObject]] | None = None) -> ForgetfulReport:
     """Exhaustive audit of the forgetful functor on the catalog.
 
     ``fibers`` overrides the full enumeration (used to probe doctored
-    sub-fibers, which should break the free-extension property).
+    sub-fibers, which should break the free-extension property).  It must
+    hold every catalog object, with each theta listing the representatives
+    in order; an entry may sit over a foreign base.
+
+    By the restriction lemma, e: A -> B preserves (A*, B*) exactly when
+    A* = restriction(B*, e).  So for each e, with R_e the restrictions of
+    the entries of fiber(B) in fiber order, each property is a hash lookup:
+    reasonable means every A* in fiber(A) occurs in R_e, and unique
+    restrictions means every member of R_e occurs exactly once in fiber(A).
+    That is O(|fiber B|) per morphism, and R_e lives for one morphism.
+    The first B* giving each A* is confirmed by ``morphism_preserves``.
+    ``failure`` names what a scan over pairs of fibers finds first: the
+    reasonable failure in (A, B, e, A*) order, else the unique-restrictions
+    failure in (B, B*, A, e) order.
     """
     cat = space.cat
-    fibers = fibers or {obj: space.fiber(obj) for obj in cat.objects}
+    reps = tuple(space.reps)
+    if fibers is None:
+        fibers = {obj: space.fiber(obj) for obj in cat.objects}
+    else:
+        for obj in cat.objects:
+            if obj not in fibers:
+                raise WorkbenchError(f"fiber override lacks catalog object {obj!r}")
+            if any(tuple(r for r, _ in x.theta) != reps for x in fibers[obj]):
+                raise WorkbenchError(f"fiber override over {obj!r} holds an "
+                                     f"expansion that does not color {list(reps)}")
     sizes = {obj: len(fibers[obj]) for obj in cat.objects}
 
     surjective = all(sizes[obj] >= 1 for obj in cat.objects)
     precompact = all(sizes[obj] == space.fiber_size(obj) for obj in cat.objects)
 
     injective = True   # morphisms of expansions are base morphisms verbatim
-    failure = None
 
-    reasonable = True
+    # the colorings of each entry in rep order, None for an entry over a
+    # foreign base: it is nobody's restriction and has none
+    keys = {obj: [tuple(v for _, v in x.theta) if x.base == obj else None
+                  for x in fibers[obj]] for obj in cat.objects}
+    own = {obj: [i for i, k in enumerate(keys[obj]) if k is not None]
+           for obj in cat.objects}
+    columns = {obj: [[keys[obj][i][j] for i in own[obj]] for j in range(len(reps))]
+               for obj in cat.objects}
+    first_foreign = {obj: next((i for i, k in enumerate(keys[obj]) if k is None),
+                               sizes[obj]) for obj in cat.objects}
+
+    failure = None   # the first reasonable failure
+    least = None     # ((B, B* position, A, e position), e): least unique failure
+    rank = {obj: i for i, obj in enumerate(cat.objects)}
     for a in cat.objects:
+        count = Counter(k for k in keys[a] if k is not None)
         for b in cat.objects:
-            for e in cat.hom(a, b):
-                for astar in fibers[a]:
-                    hit = next((bstar for bstar in fibers[b]
-                                if space.morphism_preserves(e, astar, bstar)),
-                               None)
-                    if hit is None:
-                        reasonable = False
-                        failure = {"property": "reasonable", "e": e,
-                                   "Astar": astar.theta}
-                        break
-                if not reasonable:
-                    break
-            if not reasonable:
-                break
-        if not reasonable:
-            break
+            for k, e in enumerate(cat.hom(a, b)):
+                # R_e, over the entries own[b] of fiber(B)
+                r_e = list(zip(*map(_restrict_column, columns[b],
+                                    [cat.post(e, rep) for rep in reps])))
+                if failure is None:
+                    # built reversed, so each restriction keeps its first giver
+                    first = dict(zip(reversed(r_e), reversed(own[b])))
+                    for astar, key in zip(fibers[a], keys[a]):
+                        i = first.get(key)
+                        if i is None or not space.morphism_preserves(
+                                e, astar, fibers[b][i]):
+                            failure = {"property": "reasonable", "e": e,
+                                       "Astar": astar.theta}
+                            break
+                counts = list(map(count.__getitem__, r_e))
+                i = first_foreign[b]
+                if counts.count(1) < len(counts):
+                    j = next(j for j, c in enumerate(counts) if c != 1)
+                    i = min(i, own[b][j])
+                if i < sizes[b] and (least is None
+                                     or (rank[b], i, rank[a], k) < least[0]):
+                    least = ((rank[b], i, rank[a], k), e)
 
-    unique = True
-    for b in cat.objects:
-        for bstar in fibers[b]:
-            for a in cat.objects:
-                for e in cat.hom(a, b):
-                    matching = [astar for astar in fibers[a]
-                                if space.morphism_preserves(e, astar, bstar)]
-                    expected = space.restriction(bstar, e)
-                    if matching != [expected]:
-                        unique = False
-                        if failure is None:
-                            failure = {"property": "unique-restrictions",
-                                       "e": e, "Bstar": bstar.theta}
-                        break
-                if not unique:
-                    break
-            if not unique:
-                break
-        if not unique:
-            break
-
+    reasonable = failure is None
+    unique = least is None
+    if least is not None:
+        (_, i, _, _), e = least
+        bstar = fibers[cat.target(e)][i]
+        if bstar.base != cat.target(e):
+            # the scan asks restriction() for it, which refuses
+            raise WorkbenchError("restriction needs a morphism into the base")
+        if failure is None:
+            failure = {"property": "unique-restrictions", "e": e,
+                       "Bstar": bstar.theta}
     return ForgetfulReport(surjective, injective, reasonable, unique,
                            precompact, sizes, failure)
 

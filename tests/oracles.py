@@ -3,7 +3,10 @@
 These deliberately share no code with the package: embeddings by filtering
 all injections, canonical forms by minimizing over all permutations, arrow
 verdicts by scanning every coloring.  Expected values in the test suite are
-frozen from these, not from the implementations under test.
+frozen from these, not from the implementations under test.  The scans
+kept from earlier checkers (``first_amalgam``, ``scan_forgetful``) call the
+package's primitives, ``compose`` and ``morphism_preserves``, but not the
+checkers they test.
 """
 
 import functools
@@ -251,3 +254,69 @@ def first_amalgam(cat, u, v):
                 if cat.compose(r, u) == cat.compose(s, v):
                     return d, r, s
     return None
+
+
+def scan_forgetful(space, fibers=None):
+    """The forgetful audit by scanning pairs of fibers, kept as the reference
+    for ``expansion.check_forgetful``: reasonable by searching fiber(B) for a
+    preserving extension of each A*, unique restrictions by listing every A*
+    that e preserves into each B*.  O(|fiber A|·|fiber B|) per morphism.
+
+    It calls the space's compose-based ``morphism_preserves`` and
+    ``restriction``; it shares no code with the audit's restriction rows.
+    """
+    from ramsey_workbench.expansion import ForgetfulReport
+
+    cat = space.cat
+    fibers = fibers or {obj: space.fiber(obj) for obj in cat.objects}
+    sizes = {obj: len(fibers[obj]) for obj in cat.objects}
+
+    surjective = all(sizes[obj] >= 1 for obj in cat.objects)
+    precompact = all(sizes[obj] == space.fiber_size(obj) for obj in cat.objects)
+
+    injective = True   # morphisms of expansions are base morphisms verbatim
+    failure = None
+
+    reasonable = True
+    for a in cat.objects:
+        for b in cat.objects:
+            for e in cat.hom(a, b):
+                for astar in fibers[a]:
+                    hit = next((bstar for bstar in fibers[b]
+                                if space.morphism_preserves(e, astar, bstar)),
+                               None)
+                    if hit is None:
+                        reasonable = False
+                        failure = {"property": "reasonable", "e": e,
+                                   "Astar": astar.theta}
+                        break
+                if not reasonable:
+                    break
+            if not reasonable:
+                break
+        if not reasonable:
+            break
+
+    unique = True
+    for b in cat.objects:
+        for bstar in fibers[b]:
+            for a in cat.objects:
+                for e in cat.hom(a, b):
+                    matching = [astar for astar in fibers[a]
+                                if space.morphism_preserves(e, astar, bstar)]
+                    expected = space.restriction(bstar, e)
+                    if matching != [expected]:
+                        unique = False
+                        if failure is None:
+                            failure = {"property": "unique-restrictions",
+                                       "e": e, "Bstar": bstar.theta}
+                        break
+                if not unique:
+                    break
+            if not unique:
+                break
+        if not unique:
+            break
+
+    return ForgetfulReport(surjective, injective, reasonable, unique,
+                           precompact, sizes, failure)

@@ -229,12 +229,50 @@ class TestReadOnDemand:
             assert [lazy.embedding(m).map for m in mids] == [e.map for e in embs]
             assert mids == [f"{a}->{b}#{k}" for k in range(len(mids))]
 
-    def test_outside_id_reads_the_rest(self):
+    def test_outside_id_reads_its_hom_set(self):
         cat = FiniteCategory.from_structures(lo_catalog(4))
         assert cat.compose("LO3->LO4#3", "LO2->LO3#2") == "LO2->LO4#5"
         assert cat.target("LO1->LO2#1") == "LO2"
         with pytest.raises(KeyError):
             cat.morphism("LO4->LO1#0")
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from ramsey_workbench import category
+
+        reads = []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: reads.append((a.name, b.name))
+                            or real(a, b))
+        return reads
+
+    def test_outside_id_reads_only_the_hom_set_it_names(self, reads):
+        cat = FiniteCategory.from_structures(lo_catalog(7))
+        m = cat.morphism("LO3->LO7#2")
+        assert (m.src, m.tgt, m.emb.map) == ("LO3", "LO7", (0, 1, 4))
+        assert reads == [("LO3", "LO7")]
+
+    @pytest.mark.parametrize("mid,read", [
+        ("LO3->LO7#99", [("LO3", "LO7")]), ("LO3->LO7#x", [("LO3", "LO7")]),
+        ("LO9->LO7#0", []), ("LO3->LO7", []), ("LO3#0", []), ("#0", [])])
+    def test_id_outside_every_hom_set_raises(self, reads, mid, read):
+        cat = FiniteCategory.from_structures(lo_catalog(7))
+        with pytest.raises(KeyError):
+            cat.morphism(mid)
+        assert reads == read
+
+    def test_names_holding_arrows_and_hashes(self, reads):
+        # "a->b->c#0" splits two ways; only a->b, c names two objects
+        catalog = [linear_order(1, name="a->b"), linear_order(2, name="c"),
+                   linear_order(2, name="b#1")]
+        cat = FiniteCategory.from_structures(catalog)
+        assert cat.target("a->b->c#1") == "c"
+        assert cat.embedding("a->b->b#1#0").map == (0,)
+        assert cat.source("c->b#1#0") == "c"
+        assert reads == [("a->b", "c"), ("a->b", "b#1"), ("c", "b#1")]
+        with pytest.raises(KeyError):
+            cat.morphism("a->b->c#2")
 
     def test_unknown_object_has_empty_hom_sets(self):
         cat = FiniteCategory.from_structures(lo_catalog(2))

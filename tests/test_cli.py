@@ -191,6 +191,34 @@ class TestReplay:
         out.write_text(json.dumps(report))
         assert run(["replay", str(out)]) == 3
 
+    def test_wap_replay_reads_only_the_named_hom_sets(self, tmp_path,
+                                                      monkeypatch):
+        from ramsey_workbench import category
+
+        catalog = tmp_path / "lo7.json"
+        save_catalog(lo_catalog(7), catalog)
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "amalgam", "--wap",
+                    "--catalog", str(catalog)]) == 0
+        report = json.loads(out.read_text())
+        named = {tuple(mid.rpartition("#")[0].split("->"))
+                 for cert in report["certificates"]
+                 for mid in cert["lhs"] + cert["rhs"]}
+        reads = []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: reads.append((a.name, b.name))
+                            or real(a, b))
+        assert run(["--out", str(tmp_path / "rep.json"),
+                    "replay", str(out)]) == 0
+        assert sorted(reads) == sorted(named)
+        # ids that name no morphism are input errors
+        for bad in ("LO3->LO7#99", "LO9->LO7#0"):
+            doctored = json.loads(json.dumps(report))
+            doctored["certificates"][0]["lhs"][-1] = bad
+            out.write_text(json.dumps(doctored))
+            assert run(["replay", str(out)]) == 3
+
     def test_tampered_report_rejected(self, lo_paths, tmp_path):
         out = tmp_path / "r.json"
         run(["--out", str(out), "arrow", "--catalog", lo_paths["lo6"],

@@ -1,6 +1,8 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
                                        graph_catalog, linear_order,
@@ -266,6 +268,100 @@ class TestForgetfulChecks:
             for b in cat.objects:
                 bstar = space.fiber(b)[0]
                 assert len(space.hom_star(astar, bstar)) == len(cat.hom(a, b))
+
+
+@st.composite
+def audit_questions(draw):
+    """A sub-catalog of lo_catalog(4) or graph_catalog(3) in any order,
+    degrees in {1, 2, 3} on at most two representatives, fibers of at most
+    27 expansions, and at most one doctored fiber: one expansion dropped,
+    one duplicated, one coloring slot pinned, or one entry over a foreign
+    base.  Returns the space and the fibers override (None: undoctored)."""
+    pool = draw(st.sampled_from([lo_catalog(4), graph_catalog(3)]))
+    catalog = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                            unique_by=lambda s: s.name))
+    cat = FiniteCategory.from_structures(catalog)
+    names = [s.name for s in catalog]
+    degrees = draw(st.dictionaries(st.sampled_from(names),
+                                   st.sampled_from([2, 3, 1]),
+                                   min_size=1, max_size=2))
+    space = ExpansionSpace(cat, degrees)
+    assume(all(space.fiber_size(obj) <= 27 for obj in cat.objects))
+    doctor = draw(st.sampled_from(["drop", "duplicate", "pin", "foreign",
+                                   None]))
+    if doctor is None:
+        return space, None
+    fibers = {obj: space.fiber(obj) for obj in cat.objects}
+    obj = draw(st.sampled_from(cat.objects))
+    fiber = fibers[obj]
+    i = draw(st.integers(0, len(fiber) - 1))
+    if doctor == "drop":
+        del fiber[i]
+    elif doctor == "duplicate":
+        fiber.insert(draw(st.integers(0, len(fiber))), fiber[i])
+    elif doctor == "pin":
+        slots = [(rep, p) for rep in space.reps
+                 for p in range(len(cat.hom(rep, obj)))]
+        assume(slots)
+        rep, p = draw(st.sampled_from(slots))
+        value = fiber[i].colors(rep)[p]
+        fibers[obj] = [x for x in fiber if x.colors(rep)[p] == value]
+    else:
+        others = [o for o in cat.objects if o != obj]
+        assume(others)
+        stranger = draw(st.sampled_from(fibers[draw(st.sampled_from(others))]))
+        fiber.insert(draw(st.integers(0, len(fiber))), stranger)
+    return space, fibers
+
+
+def audit_outcome(audit, space, fibers):
+    try:
+        return audit(space, fibers)
+    except WorkbenchError as exc:
+        return str(exc)
+
+
+class TestForgetfulAgainstScan:
+    """check_forgetful decides by restriction; the scan in tests/oracles.py
+    decides by searching pairs of fibers.  Reports, failure included, and
+    refusals must agree."""
+
+    @settings(max_examples=60)
+    @given(audit_questions())
+    def test_same_report_as_the_scan(self, question):
+        space, fibers = question
+        assert (audit_outcome(check_forgetful, space, fibers)
+                == audit_outcome(oracles.scan_forgetful, space, fibers))
+
+    def test_each_witness_is_the_first_preserving_extension(self, monkeypatch):
+        cat = FiniteCategory.from_structures(lo_catalog(3))
+        space = ExpansionSpace(cat, {"LO1": 2, "LO2": 2})
+        real = ExpansionSpace.morphism_preserves
+        calls = []
+        monkeypatch.setattr(ExpansionSpace, "morphism_preserves",
+                            lambda self, f, c, d: calls.append((f, c, d))
+                            or real(self, f, c, d))
+        assert check_forgetful(space).all_hold
+        assert calls == [
+            (e, astar, next(bstar for bstar in space.fiber(b)
+                            if real(space, e, astar, bstar)))
+            for a in cat.objects for b in cat.objects
+            for e in cat.hom(a, b) for astar in space.fiber(a)]
+
+    def test_override_must_hold_every_object(self, p3_space):
+        with pytest.raises(WorkbenchError, match="'K1'"):
+            check_forgetful(p3_space, fibers={})
+        partial = {obj: p3_space.fiber(obj) for obj in ("K1", "K2")}
+        with pytest.raises(WorkbenchError, match="'P3'"):
+            check_forgetful(p3_space, fibers=partial)
+
+    def test_two_colored_pairs_on_five_chains(self):
+        # every 2-coloring of the pairs of LOn is an expansion: 2^C(n, 2)
+        cat = FiniteCategory.from_structures(lo_catalog(5))
+        report = check_forgetful(ExpansionSpace(cat, {"LO2": 2}))
+        assert report.all_hold and report.failure is None
+        assert report.fiber_sizes == {f"LO{n}": 2 ** math.comb(n, 2)
+                                      for n in range(1, 6)}
 
 
 class TestExpansionProperty:

@@ -56,6 +56,9 @@ QUESTIONS = [
     ("expand-check", ["expand", "check", "--catalog", "{p3}",
                       "--degrees", "{deg}"], 0,
      "6212750cfb1821df64521030425c8d6dcd50f4dd1372127a08643db6a1492a2a"),
+    ("expand-check-lo4", ["expand", "check", "--catalog", "{lo4}",
+                          "--degrees", "{deg_lo1}"], 0,
+     "8b1baf323aebc99a1a78d05c69e28becbc8bdaa2202f8214cb61bf7382909802"),
     ("expand-orbits", ["expand", "orbits", "--catalog", "{p3}",
                        "--degrees", "{deg}", "--obj", "P3"], 0,
      "1cd0fde587696996a0d467ea84054760fe8a4f6e2fdf011504854521da0fe0b1"),
@@ -130,6 +133,7 @@ def inputs(tmp_path_factory):
     put("seq", doc={"objects": ["LO1", "LO2", "LO3"],
                     "bonding": {"0->1": [0], "1->2": [0, 1]}})
     put("deg", doc={"degrees": {"K2": 2}})
+    put("deg_lo1", doc={"degrees": {"LO1": 3}})
     put("lo5t", doc=lo_table(5))
     return paths
 
