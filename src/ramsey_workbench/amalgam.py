@@ -4,6 +4,16 @@ Every quantifier ranges over the loaded catalog: an instance fails when no
 amalgamating cocone exists among catalog objects, and a property holds when
 every catalog instance has one.  Witnesses are morphism triples (D, r, s)
 whose defining equation replays by composition.
+
+The kernel works on integer rows.  For a span u: A -> B, v: A -> C and a
+catalog object D, the row ``pre(u, D)`` lists the position of r.u in
+hom(A, D) for each r in hom(B, D), and likewise for v.  D amalgamates the
+span exactly when the two rows share a value, so ``AmalgamEngine`` tests
+each D by one set-disjointness check and scans for the first r only at the
+first D that passes.  Each row is composed once per engine, not once per
+span.  ``two_of_k_check`` asks the engine for a pair only when the tuple
+loop first reaches it, so a FAILS verdict decides only the pairs in the
+tuples up to the first one that has no amalgamable pair.
 """
 
 from __future__ import annotations
@@ -36,35 +46,50 @@ class AmalgamationReport:
 
 
 class AmalgamEngine:
-    """Shared memo for amalgam searches over one category."""
+    """Shared memo for amalgam searches over one category.
+
+    For each (morphism v, object D) it touches, it keeps hom(target v, D),
+    the row ``pre(v, D)`` and a dict from each row value to its first index.
+    They die with the engine."""
 
     def __init__(self, cat: FiniteCategory):
         self.cat = cat
         self._memo: dict[tuple[str, str], tuple | None] = {}
+        self._rows: dict[tuple[str, str], tuple] = {}
+
+    def _row(self, v: str, d: str) -> tuple:
+        cat = self.cat
+        row = cat.pre(v, d)
+        first: dict[int, int] = {}
+        for i, x in enumerate(row):
+            first.setdefault(x, i)
+        out = self._rows[(v, d)] = (cat.hom(cat.target(v), d), row, first)
+        return out
 
     def amalgamate(self, u: str, v: str):
         """First (D, r, s) with r.u = s.v, scanning catalog order; None if
-        no catalog object amalgamates the cospan.  Per D, a dict holds the
-        first s for each s.v, so each r finds its first s by one lookup."""
+        no catalog object amalgamates the cospan.  Per D, the rows of u and
+        v hold the positions of r.u and s.v in hom(A, D): D amalgamates
+        exactly when they share a value, and then the first r whose value
+        the row of v holds gives the first s by one lookup."""
         key = (u, v)
-        if key in self._memo:
+        try:
             return self._memo[key]
-        cat = self.cat
-        bu, bv = cat.target(u), cat.target(v)
+        except KeyError:
+            pass
+        cat, rows = self.cat, self._rows
         found = None
-        for d in cat.objects:
-            hom_u = cat.hom(bu, d)
-            if not hom_u:
-                continue
-            first: dict[str, str] = {}
-            for s in cat.hom(bv, d):
-                first.setdefault(cat.compose(s, v), s)
-            for r in hom_u:
-                s = first.get(cat.compose(r, u))
-                if s is not None:
-                    found = (d, r, s)
-                    break
-            if found:
+        # positions in different hom-sets are not comparable
+        if cat.source(u) == cat.source(v):
+            for d in cat.objects:
+                hom_u, row_u, first_u = rows.get((u, d)) or self._row(u, d)
+                if not hom_u:
+                    continue
+                hom_v, _, first_v = rows.get((v, d)) or self._row(v, d)
+                if first_u.keys().isdisjoint(first_v.keys()):
+                    continue
+                i = next(i for i, x in enumerate(row_u) if x in first_v)
+                found = (d, hom_u[i], hom_v[first_v[row_u[i]]])
                 break
         self._memo[key] = found
         return found
@@ -121,28 +146,29 @@ def wap_check(cat: FiniteCategory) -> AmalgamationReport:
 
 
 def two_of_k_check(cat: FiniteCategory, a: str, k: int) -> AmalgamationReport:
-    """Among any k extensions of a, some pair amalgamates over a."""
+    """Among any k extensions of a, some pair amalgamates over a.
+
+    Each pair is decided when the tuple loop first reaches it, and witness
+    dicts are built only once every tuple has a pair."""
     if k < 2:
         raise ValueError("k must be at least 2")
     engine = AmalgamEngine(cat)
     pool = [g for b in cat.objects for g in cat.hom(a, b)]
-    pair_ok: dict[tuple[str, str], tuple | None] = {}
-    for u, v in itertools.product(pool, repeat=2):
-        pair_ok[(u, v)] = engine.amalgamate(u, v)
-    witnesses = []
+    pairs = list(itertools.combinations(range(k), 2))
+    hits = []
     for tup in itertools.product(pool, repeat=k):
-        hit = None
-        for i, j in itertools.combinations(range(k), 2):
-            found = pair_ok[(tup[i], tup[j])]
+        for i, j in pairs:
+            found = engine.amalgamate(tup[i], tup[j])
             if found is not None:
-                hit = {"tuple": list(tup), "i": i, "j": j,
-                       "D": found[0], "r": found[1], "s": found[2]}
+                hits.append((tup, i, j, found))
                 break
-        if hit is None:
+        else:
             return AmalgamationReport(
                 "two-out-of-k", FAILS,
                 failure={"A": a, "k": k, "tuple": list(tup)})
-        witnesses.append(hit)
+    witnesses = [{"tuple": list(tup), "i": i, "j": j,
+                  "D": found[0], "r": found[1], "s": found[2]}
+                 for tup, i, j, found in hits]
     return AmalgamationReport("two-out-of-k", HOLDS, witnesses,
                               notes=[f"tuples checked: {len(pool) ** k}"])
 

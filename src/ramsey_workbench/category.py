@@ -11,15 +11,17 @@ on the read order: ``A->B#k`` is always the k-th embedding of A into B in
 enumeration order.  Hence the rule: every read of ``_homs``, ``_mor``,
 ``_identities``, ``_pos`` or ``_emb_index`` goes through a method that reads
 the hom-set first (``hom``, ``identity``, ``morphism``, ``source``, ``target``,
-``compose``, ``post``).  An id whose hom-set is unread, say one from a
-certificate, is resolved by reading the one hom-set it names.  Table and
-``op`` categories have every hom-set up front; a missing one is empty.
+``compose``, ``post``, ``pre``).  An id whose hom-set is unread, say one
+from a certificate, is resolved by reading the one hom-set it names.  Table
+and ``op`` categories have every hom-set up front; a missing one is empty.
 
-The integer kernel: ``position(mid)`` is the k of mid in its hom-set, and the
-row ``post(w, a)`` maps hom(a, source w) into hom(a, target w) by positions.
-Hot loops compare rows, not composites.  Rows are faithful only if every
-composite lies in its hom-set, so table references are checked at load and
-trusted after; a composite the table leaves out is an error at use.
+The integer kernel: ``position(mid)`` is the k of mid in its hom-set.  The
+row ``post(w, a)`` maps hom(a, source w) into hom(a, target w) by positions,
+and its dual ``pre(v, d)`` maps hom(target v, d) into hom(source v, d), the
+position of s.v for each s.  Hot loops compare rows, not composites.  Rows
+are faithful only if every composite lies in its hom-set, so table
+references are checked at load and trusted after; a composite the table
+leaves out is an error at use.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ class FiniteCategory:
         names = [s.name or f"S{i}" for i, s in enumerate(catalog)]
         if len(set(names)) != len(names):
             raise WorkbenchError("catalog object names must be distinct")
+        if any("->" in name for name in names):
+            # ids are "a->b#k", so "x", "y->z" and "x->y", "z" would share them
+            pairs: dict[str, tuple[str, str]] = {}
+            for a in names:
+                for b in names:
+                    other = pairs.setdefault(f"{a}->{b}", (a, b))
+                    if other != (a, b):
+                        raise WorkbenchError(
+                            f"hom({other[0]}, {other[1]}) and hom({a}, {b}) "
+                            f"would share the ids {a}->{b}#k")
         structures = dict(zip(names, catalog))
         cat = FiniteCategory(structures, {}, {}, {}, structures=structures)
         cat._emb_index = {}
@@ -184,6 +196,12 @@ class FiniteCategory:
         only hom(a, source w) and hom(a, target w)."""
         pos, compose = self._pos, self.compose
         return tuple([pos[compose(w, f)] for f in self.hom(a, self.source(w))])
+
+    def pre(self, v: str, d: str) -> tuple[int, ...]:
+        """Position of s.v for each s in hom(target v, d), in order.  Reads
+        only hom(target v, d) and hom(source v, d)."""
+        pos, compose = self._pos, self.compose
+        return tuple([pos[compose(s, v)] for s in self.hom(self.target(v), d)])
 
     def all_morphisms(self):
         for a in self.objects:

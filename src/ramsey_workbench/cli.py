@@ -46,6 +46,16 @@ def _load_category(args) -> FiniteCategory:
     return FiniteCategory.from_structures(load_catalog(args.catalog))
 
 
+def _require_objects(cat: FiniteCategory, args, *flags: str) -> None:
+    """Each flag must name a catalog object; otherwise an input error."""
+    for flag in flags:
+        name = getattr(args, flag)
+        if name is None:
+            raise WorkbenchError(f"--{flag} is required here")
+        if name not in cat.objects:
+            raise WorkbenchError(f"--{flag} {name!r} is not a catalog object")
+
+
 def _emit(args, report: dict) -> None:
     text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     if args.out:
@@ -140,6 +150,7 @@ def _cmd_cat(args) -> tuple[int, dict]:
 
 def _cmd_arrow(args) -> tuple[int, dict]:
     cat = _load_category(args)
+    _require_objects(cat, args, "C", "B", "A")
     if args.oracle:
         verdict = oracle_arrow_check(cat, args.C, args.B, args.A, args.k,
                                      args.t)
@@ -179,6 +190,7 @@ def _cmd_arrow(args) -> tuple[int, dict]:
 
 def _cmd_degree(args) -> tuple[int, dict]:
     cat = _load_category(args)
+    _require_objects(cat, args, "A")
     bs = None
     if args.bmax is not None:
         bs = [b for b in cat.objects if cat.structure(b).size <= args.bmax]
@@ -220,6 +232,7 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
                     note=f"amalgamation arrow for {w['A']}"))
         return EXIT_BY_STATUS[rep.status], report_out
     if args.two_of_k is not None:
+        _require_objects(cat, args, "A")
         rep = two_of_k_check(cat, args.A, args.two_of_k)
         report_out = _base_report(args, rep.status)
         report_out["verdicts"].append({"check": "two-out-of-k",
@@ -233,6 +246,7 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
                 note="pair amalgam"))
         return EXIT_BY_STATUS[rep.status], report_out
     if args.chain:
+        _require_objects(cat, args, "A")
         chain = failure_chain(cat, args.A, args.depth)
         ok = verify_pairwise_non_amalgamable(cat, chain)
         status = HOLDS if ok else FAILS

@@ -4,9 +4,10 @@ These deliberately share no code with the package: embeddings by filtering
 all injections, canonical forms by minimizing over all permutations, arrow
 verdicts by scanning every coloring.  Expected values in the test suite are
 frozen from these, not from the implementations under test.  The scans
-kept from earlier checkers (``first_amalgam``, ``scan_forgetful``) call the
-package's primitives, ``compose`` and ``morphism_preserves``, but not the
-checkers they test.
+kept from earlier checkers (``first_amalgam``, ``eager_two_of_k``,
+``scan_forgetful``) call the package's primitives, ``compose`` and
+``morphism_preserves``, but not the checkers they test.  ``lo_table`` writes
+the chain category's compose table by hand, without ``compose``.
 """
 
 import functools
@@ -254,6 +255,65 @@ def first_amalgam(cat, u, v):
                 if cat.compose(r, u) == cat.compose(s, v):
                     return d, r, s
     return None
+
+
+def eager_two_of_k(cat, a, k):
+    """The 2-out-of-k check as it was before pairs were decided on demand,
+    kept as the reference for ``amalgam.two_of_k_check``: every pair of the
+    pool is decided first, by ``first_amalgam``, then the k-tuples are
+    scanned in product order."""
+    from ramsey_workbench.amalgam import AmalgamationReport
+
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    pool = [g for b in cat.objects for g in cat.hom(a, b)]
+    pair_ok = {(u, v): first_amalgam(cat, u, v)
+               for u, v in itertools.product(pool, repeat=2)}
+    witnesses = []
+    for tup in itertools.product(pool, repeat=k):
+        hit = None
+        for i, j in itertools.combinations(range(k), 2):
+            found = pair_ok[(tup[i], tup[j])]
+            if found is not None:
+                hit = {"tuple": list(tup), "i": i, "j": j,
+                       "D": found[0], "r": found[1], "s": found[2]}
+                break
+        if hit is None:
+            return AmalgamationReport(
+                "two-out-of-k", "FAILS",
+                failure={"A": a, "k": k, "tuple": list(tup)})
+        witnesses.append(hit)
+    return AmalgamationReport("two-out-of-k", "HOLDS", witnesses,
+                              notes=[f"tuples checked: {len(pool) ** k}"])
+
+
+def lo_table(n: int) -> dict:
+    """Compose-table dump of the embedding category of LO1..LOn.
+
+    An increasing map LOa -> LOb is an a-subset of range(b); in lex order
+    the subsets get the ``LOa->LOb#k`` ids of the embedding route.  Built
+    by hand, so the ``--abstract`` pins and the table tests do not depend on
+    ``compose``.
+    """
+    subsets = {(a, b): list(itertools.combinations(range(b), a))
+               for a in range(1, n + 1) for b in range(a, n + 1)}
+
+    def mid(a, b, s):
+        return f"LO{a}->LO{b}#{subsets[(a, b)].index(s)}"
+
+    compose = {}
+    for (a, b), fs in subsets.items():
+        for c in range(b, n + 1):
+            for g in subsets[(b, c)]:
+                for f in fs:
+                    compose[f"{mid(b, c, g)}∘{mid(a, b, f)}"] = mid(
+                        a, c, tuple(g[i] for i in f))
+    return {"objects": [f"LO{a}" for a in range(1, n + 1)],
+            "homs": {f"LO{a}->LO{b}": [mid(a, b, s) for s in subs]
+                     for (a, b), subs in subsets.items()},
+            "compose": compose,
+            "identities": {f"LO{a}": f"LO{a}->LO{a}#0"
+                           for a in range(1, n + 1)}}
 
 
 def scan_forgetful(space, fibers=None):

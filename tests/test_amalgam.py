@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramsey_workbench.amalgam import (AmalgamEngine, extract_amalgamable_pair,
                                       failure_chain, find_extraction_instance,
@@ -10,7 +11,7 @@ from ramsey_workbench.amalgam import (AmalgamEngine, extract_amalgamable_pair,
                                       wap_check)
 from ramsey_workbench.catalogs import (empty_graph, graph, graph_catalog,
                                        linear_order, lo_catalog)
-from ramsey_workbench.category import FiniteCategory, abstract_from_json
+from ramsey_workbench.category import FiniteCategory, abstract_from_json, op
 from ramsey_workbench.errors import ArrowDoesNotHold, FactorSearchFailed
 
 import oracles
@@ -267,17 +268,101 @@ class TestFailureChain:
         assert failure_chain(lo5, "LO2", 0) == []
 
 
+CATEGORIES = {
+    "lo5": lambda: FiniteCategory.from_structures(lo_catalog(5)),
+    "g3": lambda: FiniteCategory.from_structures(graph_catalog(3)),
+    "v-poset": lambda: abstract_from_json(V_POSET),
+    "w-poset": lambda: abstract_from_json(W_POSET),
+    "lo5t": lambda: abstract_from_json(oracles.lo_table(5)),
+}
+
+
 class TestWitnessOrder:
     """The witness is in report bytes, so amalgamate must return exactly
     the nested scan's first (D, r, s), not merely some amalgam."""
 
-    @pytest.mark.parametrize("cat", [
-        FiniteCategory.from_structures(lo_catalog(5)),
-        FiniteCategory.from_structures(graph_catalog(3)),
-        abstract_from_json(V_POSET), abstract_from_json(W_POSET),
-    ], ids=["lo5", "g3", "v-poset", "w-poset"])
-    def test_amalgamate_returns_the_first_witness(self, cat):
+    @pytest.mark.parametrize("name", CATEGORIES)
+    def test_amalgamate_returns_the_first_witness(self, name):
+        cat = CATEGORIES[name]()
         engine = AmalgamEngine(cat)
         for u, v in itertools.product(list(cat.all_morphisms()), repeat=2):
             if cat.source(u) == cat.source(v):
                 assert engine.amalgamate(u, v) == oracles.first_amalgam(cat, u, v)
+
+    @pytest.mark.parametrize("name", CATEGORIES)
+    def test_spans_with_different_sources_never_amalgamate(self, name):
+        # r.u and s.v lie in different hom-sets, so no ids are equal, even
+        # where the positions in those hom-sets are
+        cat = CATEGORIES[name]()
+        engine = AmalgamEngine(cat)
+        for u, v in itertools.product(list(cat.all_morphisms()), repeat=2):
+            if cat.source(u) != cat.source(v):
+                assert oracles.first_amalgam(cat, u, v) is None
+                assert engine.amalgamate(u, v) is None
+
+    def test_equal_positions_across_hom_sets_do_not_match(self):
+        cat = abstract_from_json(oracles.lo_table(3))
+        u, v = "LO1->LO2#0", cat.identity("LO2")
+        assert cat.pre(u, "LO2") == cat.pre(v, "LO2") == (0,)
+        assert AmalgamEngine(cat).amalgamate(u, v) is None
+
+
+class TestPreRows:
+    """pre(v, d), the rows the engine compares, against a compose scan."""
+
+    @pytest.mark.parametrize("name", [*CATEGORIES, "op-lo4"])
+    def test_rows_index_the_composites(self, name):
+        cat = (op(FiniteCategory.from_structures(lo_catalog(4)))
+               if name == "op-lo4" else CATEGORIES[name]())
+        for v in cat.all_morphisms():
+            for d in cat.objects:
+                into = cat.hom(cat.source(v), d)
+                assert cat.pre(v, d) == tuple(
+                    into.index(cat.compose(s, v))
+                    for s in cat.hom(cat.target(v), d))
+
+    def test_pre_reads_two_hom_sets(self, monkeypatch):
+        from ramsey_workbench import category
+
+        cat = FiniteCategory.from_structures(lo_catalog(4))
+        v = cat.hom("LO2", "LO3")[1]    # image {0, 2}
+        calls = []
+        real = category.enumerate_embeddings
+        monkeypatch.setattr(category, "enumerate_embeddings",
+                            lambda a, b: calls.append((a.name, b.name))
+                            or real(a, b))
+        # the images of s: LO3 -> LO4 are 012, 013, 023, 123, so s.v has
+        # images 02, 03, 03, 13: positions 1, 2, 2, 4 among 01, 02, 03, 12, 13, 23
+        assert cat.pre(v, "LO4") == (1, 2, 2, 4)
+        assert sorted(calls) == [("LO2", "LO4"), ("LO3", "LO4")]
+
+
+@st.composite
+def two_of_k_questions(draw):
+    """A sub-catalog of the chains up to LO5 or the graphs on at most 3
+    vertices in any order, one of its objects and k in {2, 3}."""
+    pool = draw(st.sampled_from([lo_catalog(5), graph_catalog(3)]))
+    catalog = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                            unique_by=lambda s: s.name))
+    cat = FiniteCategory.from_structures(catalog)
+    return cat, draw(st.sampled_from(cat.objects)), draw(st.sampled_from([2, 3]))
+
+
+class TestTwoOfKOnDemand:
+    @settings(max_examples=40)
+    @given(two_of_k_questions())
+    def test_same_report_as_the_eager_check(self, question):
+        cat, a, k = question
+        assert two_of_k_check(cat, a, k) == oracles.eager_two_of_k(cat, a, k)
+
+    def test_decides_only_the_pairs_it_reaches(self, monkeypatch):
+        # the first tuple with no amalgamable pair is number 12,333; the
+        # eager check decided all 84^2 = 7,056 pairs before looking
+        cat = abstract_from_json(oracles.lo_table(8))
+        pairs = set()
+        real = AmalgamEngine.amalgamate
+        monkeypatch.setattr(AmalgamEngine, "amalgamate",
+                            lambda self, u, v: pairs.add((u, v))
+                            or real(self, u, v))
+        assert two_of_k_check(cat, "LO2", 3).status == "FAILS"
+        assert 0 < len(pairs) <= 155

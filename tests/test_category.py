@@ -55,6 +55,13 @@ class TestFromStructures:
                 ef, eg = lo4.embedding(f), lo4.embedding(g)
                 assert lo4.embedding(gf).map == tuple(eg.map[v] for v in ef.map)
 
+    def test_colliding_hom_ids_are_refused(self):
+        # hom(x, y->z) and hom(x->y, z) would both be x->y->z#0, x->y->z#1
+        catalog = [linear_order(1, name="x"), linear_order(2, name="y->z"),
+                   linear_order(1, name="x->y"), linear_order(2, name="z")]
+        with pytest.raises(WorkbenchError, match="share the ids x->y->z#k"):
+            FiniteCategory.from_structures(catalog)
+
     def test_hom_counts_match_brute_force(self, lo4):
         for a in lo4.objects:
             for b in lo4.objects:

@@ -171,6 +171,40 @@ class TestOtherCommands:
         assert proc.returncode == 0
 
 
+class TestObjectNames:
+    """A flag naming no catalog object is an input error, not a verdict."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["arrow", "--C", "LO4", "--B", "LO3", "--A", "NOPE", "-k", "2",
+          "-t", "1"], "--A 'NOPE'"),
+        (["arrow", "--C", "NOPE", "--B", "LO3", "--A", "LO2", "-k", "2",
+          "-t", "1"], "--C 'NOPE'"),
+        (["arrow", "--C", "LO4", "--B", "NOPE", "--A", "LO2", "-k", "2",
+          "-t", "1"], "--B 'NOPE'"),
+        (["degree", "--A", "NOPE"], "--A 'NOPE'"),
+        (["amalgam", "--two-of-k", "3"], "--A is required"),
+        (["amalgam", "--two-of-k", "3", "--A", "NOPE"], "--A 'NOPE'"),
+        (["amalgam", "--chain"], "--A is required"),
+        (["amalgam", "--chain", "--A", "NOPE"], "--A 'NOPE'"),
+    ], ids=["arrow-A", "arrow-C", "arrow-B", "degree-A", "two-of-k-no-A",
+            "two-of-k-A", "chain-no-A", "chain-A"])
+    def test_unknown_object_exits_three(self, lo_paths, tmp_path, capsys,
+                                        argv, message):
+        out = tmp_path / "r.json"
+        argv = argv[:1] + ["--catalog", lo_paths["lo4"]] + argv[1:]
+        assert run(["--out", str(out)] + argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_colliding_hom_ids_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "arrows.json"
+        save_catalog([linear_order(1, name="x"), linear_order(2, name="y->z"),
+                      linear_order(1, name="x->y"), linear_order(2, name="z")],
+                     path)
+        assert run(["cat", "check", "--catalog", str(path)]) == 3
+        assert "hom(x, y->z) and hom(x->y, z)" in capsys.readouterr().err
+
+
 class TestReplay:
     def test_arrow_fails_report_replays(self, lo_paths, tmp_path):
         out = tmp_path / "r.json"

@@ -7,7 +7,6 @@ alters a pin alters what users read; it must say so and update the pin.
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
@@ -16,6 +15,8 @@ from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
                                        graph_catalog, lo_catalog, path_graph,
                                        save_catalog)
 from ramsey_workbench.cli import run
+
+from oracles import lo_table
 
 # (name, argv with {placeholders}, exit code, sha256)
 QUESTIONS = [
@@ -76,35 +77,11 @@ QUESTIONS = [
     ("amalgam-two-of-k-abstract", ["amalgam", "--two-of-k", "3", "--A", "LO2",
                                    "--abstract", "--catalog", "{lo5t}"], 1,
      "8f76f56ba5e1fe4592b78f48bc931c16cb79f48c28ff829738cf217bb5247359"),
+    # HOLDS: 6^3 tuples, certificates capped at 200, in tuple order
+    ("amalgam-two-of-k-holds", ["amalgam", "--two-of-k", "3", "--A", "G3_0",
+                                "--catalog", "{g3}"], 0,
+     "bbce27cc3cc30b44b10b00073889561aa2f9da6d9d2fc87275c688b6a2e11ffa"),
 ]
-
-
-def lo_table(n: int) -> dict:
-    """Compose-table dump of the embedding category of LO1..LOn.
-
-    An increasing map LOa -> LOb is an a-subset of range(b); in lex order
-    the subsets get the ``LOa->LOb#k`` ids of the embedding route.  Built
-    by hand, so the ``--abstract`` pins do not depend on ``compose``.
-    """
-    subsets = {(a, b): list(itertools.combinations(range(b), a))
-               for a in range(1, n + 1) for b in range(a, n + 1)}
-
-    def mid(a, b, s):
-        return f"LO{a}->LO{b}#{subsets[(a, b)].index(s)}"
-
-    compose = {}
-    for (a, b), fs in subsets.items():
-        for c in range(b, n + 1):
-            for g in subsets[(b, c)]:
-                for f in fs:
-                    compose[f"{mid(b, c, g)}∘{mid(a, b, f)}"] = mid(
-                        a, c, tuple(g[i] for i in f))
-    return {"objects": [f"LO{a}" for a in range(1, n + 1)],
-            "homs": {f"LO{a}->LO{b}": [mid(a, b, s) for s in subs]
-                     for (a, b), subs in subsets.items()},
-            "compose": compose,
-            "identities": {f"LO{a}": f"LO{a}->LO{a}#0"
-                           for a in range(1, n + 1)}}
 
 
 @pytest.fixture(scope="module")
