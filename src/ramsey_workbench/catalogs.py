@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import WorkbenchError, check_type
-from .structures import Signature, Structure, canonical_key
+from .structures import Signature, Structure, _merge_orbits, canonical_key
 
 LO_SIGNATURE = Signature(relations=(("lt", 2),))
 GRAPH_SIGNATURE = Signature(relations=(("edge", 2),))
@@ -64,16 +64,24 @@ def all_graphs(n: int) -> list[Structure]:
 
     The classes on k vertices are generated from those on k - 1 by vertex
     extension: shift each representative H up by one vertex, join a new
-    vertex 0 to each subset S of {1..k-1}, and keep, per canonical key, the
-    candidate of least mask.  That candidate is the least mask of its class.
-    The pairs (0, s) are the k - 1 lowest bits of a mask and the pairs of
-    {1..k-1} keep their lex order above them, so the least-mask member G of
-    a class is vertex 0 joined to G - 0 shifted, and G - 0 must be the least
-    mask of its own class: a smaller isomorphic copy would, with vertex 0
-    joined to the corresponding neighbours, give a smaller mask isomorphic
-    to G.  So G is among the candidates, and no candidate in its class has
-    a smaller mask.  Hence every class is found with the same representative
-    as a scan of all 2^C(k,2) masks in increasing order.
+    vertex 0 to each subset S of {1..k-1}, and keep, per certificate (see
+    ``_certificate``), the candidate of least mask.  That candidate is the
+    least mask of its class.  The pairs (0, s) are the k - 1 lowest bits of a
+    mask and the pairs of {1..k-1} keep their lex order above them, so the
+    least-mask member G of a class is vertex 0 joined to G - 0 shifted, and
+    G - 0 must be the least mask of its own class: a smaller isomorphic copy
+    would, with vertex 0 joined to the corresponding neighbours, give a
+    smaller mask isomorphic to G.  So G is among the candidates, and no
+    candidate in its class has a smaller mask.  Hence every class is found
+    with the same representative as a scan of all 2^C(k,2) masks in
+    increasing order.
+
+    The argument asks only that equal certificates mean isomorphic graphs and
+    isomorphic graphs equal certificates, so any complete invariant keeps the
+    same least-mask representatives.  The certificate orders classes
+    arbitrarily, so it is no sort key: the representatives on n vertices are
+    sorted by ``canonical_key``, one call per class, which gives the order,
+    and so the ``G{n}_i`` names, of the scan sorted by canonical key.
     """
     if n < 0:
         raise WorkbenchError(f"a graph cannot have {n} vertices")
@@ -84,19 +92,127 @@ def all_graphs(n: int) -> list[Structure]:
         pairs = _pairs(k)
         # bit b of a (k-1)-vertex mask lands on bit lift[b] after the shift
         lift = [pairs.index((i + 1, j + 1)) for i, j in _pairs(k - 1)]
-        least: dict[tuple, int] = {}
+        least: dict[int, int] = {}
         for h in reps:
             high = sum(1 << lift[b] for b in range(len(lift)) if h >> b & 1)
+            rows = _adjacency(pairs, k, high)
             for s in range(1 << (k - 1)):
+                # bit v - 1 of s joins vertex 0 to vertex v
+                cert = _certificate([s << 1] + [
+                    row | (s >> (v - 1) & 1) for v, row in enumerate(rows) if v])
                 mask = high | s
-                key = canonical_key(graph(k, _edges(pairs, mask)))
-                if key not in least or mask < least[key]:
-                    least[key] = mask
+                if cert not in least or mask < least[cert]:
+                    least[cert] = mask
         reps = least.values()
-    return [
-        graph(n, _edges(pairs, mask), name=f"G{n}_{i}")
-        for i, (_, mask) in enumerate(sorted(least.items()))
-    ]
+    masks = sorted(reps, key=lambda m: canonical_key(graph(n, _edges(pairs, m))))
+    return [graph(n, _edges(pairs, m), name=f"G{n}_{i}")
+            for i, m in enumerate(masks)]
+
+
+def _adjacency(pairs, n: int, mask: int) -> list[int]:
+    """Bit u of entry v is set when {u, v} is an edge of the mask."""
+    adj = [0] * n
+    for b, (i, j) in enumerate(pairs):
+        if mask >> b & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
+    """The coarsest equitable ordered partition refining ``cells``.
+
+    Each round splits every cell by the neighbour counts of its vertices
+    into each cell, in cell order, and puts the parts in increasing order of
+    those counts where the cell stood.  Every choice rests on cell positions
+    and counts, never on vertex labels, so relabelling the graph relabels
+    the result.
+    """
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            parts: dict[tuple, list[int]] = {}
+            for v in cell:
+                row = adj[v]
+                parts.setdefault(tuple([(row & m).bit_count() for m in masks]),
+                                 []).append(v)
+            out.extend(parts[c] for c in sorted(parts))
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
+def _certificate(adj: list[int]) -> int:
+    """A complete isomorphism invariant of the graph with adjacency rows adj.
+
+    Individualization-refinement, as in McKay and Piperno, "Practical graph
+    isomorphism, II" (J. Symbolic Comput. 2014): refine to an equitable
+    ordered partition, then branch on each vertex of the first smallest
+    non-singleton cell, put first in a cell of its own, and refine again.
+    Each leaf is a discrete partition, that is an order of the vertices, and
+    the certificate is the least adjacency matrix, read row by row as one
+    integer, of the graph relabelled by a leaf's order.  The tree is built
+    from label-free choices, so isomorphic graphs have the same leaves and
+    the same certificate; equal certificates are equal relabellings, so the
+    graphs are isomorphic.
+
+    Two leaves with one matrix give an automorphism (best leaf's i-th vertex
+    to this leaf's).  A child is skipped when an automorphism found so far
+    that fixes the individualized vertices maps a smaller vertex of the cell
+    onto it: its subtree is the image of that vertex's, which was explored,
+    so it holds only matrices already seen.  That pruning, as in
+    ``structures.canonical_form``, never changes the least matrix.
+    """
+    n = len(adj)
+    best, best_order = -1, []
+    auts: list[list[int]] = []
+
+    def leaf(order: list[int]) -> None:
+        nonlocal best, best_order
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        code = 0
+        for v in order:
+            row = 0
+            for u in range(n):
+                if adj[v] >> u & 1:
+                    row |= 1 << position[u]
+            code = code << n | row
+        if best < 0 or code < best:
+            best, best_order = code, order
+        elif code == best:
+            gamma = [0] * n
+            for x, y in zip(best_order, order):
+                gamma[x] = y
+            auts.append(gamma)
+
+    def search(cells: list[list[int]], fixed: list[int]) -> None:
+        if len(cells) == n:
+            leaf([c[0] for c in cells])
+            return
+        target = min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)[1]
+        cell = cells[target]
+        root = None
+        merged = 0
+        for v in cell:
+            for gamma in auts[merged:]:
+                if all(gamma[u] == u for u in fixed):
+                    root = root or list(range(n))
+                    _merge_orbits(root, gamma)
+            merged = len(auts)
+            if root is not None and root[v] != v:
+                continue
+            rest = [u for u in cell if u != v]
+            search(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]),
+                   fixed + [v])
+
+    search(_refine(adj, [list(range(n))]), [])
+    return best
 
 
 def _edges(pairs, mask: int) -> list[tuple[int, int]]:

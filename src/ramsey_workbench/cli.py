@@ -46,13 +46,13 @@ def _load_category(args) -> FiniteCategory:
     return FiniteCategory.from_structures(load_catalog(args.catalog))
 
 
-def _require_objects(cat: FiniteCategory, args, *flags: str) -> None:
-    """Each flag must name a catalog object; otherwise an input error."""
+def _require_objects(objects, args, *flags: str) -> None:
+    """Each flag must name one of the objects; otherwise an input error."""
     for flag in flags:
         name = getattr(args, flag)
         if name is None:
             raise WorkbenchError(f"--{flag} is required here")
-        if name not in cat.objects:
+        if name not in objects:
             raise WorkbenchError(f"--{flag} {name!r} is not a catalog object")
 
 
@@ -150,7 +150,7 @@ def _cmd_cat(args) -> tuple[int, dict]:
 
 def _cmd_arrow(args) -> tuple[int, dict]:
     cat = _load_category(args)
-    _require_objects(cat, args, "C", "B", "A")
+    _require_objects(cat.objects, args, "C", "B", "A")
     if args.oracle:
         verdict = oracle_arrow_check(cat, args.C, args.B, args.A, args.k,
                                      args.t)
@@ -190,7 +190,7 @@ def _cmd_arrow(args) -> tuple[int, dict]:
 
 def _cmd_degree(args) -> tuple[int, dict]:
     cat = _load_category(args)
-    _require_objects(cat, args, "A")
+    _require_objects(cat.objects, args, "A")
     bs = None
     if args.bmax is not None:
         bs = [b for b in cat.objects if cat.structure(b).size <= args.bmax]
@@ -232,7 +232,7 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
                     note=f"amalgamation arrow for {w['A']}"))
         return EXIT_BY_STATUS[rep.status], report_out
     if args.two_of_k is not None:
-        _require_objects(cat, args, "A")
+        _require_objects(cat.objects, args, "A")
         rep = two_of_k_check(cat, args.A, args.two_of_k)
         report_out = _base_report(args, rep.status)
         report_out["verdicts"].append({"check": "two-out-of-k",
@@ -246,7 +246,7 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
                 note="pair amalgam"))
         return EXIT_BY_STATUS[rep.status], report_out
     if args.chain:
-        _require_objects(cat, args, "A")
+        _require_objects(cat.objects, args, "A")
         chain = failure_chain(cat, args.A, args.depth)
         ok = verify_pairwise_non_amalgamable(cat, chain)
         status = HOLDS if ok else FAILS
@@ -263,9 +263,12 @@ def _cmd_amalgam(args) -> tuple[int, dict]:
 
 def _cmd_seq(args) -> tuple[int, dict]:
     catalog = load_catalog(args.catalog)
-    if args.seq_action == "colim":
+    if args.seq_action in ("colim", "wfcheck"):
+        if args.seq is None:
+            raise WorkbenchError("--seq is required here")
         with open(args.seq, encoding="utf-8") as fh:
             seq = sequence_from_json(json.load(fh), catalog)
+    if args.seq_action == "colim":
         result = colimit(seq)
         report = _base_report(args, HOLDS)
         report["verdicts"].append({
@@ -285,8 +288,6 @@ def _cmd_seq(args) -> tuple[int, dict]:
                 })
         return 0, report
     if args.seq_action == "wfcheck":
-        with open(args.seq, encoding="utf-8") as fh:
-            seq = sequence_from_json(json.load(fh), catalog)
         rep = weak_fraisse_check(seq, catalog, m_max=args.mmax,
                                  k_max=args.kmax)
         report = _base_report(args, rep.status)
@@ -301,6 +302,7 @@ def _cmd_seq(args) -> tuple[int, dict]:
         return EXIT_BY_STATUS[rep.status], report
     if args.seq_action == "whom":
         by_name = {s.name: s for s in catalog}
+        _require_objects(by_name, args, "obj")
         f_struct = by_name[args.obj]
         rep = weak_homogeneity_check(f_struct, catalog)
         report = _base_report(args, rep.status)
@@ -365,6 +367,7 @@ def _cmd_expand(args) -> tuple[int, dict]:
         })
         return EXIT_BY_STATUS[status], report
     if args.expand_action == "orbits":
+        _require_objects(cat.objects, args, "obj")
         rep = orbit_age_analysis(space, args.obj)
         status = HOLDS if rep.ages_equal_on_orbits else FAILS
         report = _base_report(args, status)

@@ -377,27 +377,26 @@ def weak_homogeneity_check(f_struct: Structure,
     small to hold a witness B should give UNKNOWN-AT-BOUND under the bound
     rule of this module is left open; the verdict stays FAILS.
     """
-    auts = automorphisms(f_struct)
+    auts = [h.map for h in automorphisms(f_struct)]
     hom = functools.cache(enumerate_embeddings)   # each hom-set once per call
     witnesses = []
     for a in catalog:
         for f in hom(a, f_struct):
+            # j.e passes exactly when it lies in the Aut(F)-orbit of f
+            orbit = {tuple(map(h.__getitem__, f.map)) for h in auts}
             found = None
             for b in catalog:
-                into_f = hom(b, f_struct)
+                into_f = [j.map for j in hom(b, f_struct)]
                 for e in hom(a, b):
-                    for i in into_f:
-                        if compose(i, e) != f:
-                            continue
-                        exchangeable = all(
-                            any(compose(h, je) == f for h in auts)
-                            for je in (compose(j, e) for j in into_f)
-                        )
-                        if exchangeable:
-                            found = {"A": a.name, "f": f.map, "B": b.name,
-                                     "e": e.map, "i": i.map}
-                            break
-                    if found:
+                    # exchangeability does not depend on i, so only the
+                    # first i with i.e = f is tried
+                    i = next((m for m in into_f
+                              if tuple(map(m.__getitem__, e.map)) == f.map), None)
+                    if i is not None and all(
+                            tuple(map(j.__getitem__, e.map)) in orbit
+                            for j in into_f):
+                        found = {"A": a.name, "f": f.map, "B": b.name,
+                                 "e": e.map, "i": i}
                         break
                 if found:
                     break

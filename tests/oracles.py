@@ -87,12 +87,12 @@ def brute_min_relabeling(a: Structure) -> Structure:
     return brute_canonical_form(a)[0]
 
 
-def brute_graph_classes(n: int) -> list[frozenset]:
-    """The edge set of each class's least edge mask, over all 2^C(n,2) masks.
+def brute_graph_orbits(n: int) -> list[frozenset]:
+    """Each isomorphism class of edge masks on n vertices, as a set of masks.
 
-    Bit b of a mask is the b-th pair (i, j), i < j, in lex order.  Each
-    mask's class is its image under all n! relabellings, and a mask is kept
-    when it is the least of its class.
+    Bit b of a mask is the b-th pair (i, j), i < j, in lex order.  A mask's
+    class is its image under all n! relabellings.  Classes are listed by
+    their least mask.
     """
     pairs = list(itertools.combinations(range(n), 2))
     bit = {p: b for b, p in enumerate(pairs)}
@@ -104,17 +104,23 @@ def brute_graph_classes(n: int) -> list[frozenset]:
                 out |= 1 << bit[tuple(sorted((perm[i], perm[j])))]
         return out
 
-    least = set()
+    orbits = []
     seen = set()
     for mask in range(1 << len(pairs)):
         if mask in seen:
             continue
-        orbit = {relabel(mask, perm)
-                 for perm in itertools.permutations(range(n))}
+        orbit = frozenset(relabel(mask, perm)
+                          for perm in itertools.permutations(range(n)))
         seen |= orbit
-        least.add(min(orbit))
-    return [frozenset(p for b, p in enumerate(pairs) if m >> b & 1)
-            for m in sorted(least)]
+        orbits.append(orbit)
+    return orbits
+
+
+def brute_graph_classes(n: int) -> list[frozenset]:
+    """The edge set of each class's least edge mask, over all 2^C(n,2) masks."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [frozenset(p for b, p in enumerate(pairs) if min(orbit) >> b & 1)
+            for orbit in brute_graph_orbits(n)]
 
 
 def brute_arrow_status(hom_ac, copies, k, t) -> str:

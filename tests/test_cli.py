@@ -186,8 +186,16 @@ class TestObjectNames:
         (["amalgam", "--two-of-k", "3", "--A", "NOPE"], "--A 'NOPE'"),
         (["amalgam", "--chain"], "--A is required"),
         (["amalgam", "--chain", "--A", "NOPE"], "--A 'NOPE'"),
+        (["seq", "colim"], "--seq is required"),
+        (["seq", "wfcheck"], "--seq is required"),
+        (["seq", "whom"], "--obj is required"),
+        (["seq", "whom", "--obj", "NOPE"], "--obj 'NOPE'"),
+        (["expand", "orbits"], "--obj is required"),
+        (["expand", "orbits", "--obj", "NOPE"], "--obj 'NOPE'"),
     ], ids=["arrow-A", "arrow-C", "arrow-B", "degree-A", "two-of-k-no-A",
-            "two-of-k-A", "chain-no-A", "chain-A"])
+            "two-of-k-A", "chain-no-A", "chain-A", "colim-no-seq",
+            "wfcheck-no-seq", "whom-no-obj", "whom-obj", "orbits-no-obj",
+            "orbits-obj"])
     def test_unknown_object_exits_three(self, lo_paths, tmp_path, capsys,
                                         argv, message):
         out = tmp_path / "r.json"

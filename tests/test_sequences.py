@@ -351,6 +351,9 @@ class TestWeakFraisse:
         assert report.status == "UNKNOWN-AT-BOUND"
 
 
+G4, LO5 = graph_catalog(4), lo_catalog(5)
+
+
 class TestHomogeneity:
     def test_complete_graph_is_ultrahomogeneous(self):
         catalog = [empty_graph(1, name="K1"), complete_graph(2), complete_graph(3)]
@@ -391,20 +394,33 @@ class TestHomogeneity:
     @pytest.mark.parametrize("f_struct", graph_catalog(4, min_n=4),
                              ids=lambda s: s.name)
     def test_four_vertex_graphs_over_smaller_catalog_match_oracle(self, f_struct):
-        catalog = graph_catalog(3)
-        expected = oracles.weak_homogeneity_witnesses(f_struct, catalog)
-        report = weak_homogeneity_check(f_struct, catalog)
-        found = [(w["A"], w["f"], w["B"]) for w in report.witnesses]
-        bare = next((i for i, (_, _, b) in enumerate(expected) if b is None),
-                    None)
-        if bare is None:
-            assert report.status == "HOLDS"
-            assert found == expected
-        else:
-            assert report.status == "FAILS"
-            assert found == expected[:bare]
-            a, f, _ = expected[bare]
-            assert (report.failure["A"], report.failure["f"]) == (a, f)
+        _assert_matches_oracle(f_struct, graph_catalog(3))
+
+    @pytest.mark.parametrize("f_struct,catalog",
+                             [(f, G4) for f in G4] + [(f, LO5) for f in LO5],
+                             ids=[f.name for f in G4 + LO5])
+    def test_every_catalog_object_matches_oracle(self, f_struct, catalog):
+        # the orbit-membership test against the definition, with B ranging
+        # over the catalog F comes from, so F itself is always a candidate
+        _assert_matches_oracle(f_struct, catalog)
+
+
+def _assert_matches_oracle(f_struct, catalog):
+    expected = oracles.weak_homogeneity_witnesses(f_struct, catalog)
+    report = weak_homogeneity_check(f_struct, catalog)
+    found = [(w["A"], w["f"], w["B"]) for w in report.witnesses]
+    for w in report.witnesses:
+        assert tuple(w["i"][x] for x in w["e"]) == w["f"]
+    bare = next((i for i, (_, _, b) in enumerate(expected) if b is None),
+                None)
+    if bare is None:
+        assert report.status == "HOLDS"
+        assert found == expected
+    else:
+        assert report.status == "FAILS"
+        assert found == expected[:bare]
+        a, f, _ = expected[bare]
+        assert (report.failure["A"], report.failure["f"]) == (a, f)
 
 
 class TestSequenceJson:

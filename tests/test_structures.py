@@ -5,8 +5,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, all_graphs,
-                                       complete_graph, empty_graph, graph,
+from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, _certificate,
+                                       all_graphs, complete_graph,
+                                       empty_graph, graph,
                                        graph_catalog, linear_order, lo_catalog,
                                        path_graph, save_catalog)
 from ramsey_workbench.category import FiniteCategory
@@ -348,11 +349,55 @@ class TestGraphGeneration:
             for h in six[i + 1:]:
                 assert not nx.is_isomorphic(g, h)
 
+    def test_seven_vertices_follow_a000088_and_vf2(self):
+        seven = all_graphs(7)
+        assert [g.name for g in seven] == [f"G7_{i}" for i in range(1044)]
+        by_degrees: dict[tuple, list] = {}
+        for g in seven:
+            h = to_networkx(g)
+            by_degrees.setdefault(tuple(sorted(d for _, d in h.degree())),
+                                  []).append(h)
+        for same in by_degrees.values():
+            for i, g in enumerate(same):
+                for h in same[i + 1:]:
+                    assert not nx.is_isomorphic(g, h)
+
     def test_edge_cases(self):
         assert [(g.name, g.size) for g in all_graphs(0)] == [("G0_0", 0)]
         assert [(g.name, g.size) for g in all_graphs(1)] == [("G1_0", 1)]
         with pytest.raises(WorkbenchError):
             all_graphs(-1)
+
+
+def _rows(g: Structure) -> list[int]:
+    """Adjacency rows of a graph: bit u of row v marks the edge {u, v}."""
+    rows = [0] * g.size
+    for u, v in g.rel("edge"):
+        rows[v] |= 1 << u
+    return rows
+
+
+class TestGraphCertificate:
+    """``catalogs._certificate`` is complete: equal exactly on isomorphic graphs."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_equal_certificates_are_the_brute_force_classes(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        groups: dict[int, set] = {}
+        for mask in range(1 << len(pairs)):
+            g = graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+            groups.setdefault(_certificate(_rows(g)), set()).add(mask)
+        assert ({frozenset(masks) for masks in groups.values()}
+                == set(oracles.brute_graph_orbits(n)))
+
+    @given(graph_pairs(max_n=7), st.data())
+    def test_equal_certificates_exactly_for_vf2_isomorphic_graphs(self, pair, data):
+        g, h = pair
+        vf2 = nx.is_isomorphic(to_networkx(g), to_networkx(h))
+        same = _certificate(_rows(g)) == _certificate(_rows(h))
+        assert same == vf2 == (canonical_form(g)[0] == canonical_form(h)[0])
+        perm = data.draw(st.permutations(range(g.size)))
+        assert _certificate(_rows(g.relabel(tuple(perm)))) == _certificate(_rows(g))
 
 
 class TestIsomorphismInvariance:
