@@ -300,21 +300,6 @@ class AxiomReport:
     identity_ok: bool
     locally_finite: dict[str, str]
 
-    def as_dict(self) -> dict:
-        return {
-            "all_mono": self.all_mono,
-            "mono_failures": self.mono_failures,
-            "finiteness": self.finiteness,
-            "below_sets": self.below_sets,
-            "ambient_templates_note": self.ambient_templates_note,
-            "directed": self.directed,
-            "directed_witnesses": self.directed_witnesses,
-            "directed_failures": [list(p) for p in self.directed_failures],
-            "associativity_ok": self.associativity_ok,
-            "identity_ok": self.identity_ok,
-            "locally_finite": self.locally_finite,
-        }
-
 
 def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
     """HOLDS / UNKNOWN-AT-BOUND for the two-part joint-cover condition.

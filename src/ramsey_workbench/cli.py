@@ -1,10 +1,14 @@
-"""Command-line front door.
+"""Command-line front door: each question becomes a canonical JSON report.
 
-Every subcommand loads a catalog, runs one checker, and emits a canonical
-JSON report: sorted keys, two-space indent, no volatile fields, so identical
-inputs and configuration produce byte-identical files.  Timing goes to
-stderr under -v only.  Exit codes: 0 holds, 1 fails, 2 unknown at bound,
-3 usage or input error.
+Sorted keys, a two-space indent and no volatile field make identical inputs
+and flags give identical bytes; timing goes to stderr under -v only.
+``QUESTIONS`` maps each (subcommand, action) to a function that returns
+``(check, status, verdict fields, certificates[, top-level extras])``.
+``ask`` makes that the report's one verdict, whose status is the report's
+and sets the exit code: 0 holds, 1 fails, 2 unknown at bound, 3 input error.
+``REPLAY`` maps each certificate type to a re-checker and the types of the
+fields it reads, which are checked first.  Checkers are called through this
+module's globals, so a tracer that replaces ``cli.<name>`` sees every call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
+from functools import reduce
 
 from . import __version__
 from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check,
@@ -30,6 +36,7 @@ from .expansion import (ExpansionSpace, check_forgetful,
                         expansion_property_check, orbit_age_analysis)
 from .sequences import (colimit, sequence_from_json, weak_fraisse_check,
                         weak_homogeneity_check)
+from .structures import compose
 
 EXIT_BY_STATUS = {HOLDS: 0, FAILS: 1, UNKNOWN: 2}
 WITNESS_CAP = 200
@@ -56,356 +63,302 @@ def _require_objects(objects, args, *flags: str) -> None:
             raise WorkbenchError(f"--{flag} {name!r} is not a catalog object")
 
 
-def _emit(args, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.verbose:
-            print(f"report written to {args.out}", file=sys.stderr)
+def _coloring_cert(kind: str, instance: dict, coloring: Coloring) -> dict:
+    return {"type": "bad-coloring", "kind": kind, **instance,
+            "domain": coloring.domain, "values": coloring.values}
+
+
+# -- questions ----------------------------------------------------------------
+
+
+def _cat_check(args):
+    rep = check_axioms(_load_category(args))
+    status = HOLDS if (rep.all_mono and rep.directed and rep.identity_ok
+                       and rep.associativity_ok) else FAILS
+    if status == HOLDS and "UNKNOWN-AT-BOUND" in rep.locally_finite.values():
+        status = UNKNOWN
+    return "axioms", status, {"detail": asdict(rep)}, []
+
+
+def _cat_skeleton(args):
+    skel = skeletonize(_load_category(args))
+    isos = {a: e.map for a, e in skel.canon_iso.items()}
+    return "skeleton", HOLDS, {
+        "representatives": skel.representatives, "isos": isos}, []
+
+
+def _cat_op(args):
+    cat = _load_category(args)
+    o = op(cat)
+    involutive = tables_equal(op(o), cat)
+    mono_epi = all(cat.is_mono(m) == o.is_epi(m) for m in cat.all_morphisms())
+    status = HOLDS if involutive and mono_epi else FAILS
+    return "op", status, {
+        "involutive": involutive, "mono_epi_swap": mono_epi,
+        "homs": {f"{a}->{b}": o.hom(a, b)
+                 for a in o.objects for b in o.objects if o.hom(a, b)}}, []
+
+
+def _arrow(args):
+    cat = _load_category(args)
+    _require_objects(cat.objects, args, "C", "B", "A")
+    instance = {"C": args.C, "B": args.B, "A": args.A, "k": args.k, "t": args.t}
+    if args.oracle:
+        verdict = oracle_arrow_check(cat, *instance.values())
     else:
-        sys.stdout.write(text)
+        verdict = arrow_check(cat, *instance.values(), node_budget=args.budget_nodes,
+                              symmetry=not args.no_symmetry)
+    stats = asdict(verdict.stats)
+    certificates = []
+    if verdict.status == FAILS and verdict.bad_coloring is not None:
+        certificates.append(_coloring_cert("arrow-fails", instance,
+                                           verdict.bad_coloring))
+    elif verdict.status == HOLDS:
+        certificates.append({"type": "exhaustion", "kind": "arrow-holds",
+                             **instance, "nodes": stats["nodes"],
+                             "colorings_scanned": stats["colorings_scanned"]})
+    if args.cnf:
+        with open(args.cnf, "w", encoding="utf-8") as fh:
+            fh.write(export_cnf(cat, *instance.values()))
+    return "arrow", verdict.status, {**instance, "degenerate": verdict.degenerate,
+                                     "stats": stats}, certificates
 
 
-def _base_report(args, status: str | None) -> dict:
+def _degree(args):
+    cat = _load_category(args)
+    _require_objects(cat.objects, args, "A")
+    bs = None if args.bmax is None else [
+        b for b in cat.objects if cat.structure(b).size <= args.bmax]
+    interval = degree_interval(cat, args.A, args.kmax, bs=bs,
+                               node_budget=args.budget_nodes)
+    low = interval.lower_cert
+    certificates = [] if low is None else [
+        _coloring_cert("degree-lower", {"C": c, "B": low.b, "A": args.A,
+                                        "k": low.k, "t": low.n - 1}, coloring)
+        for c, coloring in sorted(low.bad_colorings.items())]
+    certificates += [{"type": "exhaustion", "kind": "degree-upper", "C": u.witness,
+                      "B": u.b, "A": args.A, "k": u.k, "t": interval.upper}
+                     for u in interval.upper_certs]
+    status = HOLDS if interval.upper is not None else UNKNOWN
+    return ("degree-interval", status, {"interval": interval.as_dict()},
+            certificates)
+
+
+def _amalgam_wap(args):
+    cat = _load_category(args)
+    rep = wap_check(cat)
+    certificates = [
+        {"type": "composition-equality", "note": f"amalgamation arrow for {w['A']}",
+         "lhs": [inst.r, inst.g, w["f"]], "rhs": [inst.s, inst.h, w["f"]]}
+        for w in rep.witnesses
+        for inst in is_amalgamation_arrow(cat, w["f"]).witnesses[:WITNESS_CAP]]
+    return ("weak-amalgamation", rep.status,
+            {"arrows": rep.witnesses, "failure": rep.failure}, certificates)
+
+
+def _amalgam_two_of_k(args):
+    cat = _load_category(args)
+    _require_objects(cat.objects, args, "A")
+    rep = two_of_k_check(cat, args.A, args.two_of_k)
+    certificates = [
+        {"type": "composition-equality", "note": "pair amalgam",
+         "lhs": [w["r"], w["tuple"][w["i"]]], "rhs": [w["s"], w["tuple"][w["j"]]]}
+        for w in rep.witnesses[:WITNESS_CAP]]
+    return "two-out-of-k", rep.status, {
+        "A": args.A, "k": args.two_of_k, "failure": rep.failure,
+        "notes": rep.notes}, certificates
+
+
+def _amalgam_chain(args):
+    cat = _load_category(args)
+    _require_objects(cat.objects, args, "A")
+    chain = failure_chain(cat, args.A, args.depth)
+    status = HOLDS if verify_pairwise_non_amalgamable(cat, chain) else FAILS
+    return "failure-chain", status, {
+        "A": args.A, "depth": args.depth, "chain": chain,
+        "note": "bounded refutation only; length k refutes "
+                "2-out-of-k at this depth"}, []
+
+
+def _load_sequence(args):
+    catalog = load_catalog(args.catalog)
+    if args.seq is None:
+        raise WorkbenchError("--seq is required here")
+    with open(args.seq, encoding="utf-8") as fh:
+        return catalog, sequence_from_json(json.load(fh), catalog)
+
+
+def _seq_colim(args):
+    _, seq = _load_sequence(args)
+    result = colimit(seq)
+    certificates = [
+        {"type": "map-equality", "note": f"cocone triangle {n}->{m}",
+         "lhs": compose(result.cocone[m], seq.bonding(n, m)).map,
+         "rhs": result.cocone[n].map}
+        for n in range(seq.length) for m in range(n, seq.length)]
+    return "colimit", HOLDS, {"size": result.structure.size,
+                              "class_names": result.class_names}, certificates
+
+
+def _seq_wfcheck(args):
+    catalog, seq = _load_sequence(args)
+    rep = weak_fraisse_check(seq, catalog, m_max=args.mmax, k_max=args.kmax)
+    return "weak-fraisse", rep.status, {
+        "cofinality": rep.cofinality_witness, "missing": rep.missing_objects,
+        # str keys sort as text ("10" < "2"); sort_keys orders int keys as numbers
+        "absorption": {str(k): v for k, v in rep.absorption_witness.items()},
+        "stuck": rep.stuck_levels, "notes": rep.notes}, []
+
+
+def _seq_whom(args):
+    catalog = load_catalog(args.catalog)
+    by_name = {s.name: s for s in catalog}
+    _require_objects(by_name, args, "obj")
+    rep = weak_homogeneity_check(by_name[args.obj], catalog)
+    return "weak-homogeneity", rep.status, {
+        "object": args.obj, "witnesses": rep.witnesses[:WITNESS_CAP],
+        "failure": rep.failure}, []
+
+
+def _expansion_space(args):
+    cat = _load_category(args)
+    degrees = {}
+    if args.degrees:
+        with open(args.degrees, encoding="utf-8") as fh:
+            doc = check_type(json.load(fh), dict, "degree file")
+        table = check_type(doc.get("degrees", doc), dict, "degree table")
+        degrees = {k: check_type(v, int, f"degree of {k}") for k, v in table.items()}
+    return cat, ExpansionSpace(cat, degrees)
+
+
+def _expand_build(args):
+    cat, space = _expansion_space(args)
+    expansions = [{"base": obj, "theta": dict(e.theta)}
+                  for obj in cat.objects for e in space.fiber(obj)]
+    return "expansion-build", HOLDS, {
+        "degrees": dict(space.degrees.degrees),
+        "fiber_sizes": {obj: space.fiber_size(obj) for obj in cat.objects},
+    }, [], {"expansions": expansions}
+
+
+def _expand_check(args):
+    rep = check_forgetful(_expansion_space(args)[1])
+    return "forgetful-functor", HOLDS if rep.all_hold else FAILS, asdict(rep), []
+
+
+def _expand_orbits(args):
+    cat, space = _expansion_space(args)
+    _require_objects(cat.objects, args, "obj")
+    rep = orbit_age_analysis(space, args.obj)
+    return "orbit-age", HOLDS if rep.ages_equal_on_orbits else FAILS, {
+        "object": args.obj, "orbit_sizes": sorted(len(o) for o in rep.orbits),
+        "ages_equal_on_orbits": rep.ages_equal_on_orbits,
+        "minimal_theta": dict(rep.minimal.theta), "notes": rep.notes}, []
+
+
+def _expand_ep(args):
+    cat, space = _expansion_space(args)
+    rep = expansion_property_check(
+        space, {obj: space.fiber(obj) for obj in cat.objects})
+    return "expansion-property", rep.direct_status, {
+        "direct": rep.direct, "single_object_status": rep.single_status,
+        "criteria_agree": rep.agree}, []
+
+
+QUESTIONS = {
+    ("cat", "check"): _cat_check,
+    ("cat", "skeleton"): _cat_skeleton,
+    ("cat", "op"): _cat_op,
+    ("arrow", None): _arrow,
+    ("degree", None): _degree,
+    ("amalgam", "wap"): _amalgam_wap,
+    ("amalgam", "two-of-k"): _amalgam_two_of_k,
+    ("amalgam", "chain"): _amalgam_chain,
+    ("seq", "colim"): _seq_colim,
+    ("seq", "wfcheck"): _seq_wfcheck,
+    ("seq", "whom"): _seq_whom,
+    ("expand", "build"): _expand_build,
+    ("expand", "check"): _expand_check,
+    ("expand", "orbits"): _expand_orbits,
+    ("expand", "ep"): _expand_ep,
+}
+
+
+def ask(args) -> tuple[int, dict]:
+    """Answer one question: (exit code, report with its one verdict)."""
+    check, status, fields, certificates, *extras = QUESTIONS[
+        args.subcommand, getattr(args, "action", None)](args)
     report = {
         "tool": {"name": "rw", "version": __version__},
         "command": args.command_echo,
-        "config": {
-            "seed": args.seed,
-            "budget_nodes": args.budget_nodes,
-            "budget_secs": args.budget_secs,
-        },
-        "verdicts": [],
-        "certificates": [],
+        "config": {"seed": args.seed, "budget_nodes": args.budget_nodes,
+                   "budget_secs": args.budget_secs},
+        "catalog": {"path": args.catalog, "sha256": _sha256(args.catalog)},
+        "status": status,
+        "verdicts": [{"check": check, "status": status, **fields}],
+        "certificates": certificates,
     }
-    if getattr(args, "catalog", None):
-        report["catalog"] = {"path": args.catalog,
-                             "sha256": _sha256(args.catalog)}
-    if status is not None:
-        report["status"] = status
-    return report
-
-
-def _coloring_cert(kind: str, c: str, b: str, a: str, k: int, t: int,
-                   coloring: Coloring) -> dict:
-    return {
-        "type": "bad-coloring",
-        "kind": kind,
-        "C": c, "B": b, "A": a, "k": k, "t": t,
-        "domain": list(coloring.domain),
-        "values": list(coloring.values),
-    }
-
-
-def _composition_cert(lhs: list[str], rhs: list[str], note: str) -> dict:
-    return {"type": "composition-equality", "lhs": lhs, "rhs": rhs,
-            "note": note}
-
-
-# -- subcommand handlers -----------------------------------------------------
-
-
-def _cmd_cat(args) -> tuple[int, dict]:
-    cat = _load_category(args)
-    if args.cat_action == "check":
-        rep = check_axioms(cat)
-        status = HOLDS if (rep.all_mono and rep.directed and rep.identity_ok
-                           and rep.associativity_ok) else FAILS
-        if status == HOLDS and "UNKNOWN-AT-BOUND" in rep.locally_finite.values():
-            status = UNKNOWN
-        report = _base_report(args, status)
-        report["verdicts"].append({"check": "axioms", "status": status,
-                                   "detail": rep.as_dict()})
-        return EXIT_BY_STATUS[status], report
-    if args.cat_action == "skeleton":
-        skel = skeletonize(cat)
-        report = _base_report(args, HOLDS)
-        report["verdicts"].append({
-            "check": "skeleton",
-            "status": HOLDS,
-            "representatives": {a: skel.representatives[a]
-                                for a in cat.objects},
-            "isos": {a: list(skel.canon_iso[a].map) for a in cat.objects},
-        })
-        return 0, report
-    if args.cat_action == "op":
-        o = op(cat)
-        involutive = tables_equal(op(o), cat)
-        mono_epi = all(cat.is_mono(m) == o.is_epi(m)
-                       for m in cat.all_morphisms())
-        status = HOLDS if involutive and mono_epi else FAILS
-        report = _base_report(args, status)
-        report["verdicts"].append({
-            "check": "op",
-            "status": status,
-            "involutive": involutive,
-            "mono_epi_swap": mono_epi,
-            "homs": {f"{a}->{b}": o.hom(a, b)
-                     for a in o.objects for b in o.objects if o.hom(a, b)},
-        })
-        return EXIT_BY_STATUS[status], report
-    raise WorkbenchError(f"unknown cat action {args.cat_action!r}")
-
-
-def _cmd_arrow(args) -> tuple[int, dict]:
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "C", "B", "A")
-    if args.oracle:
-        verdict = oracle_arrow_check(cat, args.C, args.B, args.A, args.k,
-                                     args.t)
-    else:
-        verdict = arrow_check(cat, args.C, args.B, args.A, args.k, args.t,
-                              node_budget=args.budget_nodes,
-                              symmetry=not args.no_symmetry)
-    report = _base_report(args, verdict.status)
-    entry = {
-        "check": "arrow",
-        "status": verdict.status,
-        "C": args.C, "B": args.B, "A": args.A, "k": args.k, "t": args.t,
-        "degenerate": verdict.degenerate,
-        "stats": {"nodes": verdict.stats.nodes,
-                  "symmetry_prunes": verdict.stats.symmetry_prunes,
-                  "witness_prunes": verdict.stats.witness_prunes,
-                  "colorings_scanned": verdict.stats.colorings_scanned},
-    }
-    report["verdicts"].append(entry)
-    if verdict.status == FAILS and verdict.bad_coloring is not None:
-        report["certificates"].append(_coloring_cert(
-            "arrow-fails", args.C, args.B, args.A, args.k, args.t,
-            verdict.bad_coloring))
-    elif verdict.status == HOLDS:
-        report["certificates"].append({
-            "type": "exhaustion",
-            "kind": "arrow-holds",
-            "C": args.C, "B": args.B, "A": args.A, "k": args.k, "t": args.t,
-            "nodes": verdict.stats.nodes,
-            "colorings_scanned": verdict.stats.colorings_scanned,
-        })
-    if args.cnf:
-        with open(args.cnf, "w", encoding="utf-8") as fh:
-            fh.write(export_cnf(cat, args.C, args.B, args.A, args.k, args.t))
-    return EXIT_BY_STATUS[verdict.status], report
-
-
-def _cmd_degree(args) -> tuple[int, dict]:
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "A")
-    bs = None
-    if args.bmax is not None:
-        bs = [b for b in cat.objects if cat.structure(b).size <= args.bmax]
-    interval = degree_interval(cat, args.A, args.kmax, bs=bs,
-                               node_budget=args.budget_nodes)
-    status = HOLDS if interval.upper is not None else UNKNOWN
-    report = _base_report(args, status)
-    report["verdicts"].append({"check": "degree-interval", "status": status,
-                               "interval": interval.as_dict()})
-    if interval.lower_cert is not None:
-        for c, coloring in sorted(interval.lower_cert.bad_colorings.items()):
-            report["certificates"].append(_coloring_cert(
-                "degree-lower", c, interval.lower_cert.b, args.A,
-                interval.lower_cert.k, interval.lower_cert.n - 1, coloring))
-    for cert in interval.upper_certs:
-        report["certificates"].append({
-            "type": "exhaustion", "kind": "degree-upper",
-            "C": cert.witness, "B": cert.b, "A": args.A,
-            "k": cert.k, "t": interval.upper,
-        })
+    for extra in extras:
+        report.update(extra)
     return EXIT_BY_STATUS[status], report
-
-
-def _cmd_amalgam(args) -> tuple[int, dict]:
-    cat = _load_category(args)
-    report_out: dict
-    if args.wap:
-        rep = wap_check(cat)
-        report_out = _base_report(args, rep.status)
-        report_out["verdicts"].append({"check": "weak-amalgamation",
-                                       "status": rep.status,
-                                       "arrows": rep.witnesses,
-                                       "failure": rep.failure})
-        for w in rep.witnesses:
-            arrow_rep = is_amalgamation_arrow(cat, w["f"])
-            for inst in arrow_rep.witnesses[:WITNESS_CAP]:
-                report_out["certificates"].append(_composition_cert(
-                    [inst.r, inst.g, w["f"]], [inst.s, inst.h, w["f"]],
-                    note=f"amalgamation arrow for {w['A']}"))
-        return EXIT_BY_STATUS[rep.status], report_out
-    if args.two_of_k is not None:
-        _require_objects(cat.objects, args, "A")
-        rep = two_of_k_check(cat, args.A, args.two_of_k)
-        report_out = _base_report(args, rep.status)
-        report_out["verdicts"].append({"check": "two-out-of-k",
-                                       "status": rep.status,
-                                       "A": args.A, "k": args.two_of_k,
-                                       "failure": rep.failure,
-                                       "notes": rep.notes})
-        for w in rep.witnesses[:WITNESS_CAP]:
-            report_out["certificates"].append(_composition_cert(
-                [w["r"], w["tuple"][w["i"]]], [w["s"], w["tuple"][w["j"]]],
-                note="pair amalgam"))
-        return EXIT_BY_STATUS[rep.status], report_out
-    if args.chain:
-        _require_objects(cat.objects, args, "A")
-        chain = failure_chain(cat, args.A, args.depth)
-        ok = verify_pairwise_non_amalgamable(cat, chain)
-        status = HOLDS if ok else FAILS
-        report_out = _base_report(args, status)
-        report_out["verdicts"].append({
-            "check": "failure-chain", "status": status,
-            "A": args.A, "depth": args.depth, "chain": chain,
-            "note": "bounded refutation only; length k refutes "
-                    "2-out-of-k at this depth",
-        })
-        return EXIT_BY_STATUS[status], report_out
-    raise WorkbenchError("amalgam needs one of --wap, --two-of-k, --chain")
-
-
-def _cmd_seq(args) -> tuple[int, dict]:
-    catalog = load_catalog(args.catalog)
-    if args.seq_action in ("colim", "wfcheck"):
-        if args.seq is None:
-            raise WorkbenchError("--seq is required here")
-        with open(args.seq, encoding="utf-8") as fh:
-            seq = sequence_from_json(json.load(fh), catalog)
-    if args.seq_action == "colim":
-        result = colimit(seq)
-        report = _base_report(args, HOLDS)
-        report["verdicts"].append({
-            "check": "colimit", "status": HOLDS,
-            "size": result.structure.size,
-            "class_names": [list(c) for c in result.class_names],
-        })
-        for n in range(seq.length):
-            for m in range(n, seq.length):
-                from .structures import compose as ecompose
-                lhs = ecompose(result.cocone[m], seq.bonding(n, m)).map
-                report["certificates"].append({
-                    "type": "map-equality",
-                    "lhs": list(lhs),
-                    "rhs": list(result.cocone[n].map),
-                    "note": f"cocone triangle {n}->{m}",
-                })
-        return 0, report
-    if args.seq_action == "wfcheck":
-        rep = weak_fraisse_check(seq, catalog, m_max=args.mmax,
-                                 k_max=args.kmax)
-        report = _base_report(args, rep.status)
-        report["verdicts"].append({
-            "check": "weak-fraisse", "status": rep.status,
-            "cofinality": rep.cofinality_witness,
-            "missing": rep.missing_objects,
-            "absorption": {str(k): v for k, v in rep.absorption_witness.items()},
-            "stuck": rep.stuck_levels,
-            "notes": rep.notes,
-        })
-        return EXIT_BY_STATUS[rep.status], report
-    if args.seq_action == "whom":
-        by_name = {s.name: s for s in catalog}
-        _require_objects(by_name, args, "obj")
-        f_struct = by_name[args.obj]
-        rep = weak_homogeneity_check(f_struct, catalog)
-        report = _base_report(args, rep.status)
-        report["verdicts"].append({
-            "check": "weak-homogeneity", "status": rep.status,
-            "object": args.obj,
-            "witnesses": [
-                {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in w.items()}
-                for w in rep.witnesses[:WITNESS_CAP]],
-            "failure": None if rep.failure is None else {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in rep.failure.items()},
-        })
-        return EXIT_BY_STATUS[rep.status], report
-    raise WorkbenchError(f"unknown seq action {args.seq_action!r}")
-
-
-def _load_degrees(args) -> dict[str, int]:
-    if not args.degrees:
-        return {}
-    with open(args.degrees, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc = check_type(doc, dict, "degree file")
-    degrees = check_type(doc.get("degrees", doc), dict, "degree table")
-    return {k: check_type(v, int, f"degree of {k}") for k, v in degrees.items()}
-
-
-def _cmd_expand(args) -> tuple[int, dict]:
-    cat = _load_category(args)
-    space = ExpansionSpace(cat, _load_degrees(args))
-    if args.expand_action == "build":
-        expansions = []
-        for obj in cat.objects:
-            for e in space.fiber(obj):
-                expansions.append({
-                    "base": obj,
-                    "theta": {rep: list(values) for rep, values in e.theta},
-                })
-        report = _base_report(args, HOLDS)
-        report["verdicts"].append({
-            "check": "expansion-build", "status": HOLDS,
-            "degrees": {r: t for r, t in space.degrees.degrees},
-            "fiber_sizes": {obj: space.fiber_size(obj)
-                            for obj in cat.objects},
-        })
-        report["expansions"] = expansions
-        return 0, report
-    if args.expand_action == "check":
-        rep = check_forgetful(space)
-        status = HOLDS if rep.all_hold else FAILS
-        report = _base_report(args, status)
-        report["verdicts"].append({
-            "check": "forgetful-functor", "status": status,
-            "surjective_on_objects": rep.surjective_on_objects,
-            "injective_on_homs": rep.injective_on_homs,
-            "reasonable": rep.reasonable,
-            "unique_restrictions": rep.unique_restrictions,
-            "precompact": rep.precompact,
-            "fiber_sizes": rep.fiber_sizes,
-            "failure": rep.failure,
-        })
-        return EXIT_BY_STATUS[status], report
-    if args.expand_action == "orbits":
-        _require_objects(cat.objects, args, "obj")
-        rep = orbit_age_analysis(space, args.obj)
-        status = HOLDS if rep.ages_equal_on_orbits else FAILS
-        report = _base_report(args, status)
-        report["verdicts"].append({
-            "check": "orbit-age", "status": status,
-            "object": args.obj,
-            "orbit_sizes": sorted(len(o) for o in rep.orbits),
-            "ages_equal_on_orbits": rep.ages_equal_on_orbits,
-            "minimal_theta": {r: list(v) for r, v in rep.minimal.theta},
-            "notes": rep.notes,
-        })
-        return EXIT_BY_STATUS[status], report
-    if args.expand_action == "ep":
-        designated = {obj: space.fiber(obj) for obj in cat.objects}
-        rep = expansion_property_check(space, designated)
-        status = rep.direct_status
-        report = _base_report(args, status)
-        report["verdicts"].append({
-            "check": "expansion-property", "status": status,
-            "direct": rep.direct,
-            "single_object_status": rep.single_status,
-            "criteria_agree": rep.agree,
-        })
-        return EXIT_BY_STATUS[status], report
-    raise WorkbenchError(f"unknown expand action {args.expand_action!r}")
 
 
 # -- replay -------------------------------------------------------------------
 
 
+def _replay_coloring(cert: dict, cat: FiniteCategory) -> None:
+    coloring = Coloring(tuple(cert["domain"]), cert["k"], tuple(cert["values"]))
+    if not verify_bad_coloring(cat, cert["C"], cert["B"], cert["A"], cert["t"],
+                               coloring):
+        raise CorruptCertificate(f"bad coloring does not replay: {cert['kind']}")
+
+
+def _replay_composition(cert: dict, cat: FiniteCategory) -> None:
+    if not (cert["lhs"] and cert["rhs"]):
+        raise CorruptCertificate(f"empty composition: {cert['note']}")
+    lhs, rhs = (reduce(lambda f, g: cat.compose(g, f), reversed(cert[side]))
+                for side in ("lhs", "rhs"))
+    if lhs != rhs:
+        raise CorruptCertificate(f"composition differs: {cert['note']}")
+
+
+def _replay_maps(cert: dict, cat) -> None:
+    if cert["lhs"] != cert["rhs"]:
+        raise CorruptCertificate(f"maps differ: {cert['note']}")
+
+
+def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
+    """A statement until HOLDS is re-decided: a known kind on catalog objects."""
+    if cert["kind"] not in ("arrow-holds", "degree-upper"):
+        raise CorruptCertificate(f"unknown exhaustion kind {cert['kind']!r}")
+    for name in ("C", "B", "A"):
+        if cert[name] not in cat.objects:
+            raise CorruptCertificate(
+                f"exhaustion {name} {cert[name]!r} is not a catalog object")
+
+
+INSTANCE_FIELDS = {"kind": str, "C": str, "B": str, "A": str, "k": int, "t": int}
+# certificate type -> (re-checker, needs the report's catalog, field types);
+# a one-item list is a list whose items have that type
+REPLAY = {
+    "bad-coloring": (_replay_coloring, True,
+                     {**INSTANCE_FIELDS, "domain": [str], "values": [int]}),
+    "composition-equality": (_replay_composition, True,
+                             {"lhs": [str], "rhs": [str], "note": str}),
+    "map-equality": (_replay_maps, False, {"lhs": [int], "rhs": [int], "note": str}),
+    "exhaustion": (_replay_exhaustion, True, INSTANCE_FIELDS),
+}
+
+
 def replay(report_path: str) -> tuple[int, dict]:
     """Re-verify every certificate in a report by direct evaluation."""
     with open(report_path, encoding="utf-8") as fh:
-        report = json.load(fh)
+        report = check_type(json.load(fh), dict, "report")
     cat = None
     if "catalog" in report:
-        path = report["catalog"]["path"]
-        if _sha256(path) != report["catalog"]["sha256"]:
+        entry = check_type(report["catalog"], dict, "report catalog")
+        path = check_type(entry.get("path"), str, "report catalog path")
+        if _sha256(path) != entry.get("sha256"):
             raise CorruptCertificate("catalog file changed since the report")
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)   # parsed once for either reading
@@ -415,42 +368,25 @@ def replay(report_path: str) -> tuple[int, dict]:
             cat = abstract_from_json(doc)
         else:
             cat = FiniteCategory.from_structures(structures)
-
-    replayed = 0
-    for cert in report.get("certificates", []):
-        kind = cert.get("type")
-        if kind in ("bad-coloring", "composition-equality") and cat is None:
-            raise CorruptCertificate(f"{kind} without a catalog")
-        if kind == "bad-coloring":
-            coloring = Coloring(tuple(cert["domain"]), cert["k"],
-                                tuple(cert["values"]))
-            if not verify_bad_coloring(cat, cert["C"], cert["B"], cert["A"],
-                                       cert["t"], coloring):
-                raise CorruptCertificate(
-                    f"bad coloring does not replay: {cert['kind']}")
-        elif kind == "composition-equality":
-            lhs = _compose_chain(cat, cert["lhs"])
-            rhs = _compose_chain(cat, cert["rhs"])
-            if lhs != rhs:
-                raise CorruptCertificate(f"composition differs: {cert['note']}")
-        elif kind == "map-equality":
-            if list(cert["lhs"]) != list(cert["rhs"]):
-                raise CorruptCertificate(f"maps differ: {cert['note']}")
-        elif kind == "exhaustion":
-            if "kind" not in cert:
-                raise CorruptCertificate("exhaustion statement lacks a kind")
-        else:
+    certificates = check_type(report.get("certificates", []), list,
+                              "report certificates")
+    for cert in certificates:
+        kind = check_type(check_type(cert, dict, "certificate").get("type"),
+                          str, "certificate type")
+        if kind not in REPLAY:
             raise CorruptCertificate(f"unknown certificate type {kind!r}")
-        replayed += 1
-    out = {"replayed": replayed, "status": HOLDS}
-    return 0, out
-
-
-def _compose_chain(cat: FiniteCategory, mids: list[str]) -> str:
-    out = mids[-1]
-    for mid in reversed(mids[:-1]):
-        out = cat.compose(mid, out)
-    return out
+        recheck, needs_catalog, fields = REPLAY[kind]
+        if needs_catalog and cat is None:
+            raise CorruptCertificate(f"{kind} without a catalog")
+        for name, field_type in fields.items():
+            what = f"{kind} field {name!r}"
+            if isinstance(field_type, list):
+                for item in check_type(cert.get(name), list, what):
+                    check_type(item, field_type[0], f"an item of {what}")
+            else:
+                check_type(cert.get(name), field_type, what)
+        recheck(cert, cat)
+    return 0, {"replayed": len(certificates), "status": HOLDS}
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -458,87 +394,69 @@ def _compose_chain(cat: FiniteCategory, mids: list[str]) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rw",
+        prog="rw", allow_abbrev=False,
         description="bounded verification over finite structure catalogs")
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument("-v", "--verbose", action="store_true")
+    # string defaults pass through type, so RW_* values parse like flags
     parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("RW_SEED", "0")))
+                        default=os.environ.get("RW_SEED", "0"))
     parser.add_argument("--budget-nodes", type=int,
-                        default=_env_int("RW_BUDGET_NODES"))
+                        default=os.environ.get("RW_BUDGET_NODES") or None)
     parser.add_argument("--budget-secs", type=float,
-                        default=_env_float("RW_BUDGET_SECS"))
+                        default=os.environ.get("RW_BUDGET_SECS") or None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--catalog", required=True)
 
-    cat = sub.add_parser("cat", help="category-level checks")
-    cat.add_argument("cat_action", choices=["check", "skeleton", "op"])
-    cat.add_argument("--catalog", required=True)
+    def question(name: str, help: str, *actions: str):
+        command = sub.add_parser(name, help=help, parents=[catalog],
+                                 allow_abbrev=False)
+        if actions:
+            command.add_argument("action", choices=actions)
+        return command
+
+    cat = question("cat", "category-level checks", "check", "skeleton", "op")
     cat.add_argument("--abstract", action="store_true")
 
-    arrow = sub.add_parser("arrow", help="decide a partition arrow")
-    arrow.add_argument("--catalog", required=True)
-    arrow.add_argument("--C", required=True)
-    arrow.add_argument("--B", required=True)
-    arrow.add_argument("--A", required=True)
+    arrow = question("arrow", "decide a partition arrow")
+    for flag in ("--C", "--B", "--A"):
+        arrow.add_argument(flag, required=True)
     arrow.add_argument("-k", type=int, required=True)
     arrow.add_argument("-t", type=int, required=True)
     arrow.add_argument("--oracle", action="store_true")
     arrow.add_argument("--no-symmetry", action="store_true")
     arrow.add_argument("--cnf", help="also export a DIMACS encoding here")
 
-    degree = sub.add_parser("degree", help="catalog-relative degree interval")
-    degree.add_argument("--catalog", required=True)
+    degree = question("degree", "catalog-relative degree interval")
     degree.add_argument("--A", required=True)
     degree.add_argument("--kmax", type=int, default=2)
     degree.add_argument("--bmax", type=int, default=None)
 
-    amalgam = sub.add_parser("amalgam", help="amalgamation checks")
-    amalgam.add_argument("--catalog", required=True)
+    amalgam = question("amalgam", "amalgamation checks")
     amalgam.add_argument("--abstract", action="store_true")
-    amalgam.add_argument("--wap", action="store_true")
-    amalgam.add_argument("--two-of-k", type=int, default=None)
-    amalgam.add_argument("--chain", action="store_true")
+    mode = amalgam.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--wap", dest="action", action="store_const", const="wap")
+    mode.add_argument("--two-of-k", type=int, default=None)
+    mode.add_argument("--chain", dest="action", action="store_const", const="chain")
+    amalgam.set_defaults(action="two-of-k")   # the one mode without a const
     amalgam.add_argument("--depth", type=int, default=4)
     amalgam.add_argument("--A", default=None)
 
-    seq = sub.add_parser("seq", help="sequence calculus")
-    seq.add_argument("seq_action", choices=["colim", "wfcheck", "whom"])
-    seq.add_argument("--catalog", required=True)
+    seq = question("seq", "sequence calculus", "colim", "wfcheck", "whom")
     seq.add_argument("--seq", help="sequence JSON file")
     seq.add_argument("--obj", help="ambient object for whom")
     seq.add_argument("--mmax", type=int, default=8)
     seq.add_argument("--kmax", type=int, default=8)
 
-    expand = sub.add_parser("expand", help="coloring-family expansions")
-    expand.add_argument("expand_action",
-                        choices=["build", "check", "orbits", "ep"])
-    expand.add_argument("--catalog", required=True)
+    expand = question("expand", "coloring-family expansions",
+                      "build", "check", "orbits", "ep")
     expand.add_argument("--degrees", help="degrees JSON file")
     expand.add_argument("--obj", help="object for orbit analysis")
 
     rep = sub.add_parser("replay", help="re-verify report certificates")
     rep.add_argument("report")
     return parser
-
-
-def _env_int(name: str) -> int | None:
-    value = os.environ.get(name)
-    return int(value) if value else None
-
-
-def _env_float(name: str) -> float | None:
-    value = os.environ.get(name)
-    return float(value) if value else None
-
-
-HANDLERS = {
-    "cat": _cmd_cat,
-    "arrow": _cmd_arrow,
-    "degree": _cmd_degree,
-    "amalgam": _cmd_amalgam,
-    "seq": _cmd_seq,
-    "expand": _cmd_expand,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -549,35 +467,31 @@ def run(argv: list[str]) -> int:
         return 3 if exc.code not in (0, None) else 0
     # the output path is not semantic configuration; keep it out of the
     # echo so identical runs into different files stay byte-identical
-    echo = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        echo.append(token)
-    args.command_echo = echo
+    args.command_echo = [token for prev, token in zip([None, *argv], argv)
+                         if "--out" not in (prev, token)
+                         and not token.startswith("--out=")]
     started = time.monotonic()
     try:
         if args.subcommand == "replay":
-            code, report = replay(args.report)
-            args.catalog = None
-            args.out = getattr(args, "out", None)
-            _emit(args, {"replay": report, "command": args.command_echo})
-            return code
-        code, report = HANDLERS[args.subcommand](args)
+            code, result = replay(args.report)
+            report = {"replay": result, "command": args.command_echo}
+        else:
+            code, report = ask(args)
     except (WorkbenchError, FileNotFoundError, KeyError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(args, report)
-    if args.verbose:
-        elapsed = time.monotonic() - started
-        print(f"{args.subcommand}: status={report.get('status')} "
-              f"elapsed={elapsed:.3f}s", file=sys.stderr)
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if args.verbose:
+            print(f"report written to {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+    if args.verbose and args.subcommand != "replay":
+        print(f"{args.subcommand}: status={report['status']} "
+              f"elapsed={time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 
 

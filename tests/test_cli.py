@@ -204,6 +204,16 @@ class TestObjectNames:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("modes", [
+        ["--wap", "--two-of-k", "3"], ["--wap", "--chain"],
+        ["--two-of-k", "3", "--chain"], []],
+        ids=["wap-two-of-k", "wap-chain", "two-of-k-chain", "none"])
+    def test_amalgam_takes_exactly_one_mode(self, lo_paths, tmp_path, modes):
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "amalgam", "--A", "LO2",
+                    "--catalog", lo_paths["lo4"]] + modes) == 3
+        assert not out.exists()
+
     def test_colliding_hom_ids_exit_three(self, tmp_path, capsys):
         path = tmp_path / "arrows.json"
         save_catalog([linear_order(1, name="x"), linear_order(2, name="y->z"),
@@ -211,6 +221,38 @@ class TestObjectNames:
                      path)
         assert run(["cat", "check", "--catalog", str(path)]) == 3
         assert "hom(x, y->z) and hom(x->y, z)" in capsys.readouterr().err
+
+
+def _set_field(name, value):
+    def doctor(report):
+        report["certificates"][0][name] = value
+        return report
+    return doctor
+
+
+@pytest.fixture(scope="module")
+def replayable(lo_paths):
+    """Reports that replay, with bad-coloring, exhaustion and map-equality
+    certificates."""
+    root = lo_paths["root"]
+    seq = root / "seq.json"
+    seq.write_text(json.dumps({"objects": ["LO1", "LO2", "LO3"],
+                               "bonding": {"0->1": [0], "1->2": [0, 1]}}))
+    questions = {
+        "arrow": (["arrow", "--catalog", lo_paths["lo6"], "--C", "LO5", "--B",
+                   "LO3", "--A", "LO2", "-k", "2", "-t", "1"], 1),
+        "holds": (["arrow", "--catalog", lo_paths["lo6"], "--C", "LO6", "--B",
+                   "LO3", "--A", "LO2", "-k", "2", "-t", "1"], 0),
+        "degree": (["degree", "--catalog", lo_paths["lo4"], "--A", "LO2",
+                    "--kmax", "2", "--bmax", "2"], 0),
+        "colim": (["seq", "colim", "--catalog", lo_paths["lo4"],
+                   "--seq", str(seq)], 0),
+    }
+    reports = {}
+    for name, (argv, code) in questions.items():
+        reports[name] = root / f"replayable-{name}.json"
+        assert run(["--out", str(reports[name])] + argv) == code
+    return reports
 
 
 class TestReplay:
@@ -334,6 +376,40 @@ class TestReplay:
              "note": "no catalog"}]}))
         assert run(["replay", str(orphan)]) == 3
 
+    @pytest.mark.parametrize("base,doctor", [
+        ("arrow", _set_field("domain", 3)),
+        ("arrow", _set_field("values", None)),
+        ("arrow", _set_field("k", "2")),
+        ("arrow", lambda report: {**report, "certificates": ["x"]}),
+        ("arrow", lambda report: [report]),
+        ("colim", _set_field("lhs", 3)),
+    ], ids=["domain-int", "values-null", "k-string", "certificate-string",
+            "report-list", "map-lhs-int"])
+    def test_malformed_report_exits_three(self, replayable, tmp_path, base,
+                                          doctor):
+        report = json.loads(replayable[base].read_text())
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(doctor(report)))
+        assert run(["replay", str(path)]) == 3
+
+    @pytest.mark.parametrize("doctor,code", [
+        (lambda cert: cert, 0),
+        (lambda cert: {"type": "exhaustion", "kind": "anything-at-all"}, 3),
+        (lambda cert: {**cert, "kind": "anything-at-all"}, 3),
+        (lambda cert: {**cert, "C": "LO99"}, 3),
+        (lambda cert: {**cert, "A": 2}, 3),
+    ], ids=["as-written", "bare-kind", "unknown-kind", "unknown-C", "A-int"])
+    def test_exhaustion_names_a_known_kind_and_catalog_objects(
+            self, replayable, tmp_path, doctor, code):
+        for base in ("holds", "degree"):
+            report = json.loads(replayable[base].read_text())
+            report["certificates"] = [
+                doctor(cert) if cert["type"] == "exhaustion" else cert
+                for cert in report["certificates"]]
+            path = tmp_path / f"{base}.json"
+            path.write_text(json.dumps(report))
+            assert run(["replay", str(path)]) == code
+
     def test_empty_report_succeeds(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"certificates": []}))
@@ -380,6 +456,18 @@ class TestDeterminism:
         run(["--out", str(a)] + argv)
         run(["--out", str(b)] + argv)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_path_never_reaches_the_report(self, lo_paths, tmp_path,
+                                                  capsys):
+        argv = ["cat", "check", "--catalog", lo_paths["lo4"]]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["--out", str(a)] + argv) == 0
+        assert run([f"--out={b}"] + argv) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert a.read_text() == b.read_text() == capsys.readouterr().out
+        # no abbreviation can smuggle the path into the echo
+        assert run(["--ou", str(a)] + argv) == 3
 
     def test_seed_recorded(self, lo_paths, tmp_path):
         out = tmp_path / "r.json"

@@ -33,9 +33,23 @@ QUESTIONS = [
     ("arrow", ["arrow", "--catalog", "{lo6}", "--C", "LO5", "--B", "LO3",
                "--A", "LO2", "-k", "2", "-t", "1"], 1,
      "970c5cf078ceb9003ff3949b7340c3d27b99383d53ede9afd3f49498e1a75117"),
+    ("arrow-holds", ["arrow", "--catalog", "{lo6}", "--C", "LO6", "--B", "LO3",
+                     "--A", "LO2", "-k", "2", "-t", "1"], 0,
+     "05ef5f2d7b0055c017a30357c0a68864041d7de2bd06ad6fed84e399ffe35df8"),
+    ("arrow-oracle", ["arrow", "--oracle", "--catalog", "{lo6}", "--C", "LO6",
+                      "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"], 0,
+     "d0f8094bb6d02c305dde2b2acf5be8c699941c94b0af5022387523603819cb8c"),
+    ("arrow-budget", ["--budget-nodes", "5", "arrow", "--catalog", "{lo6}",
+                      "--C", "LO6", "--B", "LO3", "--A", "LO2", "-k", "2",
+                      "-t", "1"], 2,
+     "a73380b1b0e281ec6b51566fa6ee51227fa764cf7f09c9b674d97d17332e68c2"),
     ("degree", ["degree", "--catalog", "{lo4}", "--A", "LO2", "--kmax", "2",
                 "--bmax", "2"], 0,
      "7d0b5bbd274b3bd2537f3d30c2817165bedc4bff6a93b3ff8af038e2d7ac6039"),
+    # LO4 < R(3,3): t = 1 fails, with one bad colouring per catalog object
+    ("degree-lower", ["degree", "--catalog", "{lo4}", "--A", "LO2", "--kmax",
+                      "2", "--bmax", "3"], 0,
+     "e4cc34cdaca40ebb7d9854a251ea099629721953900af5ddb866754f42a0079e"),
     ("amalgam-wap", ["amalgam", "--wap", "--catalog", "{lo4}"], 0,
      "d89f581f916835d5415c5589336dac8d1a03bbe0133809fe050190209483eec1"),
     ("amalgam-two-of-k", ["amalgam", "--two-of-k", "3", "--A", "LO2",
@@ -115,8 +129,8 @@ def inputs(tmp_path_factory):
     return paths
 
 
-def digest(report: dict) -> str:
-    pinned = {k: report[k] for k in ("status", "verdicts", "certificates")}
+def digest(report: dict, keys=("status", "verdicts", "certificates")) -> str:
+    pinned = {k: report[k] for k in keys}
     text = json.dumps(pinned, sort_keys=True, indent=2, ensure_ascii=False)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -128,3 +142,13 @@ def test_report_bytes_are_pinned(inputs, tmp_path, name, argv, code, pin):
     assert run(["--out", str(out), "--seed", "7"]
                + [inputs.get(tok, tok) for tok in argv]) == code
     assert digest(json.loads(out.read_text(encoding="utf-8"))) == pin
+
+
+def test_expansions_are_pinned(inputs, tmp_path):
+    """``expand build`` writes its expansions beside the verdicts."""
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "expand", "build", "--catalog",
+                inputs["{p3}"], "--degrees", inputs["{deg}"]]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert digest(report, ("expansions",)) == (
+        "6a9e99ceb3d249c6ff1b0826390ee7925862fbaba4c97201c2d127d4594d8a98")
