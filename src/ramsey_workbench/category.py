@@ -18,10 +18,16 @@ and ``op`` categories have every hom-set up front; a missing one is empty.
 The integer kernel: ``position(mid)`` is the k of mid in its hom-set.  The
 row ``post(w, a)`` maps hom(a, source w) into hom(a, target w) by positions,
 and its dual ``pre(v, d)`` maps hom(target v, d) into hom(source v, d), the
-position of s.v for each s.  Hot loops compare rows, not composites.  Rows
-are faithful only if every composite lies in its hom-set, so table
-references are checked at load and trusted after; a composite the table
-leaves out is an error at use.
+position of s.v for each s.  Hot loops compare rows, not composites.  A table
+category stores its composition as these rows and nothing else: the loader
+writes ``rows[g][source f][position f] = position(g.f)`` for every entry it
+checks, so ``post`` returns a stored row, ``pre`` reads one slot of several,
+and ``compose`` indexes a hom-set by a row entry.  ``op`` is such a table
+too: its row (w, a) is ``pre(w, a)`` of the category it dualizes.  Rows are
+faithful only if every composite lies in its hom-set, so table references
+are checked at load and trusted after.  A composite the table leaves out is
+a ``None`` slot, and an error at use: ``compose``, ``post`` and ``pre`` raise
+on it.
 """
 
 from __future__ import annotations
@@ -46,17 +52,21 @@ class Morphism:
 
 
 class FiniteCategory:
-    def __init__(self, objects, homs, morphisms, identities, compose_table=None,
-                 structures=None, compose_fn=None):
+    def __init__(self, objects, homs, morphisms, identities, rows=None,
+                 structures=None):
         self.objects: list[str] = list(objects)
         self._homs: dict[tuple[str, str], list[str]] = {
             k: list(v) for k, v in homs.items()
         }
         self._mor: dict[str, Morphism] = dict(morphisms)
         self._identities: dict[str, str] = dict(identities)
-        self._compose_table = dict(compose_table) if compose_table is not None else None
+        # table composition: rows[g][a] = post(g, a), for each a with
+        # hom(a, source g) non-empty; None marks a composite left out
+        self._rows: dict[str, dict[str, tuple]] | None = rows
+        self._gaps: set[tuple[str, str]] = set() if rows is None else {
+            (g, a) for g, by_a in rows.items()
+            for a, row in by_a.items() if None in row}
         self.structures: dict[str, Structure] = dict(structures or {})
-        self._compose_fn = compose_fn
         self._emb_index: dict[tuple[str, str, tuple[int, ...]], str] | None = None
         self._pos: dict[str, int] = {}
         for (s, t), mids in self._homs.items():
@@ -171,13 +181,11 @@ class FiniteCategory:
             mf, mg = self.morphism(f), self.morphism(g)
         if mf.tgt != mg.src:
             raise WorkbenchError(f"{g!r} . {f!r} not composable")
-        if self._compose_fn is not None:
-            return self._compose_fn(g, f)
-        if self._compose_table is not None:
-            try:
-                return self._compose_table[(g, f)]
-            except KeyError:
+        if self._rows is not None:
+            k = self._rows[g][mf.src][self._pos[f]]
+            if k is None:
                 raise WorkbenchError(f"composition table misses {g!r} . {f!r}")
+            return self._homs[(mf.src, mg.tgt)][k]
         # map() rather than a generator: a closure would cost every call a cell
         key = (mf.src, mg.tgt, tuple(map(mg.emb.map.__getitem__, mf.emb.map)))
         try:
@@ -194,27 +202,33 @@ class FiniteCategory:
     def post(self, w: str, a: str) -> tuple[int, ...]:
         """Position of w.f for each f in hom(a, source w), in order.  Reads
         only hom(a, source w) and hom(a, target w)."""
-        pos, compose = self._pos, self.compose
-        return tuple([pos[compose(w, f)] for f in self.hom(a, self.source(w))])
+        if self._rows is None:
+            pos, compose = self._pos, self.compose
+            return tuple([pos[compose(w, f)] for f in self.hom(a, self.source(w))])
+        row = self._rows[w].get(a, ())
+        if self._gaps and (w, a) in self._gaps:
+            f = self.hom(a, self.source(w))[row.index(None)]
+            raise WorkbenchError(f"composition table misses {w!r} . {f!r}")
+        return row
 
     def pre(self, v: str, d: str) -> tuple[int, ...]:
         """Position of s.v for each s in hom(target v, d), in order.  Reads
         only hom(target v, d) and hom(source v, d)."""
-        pos, compose = self._pos, self.compose
-        return tuple([pos[compose(s, v)] for s in self.hom(self.target(v), d)])
+        pool = self.hom(self.target(v), d)
+        if self._rows is None:
+            pos, compose = self._pos, self.compose
+            return tuple([pos[compose(s, v)] for s in pool])
+        rows, a, k = self._rows, self.source(v), self._pos[v]
+        row = tuple([rows[s][a][k] for s in pool])
+        if self._gaps and None in row:
+            s = pool[row.index(None)]
+            raise WorkbenchError(f"composition table misses {s!r} . {v!r}")
+        return row
 
     def all_morphisms(self):
         for a in self.objects:
             for b in self.objects:
                 yield from self.hom(a, b)
-
-    def composable_pairs(self):
-        for a in self.objects:
-            for b in self.objects:
-                for f in self.hom(a, b):
-                    for c in self.objects:
-                        for g in self.hom(b, c):
-                            yield g, f
 
     def automorphism_ids(self, a: str) -> list[str]:
         """Invertible endomorphisms of a.
@@ -239,13 +253,9 @@ class FiniteCategory:
                    for row in (self.post(mid, a) for a in self.objects))
 
     def is_epi(self, mid: str) -> bool:
-        """g . mid are pairwise distinct over each hom(target, c)."""
-        b = self.target(mid)
-        for c in self.objects:
-            pool = self.hom(b, c)
-            if len({self.compose(g, mid) for g in pool}) != len(pool):
-                return False
-        return True
+        """Every row pre(mid, c) is injective."""
+        return all(len(set(row)) == len(row)
+                   for row in (self.pre(mid, c) for c in self.objects))
 
     def structure(self, a: str) -> Structure:
         try:
@@ -255,20 +265,27 @@ class FiniteCategory:
 
 
 def op(cat: FiniteCategory) -> FiniteCategory:
-    """Opposite category: hom-sets swapped, composition reversed."""
+    """Opposite category: hom-sets swapped, composition reversed.
+
+    A row table whose row (w, a) is ``cat.pre(w, a)``: w.f in op is f.w in
+    cat.  Every composite is read here, so a table that leaves one out
+    raises now."""
     homs = {(b, a): cat.hom(a, b) for a in cat.objects for b in cat.objects}
-    morphisms = {}
+    morphisms, rows = {}, {}
     for mid in cat.all_morphisms():
         m = cat.morphism(mid)
         morphisms[mid] = Morphism(mid, m.tgt, m.src, m.emb)
+        rows[mid] = {a: cat.pre(mid, a) for a in cat.objects
+                     if cat.hom(m.tgt, a)}
     identities = {a: cat.identity(a) for a in cat.objects}
-    return FiniteCategory(cat.objects, homs, morphisms, identities,
-                          structures=cat.structures,
-                          compose_fn=lambda g, f: cat.compose(f, g))
+    return FiniteCategory(cat.objects, homs, morphisms, identities, rows=rows,
+                          structures=cat.structures)
 
 
 def tables_equal(c1: FiniteCategory, c2: FiniteCategory) -> bool:
-    """Object lists, hom-sets, identities, and all composites agree."""
+    """Object lists, identities, hom-sets and all composites agree.
+
+    With equal hom-sets, equal rows ``post(w, a)`` are equal composites."""
     if c1.objects != c2.objects:
         return False
     for a in c1.objects:
@@ -277,10 +294,8 @@ def tables_equal(c1: FiniteCategory, c2: FiniteCategory) -> bool:
         for b in c1.objects:
             if c1.hom(a, b) != c2.hom(a, b):
                 return False
-    for g, f in c1.composable_pairs():
-        if c1.compose(g, f) != c2.compose(g, f):
-            return False
-    return True
+    return all(c1.post(w, a) == c2.post(w, a)
+               for w in c1.all_morphisms() for a in c1.objects)
 
 
 # -- axiom checks ----------------------------------------------------------
@@ -326,29 +341,48 @@ def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
 
 
 def check_axioms(cat: FiniteCategory) -> AxiomReport:
-    # rows[w][a] = post(w, a) for each a below source(w); they die with the call
-    rows = {w: {a: cat.post(w, a) for a in cat.objects if cat.hom(a, cat.source(w))}
-            for w in cat.all_morphisms()}
-    mono_failures = [w for w, by_a in rows.items()    # as in is_mono
-                     if any(len(set(r)) < len(r) for r in by_a.values())]
+    objects = cat.objects
+    # the morphisms into t, sources in catalog order; flat[w] lists the index
+    # of w.f in into[target w] for each f in into[source w].  Its blocks are
+    # the rows post(w, a), shifted by the offset of hom(a, target w).
+    into: dict[str, list[str]] = {}
+    offset: dict[tuple[str, str], int] = {}
+    for t in objects:
+        into[t] = []
+        for a in objects:
+            offset[(a, t)] = len(into[t])
+            into[t] += cat.hom(a, t)
+    flat: dict[str, tuple[int, ...]] = {}
+    index: dict[str, int] = {}      # w's own place in into[target w]
+    for w in cat.all_morphisms():
+        s, t = cat.source(w), cat.target(w)
+        index[w] = offset[(s, t)] + cat.position(w)
+        row: list[int] = []
+        for a in objects:
+            if cat.hom(a, s):
+                row += map(offset[(a, t)].__add__, cat.post(w, a))
+        flat[w] = tuple(row)
+    # the blocks land in disjoint hom-sets: flat[w] is injective iff every
+    # post(w, a) is, as in is_mono
+    mono_failures = [w for w, row in flat.items() if len(set(row)) < len(row)]
 
-    identity_ok = True
-    for a in cat.objects:
-        ia = cat.identity(a)
-        for b in cat.objects:
-            for f in cat.hom(a, b):
-                if cat.compose(f, ia) != f or cat.compose(cat.identity(b), f) != f:
-                    identity_ok = False
+    # id_b.f = f for all f into b, and f.id_a = f
+    identity_ok = all(
+        flat[cat.identity(b)] == tuple(range(len(into[b])))
+        and all(flat[f][index[cat.identity(a)]] == index[f]
+                for a in objects for f in cat.hom(a, b))
+        for b in objects)
 
-    # h.(g.f) = (h.g).f for all f: post(h.g, a) is post(h, a) after post(g, a)
+    # h.(g.f) = (h.g).f for all f: flat[h.g] is flat[h] after flat[g]
     associativity_ok = True
-    for g, by_a in rows.items():
-        for d in cat.objects:
-            for h in cat.hom(cat.target(g), d):
-                row_hg, row_h = rows[cat.compose(h, g)], rows[h]
-                for a, row in by_a.items():
-                    if row_hg[a] != tuple(map(row_h[a].__getitem__, row)):
-                        associativity_ok = False
+    for g, row_g in flat.items():
+        at, c = index[g], cat.target(g)
+        for d in objects:
+            into_d = into[d]
+            for h in cat.hom(c, d):
+                row_h = flat[h]
+                if flat[into_d[row_h[at]]] != tuple(map(row_h.__getitem__, row_g)):
+                    associativity_ok = False
 
     below = {
         b: sorted(a for a in cat.objects if cat.hom(a, b))
@@ -446,25 +480,36 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
 
 def abstract_from_json(doc: dict) -> FiniteCategory:
     """The category a JSON table describes, every field type-checked and
-    every reference checked: hom keys name objects, identities and composites
-    lie in their hom-sets.  Nothing checks them later."""
+    every reference checked: object names are distinct, hom keys name
+    objects, identities and composites lie in their hom-sets.  Nothing
+    checks them later.  Each composite is written into its row; identity
+    composites fill only the slots the table leaves empty."""
     doc = check_type(doc, dict, "category document")
     objects = [check_type(a, str, "object")
                for a in check_type(doc["objects"], list, "object list")]
+    if len(set(objects)) != len(objects):
+        raise WorkbenchError("category object names must be distinct")
     homs: dict[tuple[str, str], list[str]] = {}
     morphisms: dict[str, Morphism] = {}
+    pos: dict[str, int] = {}
     for key, mids in check_type(doc["homs"], dict, "hom-set table").items():
         src, sep, tgt = key.partition("->")
         if not sep or src not in objects or tgt not in objects:
             raise WorkbenchError(f"hom key {key!r} is not A->B for declared A, B")
         homs[(src, tgt)] = [check_type(mid, str, f"morphism of {key}")
                             for mid in check_type(mids, list, f"hom-set {key}")]
-        for mid in homs[(src, tgt)]:
+        for k, mid in enumerate(homs[(src, tgt)]):
+            if mid in morphisms:
+                raise WorkbenchError(f"morphism {mid!r} appears in two hom-sets")
             morphisms[mid] = Morphism(mid, src, tgt)
+            pos[mid] = k
+    rows: dict[str, dict[str, list]] = {
+        g: {a: [None] * len(homs[(a, m.src)])
+            for a in objects if homs.get((a, m.src))}
+        for g, m in morphisms.items()}
     table = check_type(doc.get("compose", {}), dict, "composition table")
     if not all(type(mid) is str for mid in table.values()):
         raise WorkbenchError("every composite must be a morphism id string")
-    compose_table: dict[tuple[str, str], str] = {}
     for key, mid in table.items():
         g, sep, f = key.partition("∘")
         mg, mf, m = morphisms.get(g), morphisms.get(f), morphisms.get(mid)
@@ -473,7 +518,7 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
         if m is None or (m.src, m.tgt) != (mf.src, mg.tgt):
             raise WorkbenchError(
                 f"composite {key!r} = {mid!r} is not in hom({mf.src}, {mg.tgt})")
-        compose_table[(g, f)] = mid
+        rows[g][mf.src][pos[f]] = pos[mid]
     identities = check_type(doc["identities"], dict, "identity table")
     if not all(type(mid) is str for mid in identities.values()):
         raise WorkbenchError("every identity must be a morphism id string")
@@ -481,13 +526,20 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
         ia = identities[a]
         if ia not in homs.get((a, a), ()):
             raise WorkbenchError(f"identity {ia!r} of {a!r} is not in hom({a}, {a})")
+        k = pos[ia]
         for b in objects:
-            for f in homs.get((a, b), []):
-                compose_table.setdefault((f, ia), f)
-            for f in homs.get((b, a), []):
-                compose_table.setdefault((ia, f), f)
-    return FiniteCategory(objects, homs, morphisms, identities,
-                          compose_table=compose_table)
+            for f in homs.get((a, b), []):     # f . ia
+                row = rows[f][a]
+                if row[k] is None:
+                    row[k] = pos[f]
+            row = rows[ia].get(b, [])          # ia . f for f into a
+            for j, slot in enumerate(row):
+                if slot is None:
+                    row[j] = j
+    return FiniteCategory(
+        objects, homs, morphisms, identities,
+        rows={g: {a: tuple(row) for a, row in by_a.items()}
+              for g, by_a in rows.items()})
 
 
 def load_abstract(path) -> FiniteCategory:

@@ -350,24 +350,30 @@ REPLAY = {
 }
 
 
+def _replay_category(data: bytes) -> FiniteCategory:
+    doc = json.loads(data)   # parsed once for either reading
+    try:
+        structures = catalog_from_json(doc)
+    except (WorkbenchError, KeyError):
+        return abstract_from_json(doc)
+    return FiniteCategory.from_structures(structures)
+
+
 def replay(report_path: str) -> tuple[int, dict]:
-    """Re-verify every certificate in a report by direct evaluation."""
+    """Re-verify every certificate in a report by direct evaluation.
+
+    The catalog's hash is checked for every report; the catalog itself is
+    parsed on the first certificate that reads it."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
-    cat = None
+    data = cat = None
     if "catalog" in report:
         entry = check_type(report["catalog"], dict, "report catalog")
         path = check_type(entry.get("path"), str, "report catalog path")
-        if _sha256(path) != entry.get("sha256"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
             raise CorruptCertificate("catalog file changed since the report")
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)   # parsed once for either reading
-        try:
-            structures = catalog_from_json(doc)
-        except (WorkbenchError, KeyError):
-            cat = abstract_from_json(doc)
-        else:
-            cat = FiniteCategory.from_structures(structures)
     certificates = check_type(report.get("certificates", []), list,
                               "report certificates")
     for cert in certificates:
@@ -376,7 +382,7 @@ def replay(report_path: str) -> tuple[int, dict]:
         if kind not in REPLAY:
             raise CorruptCertificate(f"unknown certificate type {kind!r}")
         recheck, needs_catalog, fields = REPLAY[kind]
-        if needs_catalog and cat is None:
+        if needs_catalog and data is None:
             raise CorruptCertificate(f"{kind} without a catalog")
         for name, field_type in fields.items():
             what = f"{kind} field {name!r}"
@@ -385,6 +391,8 @@ def replay(report_path: str) -> tuple[int, dict]:
                     check_type(item, field_type[0], f"an item of {what}")
             else:
                 check_type(cert.get(name), field_type, what)
+        if needs_catalog and cat is None:
+            cat = _replay_category(data)
         recheck(cert, cat)
     return 0, {"replayed": len(certificates), "status": HOLDS}
 

@@ -45,11 +45,18 @@ class CorruptCertificate(WorkbenchError):
     """A replayed certificate is malformed or fails re-verification."""
 
 
+REPR_CAP = 40   # characters of the offending value an error message shows
+
+
 def check_type(value, kind: type, what: str):
     """value if its JSON type is kind; type() so that true is not the int 1.
 
     Loaders call this on every field they read, so a malformed document
     raises WorkbenchError at load rather than TypeError deep in a search."""
     if type(value) is not kind:
-        raise WorkbenchError(f"{what} must be {kind.__name__}, not {value!r}")
+        shown = repr(value)
+        if len(shown) > REPR_CAP:
+            shown = shown[:REPR_CAP - 3] + "..."
+        raise WorkbenchError(f"{what} must be {kind.__name__}, "
+                             f"not {type(value).__name__} {shown}")
     return value

@@ -252,6 +252,60 @@ def brute_associative(cat) -> bool:
     return True
 
 
+def composable_pairs(cat):
+    """Every (g, f) with f into the source of g, f's hom-set in catalog order."""
+    for a in cat.objects:
+        for b in cat.objects:
+            for f in cat.hom(a, b):
+                for c in cat.objects:
+                    for g in cat.hom(b, c):
+                        yield g, f
+
+
+class ClosureOp:
+    """The opposite category as ``op`` built it before it became a row table:
+    hom-sets swapped, and each composite asked of cat one call at a time."""
+
+    def __init__(self, cat):
+        self.cat, self.objects = cat, cat.objects
+
+    def hom(self, a, b):
+        return self.cat.hom(b, a)
+
+    def identity(self, a):
+        return self.cat.identity(a)
+
+    def source(self, mid):
+        return self.cat.target(mid)
+
+    def target(self, mid):
+        return self.cat.source(mid)
+
+    def compose(self, g, f):
+        return self.cat.compose(f, g)
+
+
+def scan_tables_equal(c1, c2) -> bool:
+    """``tables_equal`` by composing every composable pair in both."""
+    if c1.objects != c2.objects:
+        return False
+    for a in c1.objects:
+        if c1.identity(a) != c2.identity(a):
+            return False
+        for b in c1.objects:
+            if c1.hom(a, b) != c2.hom(a, b):
+                return False
+    return all(c1.compose(g, f) == c2.compose(g, f)
+               for g, f in composable_pairs(c1))
+
+
+def scan_is_epi(cat, mid) -> bool:
+    """The composites g.mid are pairwise distinct over each hom(target, c)."""
+    b = cat.target(mid)
+    return all(len({cat.compose(g, mid) for g in cat.hom(b, c)})
+               == len(cat.hom(b, c)) for c in cat.objects)
+
+
 def first_amalgam(cat, u, v):
     """The first (D, r, s) with r.u == s.v: D in catalog order, then r, then
     s in hom order; None when no catalog object amalgamates u and v."""

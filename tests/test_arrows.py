@@ -11,7 +11,7 @@ from ramsey_workbench.arrows import (FAILS, HOLDS, UNKNOWN, ArrowInstance,
                                      verify_bad_coloring)
 from ramsey_workbench.catalogs import (complete_graph, graph_catalog,
                                        linear_order, lo_catalog, path_graph)
-from ramsey_workbench.category import FiniteCategory, Morphism
+from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import BudgetExceeded
 
 import oracles
@@ -306,22 +306,16 @@ class TestGroundTruth:
         # only bad 2-colorings split every pair, found at depth 1,100
         pairs = 550
         objects = ["A", "B", "C"]
-        homs = {("A", "A"): ["idA"], ("B", "B"): ["idB"], ("C", "C"): ["idC"],
-                ("A", "B"): ["f0", "f1"],
-                ("B", "C"): [f"w{i}" for i in range(pairs)],
-                ("A", "C"): [f"x{i}" for i in range(2 * pairs)]}
-        morphisms = {mid: Morphism(mid, s, t)
-                     for (s, t), mids in homs.items() for mid in mids}
-
-        def compose(g, f):
-            if f.startswith("id"):
-                return g
-            if g.startswith("id"):
-                return f
-            return f"x{2 * int(g[1:]) + int(f[1:])}"
-
-        cat = FiniteCategory(objects, homs, morphisms,
-                             {o: f"id{o}" for o in objects}, compose_fn=compose)
+        homs = {"A->A": ["idA"], "B->B": ["idB"], "C->C": ["idC"],
+                "A->B": ["f0", "f1"],
+                "B->C": [f"w{i}" for i in range(pairs)],
+                "A->C": [f"x{i}" for i in range(2 * pairs)]}
+        # the 1,100 composites w_i . f_j = x_{2i+j}; the loader adds identities
+        compose = {f"w{i}∘f{j}": f"x{2 * i + j}"
+                   for i in range(pairs) for j in (0, 1)}
+        cat = abstract_from_json({"objects": objects, "homs": homs,
+                                  "identities": {o: f"id{o}" for o in objects},
+                                  "compose": compose})
         verdict = arrow_check(cat, "C", "B", "A", 2, 1)
         assert verdict.status == FAILS
         values = verdict.bad_coloring.values

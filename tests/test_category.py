@@ -173,6 +173,168 @@ def random_tables(draw):
             "identities": identities, "compose": compose}
 
 
+# g sends the two morphisms A -> B to the same composite
+NON_MONO = {
+    "objects": ["A", "B", "C"],
+    "homs": {"A->A": ["idA"], "B->B": ["idB"], "C->C": ["idC"],
+             "A->B": ["f1", "f2"], "B->C": ["g"], "A->C": ["h"]},
+    "compose": {"g∘f1": "h", "g∘f2": "h"},
+    "identities": {"A": "idA", "B": "idB", "C": "idC"},
+}
+
+
+@st.composite
+def gappy_tables(draw):
+    """A random table with some of its non-identity composites left out."""
+    doc = draw(random_tables())
+    keys = sorted(doc["compose"])
+    dropped = draw(st.sets(st.sampled_from(keys))) if keys else set()
+    return dict(doc, compose={k: mid for k, mid in doc["compose"].items()
+                              if k not in dropped})
+
+
+@st.composite
+def table_pairs(draw):
+    """A random table and a copy that may differ from it in one composite."""
+    doc = draw(random_tables())
+    hom_of = {mid: mids for mids in doc["homs"].values() for mid in mids}
+    keys = sorted(k for k, mid in doc["compose"].items() if len(hom_of[mid]) > 1)
+    other = dict(doc["compose"])
+    if keys and draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        other[key] = draw(st.sampled_from(
+            [mid for mid in hom_of[other[key]] if mid != other[key]]))
+    return doc, dict(doc, compose=other)
+
+
+def lo_table_with_gaps(n: int, every: int) -> dict:
+    """``oracles.lo_table(n)`` without every every-th non-identity composite."""
+    doc = oracles.lo_table(n)
+    ids = set(doc["identities"].values())
+    keys = [k for k in doc["compose"] if not ids & set(k.split("∘"))]
+    dropped = set(keys[::every])
+    return dict(doc, compose={k: mid for k, mid in doc["compose"].items()
+                              if k not in dropped})
+
+
+class TestRowKernel:
+    """A table lives on rows: every composite the document gives is what
+    compose returns, identities fill the rest of their slots, and a composite
+    left out raises through compose, post and pre alike."""
+
+    @staticmethod
+    def check_against_document(doc):
+        cat = abstract_from_json(doc)
+        given = {tuple(key.split("∘")): mid for key, mid in doc["compose"].items()}
+        ids = set(doc["identities"].values())
+        omitted = 0
+        for g, f in oracles.composable_pairs(cat):
+            if (g, f) in given:
+                assert cat.compose(g, f) == given[(g, f)]
+            elif f in ids or g in ids:
+                assert cat.compose(g, f) == (g if f in ids else f)
+            else:
+                omitted += 1
+                with pytest.raises(WorkbenchError, match="table misses"):
+                    cat.compose(g, f)
+                with pytest.raises(WorkbenchError, match="table misses"):
+                    cat.post(g, cat.source(f))
+                with pytest.raises(WorkbenchError, match="table misses"):
+                    cat.pre(f, cat.target(g))
+        return omitted
+
+    @pytest.mark.parametrize("doc,gaps", [
+        (oracles.lo_table(4), False), (lo_table_with_gaps(4, 7), True)],
+        ids=["lo4", "lo4-gaps"])
+    def test_lo_table_entries_are_the_composites(self, doc, gaps):
+        assert (self.check_against_document(doc) > 0) == gaps
+
+    @settings(max_examples=150)
+    @given(gappy_tables())
+    def test_random_table_entries_are_the_composites(self, doc):
+        self.check_against_document(doc)
+
+    @staticmethod
+    def check_op(cat):
+        o, closure = op(cat), oracles.ClosureOp(cat)
+        for a in cat.objects:
+            assert o.identity(a) == closure.identity(a)
+            for b in cat.objects:
+                assert o.hom(a, b) == closure.hom(a, b)
+        for g, f in oracles.composable_pairs(closure):
+            assert o.compose(g, f) == closure.compose(g, f)
+        for mid in cat.all_morphisms():
+            assert cat.is_epi(mid) == oracles.scan_is_epi(cat, mid)
+            assert o.is_epi(mid) == oracles.scan_is_epi(closure, mid)
+        assert tables_equal(op(o), cat)
+        assert oracles.scan_tables_equal(op(o), cat)
+
+    @pytest.mark.parametrize("cat", [
+        FiniteCategory.from_structures(lo_catalog(4)),
+        abstract_from_json(oracles.lo_table(4)),
+        abstract_from_json(NON_MONO),
+    ], ids=["lo4", "lo4-table", "non-mono"])
+    def test_row_op_matches_the_closure_op(self, cat):
+        self.check_op(cat)
+
+    @settings(max_examples=100)
+    @given(table_pairs())
+    def test_row_tables_equal_matches_the_pair_scan(self, docs):
+        c1, c2 = map(abstract_from_json, docs)
+        self.check_op(c1)
+        same = docs[0] == docs[1]
+        assert tables_equal(c1, c2) == oracles.scan_tables_equal(c1, c2) == same
+        assert (tables_equal(op(c1), op(c2))
+                == oracles.scan_tables_equal(oracles.ClosureOp(c1),
+                                             oracles.ClosureOp(c2)) == same)
+
+    def test_one_changed_composite_is_seen(self):
+        doc = oracles.lo_table(4)
+        changed = dict(doc["compose"], **{"LO3->LO4#1∘LO2->LO3#0": "LO2->LO4#5"})
+        assert doc["compose"]["LO3->LO4#1∘LO2->LO3#0"] != "LO2->LO4#5"
+        c1, c2 = abstract_from_json(doc), abstract_from_json(dict(doc, compose=changed))
+        assert not tables_equal(c1, c2)
+        assert not oracles.scan_tables_equal(c1, c2)
+        assert not tables_equal(op(c1), op(c2))
+        assert not oracles.scan_tables_equal(op(c1), op(c2))
+
+    def test_op_of_a_table_with_a_gap_raises(self):
+        with pytest.raises(WorkbenchError, match="table misses"):
+            op(abstract_from_json(lo_table_with_gaps(3, 1)))
+
+    # t.t = iC, and t sends u and v to v; the one triple that breaks is
+    # (u, t, t): t.(t.u) = v but (t.t).u = u.  It starts at B, the second
+    # object, so its rows sit past the offset of hom(A, C).
+    OFFSET_TABLE = {
+        "objects": ["A", "B", "C"],
+        "homs": {"A->A": ["iA"], "B->B": ["iB"], "C->C": ["iC", "t"],
+                 "A->B": ["ab"], "A->C": ["ac"], "B->C": ["u", "v"]},
+        "identities": {"A": "iA", "B": "iB", "C": "iC"},
+        "compose": {"u∘ab": "ac", "v∘ab": "ac", "t∘ac": "ac", "t∘t": "iC",
+                    "t∘u": "v", "t∘v": "v"},
+    }
+
+    @pytest.mark.parametrize("t_v,associative", [("v", False), ("u", True)],
+                             ids=["breaks-at-B", "group-action"])
+    def test_flat_offsets_past_the_first_object(self, t_v, associative):
+        doc = dict(self.OFFSET_TABLE,
+                   compose=dict(self.OFFSET_TABLE["compose"], **{"t∘v": t_v}))
+        cat = abstract_from_json(doc)
+        assert oracles.brute_associative(cat) == associative
+        report = check_axioms(cat)
+        assert report.associativity_ok == associative
+        assert report.identity_ok and report.all_mono == associative
+
+    @pytest.mark.parametrize("compose", [{"f∘a": "g"}, {"b∘f": "g"}],
+                             ids=["right-unit", "left-unit"])
+    def test_identity_law_read_from_rows(self, compose):
+        cat = abstract_from_json({
+            "objects": ["A", "B"],
+            "homs": {"A->A": ["a"], "B->B": ["b"], "A->B": ["f", "g"]},
+            "identities": {"A": "a", "B": "b"}, "compose": compose})
+        assert not check_axioms(cat).identity_ok
+
+
 class TestAssociativityOracle:
     """Associativity by rows of post-composition against the triple scan."""
 
@@ -180,8 +342,10 @@ class TestAssociativityOracle:
     @given(random_tables())
     def test_random_tables_match_the_triple_scan(self, doc):
         cat = abstract_from_json(doc)
-        assert (check_axioms(cat).associativity_ok
-                == oracles.brute_associative(cat))
+        report = check_axioms(cat)
+        assert report.associativity_ok == oracles.brute_associative(cat)
+        assert report.mono_failures == [w for w in cat.all_morphisms()
+                                        if not cat.is_mono(w)]
 
     @pytest.mark.parametrize("cat", [
         FiniteCategory.from_structures(lo_catalog(4)),
@@ -229,7 +393,7 @@ class TestReadOnDemand:
                         for g in lazy.hom(a, b):
                             assert lazy.compose(g, f) == ordered.compose(g, f)
             read.append((a, b))
-        for g, f in ordered.composable_pairs():
+        for g, f in oracles.composable_pairs(ordered):
             assert lazy.compose(g, f) == ordered.compose(g, f)
         for (a, b), mids in homs.items():
             embs = enumerate_embeddings(lazy.structure(a), lazy.structure(b))
@@ -367,14 +531,7 @@ class TestOp:
             assert lo4.is_epi(mid) == o.is_mono(mid)
 
     def test_non_mono_swaps_to_non_epi(self):
-        # g sends the two morphisms A -> B to the same composite
-        cat = abstract_from_json({
-            "objects": ["A", "B", "C"],
-            "homs": {"A->A": ["idA"], "B->B": ["idB"], "C->C": ["idC"],
-                     "A->B": ["f1", "f2"], "B->C": ["g"], "A->C": ["h"]},
-            "compose": {"g∘f1": "h", "g∘f2": "h"},
-            "identities": {"A": "idA", "B": "idB", "C": "idC"},
-        })
+        cat = abstract_from_json(NON_MONO)
         o = op(cat)
         assert not cat.is_mono("g") and not o.is_epi("g")
         assert cat.is_epi("g") and o.is_mono("g")

@@ -410,6 +410,45 @@ class TestReplay:
             path.write_text(json.dumps(report))
             assert run(["replay", str(path)]) == code
 
+    def test_certificate_free_report_replays_without_parsing_the_catalog(
+            self, tmp_path, monkeypatch):
+        from ramsey_workbench import cli
+
+        catalog = tmp_path / "abstract.json"
+        catalog.write_text(json.dumps(TWO_OBJECT_DOC))
+        reports = [tmp_path / "check.json", tmp_path / "op.json"]
+        for out, action in zip(reports, ("check", "op")):
+            assert run(["--out", str(out), "cat", action, "--abstract",
+                        "--catalog", str(catalog)]) == 0
+            assert json.loads(out.read_text())["certificates"] == []
+        calls = []
+        monkeypatch.setattr(cli, "abstract_from_json",
+                            lambda doc: calls.append(doc))
+        for out in reports:
+            assert run(["--out", str(tmp_path / "rep.json"),
+                        "replay", str(out)]) == 0
+        assert calls == []
+
+    def test_changed_abstract_catalog_still_exits_three(self, tmp_path):
+        catalog = tmp_path / "abstract.json"
+        catalog.write_text(json.dumps(TWO_OBJECT_DOC))
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "cat", "check", "--abstract",
+                    "--catalog", str(catalog)]) == 0
+        catalog.write_text(json.dumps(ABSTRACT_DOC))
+        assert run(["replay", str(out)]) == 3
+
+    def test_wrong_typed_report_gives_a_short_error_line(self, replayable,
+                                                         tmp_path, capsys):
+        report = json.loads(replayable["arrow"].read_text())
+        path = tmp_path / "listed.json"
+        path.write_text(json.dumps([report]))
+        capsys.readouterr()
+        assert run(["replay", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: report must be dict, not list [{")
+        assert err.count("\n") == 1 and len(err) < 100
+
     def test_empty_report_succeeds(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"certificates": []}))
@@ -569,8 +608,11 @@ class TestLoaderValidation:
         dict(TWO_OBJECT_DOC, compose={"q∘a": "a"}),
         dict(TWO_OBJECT_DOC, compose={"a∘f": "a"}),
         dict(TWO_OBJECT_DOC, compose={"f∘a": "a"}),
+        {"objects": ["A", "A"], "homs": {"A->A": ["i"]},
+         "identities": {"A": "i"}},
     ], ids=["undeclared-object", "unknown-identity", "identity-off-diagonal",
-            "unknown-morphism", "non-composable", "composite-in-wrong-hom-set"])
+            "unknown-morphism", "non-composable", "composite-in-wrong-hom-set",
+            "repeated-object"])
     @pytest.mark.parametrize("action", ["check", "op"])
     def test_bad_reference_in_abstract_category_exits_three(
             self, tmp_path, doc, action):

@@ -190,7 +190,7 @@ class TestComposeDifferential:
 
     def test_composites_match_validated_embeddings(self, cat):
         pairs = 0
-        for g, f in cat.composable_pairs():
+        for g, f in oracles.composable_pairs(cat):
             ef, eg = cat.embedding(f), cat.embedding(g)
             oracle = Embedding(ef.source, eg.target,
                                tuple(eg.map[v] for v in ef.map))
