@@ -3,7 +3,8 @@
 Two flavors share one interface: structure-backed categories, whose
 morphisms are embeddings and whose composition is map composition, and
 abstract categories loaded from a JSON table.  Everything downstream
-(arrow search, amalgamation, expansions) works through this interface.
+(arrow search, amalgamation, expansions, the weak Fraïssé and weak
+homogeneity checks on sequences) works through this interface.
 
 A structure-backed category enumerates each hom-set the first time it is
 read, so a question pays only for the hom-sets it reads.  Ids do not depend
@@ -11,9 +12,10 @@ on the read order: ``A->B#k`` is always the k-th embedding of A into B in
 enumeration order.  Hence the rule: every read of ``_homs``, ``_mor``,
 ``_identities``, ``_pos`` or ``_emb_index`` goes through a method that reads
 the hom-set first (``hom``, ``identity``, ``morphism``, ``source``, ``target``,
-``compose``, ``post``, ``pre``).  An id whose hom-set is unread, say one
-from a certificate, is resolved by reading the one hom-set it names.  Table
-and ``op`` categories have every hom-set up front; a missing one is empty.
+``compose``, ``post``, ``pre``, ``embedding_id``).  An id whose hom-set is
+unread, say one from a certificate, is resolved by reading the one hom-set it
+names.  Table and ``op`` categories have every hom-set up front; a missing one
+is empty.
 
 The integer kernel: ``position(mid)`` is the k of mid in its hom-set.  The
 row ``post(w, a)`` maps hom(a, source w) into hom(a, target w) by positions,
@@ -191,8 +193,15 @@ class FiniteCategory:
         try:
             return self._emb_index[key]
         except KeyError:
-            self.hom(mf.src, mg.tgt)
-            return self._emb_index[key]
+            return self.embedding_id(*key)
+
+    def embedding_id(self, a: str, b: str, mp: tuple[int, ...]) -> str:
+        """The id of the embedding of a into b whose vertex map is mp."""
+        self.hom(a, b)
+        try:
+            return self._emb_index[(a, b, mp)]
+        except KeyError:
+            raise WorkbenchError(f"{list(mp)} is no embedding of {a} into {b}")
 
     def position(self, mid: str) -> int:
         """Index of mid in its hom-set: the k of ``A->B#k``."""

@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict
 from functools import reduce
 
-from . import __version__
+from . import __version__, structures
 from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check,
                      export_cnf, oracle_arrow_check, verify_bad_coloring)
 from .amalgam import (failure_chain, is_amalgamation_arrow, two_of_k_check,
@@ -36,7 +36,6 @@ from .expansion import (ExpansionSpace, check_forgetful,
                         expansion_property_check, orbit_age_analysis)
 from .sequences import (colimit, sequence_from_json, weak_fraisse_check,
                         weak_homogeneity_check)
-from .structures import compose
 
 EXIT_BY_STATUS = {HOLDS: 0, FAILS: 1, UNKNOWN: 2}
 WITNESS_CAP = 200
@@ -181,11 +180,12 @@ def _amalgam_chain(args):
 
 
 def _load_sequence(args):
-    catalog = load_catalog(args.catalog)
+    cat = _load_category(args)
     if args.seq is None:
         raise WorkbenchError("--seq is required here")
     with open(args.seq, encoding="utf-8") as fh:
-        return catalog, sequence_from_json(json.load(fh), catalog)
+        return cat, sequence_from_json(json.load(fh),
+                                       list(cat.structures.values()))
 
 
 def _seq_colim(args):
@@ -193,7 +193,7 @@ def _seq_colim(args):
     result = colimit(seq)
     certificates = [
         {"type": "map-equality", "note": f"cocone triangle {n}->{m}",
-         "lhs": compose(result.cocone[m], seq.bonding(n, m)).map,
+         "lhs": structures.compose(result.cocone[m], seq.bonding(n, m)).map,
          "rhs": result.cocone[n].map}
         for n in range(seq.length) for m in range(n, seq.length)]
     return "colimit", HOLDS, {"size": result.structure.size,
@@ -201,8 +201,11 @@ def _seq_colim(args):
 
 
 def _seq_wfcheck(args):
-    catalog, seq = _load_sequence(args)
-    rep = weak_fraisse_check(seq, catalog, m_max=args.mmax, k_max=args.kmax)
+    cat, seq = _load_sequence(args)
+    steps = [cat.embedding_id(s.source.name, s.target.name, s.map)
+             for s in seq.steps]
+    rep = weak_fraisse_check(cat, [x.name for x in seq.objects], steps,
+                             cat.objects, m_max=args.mmax, k_max=args.kmax)
     return "weak-fraisse", rep.status, {
         "cofinality": rep.cofinality_witness, "missing": rep.missing_objects,
         # str keys sort as text ("10" < "2"); sort_keys orders int keys as numbers
@@ -211,13 +214,18 @@ def _seq_wfcheck(args):
 
 
 def _seq_whom(args):
-    catalog = load_catalog(args.catalog)
-    by_name = {s.name: s for s in catalog}
-    _require_objects(by_name, args, "obj")
-    rep = weak_homogeneity_check(by_name[args.obj], catalog)
+    cat = _load_category(args)
+    _require_objects(cat.objects, args, "obj")
+    rep = weak_homogeneity_check(cat, args.obj, cat.objects)
+
+    def maps(found: dict) -> dict:
+        return {k: cat.embedding(v).map if k in ("f", "e", "i") else v
+                for k, v in found.items()}
+
     return "weak-homogeneity", rep.status, {
-        "object": args.obj, "witnesses": rep.witnesses[:WITNESS_CAP],
-        "failure": rep.failure}, []
+        "object": args.obj,
+        "witnesses": [maps(w) for w in rep.witnesses[:WITNESS_CAP]],
+        "failure": rep.failure and maps(rep.failure)}, []
 
 
 def _expansion_space(args):

@@ -222,12 +222,9 @@ class ExpansionSpace:
                     raise WorkbenchError(
                         "copy colored by none or several of the added tables")
                 values.append(hits[0])
-            valid = {self.cat.embedding(e).map for e in hom}
             for name in names:
-                for tup in rendered.rel(name):
-                    if tup not in valid:
-                        raise WorkbenchError(
-                            f"{name!r} holds a tuple that is not a copy")
+                for tup in rendered.rel(name):   # each tuple must be a copy
+                    self.cat.embedding_id(rep, base_obj, tup)
             theta.append((rep, tuple(values)))
         return ExpandedObject(base_obj, tuple(theta))
 
@@ -464,16 +461,9 @@ def transport_expansion(space: ExpansionSpace,
     out: dict[str, list[ExpandedObject]] = {}
     for obj in cat.objects:
         rep = skel.representatives[obj]
-        eta = skel.canon_iso[obj]
-        eta_mid = None
-        for mid in cat.hom(obj, rep):
-            if cat.embedding(mid).map == eta.map:
-                eta_mid = mid
-                break
-        if eta_mid is None:
-            raise WorkbenchError(f"catalog lacks the canonical iso {obj}->{rep}")
+        eta = cat.embedding_id(obj, rep, skel.canon_iso[obj].map)
         out[obj] = sorted(
-            (space.restriction(rep_star, eta_mid)
+            (space.restriction(rep_star, eta)
              for rep_star in space.fiber(rep)),
             key=lambda x: x.theta,
         )

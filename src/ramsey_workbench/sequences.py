@@ -1,11 +1,14 @@
-"""Truncated sequence calculus over structure chains.
+"""Truncated sequences: structure chains and chains of category ids.
 
-Sequences here are finite prefixes of chains: objects X_0..X_{N-1} with
-embedding bondings.  Transformations carry a nondecreasing level map and
-per-level components making every square commute.  Since all bondings are
-embeddings, two transformations that separate at some level stay separated
-all the way up, so equivalence is decidable at the truncation: agreement at
-any level is agreement at the top.
+Colimits and the transformation calculus work on structure chains: objects
+X_0..X_{N-1} with embedding bondings.  Transformations carry a nondecreasing
+level map and per-level components making every square commute.  Since all
+bondings are embeddings, two transformations that separate at some level
+stay separated all the way up, so equivalence is decidable at the
+truncation: agreement at any level is agreement at the top.
+
+``weak_fraisse_check`` and ``weak_homogeneity_check`` work on category ids:
+they read hom-sets and composites only through a ``FiniteCategory``.
 
 The index set stops at N-1 instead of running forever, so every "there is
 a larger level" quantifier carries an explicit bound and the checkers
@@ -14,11 +17,11 @@ report UNKNOWN-AT-BOUND when the bound is the only obstacle.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
 from . import FAILS, HOLDS, UNKNOWN
+from .category import FiniteCategory
 from .errors import (ShapeMismatch, TruncationOverflow, WorkbenchError,
                      check_type)
 from .structures import (Embedding, Structure, automorphisms, compose,
@@ -282,58 +285,53 @@ class ChainAbsorptionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def weak_fraisse_check(seq: TruncatedSequence, catalog: list[Structure],
-                       m_max: int, k_max: int) -> ChainAbsorptionReport:
+def weak_fraisse_check(cat: FiniteCategory, levels: list[str], steps: list[str],
+                       catalog: list[str], m_max: int,
+                       k_max: int) -> ChainAbsorptionReport:
     """Is the chain cofinal for the catalog and tail-absorbing within bounds?
 
-    Absorption at level n asks for m >= n such that every morphism from
-    level m into a catalog object bends back into some later level k while
-    fixing the level-n copy.  The existential bounds m_max and k_max are
+    The chain is the objects ``levels`` joined by the morphism ids ``steps``,
+    with bondings w(n, m).  Absorption at level n asks for m >= n such that
+    every morphism f from level m into a catalog object bends back into some
+    later level k while fixing the level-n copy: position(w(n, k)) lies in
+    the row pre(f.w(n, m), X_k).  The existential bounds m_max and k_max are
     capped by the truncation, so a missing witness is UNKNOWN-AT-BOUND,
     while a cofinality gap is a definite failure for this chain.
     """
-    top = seq.length - 1
-    hom = functools.cache(enumerate_embeddings)   # each hom-set once per call
-    cof: dict[str, int] = {}
-    missing: list[str] = []
+    top = len(levels) - 1
+    cof: dict[str, int] = {}   # the first level each catalog object embeds in
     for c in catalog:
-        hit = None
-        for n in range(seq.length):
-            if hom(c, seq.objects[n]):
-                hit = n
-                break
-        if hit is None:
-            missing.append(c.name or "?")
-        else:
-            cof[c.name or "?"] = hit
+        hit = next((n for n, x in enumerate(levels) if cat.hom(c, x)), None)
+        if hit is not None:
+            cof[c] = hit
+    missing = [c for c in catalog if c not in cof]
     if missing:
         return ChainAbsorptionReport(FAILS, cof, missing, {}, [],
                                      notes=["catalog object never embeds"])
 
+    w: dict[tuple[int, int], str] = {}   # w[n, m]: the bonding n -> m
+    for n, x in enumerate(levels):
+        w[n, n] = cat.identity(x)
+        for m in range(n, top):
+            w[n, m + 1] = cat.compose(steps[m], w[n, m])
+
     def absorbs(n: int, m: int) -> bool:
-        w_nm = seq.bonding(n, m)
-        levels = [(seq.objects[k], seq.bonding(n, k))
-                  for k in range(m, min(k_max, top) + 1)]
+        targets = [(levels[k], cat.position(w[n, k]))
+                   for k in range(m, min(k_max, top) + 1)]
         for c in catalog:
-            for f in hom(seq.objects[m], c):
-                fw = compose(f, w_nm)
-                if not any(compose(g, fw) == w_nk
-                           for x_k, w_nk in levels for g in hom(c, x_k)):
+            for f in cat.hom(levels[m], c):
+                fw = cat.compose(f, w[n, m])
+                if not any(at in cat.pre(fw, x_k) for x_k, at in targets):
                     return False
         return True
 
     witness: dict[int, int] = {}
-    stuck: list[int] = []
-    for n in range(seq.length):
-        found = None
-        for m in range(n, min(m_max, top) + 1):
-            if absorbs(n, m):
-                found = m
-                break
-        if found is None:
-            stuck.append(n)
-        else:
+    for n in range(len(levels)):
+        found = next((m for m in range(n, min(m_max, top) + 1)
+                      if absorbs(n, m)), None)
+        if found is not None:
             witness[n] = found
+    stuck = [n for n in range(len(levels)) if n not in witness]
     status = HOLDS if not stuck else UNKNOWN
     return ChainAbsorptionReport(status, cof, [], witness, stuck,
                                  notes=[f"bounds m<={m_max} k<={k_max}, "
@@ -365,47 +363,37 @@ def ultrahomogeneity_check(f_struct: Structure,
     return HomogeneityReport(HOLDS, witnesses)
 
 
-def weak_homogeneity_check(f_struct: Structure,
-                           catalog: list[Structure]) -> HomogeneityReport:
-    """Weak homogeneity of F, with B ranging over the catalog.
+def weak_homogeneity_check(cat: FiniteCategory, f_obj: str,
+                           catalog: list[str]) -> HomogeneityReport:
+    """Weak homogeneity of the object F = f_obj, with B ranging over the catalog.
 
     For every catalog A and f: A -> F there must be e: A -> B and
     i: B -> F with i.e = f such that every j: B -> F satisfies h.j.e = f
-    for some h in Aut(F).  Every finite F passes once the catalog holds a
-    copy of F: take B to be that copy, and every j is then an isomorphism.
+    for some h in Aut(F): the row pre(e, F) holds position(f) and lies in
+    the orbit {position(h.f) : h in Aut(F)}.  Witnesses carry morphism ids.
+    Every finite F passes once the catalog holds a copy of F: take B to be
+    that copy, and every j is then an isomorphism.
     So FAILS is a verdict relative to the catalog.  Whether a catalog too
     small to hold a witness B should give UNKNOWN-AT-BOUND under the bound
     rule of this module is left open; the verdict stays FAILS.
     """
-    auts = [h.map for h in automorphisms(f_struct)]
-    hom = functools.cache(enumerate_embeddings)   # each hom-set once per call
+    auts = cat.automorphism_ids(f_obj)
     witnesses = []
     for a in catalog:
-        for f in hom(a, f_struct):
-            # j.e passes exactly when it lies in the Aut(F)-orbit of f
-            orbit = {tuple(map(h.__getitem__, f.map)) for h in auts}
-            found = None
-            for b in catalog:
-                into_f = [j.map for j in hom(b, f_struct)]
-                for e in hom(a, b):
-                    # exchangeability does not depend on i, so only the
-                    # first i with i.e = f is tried
-                    i = next((m for m in into_f
-                              if tuple(map(m.__getitem__, e.map)) == f.map), None)
-                    if i is not None and all(
-                            tuple(map(j.__getitem__, e.map)) in orbit
-                            for j in into_f):
-                        found = {"A": a.name, "f": f.map, "B": b.name,
-                                 "e": e.map, "i": i}
-                        break
-                if found:
+        moved = [cat.post(h, a) for h in auts]   # position of h.f, per f
+        for k, f in enumerate(cat.hom(a, f_obj)):
+            orbit = {row[k] for row in moved}
+            for b, e in ((b, e) for b in catalog for e in cat.hom(a, b)):
+                row = cat.pre(e, f_obj)
+                if k in row and orbit.issuperset(row):
+                    witnesses.append({"A": a, "f": f, "B": b, "e": e,
+                                      "i": cat.hom(b, f_obj)[row.index(k)]})
                     break
-            if found is None:
+            else:
                 return HomogeneityReport(
                     FAILS, witnesses,
-                    failure={"A": a.name, "f": f.map,
+                    failure={"A": a, "f": f,
                              "reason": "no factorization is exchangeable"})
-            witnesses.append(found)
     return HomogeneityReport(HOLDS, witnesses)
 
 

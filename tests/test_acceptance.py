@@ -295,8 +295,18 @@ def test_05c_chain_colimit_is_top():
 # -- 6: chain absorption and homogeneity ---------------------------------------
 
 
+def lo8_chain():
+    """The category of LO1..LO8 and its chain of initial-segment steps."""
+    cat = FiniteCategory.from_structures(lo_catalog(8))
+    steps = [cat.embedding_id(a, b, tuple(range(i + 1)))
+             for i, (a, b) in enumerate(zip(cat.objects, cat.objects[1:]))]
+    return cat, cat.objects, steps
+
+
 def test_06a_chain_absorption_holds():
-    report = weak_fraisse_check(lo_chain(8), lo_catalog(4), m_max=7, k_max=7)
+    cat, levels, steps = lo8_chain()
+    report = weak_fraisse_check(cat, levels, steps, levels[:4],
+                                m_max=7, k_max=7)
     assert report.status == "HOLDS"
 
 
@@ -304,8 +314,9 @@ def test_06a_chain_absorption_witnesses_at_own_level():
     # a level-n copy sent off the initial segment of a catalog chain cannot
     # be bent back, so a level absorbs at itself exactly when it already
     # holds the largest catalog chain; earlier levels climb to that ceiling
+    cat, levels, steps = lo8_chain()
     for ceiling in (4, 8):
-        report = weak_fraisse_check(lo_chain(8), lo_catalog(ceiling),
+        report = weak_fraisse_check(cat, levels, steps, levels[:ceiling],
                                     m_max=7, k_max=7)
         expected = oracles.chain_absorption_witnesses(8, ceiling)
         assert expected == {n: max(n, ceiling - 1) for n in range(8)}
@@ -314,16 +325,17 @@ def test_06a_chain_absorption_witnesses_at_own_level():
         assert own_level == set(range(ceiling - 1, 8))
 
 
-def test_06b_weak_homogeneity_of_chain_top():
+def test_06b_weak_homogeneity_of_chain_top(lo6):
     top = linear_order(6)
     # on the age of LO6 the catalog holds LO6 itself, through which every
     # copy factors with the identity as its only re-embedding
     age = lo_catalog(6)
     expected = oracles.weak_homogeneity_witnesses(top, age)
     assert {b for _, _, b in expected} == {"LO6"}
-    report = weak_homogeneity_check(top, age)
+    report = weak_homogeneity_check(lo6, "LO6", lo6.objects)
     assert report.status == "HOLDS"
-    assert [(w["A"], w["f"], w["B"]) for w in report.witnesses] == expected
+    assert [(w["A"], lo6.embedding(w["f"]).map, w["B"])
+            for w in report.witnesses] == expected
 
     # with B <= LO3 the rigid chain offers no witness: two copies of B
     # restrict to different copies of A and no automorphism moves either
@@ -332,9 +344,10 @@ def test_06b_weak_homogeneity_of_chain_top():
                       oracles.weak_homogeneity_witnesses(top, small)
                       if b is None)
     assert first_bare == ("LO1", (0,))
-    report = weak_homogeneity_check(top, small)
+    report = weak_homogeneity_check(lo6, "LO6", [s.name for s in small])
     assert report.status == "FAILS"
-    assert (report.failure["A"], report.failure["f"]) == first_bare
+    assert (report.failure["A"],
+            lo6.embedding(report.failure["f"]).map) == first_bare
 
 
 # -- 7: expansion construction --------------------------------------------------

@@ -144,6 +144,32 @@ class TestOtherCommands:
         report = json.loads(out.read_text())
         assert report["verdicts"][0]["size"] == 4
 
+    def test_seq_colim_composes_through_the_structures_module(
+            self, lo_paths, tmp_path, monkeypatch):
+        # a tracer wraps structures.compose, so it must see every
+        # cocone-triangle composition
+        from ramsey_workbench import structures
+        calls = []
+        compose = structures.compose
+
+        def counted(g, f):
+            calls.append((g, f))
+            return compose(g, f)
+
+        monkeypatch.setattr(structures, "compose", counted)
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps(
+            {"objects": ["LO1", "LO2", "LO3", "LO4"],
+             "bonding": {"0->1": [0], "1->2": [0, 1], "2->3": [0, 1, 2]}}))
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "seq", "colim", "--catalog",
+                    lo_paths["lo4"], "--seq", str(seq_path)]) == 0
+        report = json.loads(out.read_text())
+        triangles = [c for c in report["certificates"]
+                     if c["note"].startswith("cocone triangle")]
+        assert len(triangles) == 4 * 5 // 2
+        assert len(calls) == len(triangles)
+
     def test_expand_build_and_check(self, tmp_path):
         cat_path = tmp_path / "g.json"
         save_catalog([graph(1, [], name="K1"), graph(2, [(0, 1)], name="K2"),
@@ -577,17 +603,24 @@ TWO_OBJECT_DOC = {"objects": ["A", "B"],
 class TestLoaderValidation:
     """Malformed sequence, abstract-category and degree files exit 3."""
 
-    @pytest.mark.parametrize("bonding", [
-        {"0->1": "x", "1->2": [0, 1]},
-        {"0->one": [0], "1->2": [0, 1]},
-        {"0->1": [0], "00->1": [0], "1->2": [0, 1]},
-    ], ids=["string-map", "non-int-level", "leading-zero"])
-    def test_malformed_sequence_exits_three(self, lo_paths, tmp_path, bonding):
+    @pytest.mark.parametrize("objects,bonding", [
+        (["LO1", "LO2", "LO3"], {"0->1": "x", "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->one": [0], "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->1": [0], "00->1": [0], "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->1": [0], "1->2": [1, 0]}),
+        (["LO1", "LO2", "LO5"], {"0->1": [0], "1->2": [0, 1]}),
+    ], ids=["string-map", "non-int-level", "leading-zero", "not-an-embedding",
+            "object-not-in-catalog"])
+    def test_malformed_sequence_exits_three(self, lo_paths, tmp_path, objects,
+                                            bonding):
         seq_path = tmp_path / "seq.json"
-        seq_path.write_text(json.dumps({"objects": ["LO1", "LO2", "LO3"],
+        seq_path.write_text(json.dumps({"objects": objects,
                                         "bonding": bonding}))
-        assert run(["--out", str(tmp_path / "r.json"), "seq", "colim",
-                    "--catalog", lo_paths["lo4"], "--seq", str(seq_path)]) == 3
+        for action in ("colim", "wfcheck"):
+            out = tmp_path / f"{action}.json"
+            assert run(["--out", str(out), "seq", action, "--catalog",
+                        lo_paths["lo4"], "--seq", str(seq_path)]) == 3
+            assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("homs", {"A->A": 5}),

@@ -14,6 +14,7 @@ from ramsey_workbench.expansion import (DegreeAssignment, ExpansionSpace,
                                         expansion_property_check,
                                         orbit_age_analysis,
                                         transport_expansion)
+from ramsey_workbench.structures import Structure
 
 import oracles
 
@@ -198,6 +199,17 @@ class TestRendering:
         for fstar in p3_space.fiber("P3"):
             rendered = p3_space.render(fstar)
             assert p3_space.parse(rendered, "P3") == fstar
+
+    def test_parse_rejects_a_tuple_that_is_not_a_copy(self, p3_space):
+        rendered = p3_space.render(p3_space.fiber("P3")[0])
+        name = next(name for rep, _, name, _ in
+                    p3_space.expanded_signature().added if rep == "K2")
+        # 0 and 2 are the ends of P3, so (0, 2) is no edge and no copy of K2
+        tables = {rname: set(table) for rname, table in rendered.relations}
+        tables[name].add((0, 2))
+        doctored = Structure.make(rendered.signature, rendered.size, tables)
+        with pytest.raises(WorkbenchError):
+            p3_space.parse(doctored, "P3")
 
     def test_added_tables_partition_copies(self, p3_space):
         fstar = p3_space.fiber("P3")[5]

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from ramsey_workbench import sequences
 from ramsey_workbench.catalogs import (complete_graph, empty_graph,
                                        find_isomorphic, graph_catalog,
                                        linear_order, lo_catalog, path_graph)
+from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import ShapeMismatch, TruncationOverflow
 from ramsey_workbench.sequences import (ColimitResult, TruncatedSequence,
                                         Transformation,
@@ -329,10 +331,32 @@ class TestMonoTest:
             assert not mono_test(f, g, h).violation
 
 
+def structure_category(*groups):
+    """The embedding category on the structures of the groups, by name."""
+    return FiniteCategory.from_structures(
+        list({s.name: s for group in groups for s in group}.values()))
+
+
+def wfcheck(seq, catalog, m_max, k_max):
+    """weak_fraisse_check on the category of the chain and the catalog, its
+    steps resolved to ids as ``rw seq wfcheck`` resolves them."""
+    cat = structure_category(seq.objects, catalog)
+    steps = [cat.embedding_id(s.source.name, s.target.name, s.map)
+             for s in seq.steps]
+    return weak_fraisse_check(cat, [x.name for x in seq.objects], steps,
+                              [c.name for c in catalog], m_max, k_max)
+
+
+def whom(f_struct, catalog):
+    """weak_homogeneity_check of F over the catalog, on their category."""
+    return weak_homogeneity_check(structure_category(catalog, [f_struct]),
+                                  f_struct.name, [c.name for c in catalog])
+
+
 class TestWeakFraisse:
     def test_lo_chain_absorbs_catalog(self):
         seq = lo_chain(8)
-        report = weak_fraisse_check(seq, lo_catalog(4), m_max=7, k_max=7)
+        report = wfcheck(seq, lo_catalog(4), m_max=7, k_max=7)
         assert report.status == "HOLDS"
         # levels holding a four-chain absorb at themselves; earlier levels
         # must climb to the four-chain level first
@@ -341,13 +365,13 @@ class TestWeakFraisse:
 
     def test_missing_object_breaks_cofinality(self):
         seq = lo_chain(3)
-        report = weak_fraisse_check(seq, lo_catalog(5), m_max=2, k_max=2)
+        report = wfcheck(seq, lo_catalog(5), m_max=2, k_max=2)
         assert report.status == "FAILS"
         assert "LO4" in report.missing_objects
 
     def test_tight_bounds_inconclusive(self):
         seq = lo_chain(8)
-        report = weak_fraisse_check(seq, lo_catalog(4), m_max=1, k_max=1)
+        report = wfcheck(seq, lo_catalog(4), m_max=1, k_max=1)
         assert report.status == "UNKNOWN-AT-BOUND"
 
 
@@ -364,22 +388,22 @@ class TestHomogeneity:
         catalog = [empty_graph(1, name="K1"), complete_graph(2)]
         f = complete_graph(3)
         assert ultrahomogeneity_check(f, catalog).status == "HOLDS"
-        assert weak_homogeneity_check(f, catalog).status == "HOLDS"
+        assert whom(f, catalog).status == "HOLDS"
 
     def test_rigid_chain_is_not_weakly_homogeneous(self):
         # two copies of the point cannot be exchanged: every automorphism
         # of a finite chain is the identity
-        report = weak_homogeneity_check(linear_order(6), lo_catalog(3))
+        report = whom(linear_order(6), lo_catalog(3))
         assert report.status == "FAILS"
         assert report.failure["A"] == "LO1"
 
     def test_path_center_end_asymmetry(self):
         catalog = [empty_graph(1, name="K1"), path_graph(2, name="P2")]
-        report = weak_homogeneity_check(path_graph(3), catalog)
+        report = whom(path_graph(3), catalog)
         assert report.status == "FAILS"
 
     def test_empty_catalog_vacuous(self):
-        assert weak_homogeneity_check(path_graph(3), []).status == "HOLDS"
+        assert whom(path_graph(3), []).status == "HOLDS"
 
     def test_empty_graph_witnesses_match_oracle(self):
         # E4 has all 24 permutations as automorphisms, so every j: B -> E4
@@ -387,9 +411,8 @@ class TestHomogeneity:
         catalog = graph_catalog(4)
         e4 = find_isomorphic(catalog, empty_graph(4))
         expected = oracles.weak_homogeneity_witnesses(e4, catalog)
-        report = weak_homogeneity_check(e4, catalog)
-        assert report.status == "HOLDS"
-        assert [(w["A"], w["f"], w["B"]) for w in report.witnesses] == expected
+        assert None not in [b for _, _, b in expected]
+        _assert_matches_oracle(e4, catalog)
 
     @pytest.mark.parametrize("f_struct", graph_catalog(4, min_n=4),
                              ids=lambda s: s.name)
@@ -405,12 +428,21 @@ class TestHomogeneity:
         _assert_matches_oracle(f_struct, catalog)
 
 
-def _assert_matches_oracle(f_struct, catalog):
+def _assert_matches_oracle(f_struct, catalog, cat=None):
+    """The report on cat (default: the structure category) against the
+    oracle; ids are read as vertex maps through the structure category."""
+    maps = structure_category(catalog, [f_struct])
+    report = weak_homogeneity_check(cat or maps, f_struct.name,
+                                    [c.name for c in catalog])
+
+    def vertex_map(mid):
+        return maps.embedding(mid).map
+
     expected = oracles.weak_homogeneity_witnesses(f_struct, catalog)
-    report = weak_homogeneity_check(f_struct, catalog)
-    found = [(w["A"], w["f"], w["B"]) for w in report.witnesses]
+    found = [(w["A"], vertex_map(w["f"]), w["B"]) for w in report.witnesses]
     for w in report.witnesses:
-        assert tuple(w["i"][x] for x in w["e"]) == w["f"]
+        i = vertex_map(w["i"])
+        assert tuple(i[x] for x in vertex_map(w["e"])) == vertex_map(w["f"])
     bare = next((i for i, (_, _, b) in enumerate(expected) if b is None),
                 None)
     if bare is None:
@@ -420,7 +452,51 @@ def _assert_matches_oracle(f_struct, catalog):
         assert report.status == "FAILS"
         assert found == expected[:bare]
         a, f, _ = expected[bare]
-        assert (report.failure["A"], report.failure["f"]) == (a, f)
+        assert (report.failure["A"], vertex_map(report.failure["f"])) == (a, f)
+
+
+class TestTableRoute:
+    """On the compose table of LO1..LOn the checks agree with the oracles
+    and with the structure route; the table shares the ``LOa->LOb#k`` ids."""
+
+    def test_weak_fraisse_matches_oracle_and_structure_route(self):
+        table = abstract_from_json(oracles.lo_table(8))
+        levels = table.objects
+        # the initial segment range(i) is the least i-subset of range(i + 1)
+        steps = [f"LO{i}->LO{i + 1}#0" for i in range(1, 8)]
+        for ceiling in (4, 8):
+            report = weak_fraisse_check(table, levels, steps,
+                                        levels[:ceiling], m_max=7, k_max=7)
+            assert report.absorption_witness == \
+                oracles.chain_absorption_witnesses(8, ceiling)
+            assert report == wfcheck(lo_chain(8), lo_catalog(ceiling), 7, 7)
+
+    @pytest.mark.parametrize("ceiling", [3, 6])
+    def test_weak_homogeneity_matches_oracle(self, ceiling):
+        _assert_matches_oracle(linear_order(6), lo_catalog(ceiling),
+                               cat=abstract_from_json(oracles.lo_table(6)))
+
+
+class TestOneHomSetOwner:
+    """The weak Fraïssé checks read hom-sets and composites only through
+    the category: the structure primitives of ``sequences`` stay unused."""
+
+    def test_checks_never_call_the_structure_primitives(self, monkeypatch):
+        e4 = find_isomorphic(G4, empty_graph(4))
+
+        def reports():
+            return (wfcheck(lo_chain(8), lo_catalog(4), 7, 7),
+                    wfcheck(lo_chain(3), lo_catalog(5), 2, 2),
+                    whom(e4, G4), whom(linear_order(6), lo_catalog(3)))
+
+        expected = reports()
+
+        def refuse(*args):
+            raise AssertionError("sequences read a hom-set of its own")
+
+        for name in ("enumerate_embeddings", "automorphisms", "compose"):
+            monkeypatch.setattr(sequences, name, refuse)
+        assert reports() == expected
 
 
 class TestSequenceJson:
