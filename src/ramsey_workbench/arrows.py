@@ -44,9 +44,6 @@ class Coloring:
         if any(not (0 <= v < self.k) for v in self.values):
             raise ValueError("color out of range")
 
-    def used_colors(self) -> int:
-        return len(set(self.values))
-
 
 @dataclass
 class ArrowStats:
@@ -428,21 +425,6 @@ def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
             return ArrowVerdict(FAILS, Coloring(inst.domain, k, values), stats,
                                 degenerate)
     return ArrowVerdict(HOLDS, None, stats, degenerate)
-
-
-def find_ramsey_witness(cat: FiniteCategory, b: str, a: str, k: int, t: int, *,
-                        node_budget: int | None = None):
-    """First catalog object whose arrow check HOLDS, in catalog order."""
-    unknowns = []
-    for c in cat.objects:
-        verdict = arrow_check(cat, c, b, a, k, t, node_budget=node_budget)
-        if verdict.status == HOLDS:
-            return c, verdict
-        if verdict.status == UNKNOWN:
-            unknowns.append(c)
-    return None, ArrowVerdict(UNKNOWN if unknowns else FAILS, None,
-                              ArrowStats(),
-                              note=f"no witness; unknown at bound: {unknowns}")
 
 
 def export_cnf(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int) -> str:

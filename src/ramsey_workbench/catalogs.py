@@ -227,15 +227,6 @@ def graph_catalog(max_n: int, min_n: int = 1) -> list[Structure]:
     return out
 
 
-def find_isomorphic(catalog: list[Structure], target: Structure) -> Structure | None:
-    from .structures import isomorphic
-
-    for s in catalog:
-        if isomorphic(s, target):
-            return s
-    return None
-
-
 def catalog_to_json(catalog: list[Structure]) -> dict:
     if not catalog:
         return {"signature": {"relations": [], "constants": []}, "structures": []}

@@ -1,4 +1,4 @@
-"""Catalog-relative degree intervals and essential colorings.
+"""Catalog-relative degree intervals.
 
 The true degree of an object quantifies over an unbounded class, so every
 verdict here is stamped with the catalog and color bound it was computed
@@ -10,12 +10,10 @@ arrow decision they came from.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check)
 from .category import FiniteCategory
-from .errors import BudgetExceeded, TrivialColoring
 
 
 @dataclass
@@ -140,6 +138,8 @@ def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
 def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
                     bs: list[str] | None = None,
                     node_budget: int | None = None) -> DegreeInterval:
+    if k_max < 1:
+        raise ValueError(f"k_max must be positive, not {k_max}")
     up = degree_upper(cat, a, k_max, bs=bs, node_budget=node_budget)
     upper, upper_certs, unknowns = (None, [], []) if up is None else up
 
@@ -163,148 +163,3 @@ def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
                           bs if bs is not None else list(cat.objects),
                           unknowns)
 
-
-# -- essential colorings -----------------------------------------------------
-
-
-@dataclass
-class EssentialityVerdict:
-    status: str
-    counterexample: Coloring | None = None
-    offending: tuple | None = None   # (B, w) for the aggregate check
-    per_instance: list = field(default_factory=list)
-
-
-def kernel_contained(fine: Coloring, coarse_values, domain_len: int) -> bool:
-    """ker fine within ker coarse on a shared index space."""
-    for i in range(domain_len):
-        for j in range(i + 1, domain_len):
-            if fine.values[i] == fine.values[j] and coarse_values[i] != coarse_values[j]:
-                return False
-    return True
-
-
-def _kernel_classes(values) -> list[list[int]]:
-    classes: dict[int, list[int]] = {}
-    for i, v in enumerate(values):
-        classes.setdefault(v, []).append(i)
-    return [cls for cls in classes.values() if len(cls) > 1]
-
-
-def _essential_at_core(cat: FiniteCategory, lam_values, a: str, b: str,
-                       f_obj: str, k_max: int) -> EssentialityVerdict:
-    """Search for a coloring of hom(A, F) that no witness transports onto a
-    coarsening of lam.  Kernels only, so enumerating with k_max colors in
-    first-appearance order covers every k <= k_max."""
-    domain = tuple(cat.hom(a, f_obj))
-    hom_bf = tuple(cat.hom(b, f_obj))
-    m = len(domain)
-    lam_classes = _kernel_classes(lam_values)
-
-    if not hom_bf:
-        counter = Coloring(domain, max(k_max, 1), tuple(0 for _ in range(m)))
-        return EssentialityVerdict(FAILS, counter)
-
-    # per witness w: groups of domain indices that chi must keep constant
-    w_groups: list[list[list[int]]] = []
-    for w in hom_bf:
-        mapped = cat.post(w, a)
-        w_groups.append([[mapped[i] for i in cls] for cls in lam_classes])
-
-    if not lam_classes:
-        return EssentialityVerdict(HOLDS)   # discrete kernel is always carried
-
-    values = [-1] * m
-
-    def witness_satisfied(groups) -> bool:
-        for grp in groups:
-            seen = {values[i] for i in grp}
-            if -1 in seen:
-                if len(seen - {-1}) > 1:
-                    return False
-                return None   # undetermined
-            if len(seen) > 1:
-                return False
-        return True
-
-    def rec(depth: int, used: int):
-        if depth == m:
-            return list(values)
-        top = min(used + 1, k_max)
-        for col in range(top):
-            values[depth] = col
-            # prune once some witness is definitely satisfied
-            if not any(witness_satisfied(g) is True for g in w_groups):
-                out = rec(depth + 1, max(used, col + 1))
-                if out is not None:
-                    return out
-            values[depth] = -1
-        return None
-
-    counter = rec(0, 0)
-    if counter is None:
-        return EssentialityVerdict(HOLDS)
-    chi = Coloring(domain, k_max, tuple(counter))
-    return EssentialityVerdict(FAILS, chi)
-
-
-def essential_at(cat: FiniteCategory, lam: Coloring, f_obj: str,
-                 k_max: int) -> EssentialityVerdict:
-    """Is lam (on some hom(A, B)) essential at B relative to F and k_max?"""
-    if lam.used_colors() < 2:
-        raise TrivialColoring("essentiality needs at least two colors")
-    a = cat.source(lam.domain[0])
-    b = cat.target(lam.domain[0])
-    if tuple(cat.hom(a, b)) != lam.domain:
-        raise ValueError("coloring domain must be a full hom-set")
-    return _essential_at_core(cat, lam.values, a, b, f_obj, k_max)
-
-
-def essential(cat: FiniteCategory, gamma: Coloring, f_obj: str, k_max: int, *,
-              catalog: list[str] | None = None) -> EssentialityVerdict:
-    """gamma on hom(A, F) is essential when every transported restriction
-    gamma^(w) on hom(A, B) is essential at B, for every B and w."""
-    if gamma.used_colors() < 2:
-        raise TrivialColoring("essentiality needs at least two colors")
-    a = cat.source(gamma.domain[0])
-    if tuple(cat.hom(a, f_obj)) != gamma.domain:
-        raise ValueError("coloring domain must be hom(A, F)")
-    gidx = {mid: i for i, mid in enumerate(gamma.domain)}
-    per = []
-    for b in (catalog if catalog is not None else cat.objects):
-        if not cat.hom(a, b):
-            continue
-        for w in cat.hom(b, f_obj):
-            lam_values = tuple(gamma.values[gidx[cat.compose(w, f)]]
-                               for f in cat.hom(a, b))
-            verdict = _essential_at_core(cat, lam_values, a, b, f_obj, k_max)
-            per.append((b, w, verdict.status))
-            if verdict.status != HOLDS:
-                return EssentialityVerdict(FAILS, verdict.counterexample,
-                                           offending=(b, w), per_instance=per)
-    return EssentialityVerdict(HOLDS, per_instance=per)
-
-
-def search_unavoidable(cat: FiniteCategory, a: str, f_obj: str, t: int,
-                       k_max: int, *, catalog: list[str] | None = None,
-                       budget: int = 100_000) -> Coloring | None:
-    """First t-coloring of hom(A, F), in lex order, that passes essential().
-
-    Candidates must realize all t colors; with fewer the kernel would be a
-    coloring for a smaller t.
-    """
-    if t < 2:
-        raise TrivialColoring("unavoidable colorings need at least two colors")
-    domain = tuple(cat.hom(a, f_obj))
-    m = len(domain)
-    if m == 0 or t > m:
-        return None
-    if t ** m > budget:
-        raise BudgetExceeded(f"{t}^{m} candidate colorings exceed {budget}")
-    for values in itertools.product(range(t), repeat=m):
-        if len(set(values)) != t:
-            continue
-        gamma = Coloring(domain, t, values)
-        if essential(cat, gamma, f_obj, k_max, catalog=catalog).status == HOLDS:
-            return gamma
-    return None

@@ -21,10 +21,6 @@ class TruncationOverflow(WorkbenchError):
     """A level map points outside the truncated index range."""
 
 
-class TrivialColoring(WorkbenchError):
-    """A coloring with fewer than two colors where at least two are required."""
-
-
 class ArrowDoesNotHold(WorkbenchError):
     """A construction required an arrow instance that fails."""
 

@@ -27,9 +27,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import FAILS, HOLDS
-from .category import FiniteCategory, Skeletonization, skeletonize
+from .category import FiniteCategory, skeletonize
 from .errors import ExpansionOverflow, WorkbenchError
-from .structures import (Embedding, Signature, Structure, canonical_key)
+from .structures import Signature, Structure, canonical_key
+
+FIBER_BUDGET = 200_000   # most expansions one fiber may enumerate
 
 
 @dataclass(frozen=True)
@@ -82,38 +84,29 @@ class ExpandedSignature:
 class ExpansionSpace:
     """All coloring families over one catalog and one degree assignment."""
 
-    def __init__(self, cat: FiniteCategory, degrees: dict[str, int] | DegreeAssignment,
-                 *, fiber_budget: int = 200_000):
+    def __init__(self, cat: FiniteCategory, degrees: dict[str, int]):
         self.cat = cat
-        self.fiber_budget = fiber_budget
         skeleton = skeletonize(cat)
         self.reps: list[str] = skeleton.representative_objects
         self.rep_of: dict[str, str] = skeleton.representatives
-        if isinstance(degrees, DegreeAssignment):
-            given = {r: t for r, t in degrees.degrees}
-            self.degrees = DegreeAssignment.make(self.reps, given)
-        else:
-            self.degrees = DegreeAssignment.make(self.reps, dict(degrees))
-
-    def hom_list(self, rep: str, obj: str) -> list[str]:
-        return self.cat.hom(rep, obj)
+        self.degrees = DegreeAssignment.make(self.reps, dict(degrees))
 
     # -- fibers -------------------------------------------------------------
 
     def fiber_size(self, obj: str) -> int:
         size = 1
         for rep in self.reps:
-            size *= self.degrees.of(rep) ** len(self.hom_list(rep, obj))
+            size *= self.degrees.of(rep) ** len(self.cat.hom(rep, obj))
         return size
 
     def fiber(self, obj: str) -> list[ExpandedObject]:
-        if self.fiber_size(obj) > self.fiber_budget:
+        if self.fiber_size(obj) > FIBER_BUDGET:
             raise ExpansionOverflow(
                 f"fiber over {obj} has {self.fiber_size(obj)} expansions")
         pools = []
         for rep in self.reps:
             t = self.degrees.of(rep)
-            m = len(self.hom_list(rep, obj))
+            m = len(self.cat.hom(rep, obj))
             pools.append(list(itertools.product(range(t), repeat=m)))
         out = []
         for combo in itertools.product(*pools):
@@ -195,7 +188,7 @@ class ExpansionSpace:
         base_struct = self.cat.structure(cstar.base)
         tables = {rname: set(table) for rname, table in base_struct.relations}
         for rep, j, name, _ in esig.added:
-            hom = self.hom_list(rep, cstar.base)
+            hom = self.cat.hom(rep, cstar.base)
             colors = cstar.colors(rep)
             tables[name] = {
                 self.cat.embedding(e).map
@@ -204,29 +197,6 @@ class ExpansionSpace:
         constants = {cname: v for cname, v in base_struct.constants}
         return Structure.make(esig.as_signature(), base_struct.size, tables,
                               constants, name=f"{cstar.base}*")
-
-    def parse(self, rendered: Structure, base_obj: str) -> ExpandedObject:
-        """Inverse of render; validates the three table conditions."""
-        esig = self.expanded_signature()
-        theta = []
-        for rep in self.reps:
-            hom = self.hom_list(rep, base_obj)
-            t = self.degrees.of(rep)
-            names = [name for r, _, name, _ in esig.added if r == rep]
-            values = []
-            for e in hom:
-                emb = self.cat.embedding(e).map
-                hits = [j for j, name in enumerate(names)
-                        if emb in rendered.rel(name)]
-                if len(hits) != 1:
-                    raise WorkbenchError(
-                        "copy colored by none or several of the added tables")
-                values.append(hits[0])
-            for name in names:
-                for tup in rendered.rel(name):   # each tuple must be a copy
-                    self.cat.embedding_id(rep, base_obj, tup)
-            theta.append((rep, tuple(values)))
-        return ExpandedObject(base_obj, tuple(theta))
 
 
 # -- whole-category checks ----------------------------------------------------
@@ -447,24 +417,3 @@ def expansion_property_check(space: ExpansionSpace,
     single_status = HOLDS if all(v is not None for v in single.values()) else FAILS
     return ExpansionPropertyReport(direct, single, direct_status, single_status,
                                    agree=direct_status == single_status)
-
-
-def transport_expansion(space: ExpansionSpace,
-                        skel: Skeletonization) -> dict[str, list[ExpandedObject]]:
-    """Pull the representative fibers back along the canonical isomorphisms.
-
-    Every catalog object receives the expansions of its representative with
-    colorings precomposed by eta; the result must coincide with direct
-    enumeration, and the caller re-runs check_forgetful to confirm.
-    """
-    cat = space.cat
-    out: dict[str, list[ExpandedObject]] = {}
-    for obj in cat.objects:
-        rep = skel.representatives[obj]
-        eta = cat.embedding_id(obj, rep, skel.canon_iso[obj].map)
-        out[obj] = sorted(
-            (space.restriction(rep_star, eta)
-             for rep_star in space.fiber(rep)),
-            key=lambda x: x.theta,
-        )
-    return out

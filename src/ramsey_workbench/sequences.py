@@ -1,11 +1,7 @@
 """Truncated sequences: structure chains and chains of category ids.
 
-Colimits and the transformation calculus work on structure chains: objects
-X_0..X_{N-1} with embedding bondings.  Transformations carry a nondecreasing
-level map and per-level components making every square commute.  Since all
-bondings are embeddings, two transformations that separate at some level
-stay separated all the way up, so equivalence is decidable at the
-truncation: agreement at any level is agreement at the top.
+Colimits work on structure chains: objects X_0..X_{N-1} with embedding
+bondings.
 
 ``weak_fraisse_check`` and ``weak_homogeneity_check`` work on category ids:
 they read hom-sets and composites only through a ``FiniteCategory``.
@@ -24,8 +20,9 @@ from . import FAILS, HOLDS, UNKNOWN
 from .category import FiniteCategory
 from .errors import (ShapeMismatch, TruncationOverflow, WorkbenchError,
                      check_type)
-from .structures import (Embedding, Structure, automorphisms, compose,
-                         enumerate_embeddings, identity)
+from .structures import Embedding, Structure, compose, identity
+# not called here: perfbench/spans.py wraps these two names in this module
+from .structures import automorphisms, enumerate_embeddings  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,129 +50,6 @@ class TruncatedSequence:
         for level in range(n, m):
             e = compose(self.steps[level], e)
         return e
-
-
-def constant_sequence(a: Structure, length: int) -> TruncatedSequence:
-    if length < 1:
-        raise ShapeMismatch("length must be positive")
-    return TruncatedSequence(tuple(a for _ in range(length)),
-                             tuple(identity(a) for _ in range(length - 1)))
-
-
-@dataclass(frozen=True)
-class Transformation:
-    source: TruncatedSequence
-    target: TruncatedSequence
-    phi: tuple[int, ...]
-    components: tuple[Embedding, ...]
-
-    def __post_init__(self):
-        if len(self.phi) != self.source.length or \
-                len(self.components) != self.source.length:
-            raise ShapeMismatch("one level value and component per source level")
-        if any(self.phi[i] > self.phi[i + 1] for i in range(len(self.phi) - 1)):
-            raise ShapeMismatch("level map must be nondecreasing")
-        if any(not (0 <= p < self.target.length) for p in self.phi):
-            raise TruncationOverflow("level map leaves the target truncation")
-        for n, comp in enumerate(self.components):
-            if comp.source != self.source.objects[n] or \
-                    comp.target != self.target.objects[self.phi[n]]:
-                raise ShapeMismatch(f"component {n} joins the wrong objects")
-        for n in range(self.source.length - 1):
-            left = compose(self.components[n + 1], self.source.steps[n])
-            right = compose(self.target.bonding(self.phi[n], self.phi[n + 1]),
-                            self.components[n])
-            if left != right:
-                raise ShapeMismatch(f"square at level {n} does not commute")
-
-    def naturality_holds_everywhere(self) -> bool:
-        for n in range(self.source.length):
-            for m in range(n, self.source.length):
-                left = compose(self.components[m], self.source.bonding(n, m))
-                right = compose(self.target.bonding(self.phi[n], self.phi[m]),
-                                self.components[n])
-                if left != right:
-                    return False
-        return True
-
-
-def constant_transformation(f: Embedding, length: int) -> Transformation:
-    return Transformation(constant_sequence(f.source, length),
-                          constant_sequence(f.target, length),
-                          tuple(range(length)),
-                          tuple(f for _ in range(length)))
-
-
-@dataclass
-class EquivVerdict:
-    status: str
-    offending_level: int | None = None
-    witness_levels: dict[int, int] = field(default_factory=dict)
-
-
-def equiv_check(t1: Transformation, t2: Transformation,
-                bound: int | None = None) -> EquivVerdict:
-    """Do the two transformations agree up to pushing along bondings?
-
-    For each source level n we look for a target level m (at most the
-    bound) where the two pushed components coincide.  Bondings are mono, so
-    disagreement that survives to the top level is conclusive; running out
-    of levels below the top is only UNKNOWN-AT-BOUND.
-    """
-    if t1.source != t2.source or t1.target != t2.target:
-        raise ShapeMismatch("equivalence needs identical endpoints")
-    top = t1.target.length - 1
-    hi = top if bound is None else min(bound, top)
-    witness: dict[int, int] = {}
-    unknown = False
-    for n in range(t1.source.length):
-        lo = max(t1.phi[n], t2.phi[n])
-        found = None
-        for m in range(lo, hi + 1):
-            a = compose(t1.target.bonding(t1.phi[n], m), t1.components[n])
-            b = compose(t2.target.bonding(t2.phi[n], m), t2.components[n])
-            if a == b:
-                found = m
-                break
-        if found is None:
-            if hi == top:
-                return EquivVerdict(FAILS, offending_level=n)
-            unknown = True
-        else:
-            witness[n] = found
-    if unknown:
-        return EquivVerdict(UNKNOWN)
-    return EquivVerdict(HOLDS, witness_levels=witness)
-
-
-def compose_transformations(t2: Transformation, t1: Transformation) -> Transformation:
-    if t1.target != t2.source:
-        raise ShapeMismatch("transformations not composable")
-    phi = tuple(t2.phi[p] for p in t1.phi)
-    comps = tuple(compose(t2.components[t1.phi[n]], t1.components[n])
-                  for n in range(t1.source.length))
-    return Transformation(t1.source, t2.target, phi, comps)
-
-
-def all_transformations(src: TruncatedSequence,
-                        tgt: TruncatedSequence) -> list[Transformation]:
-    """Exhaustive enumeration; intended for short truncations in tests."""
-    import itertools
-
-    n = src.length
-    out = []
-    levels = range(tgt.length)
-    for phi in itertools.product(levels, repeat=n):
-        if any(phi[i] > phi[i + 1] for i in range(n - 1)):
-            continue
-        pools = [enumerate_embeddings(src.objects[i], tgt.objects[phi[i]])
-                 for i in range(n)]
-        for comps in itertools.product(*pools):
-            try:
-                out.append(Transformation(src, tgt, tuple(phi), tuple(comps)))
-            except (ShapeMismatch, TruncationOverflow):
-                continue
-    return out
 
 
 # -- colimits ----------------------------------------------------------------
@@ -231,48 +105,7 @@ def colimit(seq: TruncatedSequence) -> ColimitResult:
     return ColimitResult(colim, cocone, tuple(reps))
 
 
-def mediating_morphism(seq: TruncatedSequence, result: ColimitResult,
-                       target_cocone: tuple[Embedding, ...]) -> Embedding:
-    """The unique embedding u with u . c_n = d_n for every level n."""
-    if len(target_cocone) != seq.length:
-        raise ShapeMismatch("target cocone has the wrong length")
-    tgt = target_cocone[0].target
-    for n in range(seq.length - 1):
-        if compose(target_cocone[n + 1], seq.steps[n]) != target_cocone[n]:
-            raise ShapeMismatch(f"target cocone breaks at level {n}")
-    top = seq.length - 1
-    c_top = result.cocone[top]
-    inv = {}
-    for x in range(seq.objects[top].size):
-        inv[c_top.map[x]] = x
-    u = tuple(target_cocone[top].map[inv[i]]
-              for i in range(result.structure.size))
-    emb = Embedding(result.structure, tgt, u)
-    for n in range(seq.length):
-        if compose(emb, result.cocone[n]) != target_cocone[n]:
-            raise WorkbenchError("mediating morphism fails a triangle")
-    return emb
-
-
 # -- lemma-level checks -------------------------------------------------------
-
-
-@dataclass
-class MonoTestReport:
-    composite_status: str
-    argument_status: str
-    violation: bool
-
-
-def mono_test(f: Transformation, g: Transformation, h: Transformation,
-              bound: int | None = None) -> MonoTestReport:
-    """Left-cancellation probe: f.g ~ f.h should force g ~ h."""
-    fg = compose_transformations(f, g)
-    fh = compose_transformations(f, h)
-    left = equiv_check(fg, fh, bound)
-    right = equiv_check(g, h, bound)
-    violation = left.status == HOLDS and right.status == FAILS
-    return MonoTestReport(left.status, right.status, violation)
 
 
 @dataclass
@@ -343,24 +176,6 @@ class HomogeneityReport:
     status: str
     witnesses: list
     failure: dict | None = None
-
-
-def ultrahomogeneity_check(f_struct: Structure,
-                           catalog: list[Structure]) -> HomogeneityReport:
-    """Any two copies of a catalog object are exchanged by an automorphism."""
-    auts = automorphisms(f_struct)
-    witnesses = []
-    for a in catalog:
-        copies = enumerate_embeddings(a, f_struct)
-        for e1 in copies:
-            for e2 in copies:
-                hit = next((g for g in auts if compose(g, e1) == e2), None)
-                if hit is None:
-                    return HomogeneityReport(
-                        FAILS, witnesses,
-                        failure={"A": a.name, "e1": e1.map, "e2": e2.map})
-                witnesses.append((a.name, e1.map, e2.map, hit.map))
-    return HomogeneityReport(HOLDS, witnesses)
 
 
 def weak_homogeneity_check(cat: FiniteCategory, f_obj: str,

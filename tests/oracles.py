@@ -8,12 +8,30 @@ kept from earlier checkers (``first_amalgam``, ``eager_two_of_k``,
 ``scan_forgetful``) call the package's primitives, ``compose`` and
 ``morphism_preserves``, but not the checkers they test.  ``lo_table`` writes
 the chain category's compose table by hand, without ``compose``.
+
+The scaffolding at the end backs the tests of sequences and expansions: the
+transformation calculus on structure chains with ``mono_test`` (acceptance
+tests 05a and 05b), ``mediating_morphism``, ``ultrahomogeneity_check``,
+``transport_expansion``, ``parse_expansion`` (the inverse of
+``ExpansionSpace.render``) and ``find_isomorphic``.  It calls package
+primitives (``compose``, ``enumerate_embeddings``, ``automorphisms``,
+``isomorphic`` and the expansion space's own methods) but no checker.
 """
 
 import functools
 import itertools
+from dataclasses import dataclass, field
 
-from ramsey_workbench.structures import Structure
+from ramsey_workbench import FAILS, HOLDS, UNKNOWN
+from ramsey_workbench.category import Skeletonization
+from ramsey_workbench.errors import (ShapeMismatch, TruncationOverflow,
+                                     WorkbenchError)
+from ramsey_workbench.expansion import ExpandedObject, ExpansionSpace
+from ramsey_workbench.sequences import (ColimitResult, HomogeneityReport,
+                                        TruncatedSequence)
+from ramsey_workbench.structures import (Embedding, Structure, automorphisms,
+                                         compose, enumerate_embeddings,
+                                         identity, isomorphic)
 
 
 def is_embedding_map(a: Structure, b: Structure, mapping) -> bool:
@@ -440,3 +458,244 @@ def scan_forgetful(space, fibers=None):
 
     return ForgetfulReport(surjective, injective, reasonable, unique,
                            precompact, sizes, failure)
+
+
+# -- sequence and expansion scaffolding ------------------------------------
+#
+# Transformations between structure chains carry a nondecreasing level map
+# and per-level components making every square commute.  Since all bondings
+# are embeddings, two transformations that separate at some level stay
+# separated all the way up, so equivalence is decidable at the truncation:
+# agreement at any level is agreement at the top.
+
+
+def constant_sequence(a: Structure, length: int) -> TruncatedSequence:
+    if length < 1:
+        raise ShapeMismatch("length must be positive")
+    return TruncatedSequence(tuple(a for _ in range(length)),
+                             tuple(identity(a) for _ in range(length - 1)))
+
+
+@dataclass(frozen=True)
+class Transformation:
+    source: TruncatedSequence
+    target: TruncatedSequence
+    phi: tuple[int, ...]
+    components: tuple[Embedding, ...]
+
+    def __post_init__(self):
+        if len(self.phi) != self.source.length or \
+                len(self.components) != self.source.length:
+            raise ShapeMismatch("one level value and component per source level")
+        if any(self.phi[i] > self.phi[i + 1] for i in range(len(self.phi) - 1)):
+            raise ShapeMismatch("level map must be nondecreasing")
+        if any(not (0 <= p < self.target.length) for p in self.phi):
+            raise TruncationOverflow("level map leaves the target truncation")
+        for n, comp in enumerate(self.components):
+            if comp.source != self.source.objects[n] or \
+                    comp.target != self.target.objects[self.phi[n]]:
+                raise ShapeMismatch(f"component {n} joins the wrong objects")
+        for n in range(self.source.length - 1):
+            left = compose(self.components[n + 1], self.source.steps[n])
+            right = compose(self.target.bonding(self.phi[n], self.phi[n + 1]),
+                            self.components[n])
+            if left != right:
+                raise ShapeMismatch(f"square at level {n} does not commute")
+
+    def naturality_holds_everywhere(self) -> bool:
+        for n in range(self.source.length):
+            for m in range(n, self.source.length):
+                left = compose(self.components[m], self.source.bonding(n, m))
+                right = compose(self.target.bonding(self.phi[n], self.phi[m]),
+                                self.components[n])
+                if left != right:
+                    return False
+        return True
+
+
+def constant_transformation(f: Embedding, length: int) -> Transformation:
+    return Transformation(constant_sequence(f.source, length),
+                          constant_sequence(f.target, length),
+                          tuple(range(length)),
+                          tuple(f for _ in range(length)))
+
+
+@dataclass
+class EquivVerdict:
+    status: str
+    offending_level: int | None = None
+    witness_levels: dict[int, int] = field(default_factory=dict)
+
+
+def equiv_check(t1: Transformation, t2: Transformation,
+                bound: int | None = None) -> EquivVerdict:
+    """Do the two transformations agree up to pushing along bondings?
+
+    For each source level n we look for a target level m (at most the
+    bound) where the two pushed components coincide.  Bondings are mono, so
+    disagreement that survives to the top level is conclusive; running out
+    of levels below the top is only UNKNOWN-AT-BOUND.
+    """
+    if t1.source != t2.source or t1.target != t2.target:
+        raise ShapeMismatch("equivalence needs identical endpoints")
+    top = t1.target.length - 1
+    hi = top if bound is None else min(bound, top)
+    witness: dict[int, int] = {}
+    unknown = False
+    for n in range(t1.source.length):
+        lo = max(t1.phi[n], t2.phi[n])
+        found = None
+        for m in range(lo, hi + 1):
+            a = compose(t1.target.bonding(t1.phi[n], m), t1.components[n])
+            b = compose(t2.target.bonding(t2.phi[n], m), t2.components[n])
+            if a == b:
+                found = m
+                break
+        if found is None:
+            if hi == top:
+                return EquivVerdict(FAILS, offending_level=n)
+            unknown = True
+        else:
+            witness[n] = found
+    if unknown:
+        return EquivVerdict(UNKNOWN)
+    return EquivVerdict(HOLDS, witness_levels=witness)
+
+
+def compose_transformations(t2: Transformation, t1: Transformation) -> Transformation:
+    if t1.target != t2.source:
+        raise ShapeMismatch("transformations not composable")
+    phi = tuple(t2.phi[p] for p in t1.phi)
+    comps = tuple(compose(t2.components[t1.phi[n]], t1.components[n])
+                  for n in range(t1.source.length))
+    return Transformation(t1.source, t2.target, phi, comps)
+
+
+def all_transformations(src: TruncatedSequence,
+                        tgt: TruncatedSequence) -> list[Transformation]:
+    """Exhaustive enumeration; intended for short truncations in tests."""
+    n = src.length
+    out = []
+    levels = range(tgt.length)
+    for phi in itertools.product(levels, repeat=n):
+        if any(phi[i] > phi[i + 1] for i in range(n - 1)):
+            continue
+        pools = [enumerate_embeddings(src.objects[i], tgt.objects[phi[i]])
+                 for i in range(n)]
+        for comps in itertools.product(*pools):
+            try:
+                out.append(Transformation(src, tgt, tuple(phi), tuple(comps)))
+            except (ShapeMismatch, TruncationOverflow):
+                continue
+    return out
+
+
+def mediating_morphism(seq: TruncatedSequence, result: ColimitResult,
+                       target_cocone: tuple[Embedding, ...]) -> Embedding:
+    """The unique embedding u with u . c_n = d_n for every level n."""
+    if len(target_cocone) != seq.length:
+        raise ShapeMismatch("target cocone has the wrong length")
+    tgt = target_cocone[0].target
+    for n in range(seq.length - 1):
+        if compose(target_cocone[n + 1], seq.steps[n]) != target_cocone[n]:
+            raise ShapeMismatch(f"target cocone breaks at level {n}")
+    top = seq.length - 1
+    c_top = result.cocone[top]
+    inv = {}
+    for x in range(seq.objects[top].size):
+        inv[c_top.map[x]] = x
+    u = tuple(target_cocone[top].map[inv[i]]
+              for i in range(result.structure.size))
+    emb = Embedding(result.structure, tgt, u)
+    for n in range(seq.length):
+        if compose(emb, result.cocone[n]) != target_cocone[n]:
+            raise WorkbenchError("mediating morphism fails a triangle")
+    return emb
+
+
+@dataclass
+class MonoTestReport:
+    composite_status: str
+    argument_status: str
+    violation: bool
+
+
+def mono_test(f: Transformation, g: Transformation, h: Transformation,
+              bound: int | None = None) -> MonoTestReport:
+    """Left-cancellation probe: f.g ~ f.h should force g ~ h."""
+    fg = compose_transformations(f, g)
+    fh = compose_transformations(f, h)
+    left = equiv_check(fg, fh, bound)
+    right = equiv_check(g, h, bound)
+    violation = left.status == HOLDS and right.status == FAILS
+    return MonoTestReport(left.status, right.status, violation)
+
+
+def ultrahomogeneity_check(f_struct: Structure,
+                           catalog: list[Structure]) -> HomogeneityReport:
+    """Any two copies of a catalog object are exchanged by an automorphism."""
+    auts = automorphisms(f_struct)
+    witnesses = []
+    for a in catalog:
+        copies = enumerate_embeddings(a, f_struct)
+        for e1 in copies:
+            for e2 in copies:
+                hit = next((g for g in auts if compose(g, e1) == e2), None)
+                if hit is None:
+                    return HomogeneityReport(
+                        FAILS, witnesses,
+                        failure={"A": a.name, "e1": e1.map, "e2": e2.map})
+                witnesses.append((a.name, e1.map, e2.map, hit.map))
+    return HomogeneityReport(HOLDS, witnesses)
+
+
+def parse_expansion(space: ExpansionSpace, rendered: Structure,
+                    base_obj: str) -> ExpandedObject:
+    """Inverse of render; validates the three table conditions."""
+    esig = space.expanded_signature()
+    theta = []
+    for rep in space.reps:
+        hom = space.cat.hom(rep, base_obj)
+        names = [name for r, _, name, _ in esig.added if r == rep]
+        values = []
+        for e in hom:
+            emb = space.cat.embedding(e).map
+            hits = [j for j, name in enumerate(names)
+                    if emb in rendered.rel(name)]
+            if len(hits) != 1:
+                raise WorkbenchError(
+                    "copy colored by none or several of the added tables")
+            values.append(hits[0])
+        for name in names:
+            for tup in rendered.rel(name):   # each tuple must be a copy
+                space.cat.embedding_id(rep, base_obj, tup)
+        theta.append((rep, tuple(values)))
+    return ExpandedObject(base_obj, tuple(theta))
+
+
+def transport_expansion(space: ExpansionSpace,
+                        skel: Skeletonization) -> dict[str, list[ExpandedObject]]:
+    """Pull the representative fibers back along the canonical isomorphisms.
+
+    Every catalog object receives the expansions of its representative with
+    colorings precomposed by eta; the result must coincide with direct
+    enumeration, and the caller re-runs check_forgetful to confirm.
+    """
+    cat = space.cat
+    out: dict[str, list[ExpandedObject]] = {}
+    for obj in cat.objects:
+        rep = skel.representatives[obj]
+        eta = cat.embedding_id(obj, rep, skel.canon_iso[obj].map)
+        out[obj] = sorted(
+            (space.restriction(rep_star, eta)
+             for rep_star in space.fiber(rep)),
+            key=lambda x: x.theta,
+        )
+    return out
+
+
+def find_isomorphic(catalog: list[Structure], target: Structure) -> Structure | None:
+    for s in catalog:
+        if isomorphic(s, target):
+            return s
+    return None

@@ -18,24 +18,23 @@ from ramsey_workbench.amalgam import (AmalgamEngine,
                                       is_amalgamation_arrow, wap_check)
 from ramsey_workbench.arrows import (arrow_check, oracle_arrow_check,
                                      verify_bad_coloring)
-from ramsey_workbench.catalogs import (find_isomorphic, graph_catalog,
-                                       linear_order, lo_catalog, path_graph,
-                                       save_catalog)
+from ramsey_workbench.catalogs import (graph_catalog, linear_order,
+                                       lo_catalog, path_graph, save_catalog)
 from ramsey_workbench.category import (FiniteCategory, check_axioms, op,
                                        tables_equal)
 from ramsey_workbench.cli import replay, run
 from ramsey_workbench.degrees import degree_lower, degree_upper
 from ramsey_workbench.expansion import (ExpansionSpace, check_forgetful,
                                         orbit_age_analysis)
-from ramsey_workbench.sequences import (TruncatedSequence,
-                                        all_transformations, colimit,
-                                        compose_transformations,
-                                        constant_sequence, equiv_check,
-                                        mono_test, weak_fraisse_check,
+from ramsey_workbench.sequences import (TruncatedSequence, colimit,
+                                        weak_fraisse_check,
                                         weak_homogeneity_check)
 from ramsey_workbench.structures import Embedding, compose, isomorphic
 
 import oracles
+from oracles import (all_transformations, compose_transformations,
+                     constant_sequence, equiv_check, find_isomorphic,
+                     mono_test)
 
 
 @pytest.fixture(scope="module")

@@ -180,7 +180,8 @@ class TestPairExtraction:
                                      g_list, f_list)
 
     def test_three_color_instance_on_rigid_pair(self):
-        from ramsey_workbench.catalogs import graph_catalog, path_graph, find_isomorphic
+        from ramsey_workbench.catalogs import graph_catalog, path_graph
+        from oracles import find_isomorphic
         cat = FiniteCategory.from_structures(graph_catalog(3))
         p3 = find_isomorphic(list(cat.structures.values()), path_graph(3)).name
         auts = cat.hom(p3, p3)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramsey_workbench.arrows import (FAILS, HOLDS, UNKNOWN, ArrowInstance,
-                                     Coloring, arrow_check, export_cnf,
-                                     find_ramsey_witness, is_bad,
+                                     Coloring, arrow_check, export_cnf, is_bad,
                                      lex_arrow_check, oracle_arrow_check,
                                      verify_bad_coloring)
 from ramsey_workbench.catalogs import (complete_graph, graph_catalog,
-                                       linear_order, lo_catalog, path_graph)
+                                       linear_order, lo_catalog)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import BudgetExceeded
 
@@ -48,6 +47,7 @@ class TestClassicalInstances:
     def test_t_at_least_k_holds(self, lo6):
         assert arrow_check(lo6, "LO4", "LO3", "LO2", 3, 3).status == HOLDS
         assert oracle_arrow_check(lo6, "LO4", "LO3", "LO2", 3, 3).status == HOLDS
+        assert arrow_check(lo6, "LO3", "LO3", "LO3", 2, 2).status == HOLDS
 
 
 class TestDegenerateInstances:
@@ -124,25 +124,6 @@ class TestBudgets:
     def test_oracle_budget_raises(self, lo6):
         with pytest.raises(BudgetExceeded):
             oracle_arrow_check(lo6, "LO6", "LO3", "LO2", 2, 1, budget=100)
-
-
-class TestFindWitness:
-    def test_first_holding_object_is_lo6(self):
-        cat = FiniteCategory.from_structures(lo_catalog(7))
-        c, verdict = find_ramsey_witness(cat, "LO3", "LO2", 2, 1)
-        assert c == "LO6" and verdict.status == HOLDS
-
-    def test_b_itself_when_t_equals_k(self, lo6):
-        c, _ = find_ramsey_witness(lo6, "LO3", "LO3", 2, 2)
-        assert c == "LO3"
-
-    def test_absent_for_p3_in_graphs(self, graphs5_category):
-        from ramsey_workbench.catalogs import find_isomorphic
-        cat = graphs5_category
-        p3 = find_isomorphic(list(cat.structures.values()), path_graph(3)).name
-        c, verdict = find_ramsey_witness(cat, p3, p3, 2, 1)
-        assert c is None
-        assert verdict.status == FAILS
 
 
 class TestCnfExport:

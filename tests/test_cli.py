@@ -198,7 +198,8 @@ class TestOtherCommands:
 
 
 class TestObjectNames:
-    """A flag naming no catalog object is an input error, not a verdict."""
+    """A flag naming no catalog object, or a color bound below 1, is an input
+    error, not a verdict."""
 
     @pytest.mark.parametrize("argv,message", [
         (["arrow", "--C", "LO4", "--B", "LO3", "--A", "NOPE", "-k", "2",
@@ -208,6 +209,7 @@ class TestObjectNames:
         (["arrow", "--C", "LO4", "--B", "NOPE", "--A", "LO2", "-k", "2",
           "-t", "1"], "--B 'NOPE'"),
         (["degree", "--A", "NOPE"], "--A 'NOPE'"),
+        (["degree", "--A", "LO2", "--kmax", "0"], "k_max must be positive"),
         (["amalgam", "--two-of-k", "3"], "--A is required"),
         (["amalgam", "--two-of-k", "3", "--A", "NOPE"], "--A 'NOPE'"),
         (["amalgam", "--chain"], "--A is required"),
@@ -218,10 +220,10 @@ class TestObjectNames:
         (["seq", "whom", "--obj", "NOPE"], "--obj 'NOPE'"),
         (["expand", "orbits"], "--obj is required"),
         (["expand", "orbits", "--obj", "NOPE"], "--obj 'NOPE'"),
-    ], ids=["arrow-A", "arrow-C", "arrow-B", "degree-A", "two-of-k-no-A",
-            "two-of-k-A", "chain-no-A", "chain-A", "colim-no-seq",
-            "wfcheck-no-seq", "whom-no-obj", "whom-obj", "orbits-no-obj",
-            "orbits-obj"])
+    ], ids=["arrow-A", "arrow-C", "arrow-B", "degree-A", "degree-kmax-0",
+            "two-of-k-no-A", "two-of-k-A", "chain-no-A", "chain-A",
+            "colim-no-seq", "wfcheck-no-seq", "whom-no-obj", "whom-obj",
+            "orbits-no-obj", "orbits-obj"])
     def test_unknown_object_exits_three(self, lo_paths, tmp_path, capsys,
                                         argv, message):
         out = tmp_path / "r.json"

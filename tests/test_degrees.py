@@ -1,31 +1,16 @@
-import itertools
-
 import pytest
 
 from ramsey_workbench.arrows import Coloring, arrow_check
-from ramsey_workbench.catalogs import (find_isomorphic, graph_catalog,
-                                       lo_catalog, path_graph)
+from ramsey_workbench.catalogs import lo_catalog, path_graph
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.degrees import (degree_interval, degree_lower,
-                                      degree_upper, essential, essential_at,
-                                      kernel_contained, search_unavoidable)
-from ramsey_workbench.errors import TrivialColoring
+                                      degree_upper)
 
-import oracles
+from oracles import find_isomorphic
 
 
 def p3_name(cat):
     return find_isomorphic(list(cat.structures.values()), path_graph(3)).name
-
-
-@pytest.fixture(scope="module")
-def lo6():
-    return FiniteCategory.from_structures(lo_catalog(6))
-
-
-@pytest.fixture(scope="module")
-def graphs3():
-    return FiniteCategory.from_structures(graph_catalog(3))
 
 
 class TestDegreeUpper:
@@ -114,150 +99,3 @@ class TestDegreeLower:
     def test_rejects_trivial_bound(self, lo7_category):
         with pytest.raises(ValueError):
             degree_lower(lo7_category, "LO2", 2, 1)
-
-
-class TestEssentialAt:
-    def test_holds_on_strong_ambient(self, lo6):
-        dom = tuple(lo6.hom("LO2", "LO3"))
-        for values in [(0, 0, 1), (0, 1, 0), (0, 1, 1)]:
-            lam = Coloring(dom, 2, values)
-            assert essential_at(lo6, lam, "LO6", 2).status == "HOLDS"
-
-    def test_small_ambient_splits_by_kernel(self, lo6):
-        # pairs-within-triples on a four-chain: merging the two edges that
-        # share the middle point cannot be forced, the other kernels can
-        dom = tuple(lo6.hom("LO2", "LO3"))
-        assert essential_at(lo6, Coloring(dom, 2, (0, 1, 0)), "LO4", 2).status == "FAILS"
-        assert essential_at(lo6, Coloring(dom, 2, (0, 0, 1)), "LO4", 2).status == "HOLDS"
-        assert essential_at(lo6, Coloring(dom, 2, (0, 1, 1)), "LO4", 2).status == "HOLDS"
-
-    def test_fails_verdict_carries_counterexample(self, lo6):
-        dom = tuple(lo6.hom("LO2", "LO3"))
-        verdict = essential_at(lo6, Coloring(dom, 2, (0, 1, 0)), "LO4", 2)
-        chi = verdict.counterexample
-        assert chi is not None
-        # replay: no copy of LO3 in LO4 transports chi onto a coarsening
-        hom_ab = list(lo6.hom("LO2", "LO3"))
-        idx = {m: i for i, m in enumerate(chi.domain)}
-        for w in lo6.hom("LO3", "LO4"):
-            pulled = [chi.values[idx[lo6.compose(w, f)]] for f in hom_ab]
-            assert pulled[0] != pulled[2]
-
-    def test_matches_exhaustive_oracle(self, lo6):
-        # independent check of the three verdicts above by full enumeration
-        dom = list(lo6.hom("LO2", "LO4"))
-        idx = {m: i for i, m in enumerate(dom)}
-        hom_ab = list(lo6.hom("LO2", "LO3"))
-        witnesses = [
-            [idx[lo6.compose(w, f)] for f in hom_ab]
-            for w in lo6.hom("LO3", "LO4")
-        ]
-
-        def essential_brute(lam_values):
-            classes = {}
-            for i, v in enumerate(lam_values):
-                classes.setdefault(v, []).append(i)
-            groups = [c for c in classes.values() if len(c) > 1]
-            for chi in itertools.product(range(2), repeat=len(dom)):
-                good = False
-                for wmap in witnesses:
-                    if all(len({chi[wmap[i]] for i in grp}) == 1
-                           for grp in groups):
-                        good = True
-                        break
-                if not good:
-                    return "FAILS"
-            return "HOLDS"
-
-        for values in [(0, 0, 1), (0, 1, 0), (0, 1, 1)]:
-            got = essential_at(lo6, Coloring(tuple(lo6.hom("LO2", "LO3")), 2,
-                                             values), "LO4", 2).status
-            assert got == essential_brute(values)
-
-    def test_identity_witness_when_f_is_b(self, lo6):
-        dom = tuple(lo6.hom("LO2", "LO3"))
-        lam = Coloring(dom, 3, (0, 1, 2))
-        # an injective coloring has discrete kernel; anything carries it
-        assert essential_at(lo6, lam, "LO3", 2).status == "HOLDS"
-
-    def test_trivial_coloring_rejected(self, lo6):
-        dom = tuple(lo6.hom("LO2", "LO3"))
-        with pytest.raises(TrivialColoring):
-            essential_at(lo6, Coloring(dom, 2, (0, 0, 0)), "LO6", 2)
-
-
-class TestEssentialAggregate:
-    def test_orientation_coloring_essential_on_p3(self, graphs3):
-        cat = graphs3
-        p3 = p3_name(cat)
-        dom = tuple(cat.hom(p3, p3))
-        gamma = Coloring(dom, 2, (0, 1))
-        assert essential(cat, gamma, p3, 2).status == "HOLDS"
-
-    def test_decomposes_into_instances(self, graphs3):
-        cat = graphs3
-        p3 = p3_name(cat)
-        gamma = Coloring(tuple(cat.hom(p3, p3)), 2, (0, 1))
-        verdict = essential(cat, gamma, p3, 2)
-        assert verdict.per_instance
-        assert all(status == "HOLDS" for _, _, status in verdict.per_instance)
-
-    def test_constant_rejected(self, graphs3):
-        cat = graphs3
-        p3 = p3_name(cat)
-        with pytest.raises(TrivialColoring):
-            essential(cat, Coloring(tuple(cat.hom(p3, p3)), 2, (1, 1)),
-                      p3, 2)
-
-
-class TestSearchUnavoidable:
-    def test_finds_orientation_coloring_on_p3(self):
-        cat = FiniteCategory.from_structures(graph_catalog(3))
-        p3 = p3_name(cat)
-        gamma = search_unavoidable(cat, p3, p3, 2, 2)
-        assert gamma is not None
-        assert gamma.values in {(0, 1), (1, 0)}
-
-    def test_absent_when_too_many_colors(self):
-        cat = FiniteCategory.from_structures(graph_catalog(3))
-        p3 = p3_name(cat)
-        assert search_unavoidable(cat, p3, p3, 3, 2) is None
-
-    def test_absent_on_empty_hom(self):
-        cat = FiniteCategory.from_structures(graph_catalog(3))
-        p3 = p3_name(cat)
-        e1 = cat.objects[0]
-        assert cat.structures[e1].size == 1
-        assert search_unavoidable(cat, p3, e1, 2, 2) is None
-
-
-class TestKernelMonotonicity:
-    def test_refinement_preserves_essential_at(self):
-        # a finer kernel fits inside every transported kernel the coarser
-        # one fits in, so refinements of essential colorings stay essential;
-        # checked exhaustively over all 2- and 3-colorings of the hom-set
-        cat = FiniteCategory.from_structures(lo_catalog(6))
-        dom = tuple(cat.hom("LO2", "LO3"))
-        colorings = [Coloring(dom, 3, v)
-                     for v in itertools.product(range(3), repeat=3)
-                     if len(set(v)) >= 2]
-        checked = 0
-        for lam in colorings:
-            if essential_at(cat, lam, "LO4", 2).status != "HOLDS":
-                continue
-            for fine in colorings:
-                if kernel_contained(fine, lam.values, len(dom)):
-                    assert essential_at(cat, fine, "LO4", 2).status == "HOLDS"
-                    checked += 1
-        assert checked > 0
-
-    def test_coarsening_can_lose_essentiality(self):
-        # the reverse direction is genuinely false: an injective coloring is
-        # always essential, while this coarsening of it is not
-        cat = FiniteCategory.from_structures(lo_catalog(6))
-        dom = tuple(cat.hom("LO2", "LO3"))
-        fine = Coloring(dom, 3, (0, 1, 2))
-        coarse = Coloring(dom, 2, (0, 1, 0))
-        assert kernel_contained(fine, coarse.values, len(dom))
-        assert essential_at(cat, fine, "LO4", 2).status == "HOLDS"
-        assert essential_at(cat, coarse, "LO4", 2).status == "FAILS"

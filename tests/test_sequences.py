@@ -5,19 +5,12 @@ import pytest
 
 from ramsey_workbench import sequences
 from ramsey_workbench.catalogs import (complete_graph, empty_graph,
-                                       find_isomorphic, graph_catalog,
-                                       linear_order, lo_catalog, path_graph)
+                                       graph_catalog, linear_order,
+                                       lo_catalog, path_graph)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import ShapeMismatch, TruncationOverflow
 from ramsey_workbench.sequences import (ColimitResult, TruncatedSequence,
-                                        Transformation,
-                                        all_transformations, colimit,
-                                        compose_transformations,
-                                        constant_sequence,
-                                        constant_transformation, equiv_check,
-                                        mediating_morphism, mono_test,
-                                        sequence_from_json,
-                                        ultrahomogeneity_check,
+                                        colimit, sequence_from_json,
                                         weak_fraisse_check,
                                         weak_homogeneity_check)
 from ramsey_workbench.structures import (Embedding, compose,
@@ -25,6 +18,10 @@ from ramsey_workbench.structures import (Embedding, compose,
                                          isomorphic)
 
 import oracles
+from oracles import (Transformation, all_transformations,
+                     compose_transformations, constant_sequence,
+                     constant_transformation, equiv_check, find_isomorphic,
+                     mediating_morphism, mono_test, ultrahomogeneity_check)
 
 
 def lo_chain(n, length=None):

@@ -1,0 +1,130 @@
+"""The package surface holds only what the package itself reaches.
+
+Two static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
+
+- every public top-level function and class, and every public method of a
+  top-level class, is referenced somewhere in the package outside its own
+  definition, unless ``ALLOWED_UNREFERENCED`` names it with a reason;
+- every module-level import is used in its module, unless its line carries
+  ``# noqa: F401`` right under a comment that gives the reason (the check a
+  linter's F401 makes; no linter is installed).
+
+A reference is a name, an attribute or an imported name with the same
+identifier, so the guard is coarse: a method counts as reached when any
+attribute of that name is read.  An allowed name must stay unreached, so
+the allowlist cannot go stale.  Code that only tests call belongs in
+``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ramsey_workbench"
+
+ALLOWED_UNREFERENCED = {
+    "lex_arrow_check": "the recursive differential oracle of the arrow search",
+    "extract_amalgamable_pair": "the paper's bridge from a failed arrow to an "
+                                "amalgamable pair, not yet a command",
+    "find_extraction_instance": "the search that feeds extract_amalgamable_pair",
+    "lo_catalog": "catalog builder for users and tests",
+    "path_graph": "catalog builder for users and tests",
+    "complete_graph": "catalog builder for users and tests",
+    "empty_graph": "catalog builder for users and tests",
+    "graph_catalog": "catalog builder for users and tests",
+    "save_catalog": "writes the catalog files that every command loads",
+    "isomorphic": "the isomorphism test on structures; tests check "
+                  "canonical_form through it against networkx VF2",
+}
+
+
+def modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def public_definitions(tree):
+    """(name, first line, last line) of each public top-level function or
+    class and of each public method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds) and not item.name.startswith("_"):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def references(tree):
+    """(identifier, line) of every name and attribute read in the module and
+    of every name it imports; an import counts, since the import guard below
+    asks each one to be used or to give its reason."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def unreached_definitions():
+    """module:line name of each public definition that nothing in src/
+    references outside the definition itself."""
+    trees = modules()
+    refs = {name: list(references(tree)) for name, tree in trees.items()}
+    out = {}
+    for module, tree in trees.items():
+        for name, first, last in public_definitions(tree):
+            if not any(ident == name
+                       and not (other == module and first <= line <= last)
+                       for other, pairs in refs.items()
+                       for ident, line in pairs):
+                out[f"{module}:{first} {name}"] = name
+    return out
+
+
+def test_every_public_definition_is_reached_from_the_package():
+    unreached = [where for where, name in unreached_definitions().items()
+                 if name not in ALLOWED_UNREFERENCED]
+    assert not unreached, (
+        f"reached by nothing in src/: {unreached}; move each to "
+        f"tests/oracles.py, delete it, or allow it with a reason")
+
+
+def test_the_allowlist_names_only_unreached_definitions():
+    stale = set(ALLOWED_UNREFERENCED) - set(unreached_definitions().values())
+    assert not stale, f"allowed but defined nowhere or reached: {sorted(stale)}"
+
+
+def bound_names(node):
+    for alias in node.names:
+        if alias.name == "*":
+            raise AssertionError("star imports hide what a module uses")
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for module, tree in modules().items():
+        lines = (PACKAGE / module).read_text(encoding="utf-8").splitlines()
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            line = lines[node.lineno - 1]
+            above = lines[node.lineno - 2].strip() if node.lineno > 1 else ""
+            if "# noqa: F401" in line and above.lstrip("#").strip() \
+                    and above.startswith("#"):
+                continue
+            for name in bound_names(node):
+                if name not in used:
+                    unused.append(f"{module}:{node.lineno} {name}")
+    assert not unused, (f"unused imports: {unused}; a kept one needs "
+                        f"'# noqa: F401' under a comment that says why")
