@@ -26,10 +26,8 @@ writes ``rows[g][source f][position f] = position(g.f)`` for every entry it
 checks, so ``post`` returns a stored row, ``pre`` reads one slot of several,
 and ``compose`` indexes a hom-set by a row entry.  ``op`` is such a table
 too: its row (w, a) is ``pre(w, a)`` of the category it dualizes.  Rows are
-faithful only if every composite lies in its hom-set, so table references
-are checked at load and trusted after.  A composite the table leaves out is
-a ``None`` slot, and an error at use: ``compose``, ``post`` and ``pre`` raise
-on it.
+total and faithful: the loader refuses a table that leaves out a composite
+or names one outside its hom-set, and nothing checks them after.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import HOLDS, UNKNOWN
 from .errors import (MissingIsoData, SignatureMismatch, WorkbenchError,
                      check_type)
 from .structures import (Embedding, Structure, canonical_form,
@@ -63,22 +62,14 @@ class FiniteCategory:
         self._mor: dict[str, Morphism] = dict(morphisms)
         self._identities: dict[str, str] = dict(identities)
         # table composition: rows[g][a] = post(g, a), for each a with
-        # hom(a, source g) non-empty; None marks a composite left out
+        # hom(a, source g) non-empty
         self._rows: dict[str, dict[str, tuple]] | None = rows
-        self._gaps: set[tuple[str, str]] = set() if rows is None else {
-            (g, a) for g, by_a in rows.items()
-            for a, row in by_a.items() if None in row}
         self.structures: dict[str, Structure] = dict(structures or {})
         self._emb_index: dict[tuple[str, str, tuple[int, ...]], str] | None = None
-        self._pos: dict[str, int] = {}
-        for (s, t), mids in self._homs.items():
-            for k, mid in enumerate(mids):
-                if mid in self._pos:
-                    raise WorkbenchError(f"morphism {mid!r} appears in two hom-sets")
-                self._pos[mid] = k
-                m = self._mor[mid]
-                if (m.src, m.tgt) != (s, t):
-                    raise WorkbenchError(f"morphism {mid!r} filed under wrong hom-set")
+        # "a->b" -> (a, b), the hom-set an id "a->b#k" names, read on demand
+        self._hom_of: dict[str, tuple[str, str]] = {}
+        self._pos: dict[str, int] = {mid: k for mids in self._homs.values()
+                                     for k, mid in enumerate(mids)}
 
     # -- construction ------------------------------------------------------
 
@@ -95,19 +86,17 @@ class FiniteCategory:
         names = [s.name or f"S{i}" for i, s in enumerate(catalog)]
         if len(set(names)) != len(names):
             raise WorkbenchError("catalog object names must be distinct")
-        if any("->" in name for name in names):
-            # ids are "a->b#k", so "x", "y->z" and "x->y", "z" would share them
-            pairs: dict[str, tuple[str, str]] = {}
-            for a in names:
-                for b in names:
-                    other = pairs.setdefault(f"{a}->{b}", (a, b))
-                    if other != (a, b):
-                        raise WorkbenchError(
-                            f"hom({other[0]}, {other[1]}) and hom({a}, {b}) "
-                            f"would share the ids {a}->{b}#k")
         structures = dict(zip(names, catalog))
         cat = FiniteCategory(structures, {}, {}, {}, structures=structures)
         cat._emb_index = {}
+        # ids are "a->b#k", so "x", "y->z" and "x->y", "z" would share them
+        for a in names:
+            for b in names:
+                other = cat._hom_of.setdefault(f"{a}->{b}", (a, b))
+                if other != (a, b):
+                    raise WorkbenchError(
+                        f"hom({other[0]}, {other[1]}) and hom({a}, {b}) "
+                        f"would share the ids {a}->{b}#k")
         return cat
 
     # -- basic interface ---------------------------------------------------
@@ -135,18 +124,11 @@ class FiniteCategory:
         try:
             return self._mor[mid]
         except KeyError:
-            if self._emb_index is None:
+            # an id from outside, say a certificate: read the hom-set it names
+            pair = self._hom_of.get(mid.rpartition("#")[0])
+            if pair is None:
                 raise
-        # an id from outside, say a certificate: read the hom-set it names.
-        # Names may hold "->" or "#", so try every split into two objects.
-        head, sep, _ = mid.rpartition("#")
-        parts = head.split("->") if sep else []
-        for i in range(1, len(parts)):
-            a, b = "->".join(parts[:i]), "->".join(parts[i:])
-            if a in self.structures and b in self.structures:
-                self.hom(a, b)
-                if mid in self._mor:
-                    break
+        self.hom(*pair)
         return self._mor[mid]
 
     def embedding(self, mid: str) -> Embedding:
@@ -184,10 +166,7 @@ class FiniteCategory:
         if mf.tgt != mg.src:
             raise WorkbenchError(f"{g!r} . {f!r} not composable")
         if self._rows is not None:
-            k = self._rows[g][mf.src][self._pos[f]]
-            if k is None:
-                raise WorkbenchError(f"composition table misses {g!r} . {f!r}")
-            return self._homs[(mf.src, mg.tgt)][k]
+            return self._homs[(mf.src, mg.tgt)][self._rows[g][mf.src][self._pos[f]]]
         # map() rather than a generator: a closure would cost every call a cell
         key = (mf.src, mg.tgt, tuple(map(mg.emb.map.__getitem__, mf.emb.map)))
         try:
@@ -214,11 +193,7 @@ class FiniteCategory:
         if self._rows is None:
             pos, compose = self._pos, self.compose
             return tuple([pos[compose(w, f)] for f in self.hom(a, self.source(w))])
-        row = self._rows[w].get(a, ())
-        if self._gaps and (w, a) in self._gaps:
-            f = self.hom(a, self.source(w))[row.index(None)]
-            raise WorkbenchError(f"composition table misses {w!r} . {f!r}")
-        return row
+        return self._rows[w].get(a, ())
 
     def pre(self, v: str, d: str) -> tuple[int, ...]:
         """Position of s.v for each s in hom(target v, d), in order.  Reads
@@ -228,11 +203,7 @@ class FiniteCategory:
             pos, compose = self._pos, self.compose
             return tuple([pos[compose(s, v)] for s in pool])
         rows, a, k = self._rows, self.source(v), self._pos[v]
-        row = tuple([rows[s][a][k] for s in pool])
-        if self._gaps and None in row:
-            s = pool[row.index(None)]
-            raise WorkbenchError(f"composition table misses {s!r} . {v!r}")
-        return row
+        return tuple([rows[s][a][k] for s in pool])
 
     def all_morphisms(self):
         for a in self.objects:
@@ -277,8 +248,7 @@ def op(cat: FiniteCategory) -> FiniteCategory:
     """Opposite category: hom-sets swapped, composition reversed.
 
     A row table whose row (w, a) is ``cat.pre(w, a)``: w.f in op is f.w in
-    cat.  Every composite is read here, so a table that leaves one out
-    raises now."""
+    cat."""
     homs = {(b, a): cat.hom(a, b) for a in cat.objects for b in cat.objects}
     morphisms, rows = {}, {}
     for mid in cat.all_morphisms():
@@ -345,8 +315,8 @@ def locally_finite_verdict(cat: FiniteCategory, f_obj: str) -> str:
               for d in cat.objects for r in cat.hom(d, f_obj)}
     for span in {e | f for e in images for f in images}:
         if frozenset.intersection(*(r for r in images if span <= r)) not in images:
-            return "UNKNOWN-AT-BOUND"
-    return "HOLDS"
+            return UNKNOWN
+    return HOLDS
 
 
 def check_axioms(cat: FiniteCategory) -> AxiomReport:
@@ -402,11 +372,8 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
     directed_failures: list[tuple[str, str]] = []
     for a in cat.objects:
         for b in cat.objects:
-            hit = None
-            for c in cat.objects:
-                if cat.hom(a, c) and cat.hom(b, c):
-                    hit = c
-                    break
+            hit = next((c for c in cat.objects
+                        if cat.hom(a, c) and cat.hom(b, c)), None)
             if hit is None:
                 directed_failures.append((a, b))
             else:
@@ -451,12 +418,7 @@ class Skeletonization:
 
     @property
     def representative_objects(self) -> list[str]:
-        seen = []
-        for a in self.parent.objects:
-            r = self.representatives[a]
-            if r not in seen:
-                seen.append(r)
-        return seen
+        return list(dict.fromkeys(self.representatives.values()))
 
 
 def skeletonize(cat: FiniteCategory) -> Skeletonization:
@@ -475,12 +437,9 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
     for a in cat.objects:
         rep = reps.setdefault(canon[a][0], a)
         representatives[a] = rep
-        iso_a = canon[a][1]
-        iso_rep = canon[rep][1]
-        eta = compose_embeddings(iso_rep.inverse(), iso_a)
+        eta = compose_embeddings(canon[rep][1].inverse(), canon[a][1])
         # retarget onto the catalog's own copy of the representative
-        eta = Embedding(cat.structure(a), cat.structure(rep), eta.map)
-        canon_iso[a] = eta
+        canon_iso[a] = Embedding(cat.structure(a), cat.structure(rep), eta.map)
     return Skeletonization(cat, representatives, canon_iso)
 
 
@@ -490,9 +449,10 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
 def abstract_from_json(doc: dict) -> FiniteCategory:
     """The category a JSON table describes, every field type-checked and
     every reference checked: object names are distinct, hom keys name
-    objects, identities and composites lie in their hom-sets.  Nothing
-    checks them later.  Each composite is written into its row; identity
-    composites fill only the slots the table leaves empty."""
+    objects, identities and composites lie in their hom-sets, and every
+    composable pair has a composite.  Nothing checks them later.  Each
+    composite is written into its row; identity composites fill only the
+    slots the table leaves empty."""
     doc = check_type(doc, dict, "category document")
     objects = [check_type(a, str, "object")
                for a in check_type(doc["objects"], list, "object list")]
@@ -512,7 +472,7 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
                 raise WorkbenchError(f"morphism {mid!r} appears in two hom-sets")
             morphisms[mid] = Morphism(mid, src, tgt)
             pos[mid] = k
-    rows: dict[str, dict[str, list]] = {
+    rows: dict[str, dict[str, list | tuple]] = {
         g: {a: [None] * len(homs[(a, m.src)])
             for a in objects if homs.get((a, m.src))}
         for g, m in morphisms.items()}
@@ -545,10 +505,13 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
             for j, slot in enumerate(row):
                 if slot is None:
                     row[j] = j
-    return FiniteCategory(
-        objects, homs, morphisms, identities,
-        rows={g: {a: tuple(row) for a, row in by_a.items()}
-              for g, by_a in rows.items()})
+    for g, by_a in rows.items():
+        for a, row in by_a.items():
+            if None in row:
+                f = homs[(a, morphisms[g].src)][row.index(None)]
+                raise WorkbenchError(f"composition table misses {g!r} . {f!r}")
+            by_a[a] = tuple(row)
+    return FiniteCategory(objects, homs, morphisms, identities, rows=rows)
 
 
 def load_abstract(path) -> FiniteCategory:

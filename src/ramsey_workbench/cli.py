@@ -2,13 +2,15 @@
 
 Sorted keys, a two-space indent and no volatile field make identical inputs
 and flags give identical bytes; timing goes to stderr under -v only.
-``QUESTIONS`` maps each (subcommand, action) to a function that returns
-``(check, status, verdict fields, certificates[, top-level extras])``.
-``ask`` makes that the report's one verdict, whose status is the report's
-and sets the exit code: 0 holds, 1 fails, 2 unknown at bound, 3 input error.
-``REPLAY`` maps each certificate type to a re-checker and the types of the
-fields it reads, which are checked first.  Checkers are called through this
-module's globals, so a tracer that replaces ``cli.<name>`` sees every call.
+``QUESTIONS`` maps each (subcommand, action) to a question and the flags
+that must name catalog objects.  ``ask`` loads the category once, checks
+those flags and makes the question's ``(check, status, verdict fields,
+certificates[, top-level extras])`` the report's one verdict, whose status
+is the report's and sets the exit code: 0 holds, 1 fails, 2 unknown at
+bound, 3 input error.  ``REPLAY`` maps each certificate type to a re-checker
+and the types of the fields it reads, which are checked first.  Checkers
+are called through this module's globals, so a tracer that replaces
+``cli.<name>`` sees every call.
 """
 
 from __future__ import annotations
@@ -70,24 +72,23 @@ def _coloring_cert(kind: str, instance: dict, coloring: Coloring) -> dict:
 # -- questions ----------------------------------------------------------------
 
 
-def _cat_check(args):
-    rep = check_axioms(_load_category(args))
+def _cat_check(args, cat):
+    rep = check_axioms(cat)
     status = HOLDS if (rep.all_mono and rep.directed and rep.identity_ok
                        and rep.associativity_ok) else FAILS
-    if status == HOLDS and "UNKNOWN-AT-BOUND" in rep.locally_finite.values():
+    if status == HOLDS and UNKNOWN in rep.locally_finite.values():
         status = UNKNOWN
     return "axioms", status, {"detail": asdict(rep)}, []
 
 
-def _cat_skeleton(args):
-    skel = skeletonize(_load_category(args))
+def _cat_skeleton(args, cat):
+    skel = skeletonize(cat)
     isos = {a: e.map for a, e in skel.canon_iso.items()}
     return "skeleton", HOLDS, {
         "representatives": skel.representatives, "isos": isos}, []
 
 
-def _cat_op(args):
-    cat = _load_category(args)
+def _cat_op(args, cat):
     o = op(cat)
     involutive = tables_equal(op(o), cat)
     mono_epi = all(cat.is_mono(m) == o.is_epi(m) for m in cat.all_morphisms())
@@ -98,9 +99,7 @@ def _cat_op(args):
                  for a in o.objects for b in o.objects if o.hom(a, b)}}, []
 
 
-def _arrow(args):
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "C", "B", "A")
+def _arrow(args, cat):
     instance = {"C": args.C, "B": args.B, "A": args.A, "k": args.k, "t": args.t}
     if args.oracle:
         verdict = oracle_arrow_check(cat, *instance.values())
@@ -123,9 +122,7 @@ def _arrow(args):
                                      "stats": stats}, certificates
 
 
-def _degree(args):
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "A")
+def _degree(args, cat):
     bs = None if args.bmax is None else [
         b for b in cat.objects if cat.structure(b).size <= args.bmax]
     interval = degree_interval(cat, args.A, args.kmax, bs=bs,
@@ -143,8 +140,7 @@ def _degree(args):
             certificates)
 
 
-def _amalgam_wap(args):
-    cat = _load_category(args)
+def _amalgam_wap(args, cat):
     rep = wap_check(cat)
     certificates = [
         {"type": "composition-equality", "note": f"amalgamation arrow for {w['A']}",
@@ -155,9 +151,7 @@ def _amalgam_wap(args):
             {"arrows": rep.witnesses, "failure": rep.failure}, certificates)
 
 
-def _amalgam_two_of_k(args):
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "A")
+def _amalgam_two_of_k(args, cat):
     rep = two_of_k_check(cat, args.A, args.two_of_k)
     certificates = [
         {"type": "composition-equality", "note": "pair amalgam",
@@ -168,9 +162,7 @@ def _amalgam_two_of_k(args):
         "notes": rep.notes}, certificates
 
 
-def _amalgam_chain(args):
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "A")
+def _amalgam_chain(args, cat):
     chain = failure_chain(cat, args.A, args.depth)
     status = HOLDS if verify_pairwise_non_amalgamable(cat, chain) else FAILS
     return "failure-chain", status, {
@@ -179,17 +171,15 @@ def _amalgam_chain(args):
                 "2-out-of-k at this depth"}, []
 
 
-def _load_sequence(args):
-    cat = _load_category(args)
+def _load_sequence(args, cat):
     if args.seq is None:
         raise WorkbenchError("--seq is required here")
     with open(args.seq, encoding="utf-8") as fh:
-        return cat, sequence_from_json(json.load(fh),
-                                       list(cat.structures.values()))
+        return sequence_from_json(json.load(fh), list(cat.structures.values()))
 
 
-def _seq_colim(args):
-    _, seq = _load_sequence(args)
+def _seq_colim(args, cat):
+    seq = _load_sequence(args, cat)
     result = colimit(seq)
     certificates = [
         {"type": "map-equality", "note": f"cocone triangle {n}->{m}",
@@ -200,8 +190,8 @@ def _seq_colim(args):
                               "class_names": result.class_names}, certificates
 
 
-def _seq_wfcheck(args):
-    cat, seq = _load_sequence(args)
+def _seq_wfcheck(args, cat):
+    seq = _load_sequence(args, cat)
     steps = [cat.embedding_id(s.source.name, s.target.name, s.map)
              for s in seq.steps]
     rep = weak_fraisse_check(cat, [x.name for x in seq.objects], steps,
@@ -213,9 +203,7 @@ def _seq_wfcheck(args):
         "stuck": rep.stuck_levels, "notes": rep.notes}, []
 
 
-def _seq_whom(args):
-    cat = _load_category(args)
-    _require_objects(cat.objects, args, "obj")
+def _seq_whom(args, cat):
     rep = weak_homogeneity_check(cat, args.obj, cat.objects)
 
     def maps(found: dict) -> dict:
@@ -228,44 +216,40 @@ def _seq_whom(args):
         "failure": rep.failure and maps(rep.failure)}, []
 
 
-def _expansion_space(args):
-    cat = _load_category(args)
+def _expansion_space(args, cat):
     degrees = {}
     if args.degrees:
         with open(args.degrees, encoding="utf-8") as fh:
             doc = check_type(json.load(fh), dict, "degree file")
-        table = check_type(doc.get("degrees", doc), dict, "degree table")
-        degrees = {k: check_type(v, int, f"degree of {k}") for k, v in table.items()}
-    return cat, ExpansionSpace(cat, degrees)
+        degrees = check_type(doc.get("degrees", doc), dict, "degree table")
+    return ExpansionSpace(cat, degrees)
 
 
-def _expand_build(args):
-    cat, space = _expansion_space(args)
+def _expand_build(args, cat):
+    space = _expansion_space(args, cat)
     expansions = [{"base": obj, "theta": dict(e.theta)}
                   for obj in cat.objects for e in space.fiber(obj)]
     return "expansion-build", HOLDS, {
-        "degrees": dict(space.degrees.degrees),
+        "degrees": space.degrees,
         "fiber_sizes": {obj: space.fiber_size(obj) for obj in cat.objects},
     }, [], {"expansions": expansions}
 
 
-def _expand_check(args):
-    rep = check_forgetful(_expansion_space(args)[1])
+def _expand_check(args, cat):
+    rep = check_forgetful(_expansion_space(args, cat))
     return "forgetful-functor", HOLDS if rep.all_hold else FAILS, asdict(rep), []
 
 
-def _expand_orbits(args):
-    cat, space = _expansion_space(args)
-    _require_objects(cat.objects, args, "obj")
-    rep = orbit_age_analysis(space, args.obj)
+def _expand_orbits(args, cat):
+    rep = orbit_age_analysis(_expansion_space(args, cat), args.obj)
     return "orbit-age", HOLDS if rep.ages_equal_on_orbits else FAILS, {
         "object": args.obj, "orbit_sizes": sorted(len(o) for o in rep.orbits),
         "ages_equal_on_orbits": rep.ages_equal_on_orbits,
         "minimal_theta": dict(rep.minimal.theta), "notes": rep.notes}, []
 
 
-def _expand_ep(args):
-    cat, space = _expansion_space(args)
+def _expand_ep(args, cat):
+    space = _expansion_space(args, cat)
     rep = expansion_property_check(
         space, {obj: space.fiber(obj) for obj in cat.objects})
     return "expansion-property", rep.direct_status, {
@@ -273,29 +257,32 @@ def _expand_ep(args):
         "criteria_agree": rep.agree}, []
 
 
+# (subcommand, action) -> (question, flags that must name catalog objects)
 QUESTIONS = {
-    ("cat", "check"): _cat_check,
-    ("cat", "skeleton"): _cat_skeleton,
-    ("cat", "op"): _cat_op,
-    ("arrow", None): _arrow,
-    ("degree", None): _degree,
-    ("amalgam", "wap"): _amalgam_wap,
-    ("amalgam", "two-of-k"): _amalgam_two_of_k,
-    ("amalgam", "chain"): _amalgam_chain,
-    ("seq", "colim"): _seq_colim,
-    ("seq", "wfcheck"): _seq_wfcheck,
-    ("seq", "whom"): _seq_whom,
-    ("expand", "build"): _expand_build,
-    ("expand", "check"): _expand_check,
-    ("expand", "orbits"): _expand_orbits,
-    ("expand", "ep"): _expand_ep,
+    ("cat", "check"): (_cat_check, ()),
+    ("cat", "skeleton"): (_cat_skeleton, ()),
+    ("cat", "op"): (_cat_op, ()),
+    ("arrow", None): (_arrow, ("C", "B", "A")),
+    ("degree", None): (_degree, ("A",)),
+    ("amalgam", "wap"): (_amalgam_wap, ()),
+    ("amalgam", "two-of-k"): (_amalgam_two_of_k, ("A",)),
+    ("amalgam", "chain"): (_amalgam_chain, ("A",)),
+    ("seq", "colim"): (_seq_colim, ()),
+    ("seq", "wfcheck"): (_seq_wfcheck, ()),
+    ("seq", "whom"): (_seq_whom, ("obj",)),
+    ("expand", "build"): (_expand_build, ()),
+    ("expand", "check"): (_expand_check, ()),
+    ("expand", "orbits"): (_expand_orbits, ("obj",)),
+    ("expand", "ep"): (_expand_ep, ()),
 }
 
 
 def ask(args) -> tuple[int, dict]:
     """Answer one question: (exit code, report with its one verdict)."""
-    check, status, fields, certificates, *extras = QUESTIONS[
-        args.subcommand, getattr(args, "action", None)](args)
+    question, flags = QUESTIONS[args.subcommand, getattr(args, "action", None)]
+    cat = _load_category(args)
+    _require_objects(cat.objects, args, *flags)
+    check, status, fields, certificates, *extras = question(args, cat)
     report = {
         "tool": {"name": "rw", "version": __version__},
         "command": args.command_echo,
@@ -337,7 +324,7 @@ def _replay_maps(cert: dict, cat) -> None:
 
 def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
     """A statement until HOLDS is re-decided: a known kind on catalog objects."""
-    if cert["kind"] not in ("arrow-holds", "degree-upper"):
+    if ("exhaustion", cert["kind"]) not in STATUS_OF:
         raise CorruptCertificate(f"unknown exhaustion kind {cert['kind']!r}")
     for name in ("C", "B", "A"):
         if cert[name] not in cat.objects:
@@ -356,6 +343,10 @@ REPLAY = {
     "map-equality": (_replay_maps, False, {"lhs": [int], "rhs": [int], "note": str}),
     "exhaustion": (_replay_exhaustion, True, INSTANCE_FIELDS),
 }
+# (certificate type, kind) -> the only status it may sit under
+STATUS_OF = {("exhaustion", "arrow-holds"): HOLDS,
+             ("exhaustion", "degree-upper"): HOLDS,
+             ("bad-coloring", "arrow-fails"): FAILS}
 
 
 def _replay_category(data: bytes) -> FiniteCategory:
@@ -371,9 +362,16 @@ def replay(report_path: str) -> tuple[int, dict]:
     """Re-verify every certificate in a report by direct evaluation.
 
     The catalog's hash is checked for every report; the catalog itself is
-    parsed on the first certificate that reads it."""
+    parsed on the first certificate that reads it.  A report with a status
+    must have exactly one verdict, with that status, and a certificate that
+    ``STATUS_OF`` binds to a status must sit under it."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
+    status = report.get("status")
+    if "status" in report:
+        verdicts = check_type(report.get("verdicts"), list, "report verdicts")
+        if [check_type(v, dict, "verdict").get("status") for v in verdicts] != [status]:
+            raise CorruptCertificate("the report's status is not its one verdict's")
     data = cat = None
     if "catalog" in report:
         entry = check_type(report["catalog"], dict, "report catalog")
@@ -399,6 +397,9 @@ def replay(report_path: str) -> tuple[int, dict]:
                     check_type(item, field_type[0], f"an item of {what}")
             else:
                 check_type(cert.get(name), field_type, what)
+        bound = STATUS_OF.get((kind, cert["kind"])) if "kind" in fields else None
+        if bound not in (None, status):
+            raise CorruptCertificate(f"{kind} {cert['kind']} under status {status!r}")
         if needs_catalog and cat is None:
             cat = _replay_category(data)
         recheck(cert, cat)

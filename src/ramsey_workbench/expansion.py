@@ -28,32 +28,10 @@ from operator import itemgetter
 
 from . import FAILS, HOLDS
 from .category import FiniteCategory, skeletonize
-from .errors import ExpansionOverflow, WorkbenchError
+from .errors import ExpansionOverflow, WorkbenchError, check_type
 from .structures import Signature, Structure, canonical_key
 
 FIBER_BUDGET = 200_000   # most expansions one fiber may enumerate
-
-
-@dataclass(frozen=True)
-class DegreeAssignment:
-    """Color budget per skeleton representative; unspecified ones get 1."""
-
-    degrees: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def make(space_reps: list[str], partial: dict[str, int]) -> "DegreeAssignment":
-        unknown = set(partial) - set(space_reps)
-        if unknown:
-            raise WorkbenchError(f"degrees given for non-representatives {sorted(unknown)}")
-        if any(t < 1 for t in partial.values()):
-            raise WorkbenchError("degrees must be positive")
-        return DegreeAssignment(tuple((r, partial.get(r, 1)) for r in space_reps))
-
-    def of(self, rep: str) -> int:
-        for r, t in self.degrees:
-            if r == rep:
-                return t
-        raise KeyError(rep)
 
 
 @dataclass(frozen=True)
@@ -82,21 +60,29 @@ class ExpandedSignature:
 
 
 class ExpansionSpace:
-    """All coloring families over one catalog and one degree assignment."""
+    """All coloring families over one catalog and one degree assignment:
+    ``degrees`` maps each representative, in order, to its colors (default 1)."""
 
     def __init__(self, cat: FiniteCategory, degrees: dict[str, int]):
         self.cat = cat
         skeleton = skeletonize(cat)
         self.reps: list[str] = skeleton.representative_objects
         self.rep_of: dict[str, str] = skeleton.representatives
-        self.degrees = DegreeAssignment.make(self.reps, dict(degrees))
+        for rep, t in degrees.items():
+            check_type(t, int, f"degree of {rep}")
+        unknown = set(degrees) - set(self.reps)
+        if unknown:
+            raise WorkbenchError(f"degrees given for non-representatives {sorted(unknown)}")
+        if any(t < 1 for t in degrees.values()):
+            raise WorkbenchError("degrees must be positive")
+        self.degrees: dict[str, int] = {r: degrees.get(r, 1) for r in self.reps}
 
     # -- fibers -------------------------------------------------------------
 
     def fiber_size(self, obj: str) -> int:
         size = 1
         for rep in self.reps:
-            size *= self.degrees.of(rep) ** len(self.cat.hom(rep, obj))
+            size *= self.degrees[rep] ** len(self.cat.hom(rep, obj))
         return size
 
     def fiber(self, obj: str) -> list[ExpandedObject]:
@@ -105,7 +91,7 @@ class ExpansionSpace:
                 f"fiber over {obj} has {self.fiber_size(obj)} expansions")
         pools = []
         for rep in self.reps:
-            t = self.degrees.of(rep)
+            t = self.degrees[rep]
             m = len(self.cat.hom(rep, obj))
             pools.append(list(itertools.product(range(t), repeat=m)))
         out = []
@@ -175,7 +161,7 @@ class ExpansionSpace:
         added = []
         for rep in self.reps:
             arity = self.cat.structure(rep).size
-            for j in range(1, self.degrees.of(rep) + 1):
+            for j in range(1, self.degrees[rep] + 1):
                 name = f"{rep}_copy_color{j}"
                 if any(name == rn for rn, _ in base.relations):
                     raise WorkbenchError(f"added relation {name!r} collides")

@@ -219,11 +219,10 @@ def enumerate_embeddings(a: Structure, b: Structure) -> list[Embedding]:
     used = [False] * m
 
     def ok(i: int) -> bool:
+        # the tuples lie over {0..i}, so every position in them is assigned
         for ta, tb, tuples in checks[i]:
             for t in tuples:
                 img = tuple(assign[v] for v in t)
-                if -1 in img:
-                    continue
                 if (t in ta) != (img in tb):
                     return False
         return True

@@ -10,6 +10,8 @@ from ramsey_workbench.catalogs import (catalog_to_json, graph, linear_order,
 from ramsey_workbench.cli import run
 from ramsey_workbench.errors import CorruptCertificate
 
+from oracles import lo_table
+
 
 @pytest.fixture(scope="module")
 def lo_paths(tmp_path_factory):
@@ -477,6 +479,22 @@ class TestReplay:
         assert err.startswith("error: report must be dict, not list [{")
         assert err.count("\n") == 1 and len(err) < 100
 
+    @pytest.mark.parametrize("base,doctor", [
+        ("holds", lambda text: text.replace('"HOLDS"', '"FAILS"')),
+        ("holds", lambda text: json.dumps(dict(json.loads(text), status="FAILS"))),
+        ("arrow", lambda text: text.replace('"FAILS"', '"HOLDS"')),
+        ("holds", lambda text: json.dumps(
+            {**json.loads(text), "verdicts": json.loads(text)["verdicts"] * 2})),
+    ], ids=["holds-all-flipped", "holds-status-flipped", "fails-all-flipped",
+            "two-verdicts"])
+    def test_report_must_agree_with_its_verdict(self, replayable, tmp_path,
+                                                base, doctor):
+        """The status is that of exactly one verdict, and an arrow-holds
+        exhaustion sits under HOLDS, an arrow-fails colouring under FAILS."""
+        path = tmp_path / "doctored.json"
+        path.write_text(doctor(replayable[base].read_text()))
+        assert run(["replay", str(path)]) == 3
+
     def test_empty_report_succeeds(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"certificates": []}))
@@ -657,6 +675,31 @@ class TestLoaderValidation:
         path.write_text(json.dumps(doc))
         assert run(["--out", str(tmp_path / "r.json"), "cat", action,
                     "--abstract", "--catalog", str(path)]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["cat", "check"], ["cat", "op"], ["amalgam", "--wap"],
+        ["amalgam", "--two-of-k", "3", "--A", "LO2"],
+        ["amalgam", "--chain", "--A", "LO1"],
+    ], ids=["cat-check", "cat-op", "wap", "two-of-k", "chain"])
+    def test_table_missing_a_composite_exits_three(self, tmp_path, capsys,
+                                                   argv):
+        """lo_table(5) without its last five non-identity composites is no
+        category: every table route refuses it at load, naming one of them."""
+        doc = lo_table(5)
+        ids = set(doc["identities"].values())
+        dropped = [key for key in doc["compose"]
+                   if not ids & set(key.split("∘"))][-5:]
+        path = tmp_path / "gappy.json"
+        path.write_text(json.dumps(dict(doc, compose={
+            key: mid for key, mid in doc["compose"].items()
+            if key not in dropped})))
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out)] + argv
+                   + ["--abstract", "--catalog", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert any("misses {!r} . {!r}".format(*key.split("∘")) in err
+                   for key in dropped)
+        assert not out.exists()
 
     @pytest.mark.parametrize("action", ["check", "op"])
     def test_two_object_abstract_category_holds(self, tmp_path, action):

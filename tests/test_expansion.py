@@ -10,8 +10,7 @@ from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
                                        lo_catalog, path_graph)
 from ramsey_workbench.category import FiniteCategory, skeletonize
 from ramsey_workbench.errors import ExpansionOverflow, WorkbenchError
-from ramsey_workbench.expansion import (DegreeAssignment, ExpansionSpace,
-                                        check_forgetful,
+from ramsey_workbench.expansion import (ExpansionSpace, check_forgetful,
                                         expansion_property_check,
                                         orbit_age_analysis)
 from ramsey_workbench.structures import Structure
@@ -38,7 +37,7 @@ class TestFibers:
         for obj in cat.objects:
             expected = 1
             for rep in p3_space.reps:
-                expected *= p3_space.degrees.of(rep) ** len(cat.hom(rep, obj))
+                expected *= p3_space.degrees[rep] ** len(cat.hom(rep, obj))
             assert p3_space.fiber_size(obj) == expected
 
     def test_representatives_are_first_in_each_class(self):
@@ -80,6 +79,9 @@ class TestFibers:
             ExpansionSpace(cat, {"LO9": 2})
         with pytest.raises(WorkbenchError):
             ExpansionSpace(cat, {"LO2": 0})
+        with pytest.raises(WorkbenchError, match="degree of LO2"):
+            ExpansionSpace(cat, {"LO2": True})
+        assert ExpansionSpace(cat, {"LO2": 2}).degrees == {"LO1": 1, "LO2": 2}
 
 
 class TestMorphismsAndRestrictions:

@@ -88,6 +88,9 @@ QUESTIONS = [
     ("amalgam-wap-abstract", ["amalgam", "--wap", "--abstract", "--catalog",
                               "{lo5t}"], 0,
      "5fc73e48cc0162a960550085557f6a94078b5d60ae0666dd33b67ff234d65d5c"),
+    ("amalgam-chain-abstract", ["amalgam", "--chain", "--A", "LO1", "--depth",
+                                "3", "--abstract", "--catalog", "{lo5t}"], 0,
+     "4e9859d02a44f5827a8611c0437450b22e1a46ecb3dcd48700a2ee117a3cdb4a"),
     ("amalgam-two-of-k-abstract", ["amalgam", "--two-of-k", "3", "--A", "LO2",
                                    "--abstract", "--catalog", "{lo5t}"], 1,
      "8f76f56ba5e1fe4592b78f48bc931c16cb79f48c28ff829738cf217bb5247359"),
