@@ -323,9 +323,7 @@ def _replay_maps(cert: dict, cat) -> None:
 
 
 def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
-    """A statement until HOLDS is re-decided: a known kind on catalog objects."""
-    if ("exhaustion", cert["kind"]) not in STATUS_OF:
-        raise CorruptCertificate(f"unknown exhaustion kind {cert['kind']!r}")
+    """A statement until HOLDS is re-decided: an instance on catalog objects."""
     for name in ("C", "B", "A"):
         if cert[name] not in cat.objects:
             raise CorruptCertificate(
@@ -343,10 +341,12 @@ REPLAY = {
     "map-equality": (_replay_maps, False, {"lhs": [int], "rhs": [int], "note": str}),
     "exhaustion": (_replay_exhaustion, True, INSTANCE_FIELDS),
 }
-# (certificate type, kind) -> the only status it may sit under
-STATUS_OF = {("exhaustion", "arrow-holds"): HOLDS,
-             ("exhaustion", "degree-upper"): HOLDS,
-             ("bad-coloring", "arrow-fails"): FAILS}
+# (certificate type, kind) -> (the check of the one verdict it may sit under,
+# the only status it may sit under, or None for any); no other kind replays
+BOUND_TO = {("exhaustion", "arrow-holds"): ("arrow", HOLDS),
+            ("bad-coloring", "arrow-fails"): ("arrow", FAILS),
+            ("exhaustion", "degree-upper"): ("degree-interval", HOLDS),
+            ("bad-coloring", "degree-lower"): ("degree-interval", None)}
 
 
 def _replay_category(data: bytes) -> FiniteCategory:
@@ -363,15 +363,17 @@ def replay(report_path: str) -> tuple[int, dict]:
 
     The catalog's hash is checked for every report; the catalog itself is
     parsed on the first certificate that reads it.  A report with a status
-    must have exactly one verdict, with that status, and a certificate that
-    ``STATUS_OF`` binds to a status must sit under it."""
+    must have exactly one verdict, with that status.  A certificate with a
+    kind must name one in ``BOUND_TO`` and sit under the verdict and status
+    that it binds the kind to."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
-    status = report.get("status")
+    status, check = report.get("status"), None
     if "status" in report:
         verdicts = check_type(report.get("verdicts"), list, "report verdicts")
         if [check_type(v, dict, "verdict").get("status") for v in verdicts] != [status]:
             raise CorruptCertificate("the report's status is not its one verdict's")
+        check = verdicts[0].get("check")
     data = cat = None
     if "catalog" in report:
         entry = check_type(report["catalog"], dict, "report catalog")
@@ -397,9 +399,13 @@ def replay(report_path: str) -> tuple[int, dict]:
                     check_type(item, field_type[0], f"an item of {what}")
             else:
                 check_type(cert.get(name), field_type, what)
-        bound = STATUS_OF.get((kind, cert["kind"])) if "kind" in fields else None
-        if bound not in (None, status):
-            raise CorruptCertificate(f"{kind} {cert['kind']} under status {status!r}")
+        if "kind" in fields:
+            if (kind, cert["kind"]) not in BOUND_TO:
+                raise CorruptCertificate(f"unknown {kind} kind {cert['kind']!r}")
+            question, bound = BOUND_TO[kind, cert["kind"]]
+            if question != check or bound not in (None, status):
+                raise CorruptCertificate(f"{kind} {cert['kind']} under a "
+                                         f"{check!r} verdict of status {status!r}")
         if needs_catalog and cat is None:
             cat = _replay_category(data)
         recheck(cert, cat)

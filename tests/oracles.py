@@ -6,8 +6,12 @@ verdicts by scanning every coloring.  Expected values in the test suite are
 frozen from these, not from the implementations under test.  The scans
 kept from earlier checkers (``first_amalgam``, ``eager_two_of_k``,
 ``scan_forgetful``) call the package's primitives, ``compose`` and
-``morphism_preserves``, but not the checkers they test.  ``lo_table`` writes
-the chain category's compose table by hand, without ``compose``.
+``morphism_preserves``, but not the checkers they test.
+``scan_arrow_check``, the coloring-by-coloring scan that the bit-sliced
+``oracle_arrow_check`` replaced, reads its instance through
+``ArrowInstance.build`` and returns the package's verdict types.
+``lo_table`` writes the chain category's compose table by hand, without
+``compose``.
 
 The scaffolding at the end backs the tests of sequences and expansions: the
 transformation calculus on structure chains with ``mono_test`` (acceptance
@@ -23,9 +27,11 @@ import itertools
 from dataclasses import dataclass, field
 
 from ramsey_workbench import FAILS, HOLDS, UNKNOWN
+from ramsey_workbench.arrows import (ArrowInstance, ArrowStats, ArrowVerdict,
+                                     Coloring)
 from ramsey_workbench.category import Skeletonization
-from ramsey_workbench.errors import (ShapeMismatch, TruncationOverflow,
-                                     WorkbenchError)
+from ramsey_workbench.errors import (BudgetExceeded, ShapeMismatch,
+                                     TruncationOverflow, WorkbenchError)
 from ramsey_workbench.expansion import ExpandedObject, ExpansionSpace
 from ramsey_workbench.sequences import (ColimitResult, HomogeneityReport,
                                         TruncatedSequence)
@@ -150,6 +156,26 @@ def brute_arrow_status(hom_ac, copies, k, t) -> str:
         if all(len({values[i] for i in copy}) > t for copy in copies):
             return "FAILS"
     return "HOLDS"
+
+
+def scan_arrow_check(cat, c, b, a, k, t, *, budget=2_000_000) -> ArrowVerdict:
+    """``oracle_arrow_check`` one coloring at a time: the whole verdict of
+    a scan of every coloring in ``itertools.product`` order, stopping at the
+    first bad one, with ``colorings_scanned`` counting the colorings tried."""
+    if k < 1 or t < 1:
+        raise ValueError("k and t must be positive")
+    stats = ArrowStats()
+    inst = ArrowInstance.build(cat, c, b, a)
+    degenerate = "empty-hom-A-B" if not inst.hom_ab else None
+    m = len(inst.domain)
+    if k ** m > budget:
+        raise BudgetExceeded(f"{k}^{m} colorings exceed budget {budget}")
+    for values in itertools.product(range(k), repeat=m):
+        stats.colorings_scanned += 1
+        if all(len({values[i] for i in copy}) > t for copy in inst.copies):
+            return ArrowVerdict(FAILS, Coloring(inst.domain, k, values), stats,
+                                degenerate)
+    return ArrowVerdict(HOLDS, None, stats, degenerate)
 
 
 def chain_arrow_status(c: int, b: int, a: int, k: int, t: int) -> str:

@@ -1,11 +1,14 @@
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ramsey_workbench import arrows
 from ramsey_workbench.arrows import (FAILS, HOLDS, UNKNOWN, ArrowInstance,
-                                     Coloring, arrow_check, export_cnf, is_bad,
+                                     ArrowStats, ArrowVerdict, Coloring,
+                                     arrow_check, export_cnf, is_bad,
                                      lex_arrow_check, oracle_arrow_check,
                                      verify_bad_coloring)
 from ramsey_workbench.catalogs import (complete_graph, graph_catalog,
@@ -96,6 +99,124 @@ class TestOracleEquivalence:
             done += 1
 
 
+def _pairs_category(positions: int, copies) -> FiniteCategory:
+    """A category whose arrow C -> (B)^A has hom(A, C) = x0..x<positions-1>
+    and, for the n-th pair (i, j) of `copies`, a witness w<n> whose copy is
+    {x<i>, x<j>}: hom(A, B) is f0, f1 and w<n> . f0 = x<i>, w<n> . f1 = x<j>.
+    The loader adds the composites with identities."""
+    objects = ["A", "B", "C"]
+    homs = {"A->A": ["idA"], "B->B": ["idB"], "C->C": ["idC"],
+            "A->B": ["f0", "f1"],
+            "B->C": [f"w{n}" for n in range(len(copies))],
+            "A->C": [f"x{i}" for i in range(positions)]}
+    compose = {f"w{n}∘f{j}": f"x{pair[j]}"
+               for n, pair in enumerate(copies) for j in (0, 1)}
+    return abstract_from_json({"objects": objects, "homs": homs,
+                               "identities": {o: f"id{o}" for o in objects},
+                               "compose": compose})
+
+
+class TestBitSlicedOracle:
+    """`oracle_arrow_check` returns the verdict of the coloring-by-coloring
+    scan it replaced (`oracles.scan_arrow_check`): status, bad coloring,
+    stats and degenerate flag."""
+
+    @pytest.mark.parametrize("catalog", [
+        lo_catalog(6), [complete_graph(n) for n in range(1, 5)],
+        graph_catalog(3)], ids=["lo6", "k1-k4", "graphs3"])
+    def test_whole_verdict_matches_the_scan(self, catalog):
+        cat = FiniteCategory.from_structures(catalog)
+        checked = 0
+        for c, b, a in itertools.product(cat.objects, repeat=3):
+            m = len(cat.hom(a, c))
+            for k in (1, 2, 3):
+                if k ** m > 70_000:
+                    continue
+                for t in (1, 2, 3):
+                    assert (oracle_arrow_check(cat, c, b, a, k, t)
+                            == oracles.scan_arrow_check(cat, c, b, a, k, t)), (
+                        c, b, a, k, t)
+                    checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("c,b,a,k,t,status,scanned,degenerate", [
+        # hom(B, C) is empty: the first coloring is bad
+        ("LO3", "LO4", "LO2", 2, 1, FAILS, 1, None),
+        # hom(A, B) is empty: every copy is empty and sees no color
+        ("LO4", "LO1", "LO2", 2, 1, HOLDS, 2 ** 6, "empty-hom-A-B"),
+        # hom(A, C) is empty: one coloring, of nothing
+        ("LO2", "LO2", "LO3", 2, 1, HOLDS, 1, "empty-hom-A-B"),
+        ("LO2", "LO4", "LO3", 2, 1, FAILS, 1, None),
+        # one color: every copy sees at most one
+        ("LO5", "LO3", "LO2", 1, 1, HOLDS, 1, None),
+        # t >= k: no copy can see more than t colors
+        ("LO4", "LO3", "LO2", 2, 2, HOLDS, 2 ** 6, None),
+        ("LO4", "LO3", "LO2", 2, 3, HOLDS, 2 ** 6, None),
+        ("LO4", "LO3", "LO2", 3, 3, HOLDS, 3 ** 6, None),
+    ], ids=["empty-hom-B-C", "empty-hom-A-B", "empty-domain-holds",
+            "empty-domain-fails", "one-color", "t-equals-k", "t-above-k",
+            "t-equals-k-3"])
+    def test_edge_cases(self, lo6, c, b, a, k, t, status, scanned, degenerate):
+        verdict = oracle_arrow_check(lo6, c, b, a, k, t)
+        assert verdict == oracles.scan_arrow_check(lo6, c, b, a, k, t)
+        assert (verdict.status, verdict.stats.colorings_scanned,
+                verdict.degenerate) == (status, scanned, degenerate)
+        if status == FAILS:
+            assert verdict.bad_coloring.values == (0,) * len(
+                lo6.hom(a, c))
+
+    @pytest.mark.parametrize("block", [1, 2, 8, 81])
+    def test_small_blocks_give_the_same_verdicts(self, monkeypatch, block):
+        """Blocks of 1 to 81 colorings split the space at every place, and
+        no block holds more than `ORACLE_BLOCK` colorings."""
+        monkeypatch.setattr(arrows, "ORACLE_BLOCK", block)
+        sizes = []
+        masks = arrows._digit_masks
+        monkeypatch.setattr(arrows, "_digit_masks", lambda k, places: (
+            sizes.append(k ** places) or masks(k, places)))
+        cat = FiniteCategory.from_structures(lo_catalog(5))
+        for c, b, a in itertools.product(cat.objects, repeat=3):
+            for k in (2, 3):
+                if k ** len(cat.hom(a, c)) > 3_000:
+                    continue
+                for t in (1, 2):
+                    assert (oracle_arrow_check(cat, c, b, a, k, t)
+                            == oracles.scan_arrow_check(cat, c, b, a, k, t)), (
+                        c, b, a, k, t, block)
+        assert max(sizes) == block
+
+    def test_first_bad_coloring_past_the_first_block(self):
+        """18 positions: x0 and x1 differ, and x1 differs from every later
+        position, so the first bad coloring is 0, 1, 0, ..., 0 at rank 2^16,
+        the first coloring of the second block."""
+        assert arrows.ORACLE_BLOCK == 2 ** 16
+        copies = [(0, 1)] + [(1, i) for i in range(2, 18)]
+        cat = _pairs_category(18, copies)
+        verdict = oracle_arrow_check(cat, "C", "B", "A", 2, 1)
+        assert verdict.status == FAILS
+        assert verdict.stats == ArrowStats(colorings_scanned=2 ** 16 + 1)
+        color = dict(zip(verdict.bad_coloring.domain,
+                         verdict.bad_coloring.values))
+        assert color == {f"x{i}": int(i == 1) for i in range(18)}
+        # no 2-coloring splits all three pairs of a triangle, so none of
+        # the four blocks holds a bad coloring
+        holds = oracle_arrow_check(
+            _pairs_category(18, [(0, 1), (0, 2), (1, 2)]), "C", "B", "A", 2, 1)
+        assert holds == ArrowVerdict(HOLDS, None,
+                                     ArrowStats(colorings_scanned=2 ** 18))
+
+    def test_k5_instances_named_in_the_docs(self):
+        """K5 -> (K4)^K2_{2,1} fails at rank 35; K5 -> (K3)^K2_{2,2}
+        scans all 2^20 colorings."""
+        cat = FiniteCategory.from_structures(
+            [complete_graph(n) for n in range(1, 6)])
+        fails = oracle_arrow_check(cat, "K5", "K4", "K2", 2, 1)
+        assert fails == oracles.scan_arrow_check(cat, "K5", "K4", "K2", 2, 1)
+        assert fails.stats.colorings_scanned == 36
+        holds = oracle_arrow_check(cat, "K5", "K3", "K2", 2, 2)
+        assert (holds.status, holds.stats.colorings_scanned) == (HOLDS, 2 ** 20)
+
+
 class TestMonotonicity:
     def test_in_t(self, lo6):
         # HOLDS at t stays HOLDS at larger t
@@ -172,6 +293,56 @@ class TestCnfExport:
             verdict = arrow_check(lo6, c, "LO3", "LO2", k, t)
             assert sat == (verdict.status == FAILS)
 
+    @staticmethod
+    @functools.cache
+    def truth(nvars) -> list[int]:
+        """truth[v]: the assignments x < 2^nvars with bit v of x set."""
+        count = 1 << nvars
+        return [int("".join("1" if x >> v & 1 else "0"
+                            for x in reversed(range(count))), 2)
+                for v in range(nvars)]
+
+    def models(self, nvars, clauses) -> int:
+        """Every model of the formula over all 2^nvars assignments, as a
+        bitset: bit x is set when assignment x, which makes variable v true
+        exactly when bit v - 1 of x is set, satisfies every clause."""
+        true = self.truth(nvars)
+        every = (1 << (1 << nvars)) - 1
+        models = every
+        for clause in clauses:
+            sat = 0
+            for lit in clause:
+                sat |= true[lit - 1] if lit > 0 else every ^ true[-lit - 1]
+            models &= sat
+        return models
+
+    @pytest.mark.parametrize("catalog", [
+        lo_catalog(4), [complete_graph(n) for n in range(1, 5)],
+        graph_catalog(3)], ids=["lo4", "k1-k4", "graphs3"])
+    def test_models_are_the_bad_colorings_of_the_oracle(self, catalog):
+        """A second oracle: the formula has a model exactly when
+        `oracle_arrow_check` finds a bad coloring, and that coloring is one."""
+        cat = FiniteCategory.from_structures(catalog)
+        checked = 0
+        for c, b, a in itertools.product(cat.objects, repeat=3):
+            m = len(cat.hom(a, c))
+            for k in (1, 2, 3):
+                if k * m > 16:
+                    continue
+                for t in (1, 2, 3):
+                    nvars, clauses = self.parse(export_cnf(cat, c, b, a, k, t))
+                    assert nvars == k * m
+                    models = self.models(nvars, clauses)
+                    verdict = oracle_arrow_check(cat, c, b, a, k, t)
+                    assert (models == 0) == (verdict.status == HOLDS), (
+                        c, b, a, k, t)
+                    if verdict.status == FAILS:
+                        x = sum(1 << i * k + col for i, col
+                                in enumerate(verdict.bad_coloring.values))
+                        assert models >> x & 1, (c, b, a, k, t)
+                    checked += 1
+        assert checked > 100
+
     def test_k1_unsat_by_construction(self, lo6):
         text = export_cnf(lo6, "LO4", "LO3", "LO2", 1, 1)
         nvars, clauses = self.parse(text)
@@ -207,7 +378,7 @@ class TestCertificates:
 
 CHAINS = lo_catalog(6)
 GRAPHS = graph_catalog(4)
-ORACLE_SCANS = 50_000
+ORACLE_SCANS = 2 ** 20
 
 
 @st.composite
@@ -286,17 +457,8 @@ class TestGroundTruth:
         # 1,100 positions in disjoint pairs, each pair a witness copy: the
         # only bad 2-colorings split every pair, found at depth 1,100
         pairs = 550
-        objects = ["A", "B", "C"]
-        homs = {"A->A": ["idA"], "B->B": ["idB"], "C->C": ["idC"],
-                "A->B": ["f0", "f1"],
-                "B->C": [f"w{i}" for i in range(pairs)],
-                "A->C": [f"x{i}" for i in range(2 * pairs)]}
-        # the 1,100 composites w_i . f_j = x_{2i+j}; the loader adds identities
-        compose = {f"w{i}∘f{j}": f"x{2 * i + j}"
-                   for i in range(pairs) for j in (0, 1)}
-        cat = abstract_from_json({"objects": objects, "homs": homs,
-                                  "identities": {o: f"id{o}" for o in objects},
-                                  "compose": compose})
+        cat = _pairs_category(2 * pairs,
+                              [(2 * i, 2 * i + 1) for i in range(pairs)])
         verdict = arrow_check(cat, "C", "B", "A", 2, 1)
         assert verdict.status == FAILS
         values = verdict.bad_coloring.values

@@ -275,6 +275,9 @@ def replayable(lo_paths):
                    "LO3", "--A", "LO2", "-k", "2", "-t", "1"], 0),
         "degree": (["degree", "--catalog", lo_paths["lo4"], "--A", "LO2",
                     "--kmax", "2", "--bmax", "2"], 0),
+        # LO4 < R(3,3): one degree-lower colouring per catalog object
+        "degree-lower": (["degree", "--catalog", lo_paths["lo4"], "--A", "LO2",
+                          "--kmax", "2", "--bmax", "3"], 0),
         "colim": (["seq", "colim", "--catalog", lo_paths["lo4"],
                    "--seq", str(seq)], 0),
     }
@@ -494,6 +497,44 @@ class TestReplay:
         path = tmp_path / "doctored.json"
         path.write_text(doctor(replayable[base].read_text()))
         assert run(["replay", str(path)]) == 3
+
+    @staticmethod
+    def _fails_coloring(replayable):
+        return json.loads(replayable["arrow"].read_text())["certificates"][0]
+
+    @staticmethod
+    def _rekind(report, kind):
+        for cert in report["certificates"]:
+            cert["kind"] = kind
+        return report
+
+    @pytest.mark.parametrize("base,doctor,code", [
+        ("degree-lower", lambda report, fails: report, 0),
+        ("arrow", lambda report, fails: TestReplay._rekind(
+            report, "anything-at-all"), 3),
+        ("holds", lambda report, fails: {
+            **report, "certificates": report["certificates"]
+            + [{**fails, "kind": "degree-lower"}]}, 3),
+        ("degree-lower", lambda report, fails: TestReplay._rekind(
+            report, "arrow-fails"), 3),
+        ("holds", lambda report, fails: TestReplay._rekind(
+            report, "degree-upper"), 3),
+        ("degree", lambda report, fails: TestReplay._rekind(
+            report, "arrow-holds"), 3),
+    ], ids=["degree-lower-as-written", "fails-kind-unknown",
+            "holds-with-degree-lower", "degree-lower-as-arrow-fails",
+            "arrow-holds-as-degree-upper", "degree-upper-as-arrow-holds"])
+    def test_certificate_kind_is_bound_to_its_question(
+            self, replayable, tmp_path, base, doctor, code):
+        """arrow-fails and arrow-holds sit only under an arrow verdict,
+        degree-lower and degree-upper only under a degree verdict, and no
+        other kind replays."""
+        report = json.loads(replayable[base].read_text())
+        assert report["certificates"]
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(doctor(report,
+                                          self._fails_coloring(replayable))))
+        assert run(["replay", str(path)]) == code
 
     def test_empty_report_succeeds(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -39,6 +39,11 @@ QUESTIONS = [
     ("arrow-oracle", ["arrow", "--oracle", "--catalog", "{lo6}", "--C", "LO6",
                       "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"], 0,
      "d0f8094bb6d02c305dde2b2acf5be8c699941c94b0af5022387523603819cb8c"),
+    # the first bad colouring in lex order, at rank 236 of 2^10
+    ("arrow-oracle-fails", ["arrow", "--oracle", "--catalog", "{lo6}", "--C",
+                            "LO5", "--B", "LO3", "--A", "LO2", "-k", "2",
+                            "-t", "1"], 1,
+     "d489727a6e4b19aeae18c5d6c7aa505b59d83bdd55790fc71824ff5bd3a541d2"),
     ("arrow-budget", ["--budget-nodes", "5", "arrow", "--catalog", "{lo6}",
                       "--C", "LO6", "--B", "LO3", "--A", "LO2", "-k", "2",
                       "-t", "1"], 2,
