@@ -28,11 +28,18 @@ test suite enforces that.  The oracle shares nothing with the searches but
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from . import FAILS, HOLDS, UNKNOWN
 from .errors import BudgetExceeded
 from .category import FiniteCategory
+
+# Notes of a search stopped by a budget, and how often the search reads the
+# clock when it has a deadline.
+NODE_OUT = "node budget exhausted"
+TIME_OUT = "time budget exhausted"
+CLOCK_EVERY = 1024
 
 
 @dataclass(frozen=True)
@@ -179,9 +186,8 @@ def _search_verdict(search, inst: ArrowInstance, k: int, t: int,
     """Run `search()`, which returns a bad coloring or None, as a verdict."""
     try:
         leaf = search()
-    except BudgetExceeded:
-        return ArrowVerdict(UNKNOWN, None, stats, degenerate,
-                            note="node budget exhausted")
+    except BudgetExceeded as exc:
+        return ArrowVerdict(UNKNOWN, None, stats, degenerate, note=str(exc))
     if leaf is None:
         return ArrowVerdict(HOLDS, None, stats, degenerate)
     bad = Coloring(inst.domain, k, tuple(leaf))
@@ -190,7 +196,7 @@ def _search_verdict(search, inst: ArrowInstance, k: int, t: int,
 
 
 def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
-                node_budget: int | None = None,
+                node_budget: int | None = None, deadline: float | None = None,
                 symmetry: bool = True) -> ArrowVerdict:
     """Decide the arrow by a forward-checking search for a bad coloring.
 
@@ -214,7 +220,9 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     exists, with symmetry on or off.
 
     Exhaustion proves HOLDS; a leaf is a verifiable FAILS certificate;
-    exceeding the node budget yields UNKNOWN-AT-BOUND.
+    exceeding the node budget, or passing the `deadline` (a
+    `time.monotonic()` value, read every `CLOCK_EVERY` nodes), yields
+    UNKNOWN-AT-BOUND with a note that names the budget.
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be positive")
@@ -226,17 +234,30 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     stats = ArrowStats()
     perms = _domain_permutations(cat, a, c) if symmetry else []
     return _search_verdict(
-        lambda: _forward_search(inst, k, t, perms, node_budget, stats),
+        lambda: _forward_search(inst, k, t, perms, node_budget, deadline, stats),
         inst, k, t, stats, degenerate)
 
 
+def _node_limit(nodes: int, node_budget: int | None,
+                deadline: float | None) -> int | None:
+    """The node count past which the search tests its budgets again: the
+    node budget, or with a deadline the next clock reading if sooner."""
+    if deadline is None:
+        return node_budget
+    clock = nodes - nodes % CLOCK_EVERY + CLOCK_EVERY
+    return clock if node_budget is None else min(clock, node_budget)
+
+
 def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
-                    node_budget: int | None, stats: ArrowStats):
+                    node_budget: int | None, deadline: float | None,
+                    stats: ArrowStats):
     """The search of `arrow_check`: a bad coloring as a list, or None.
 
     Domains and seen colors are bitmasks.  Every change to a domain or a
     seen set is logged on a trail as (list, index, old value), and a frame
-    undoes its last assignment by popping the trail back to its mark.
+    undoes its last assignment by popping the trail back to its mark.  Both
+    budgets share the one test per node against `limit`, so a search without
+    a deadline reads no clock and makes one comparison per node.
     """
     m = len(inst.domain)
     need = t + 1
@@ -304,6 +325,7 @@ def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
         cands = [col for col in range(min(used + 1, k)) if d >> col & 1]
         return [p, cands, 0, used, 0]
 
+    limit = _node_limit(stats.nodes, node_budget, deadline)
     stack = [frame(0)]
     while stack:
         top = stack[-1]
@@ -324,8 +346,12 @@ def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
             stats.symmetry_prunes += 1
             continue
         stats.nodes += 1
-        if node_budget is not None and stats.nodes > node_budget:
-            raise BudgetExceeded()
+        if limit is not None and stats.nodes > limit:
+            if node_budget is not None and stats.nodes > node_budget:
+                raise BudgetExceeded(NODE_OUT)
+            if time.monotonic() >= deadline:
+                raise BudgetExceeded(TIME_OUT)
+            limit = _node_limit(stats.nodes, node_budget, deadline)
         if depth == m:
             return values
         stack.append(frame(max(used, col + 1)))
@@ -372,7 +398,7 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
     def rec(depth: int, used: int) -> bool:
         stats.nodes += 1
         if node_budget is not None and stats.nodes > node_budget:
-            raise BudgetExceeded()
+            raise BudgetExceeded(NODE_OUT)
         if depth == m:
             return True
         top = min(used + 1, k)

@@ -11,6 +11,14 @@ bound, 3 input error.  ``REPLAY`` maps each certificate type to a re-checker
 and the types of the fields it reads, which are checked first.  Checkers
 are called through this module's globals, so a tracer that replaces
 ``cli.<name>`` sees every call.
+
+``run`` builds the argument parser once per process, on its first call, and
+reuses it; the ``RW_SEED``, ``RW_BUDGET_NODES`` and ``RW_BUDGET_SECS``
+defaults are read again on every call.  ``--budget-secs`` sets one absolute
+deadline per arrow or degree question, which the search checks every 1,024
+nodes; a search stopped by it is UNKNOWN-AT-BOUND, with a note that the time
+budget ran out.  ``--oracle`` keeps its coloring budget and ignores the
+deadline.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +34,7 @@ from dataclasses import asdict
 from functools import reduce
 
 from . import __version__, structures
-from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check,
+from .arrows import (FAILS, HOLDS, TIME_OUT, UNKNOWN, Coloring, arrow_check,
                      export_cnf, oracle_arrow_check, verify_bad_coloring)
 from .amalgam import (failure_chain, is_amalgamation_arrow, two_of_k_check,
                       verify_pairwise_non_amalgamable, wap_check)
@@ -99,12 +108,18 @@ def _cat_op(args, cat):
                  for a in o.objects for b in o.objects if o.hom(a, b)}}, []
 
 
+def _deadline(args) -> float | None:
+    """The question's one absolute deadline, on the monotonic clock."""
+    return None if args.budget_secs is None else time.monotonic() + args.budget_secs
+
+
 def _arrow(args, cat):
     instance = {"C": args.C, "B": args.B, "A": args.A, "k": args.k, "t": args.t}
     if args.oracle:
         verdict = oracle_arrow_check(cat, *instance.values())
     else:
         verdict = arrow_check(cat, *instance.values(), node_budget=args.budget_nodes,
+                              deadline=_deadline(args),
                               symmetry=not args.no_symmetry)
     stats = asdict(verdict.stats)
     certificates = []
@@ -118,15 +133,18 @@ def _arrow(args, cat):
     if args.cnf:
         with open(args.cnf, "w", encoding="utf-8") as fh:
             fh.write(export_cnf(cat, *instance.values()))
-    return "arrow", verdict.status, {**instance, "degenerate": verdict.degenerate,
-                                     "stats": stats}, certificates
+    fields = {**instance, "degenerate": verdict.degenerate, "stats": stats}
+    if verdict.note == TIME_OUT:    # only a stopped clock adds a field
+        fields["note"] = TIME_OUT
+    return "arrow", verdict.status, fields, certificates
 
 
 def _degree(args, cat):
     bs = None if args.bmax is None else [
         b for b in cat.objects if cat.structure(b).size <= args.bmax]
+    deadline = _deadline(args)
     interval = degree_interval(cat, args.A, args.kmax, bs=bs,
-                               node_budget=args.budget_nodes)
+                               node_budget=args.budget_nodes, deadline=deadline)
     low = interval.lower_cert
     certificates = [] if low is None else [
         _coloring_cert("degree-lower", {"C": c, "B": low.b, "A": args.A,
@@ -136,8 +154,10 @@ def _degree(args, cat):
                       "B": u.b, "A": args.A, "k": u.k, "t": interval.upper}
                      for u in interval.upper_certs]
     status = HOLDS if interval.upper is not None else UNKNOWN
-    return ("degree-interval", status, {"interval": interval.as_dict()},
-            certificates)
+    fields = {"interval": interval.as_dict()}
+    if deadline is not None and time.monotonic() >= deadline:
+        fields["note"] = TIME_OUT   # searches still running then stopped
+    return "degree-interval", status, fields, certificates
 
 
 def _amalgam_wap(args, cat):
@@ -415,19 +435,30 @@ def replay(report_path: str) -> tuple[int, dict]:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _seconds(text: str) -> float:
+    """A time budget: a finite number of seconds, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"not a finite number of seconds >= 0: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rw", allow_abbrev=False,
         description="bounded verification over finite structure catalogs")
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument("-v", "--verbose", action="store_true")
-    # string defaults pass through type, so RW_* values parse like flags
-    parser.add_argument("--seed", type=int,
-                        default=os.environ.get("RW_SEED", "0"))
-    parser.add_argument("--budget-nodes", type=int,
-                        default=os.environ.get("RW_BUDGET_NODES") or None)
-    parser.add_argument("--budget-secs", type=float,
-                        default=os.environ.get("RW_BUDGET_SECS") or None)
+    # defaults come from RW_* at every run (see _env_defaults)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--budget-nodes", type=int)
+    parser.add_argument("--budget-secs", type=_seconds,
+                        help="wall-clock seconds for an arrow or degree "
+                             "question, checked every 1,024 search nodes")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     catalog = argparse.ArgumentParser(add_help=False)
     catalog.add_argument("--catalog", required=True)
@@ -447,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
         arrow.add_argument(flag, required=True)
     arrow.add_argument("-k", type=int, required=True)
     arrow.add_argument("-t", type=int, required=True)
-    arrow.add_argument("--oracle", action="store_true")
+    arrow.add_argument("--oracle", action="store_true",
+                       help="test every coloring, within the oracle's coloring "
+                            "budget; ignores --budget-secs")
     arrow.add_argument("--no-symmetry", action="store_true")
     arrow.add_argument("--cnf", help="also export a DIMACS encoding here")
 
@@ -482,10 +515,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_defaults() -> dict:
+    """Flag defaults from the environment; string defaults pass through each
+    flag's type, so RW_* values parse like the flags themselves."""
+    return {"seed": os.environ.get("RW_SEED", "0"),
+            "budget_nodes": os.environ.get("RW_BUDGET_NODES") or None,
+            "budget_secs": os.environ.get("RW_BUDGET_SECS") or None}
+
+
+_parser: argparse.ArgumentParser | None = None   # built by the first run
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    _parser.set_defaults(**_env_defaults())
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     # the output path is not semantic configuration; keep it out of the

@@ -71,7 +71,8 @@ class DegreeInterval:
 
 def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                  bs: list[str] | None = None,
-                 node_budget: int | None = None):
+                 node_budget: int | None = None,
+                 deadline: float | None = None):
     """Least n such that every (B, k <= k_max) has a catalog witness C with
     C -> (B)^A_{k,n}; None when no n up to the largest hom(A, -) works.
 
@@ -94,7 +95,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                 witness = None
                 for c in cat.objects:
                     verdict = arrow_check(cat, c, b, a, k, n,
-                                          node_budget=node_budget)
+                                          node_budget=node_budget,
+                                          deadline=deadline)
                     if verdict.status == HOLDS:
                         witness = c
                         break
@@ -113,7 +115,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
 
 def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
                  bs: list[str] | None = None,
-                 node_budget: int | None = None):
+                 node_budget: int | None = None,
+                 deadline: float | None = None):
     """A target B making the arrow fail at t = n-1 for every catalog C,
     which establishes degree >= n relative to this catalog."""
     if n < 2:
@@ -125,7 +128,7 @@ def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
         refuted = True
         for c in cat.objects:
             verdict = arrow_check(cat, c, b, a, k, n - 1,
-                                  node_budget=node_budget)
+                                  node_budget=node_budget, deadline=deadline)
             if verdict.status != FAILS:
                 refuted = False
                 break
@@ -137,10 +140,14 @@ def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
 
 def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
                     bs: list[str] | None = None,
-                    node_budget: int | None = None) -> DegreeInterval:
+                    node_budget: int | None = None,
+                    deadline: float | None = None) -> DegreeInterval:
+    """Both ends of the degree.  Each arrow search gets the node budget,
+    all share the deadline, and a search stopped by either is undecided."""
     if k_max < 1:
         raise ValueError(f"k_max must be positive, not {k_max}")
-    up = degree_upper(cat, a, k_max, bs=bs, node_budget=node_budget)
+    up = degree_upper(cat, a, k_max, bs=bs, node_budget=node_budget,
+                      deadline=deadline)
     upper, upper_certs, unknowns = (None, [], []) if up is None else up
 
     lower = 1
@@ -151,7 +158,8 @@ def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
     while n <= limit:
         hit = None
         for k in range(1, k_max + 1):
-            hit = degree_lower(cat, a, k, n, bs=bs, node_budget=node_budget)
+            hit = degree_lower(cat, a, k, n, bs=bs, node_budget=node_budget,
+                               deadline=deadline)
             if hit is not None:
                 break
         if hit is None:

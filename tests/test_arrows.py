@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -245,6 +247,49 @@ class TestBudgets:
     def test_oracle_budget_raises(self, lo6):
         with pytest.raises(BudgetExceeded):
             oracle_arrow_check(lo6, "LO6", "LO3", "LO2", 2, 1, budget=100)
+
+
+LO8_ARGS = ("LO8", "LO4", "LO2", 3, 2)   # FAILS after 4,504 nodes
+
+
+class TestDeadline:
+    """The search reads the clock every CLOCK_EVERY nodes, only with a deadline."""
+
+    @pytest.fixture(scope="class")
+    def lo8(self):
+        return FiniteCategory.from_structures(
+            [linear_order(n) for n in (2, 4, 8)])
+
+    def test_passed_deadline_stops_at_the_first_clock_reading(self, lo8):
+        full = arrow_check(lo8, *LO8_ARGS)
+        assert full.status == FAILS
+        assert full.stats.nodes > arrows.CLOCK_EVERY
+        verdict = arrow_check(lo8, *LO8_ARGS, deadline=time.monotonic())
+        assert (verdict.status, verdict.note) == (UNKNOWN, arrows.TIME_OUT)
+        assert verdict.bad_coloring is None
+        assert verdict.stats.nodes == arrows.CLOCK_EVERY + 1
+
+    def test_far_deadline_changes_nothing(self, lo8):
+        far = time.monotonic() + 3600
+        assert arrow_check(lo8, *LO8_ARGS, deadline=far) == arrow_check(
+            lo8, *LO8_ARGS)
+
+    @pytest.mark.parametrize("node_budget,nodes,note", [
+        (100, 101, arrows.NODE_OUT),
+        (2000, arrows.CLOCK_EVERY + 1, arrows.TIME_OUT)])
+    def test_the_budget_that_runs_out_first_is_named(self, lo8, node_budget,
+                                                     nodes, note):
+        verdict = arrow_check(lo8, *LO8_ARGS, node_budget=node_budget,
+                              deadline=time.monotonic())
+        assert (verdict.status, verdict.note, verdict.stats.nodes) == (
+            UNKNOWN, note, nodes)
+
+    def test_no_deadline_never_reads_the_clock(self, lo8, monkeypatch):
+        def clock():
+            raise AssertionError("the clock was read without a deadline")
+        monkeypatch.setattr(arrows, "time", SimpleNamespace(monotonic=clock))
+        assert arrow_check(lo8, *LO8_ARGS).status == FAILS
+        assert arrow_check(lo8, *LO8_ARGS, node_budget=2000).note == arrows.NODE_OUT
 
 
 class TestCnfExport:

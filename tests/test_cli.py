@@ -5,6 +5,8 @@ import sys
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ramsey_workbench import cli
+from ramsey_workbench.arrows import CLOCK_EVERY, TIME_OUT
 from ramsey_workbench.catalogs import (catalog_to_json, graph, linear_order,
                                        lo_catalog, path_graph, save_catalog)
 from ramsey_workbench.cli import run
@@ -24,7 +26,7 @@ def lo_paths(tmp_path_factory):
 
 
 def run_json(argv, out_path):
-    code = run(argv + ["--out", str(out_path)] if "--out" not in argv else argv)
+    code = run(["--out", str(out_path)] + argv)
     with open(out_path, encoding="utf-8") as fh:
         return code, json.load(fh)
 
@@ -601,6 +603,153 @@ class TestDeterminism:
              "--catalog", lo_paths["lo4"]])
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 99
+
+
+@pytest.fixture(scope="module")
+def lo8_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lo8") / "lo8.json"
+    save_catalog([linear_order(n) for n in (2, 4, 8)], path)
+    return str(path)
+
+
+# LO8 -> (LO4)^LO2_{3,2} fails, but only after more than CLOCK_EVERY nodes
+LO8_ARROW = ["--C", "LO8", "--B", "LO4", "--A", "LO2", "-k", "3", "-t", "2"]
+
+
+class TestTimeBudget:
+    """--budget-secs is one deadline per question, read every CLOCK_EVERY
+    search nodes; a search it stops is UNKNOWN-AT-BOUND and says why."""
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_passed_deadline_gives_exit_two(self, lo8_path, tmp_path,
+                                            monkeypatch, via):
+        code, full = run_json(["arrow", "--catalog", lo8_path] + LO8_ARROW,
+                              tmp_path / "full.json")
+        assert code == 1
+        assert full["verdicts"][0]["stats"]["nodes"] > CLOCK_EVERY
+        budget = ["--budget-secs", "0"] if via == "flag" else []
+        if via == "env":
+            monkeypatch.setenv("RW_BUDGET_SECS", "0")
+        out = tmp_path / "r.json"
+        code, report = run_json(budget + ["arrow", "--catalog", lo8_path]
+                                + LO8_ARROW, out)
+        assert code == 2
+        verdict = report["verdicts"][0]
+        assert (report["status"], verdict["note"]) == ("UNKNOWN-AT-BOUND",
+                                                       TIME_OUT)
+        assert verdict["stats"]["nodes"] == CLOCK_EVERY + 1
+        assert report["config"]["budget_secs"] == 0
+        assert report["certificates"] == []
+        assert run(["--out", str(tmp_path / "rep.json"), "replay", str(out)]) == 0
+
+    @pytest.mark.parametrize("secs", ["-1", "nan", "inf", "abc"])
+    def test_budget_must_be_finite_and_not_negative(self, lo_paths, tmp_path,
+                                                    monkeypatch, secs):
+        # a report holds no NaN or Infinity, which JSON does not have
+        out = tmp_path / "r.json"
+        argv = ["cat", "check", "--catalog", lo_paths["lo4"]]
+        assert run(["--out", str(out), "--budget-secs", secs] + argv) == 3
+        monkeypatch.setenv("RW_BUDGET_SECS", secs)
+        assert run(["--out", str(out)] + argv) == 3
+        assert not out.exists()
+
+    def test_search_done_before_the_first_clock_reading_is_decided(
+            self, tmp_path):
+        # LO10 -> (LO3)^LO2_{3,1} fails in 72 nodes (R(3,3,3) = 17 > 10)
+        catalog = tmp_path / "lo10.json"
+        save_catalog([linear_order(n) for n in (2, 3, 10)], catalog)
+        out = tmp_path / "r.json"
+        code, report = run_json(
+            ["--budget-secs", "0", "arrow", "--catalog", str(catalog), "--C",
+             "LO10", "--B", "LO3", "--A", "LO2", "-k", "3", "-t", "1"], out)
+        assert code == 1
+        assert "note" not in report["verdicts"][0]
+        assert run(["--out", str(tmp_path / "rep.json"), "replay", str(out)]) == 0
+
+    def test_oracle_ignores_the_deadline(self, lo_paths, tmp_path):
+        code, report = run_json(
+            ["--budget-secs", "0", "arrow", "--oracle", "--catalog",
+             lo_paths["lo6"], "--C", "LO6", "--B", "LO3", "--A", "LO2",
+             "-k", "2", "-t", "1"], tmp_path / "r.json")
+        assert (code, report["status"]) == (0, "HOLDS")
+        assert "note" not in report["verdicts"][0]
+
+    def test_degree_lists_the_stopped_search_and_says_why(self, lo8_path,
+                                                          tmp_path):
+        argv = ["degree", "--catalog", lo8_path, "--A", "LO2", "--kmax", "3"]
+        code, full = run_json(argv, tmp_path / "full.json")
+        assert code == 0
+        assert full["verdicts"][0]["interval"]["unknowns"] == []
+        assert "note" not in full["verdicts"][0]
+        out = tmp_path / "r.json"
+        code, report = run_json(["--budget-secs", "0"] + argv, out)
+        verdict = report["verdicts"][0]
+        assert code == 0
+        assert verdict["note"] == TIME_OUT
+        assert "LO8:LO4:3:2" in verdict["interval"]["unknowns"]
+        assert run(["--out", str(tmp_path / "rep.json"), "replay", str(out)]) == 0
+
+
+class TestEnvironmentDefaults:
+    """RW_* give the defaults of --seed and the budgets, read at every run."""
+
+    CHECK = ["cat", "check", "--catalog"]
+
+    def test_seed_is_read_at_every_run(self, lo_paths, tmp_path, monkeypatch):
+        for seed in (7, 8):
+            monkeypatch.setenv("RW_SEED", str(seed))
+            code, report = run_json(self.CHECK + [lo_paths["lo4"]],
+                                    tmp_path / f"r{seed}.json")
+            assert (code, report["config"]["seed"]) == (0, seed)
+
+    def test_malformed_seed_exits_three(self, lo_paths, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setenv("RW_SEED", "abc")
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out)] + self.CHECK + [lo_paths["lo4"]]) == 3
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,code,echo", [("", 0, None), ("5", 2, 5)])
+    def test_node_budget_from_the_environment(self, lo_paths, tmp_path,
+                                              monkeypatch, value, code, echo):
+        # LO6 -> (LO3)^LO2_{2,1} holds after 26 nodes
+        monkeypatch.setenv("RW_BUDGET_NODES", value)
+        result, report = run_json(
+            ["arrow", "--catalog", lo_paths["lo6"], "--C", "LO6", "--B", "LO3",
+             "--A", "LO2", "-k", "2", "-t", "1"], tmp_path / "r.json")
+        assert (result, report["config"]["budget_nodes"]) == (code, echo)
+
+    def test_flags_override_the_environment(self, lo_paths, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("RW_SEED", "7")
+        monkeypatch.setenv("RW_BUDGET_NODES", "5")
+        code, report = run_json(
+            ["--seed", "3", "--budget-nodes", "100000", "arrow", "--catalog",
+             lo_paths["lo6"], "--C", "LO6", "--B", "LO3", "--A", "LO2",
+             "-k", "2", "-t", "1"], tmp_path / "r.json")
+        assert code == 0
+        assert report["config"]["seed"] == 3
+        assert report["config"]["budget_nodes"] == 100000
+
+
+def test_parser_is_built_once_per_process(lo_paths, tmp_path, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    out = tmp_path / "r.json"
+    for i in range(20):
+        argv = (["replay", str(out)] if i % 2 else
+                ["cat", "check", "--catalog", lo_paths["lo4"]])
+        assert run(["--out", str(out if i % 2 == 0 else tmp_path / "p.json")]
+                   + argv) == 0
+    assert len(builds) == 1
 
 
 def _fields(doc, path=()):

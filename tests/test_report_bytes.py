@@ -14,6 +14,7 @@ import pytest
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
                                        graph_catalog, lo_catalog, path_graph,
                                        save_catalog)
+from ramsey_workbench import cli
 from ramsey_workbench.cli import run
 
 from oracles import lo_table
@@ -150,6 +151,31 @@ def test_report_bytes_are_pinned(inputs, tmp_path, name, argv, code, pin):
     assert run(["--out", str(out), "--seed", "7"]
                + [inputs.get(tok, tok) for tok in argv]) == code
     assert digest(json.loads(out.read_text(encoding="utf-8"))) == pin
+
+
+def test_one_parser_answers_every_question_in_any_order(inputs, tmp_path,
+                                                       monkeypatch, capsys):
+    """The parser is built once per process, so no call may leave state in
+    it: the amalgam modes come from a store_const and set_defaults, the
+    subparsers from the first positional."""
+    monkeypatch.setattr(cli, "_parser", None)
+    out = tmp_path / "r.json"
+
+    def ask_all(questions):
+        for name, argv, code, pin in questions:
+            assert run(["--out", str(out), "--seed", "7"]
+                       + [inputs.get(tok, tok) for tok in argv]) == code, name
+            assert digest(json.loads(out.read_text(encoding="utf-8"))) == pin, name
+
+    ask_all(QUESTIONS)
+    parser = cli._parser
+    for argv, code in [(["cat", "check", "--frobnicate"], 3),
+                       (["amalgam", "--wap", "--chain", "--catalog", "x"], 3),
+                       (["--help"], 0), (["amalgam", "--help"], 0)]:
+        assert run(argv) == code
+    capsys.readouterr()
+    ask_all(reversed(QUESTIONS))
+    assert cli._parser is parser
 
 
 def test_expansions_are_pinned(inputs, tmp_path):
