@@ -221,11 +221,16 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
 
     Exhaustion proves HOLDS; a leaf is a verifiable FAILS certificate;
     exceeding the node budget, or passing the `deadline` (a
-    `time.monotonic()` value, read every `CLOCK_EVERY` nodes), yields
-    UNKNOWN-AT-BOUND with a note that names the budget.
+    `time.monotonic()` value, read once before the instance is built and
+    then every `CLOCK_EVERY` nodes), yields UNKNOWN-AT-BOUND with a note
+    that names the budget.  A deadline already passed stops the question
+    before it reads any hom-set, so a run of short searches cannot overrun
+    it one search at a time.
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be positive")
+    if deadline is not None and time.monotonic() >= deadline:
+        return ArrowVerdict(UNKNOWN, None, ArrowStats(), note=TIME_OUT)
     inst = ArrowInstance.build(cat, c, b, a)
     degenerate = None if inst.hom_ab else "empty-hom-A-B"
     trivial = _trivial_verdict(inst, k, t, degenerate)
@@ -433,7 +438,11 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
 
 
 # Colorings per bitset in `oracle_arrow_check`: an int of at most 8 KiB.
+# The first block is tested in runs of ranks: up to ORACLE_FIRST, then each
+# ORACLE_GROWTH times as far, so an early bad coloring costs little.
 ORACLE_BLOCK = 1 << 16
+ORACLE_FIRST = 1 << 6
+ORACLE_GROWTH = 32
 
 
 def _digit_masks(k: int, places: int) -> list[list[int]]:
@@ -457,6 +466,18 @@ def _digit_masks(k: int, places: int) -> list[list[int]]:
     return masks
 
 
+def _first_block_runs(size: int):
+    """The rank ranges [lo, hi) that split the first block, in order.  Each
+    run is ORACLE_GROWTH times as far as the last, and the last run takes
+    the rest of the block, so lo is at most hi / ORACLE_GROWTH."""
+    lo, hi = 0, ORACLE_FIRST
+    while lo < size:
+        if hi * ORACLE_GROWTH > size:
+            hi = size
+        yield lo, hi
+        lo, hi = hi, hi * ORACLE_GROWTH
+
+
 def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
                        t: int, *, budget: int = 2_000_000) -> ArrowVerdict:
     """Decide the arrow by testing every coloring, pruning nothing.
@@ -472,6 +493,14 @@ def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
     masks hold, a running threshold count; and a coloring is bad where
     every copy sees more than t colors.  The lowest bad bit is the first bad
     coloring in lex order, so a FAILS stops at the first block holding one.
+
+    The first block goes in disjoint runs of ranks [lo, hi) that grow from
+    `ORACLE_FIRST` by `ORACLE_GROWTH` (`_first_block_runs`), and a FAILS
+    there stops at the first run holding one, so a FAILS at a low rank
+    costs ints of about its rank, not of a whole block.  A run
+    works on the masks cut to their low hi bits and starts with no bad bit
+    below lo, so each coloring is decided in one run only; the ranks below
+    lo, at most 1/ORACLE_GROWTH of the run, are carried along unused.
 
     `colorings_scanned` is the rank of the first bad coloring plus one, or
     k^m when none is bad: the count a scan of one coloring at a time, in lex
@@ -490,35 +519,39 @@ def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
         places += 1
     lead = m - places
     size = k ** places
-    full = (1 << size) - 1
     masks = _digit_masks(k, places)
-    split = [([i for i in copy if i < lead],
-              [masks[i - lead] for i in copy if i >= lead])
+    split = [([i for i in copy if i < lead], [i - lead for i in copy if i >= lead])
              for copy in inst.copies]
     for block, prefix in enumerate(itertools.product(range(k), repeat=lead)):
-        bad = full
-        for fixed, rows in split:
-            sees = [0] * k
-            for i in fixed:
-                sees[prefix[i]] = full
-            for row in rows:
+        runs = _first_block_runs(size) if block == 0 else ((0, size),)
+        for lo, hi in runs:
+            full = (1 << hi) - 1
+            bad = full ^ ((1 << lo) - 1)
+            cut = masks if hi == size else [[mask & full for mask in digit]
+                                            for digit in masks]
+            for fixed, digits in split:
+                sees = [0] * k
+                for i in fixed:
+                    sees[prefix[i]] = full
+                for j in digits:
+                    row = cut[j]
+                    for col in range(k):
+                        sees[col] |= row[col]
+                more = [0] * (t + 1)    # more[j]: sees more than j colors so far
                 for col in range(k):
-                    sees[col] |= row[col]
-            more = [0] * (t + 1)    # more[j]: sees more than j colors so far
-            for col in range(k):
-                for j in range(min(col, t), 0, -1):
-                    more[j] |= more[j - 1] & sees[col]
-                more[0] |= sees[col]
-            bad &= more[t]
-            if not bad:
-                break
-        if bad:
-            rank = (bad & -bad).bit_length() - 1
-            stats.colorings_scanned = block * size + rank + 1
-            values = prefix + tuple(rank // k ** (places - 1 - j) % k
-                                    for j in range(places))
-            return ArrowVerdict(FAILS, Coloring(inst.domain, k, values), stats,
-                                degenerate)
+                    for j in range(min(col, t), 0, -1):
+                        more[j] |= more[j - 1] & sees[col]
+                    more[0] |= sees[col]
+                bad &= more[t]
+                if not bad:
+                    break
+            if bad:
+                rank = (bad & -bad).bit_length() - 1
+                stats.colorings_scanned = block * size + rank + 1
+                values = prefix + tuple(rank // k ** (places - 1 - j) % k
+                                        for j in range(places))
+                return ArrowVerdict(FAILS, Coloring(inst.domain, k, values),
+                                    stats, degenerate)
     stats.colorings_scanned = k ** m
     return ArrowVerdict(HOLDS, None, stats, degenerate)
 

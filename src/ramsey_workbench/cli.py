@@ -15,10 +15,10 @@ are called through this module's globals, so a tracer that replaces
 ``run`` builds the argument parser once per process, on its first call, and
 reuses it; the ``RW_SEED``, ``RW_BUDGET_NODES`` and ``RW_BUDGET_SECS``
 defaults are read again on every call.  ``--budget-secs`` sets one absolute
-deadline per arrow or degree question, which the search checks every 1,024
-nodes; a search stopped by it is UNKNOWN-AT-BOUND, with a note that the time
-budget ran out.  ``--oracle`` keeps its coloring budget and ignores the
-deadline.
+deadline per arrow or degree question, which each search checks before it
+starts and every 1,024 nodes; a search stopped by it is UNKNOWN-AT-BOUND,
+with a note that the time budget ran out.  ``--oracle`` keeps its coloring
+budget and ignores the deadline.
 """
 
 from __future__ import annotations
@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-nodes", type=int)
     parser.add_argument("--budget-secs", type=_seconds,
                         help="wall-clock seconds for an arrow or degree "
-                             "question, checked every 1,024 search nodes")
+                             "question, checked before each search and "
+                             "every 1,024 search nodes")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     catalog = argparse.ArgumentParser(add_help=False)
     catalog.add_argument("--catalog", required=True)

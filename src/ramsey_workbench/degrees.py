@@ -74,7 +74,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                  node_budget: int | None = None,
                  deadline: float | None = None):
     """Least n such that every (B, k <= k_max) has a catalog witness C with
-    C -> (B)^A_{k,n}; None when no n up to the largest hom(A, -) works.
+    C -> (B)^A_{k,n}, as (n, certificates, stopped searches); n is None
+    when no n up to the largest hom(A, -) works.
 
     The least n is relative to the catalog and can exceed the true small
     Ramsey degree when the witnesses lie beyond it: LO2 has degree 1 among
@@ -84,10 +85,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
     targets = [b for b in (bs if bs is not None else cat.objects)
                if cat.hom(a, b)]
     sizes = [len(cat.hom(a, c)) for c in cat.objects if cat.hom(a, c)]
-    if not sizes:
-        return None
     unknowns: list[str] = []
-    for n in range(1, max(sizes) + 1):
+    for n in range(1, max(sizes, default=0) + 1):
         certs: list[UpperCertificate] = []
         all_found = True
         for b in targets:
@@ -110,7 +109,7 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                 break
         if all_found:
             return n, certs, unknowns
-    return None
+    return None, [], unknowns
 
 
 def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
@@ -146,9 +145,8 @@ def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
     all share the deadline, and a search stopped by either is undecided."""
     if k_max < 1:
         raise ValueError(f"k_max must be positive, not {k_max}")
-    up = degree_upper(cat, a, k_max, bs=bs, node_budget=node_budget,
-                      deadline=deadline)
-    upper, upper_certs, unknowns = (None, [], []) if up is None else up
+    upper, upper_certs, unknowns = degree_upper(
+        cat, a, k_max, bs=bs, node_budget=node_budget, deadline=deadline)
 
     lower = 1
     lower_cert = None

@@ -1,3 +1,7 @@
+import itertools
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -54,3 +58,15 @@ def graphs5_category():
     from ramsey_workbench.category import FiniteCategory
 
     return FiniteCategory.from_structures(graph_catalog(5))
+
+
+@pytest.fixture
+def deadline_passes_once_started(monkeypatch):
+    """`arrows` reads its clock as -inf once, then as +inf: any deadline
+    holds at the check before the instance is built and has passed at
+    every later reading."""
+    from ramsey_workbench import arrows
+
+    readings = itertools.chain([-math.inf], itertools.repeat(math.inf))
+    monkeypatch.setattr(arrows, "time",
+                        SimpleNamespace(monotonic=readings.__next__))

@@ -207,6 +207,32 @@ class TestBitSlicedOracle:
         assert holds == ArrowVerdict(HOLDS, None,
                                      ArrowStats(colorings_scanned=2 ** 18))
 
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 128, 2047, 2048,
+                                      2049, 3 ** 10, 2 ** 15, 2 ** 16])
+    def test_first_block_runs_split_the_block(self, size):
+        """Runs in order, each right after the last, with at most a
+        1/ORACLE_GROWTH share of ranks before lo in its ints."""
+        runs = list(arrows._first_block_runs(size))
+        assert runs[0][0] == 0 and runs[-1][1] == size
+        assert all(hi == lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+        assert all(lo * arrows.ORACLE_GROWTH <= hi for lo, hi in runs)
+        if size >= arrows.ORACLE_FIRST * arrows.ORACLE_GROWTH:
+            assert runs[0] == (0, arrows.ORACLE_FIRST)
+
+    @pytest.mark.parametrize("j,rank", [(10, 32), (9, 64), (5, 1024),
+                                        (4, 2048), (1, 2 ** 14)])
+    def test_first_bad_coloring_in_each_run_of_the_first_block(self, j, rank):
+        """16 positions make one block of 2^16 colorings, tested in runs
+        [0, 64), [64, 2048) and [2048, 2^16).  With the one copy {x0, xj},
+        the first bad coloring sets xj alone, at rank 2^(15-j): inside a
+        run or at its first rank."""
+        assert list(arrows._first_block_runs(2 ** 16)) == [
+            (0, 64), (64, 2048), (2048, 2 ** 16)]
+        cat = _pairs_category(16, [(0, j)])
+        verdict = oracle_arrow_check(cat, "C", "B", "A", 2, 1)
+        assert verdict == oracles.scan_arrow_check(cat, "C", "B", "A", 2, 1)
+        assert verdict.stats.colorings_scanned == rank + 1
+
     def test_k5_instances_named_in_the_docs(self):
         """K5 -> (K4)^K2_{2,1} fails at rank 35; K5 -> (K3)^K2_{2,2}
         scans all 2^20 colorings."""
@@ -253,14 +279,16 @@ LO8_ARGS = ("LO8", "LO4", "LO2", 3, 2)   # FAILS after 4,504 nodes
 
 
 class TestDeadline:
-    """The search reads the clock every CLOCK_EVERY nodes, only with a deadline."""
+    """The search reads the clock once before the instance is built and then
+    every CLOCK_EVERY nodes, only with a deadline."""
 
     @pytest.fixture(scope="class")
     def lo8(self):
         return FiniteCategory.from_structures(
             [linear_order(n) for n in (2, 4, 8)])
 
-    def test_passed_deadline_stops_at_the_first_clock_reading(self, lo8):
+    def test_passed_deadline_stops_at_the_first_clock_reading(
+            self, lo8, deadline_passes_once_started):
         full = arrow_check(lo8, *LO8_ARGS)
         assert full.status == FAILS
         assert full.stats.nodes > arrows.CLOCK_EVERY
@@ -268,6 +296,15 @@ class TestDeadline:
         assert (verdict.status, verdict.note) == (UNKNOWN, arrows.TIME_OUT)
         assert verdict.bad_coloring is None
         assert verdict.stats.nodes == arrows.CLOCK_EVERY + 1
+
+    def test_deadline_passed_at_the_start_reads_no_hom_set(self):
+        cat = FiniteCategory.from_structures(
+            [linear_order(n) for n in (2, 3, 6)])
+        verdict = arrow_check(cat, "LO6", "LO3", "LO2", 2, 1,
+                              deadline=time.monotonic())
+        assert verdict == ArrowVerdict(UNKNOWN, None, ArrowStats(),
+                                       note=arrows.TIME_OUT)
+        assert not cat._homs     # no hom-set was enumerated
 
     def test_far_deadline_changes_nothing(self, lo8):
         far = time.monotonic() + 3600
@@ -277,8 +314,8 @@ class TestDeadline:
     @pytest.mark.parametrize("node_budget,nodes,note", [
         (100, 101, arrows.NODE_OUT),
         (2000, arrows.CLOCK_EVERY + 1, arrows.TIME_OUT)])
-    def test_the_budget_that_runs_out_first_is_named(self, lo8, node_budget,
-                                                     nodes, note):
+    def test_the_budget_that_runs_out_first_is_named(
+            self, lo8, deadline_passes_once_started, node_budget, nodes, note):
         verdict = arrow_check(lo8, *LO8_ARGS, node_budget=node_budget,
                               deadline=time.monotonic())
         assert (verdict.status, verdict.note, verdict.stats.nodes) == (

@@ -617,12 +617,14 @@ LO8_ARROW = ["--C", "LO8", "--B", "LO4", "--A", "LO2", "-k", "3", "-t", "2"]
 
 
 class TestTimeBudget:
-    """--budget-secs is one deadline per question, read every CLOCK_EVERY
-    search nodes; a search it stops is UNKNOWN-AT-BOUND and says why."""
+    """--budget-secs is one deadline per question, read before each arrow
+    search and every CLOCK_EVERY nodes in it; a search it stops is
+    UNKNOWN-AT-BOUND and says why."""
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_passed_deadline_gives_exit_two(self, lo8_path, tmp_path,
-                                            monkeypatch, via):
+                                            monkeypatch,
+                                            deadline_passes_once_started, via):
         code, full = run_json(["arrow", "--catalog", lo8_path] + LO8_ARROW,
                               tmp_path / "full.json")
         assert code == 1
@@ -654,8 +656,10 @@ class TestTimeBudget:
         assert not out.exists()
 
     def test_search_done_before_the_first_clock_reading_is_decided(
-            self, tmp_path):
-        # LO10 -> (LO3)^LO2_{3,1} fails in 72 nodes (R(3,3,3) = 17 > 10)
+            self, tmp_path, deadline_passes_once_started):
+        # LO10 -> (LO3)^LO2_{3,1} fails in 72 nodes (R(3,3,3) = 17 > 10):
+        # the deadline passes once the search has begun, and the search ends
+        # before its first clock reading
         catalog = tmp_path / "lo10.json"
         save_catalog([linear_order(n) for n in (2, 3, 10)], catalog)
         out = tmp_path / "r.json"
@@ -684,9 +688,27 @@ class TestTimeBudget:
         out = tmp_path / "r.json"
         code, report = run_json(["--budget-secs", "0"] + argv, out)
         verdict = report["verdicts"][0]
-        assert code == 0
+        assert code == 2
         assert verdict["note"] == TIME_OUT
-        assert "LO8:LO4:3:2" in verdict["interval"]["unknowns"]
+        assert verdict["interval"]["upper"] is None
+        assert "LO8:LO2:1:1" in verdict["interval"]["unknowns"]
+        assert run(["--out", str(tmp_path / "rep.json"), "replay", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["degree", "--catalog", "lo6", "--A", "LO2", "--kmax", "2",
+         "--bmax", "3"],
+        ["arrow", "--catalog", "lo6", "--C", "LO6", "--B", "LO3", "--A",
+         "LO2", "-k", "2", "-t", "1"]], ids=["degree", "arrow-26-nodes"])
+    def test_zero_budget_decides_nothing(self, lo_paths, tmp_path, argv):
+        """Each search reads the clock before it starts, so no question of
+        short searches is decided once the deadline has passed."""
+        argv = [lo_paths[a] if a == "lo6" else a for a in argv]
+        assert run_json(argv, tmp_path / "full.json")[0] == 0
+        out = tmp_path / "r.json"
+        code, report = run_json(["--budget-secs", "0"] + argv, out)
+        assert (code, report["status"]) == (2, "UNKNOWN-AT-BOUND")
+        assert report["verdicts"][0]["note"] == TIME_OUT
+        assert report["certificates"] == []
         assert run(["--out", str(tmp_path / "rep.json"), "replay", str(out)]) == 0
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import networkx as nx
 import pytest
@@ -13,10 +14,11 @@ from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, _certificate,
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.errors import SignatureMismatch, WorkbenchError
 from ramsey_workbench.structures import (Embedding, Signature, Structure,
-                                         automorphisms, canonical_form,
-                                         canonical_key, compose,
-                                         enumerate_embeddings, identity,
-                                         isomorphic, refinement_partition)
+                                         _candidates, _profile, automorphisms,
+                                         canonical_form, canonical_key,
+                                         compose, enumerate_embeddings,
+                                         identity, isomorphic,
+                                         refinement_partition)
 
 import oracles
 
@@ -47,6 +49,32 @@ def mixed_structures(draw, max_n=6):
             table = set(itertools.product(range(n), repeat=arity)) - table
         tables[name] = table
     return Structure.make(MIXED_SIGNATURE, n, tables, {"c": draw(elt)})
+
+
+@st.composite
+def planted_pairs(draw, max_n=5):
+    """(a, b) with a the sub-structure of b induced on a drawn subset, listed
+    in a drawn order, so that at least one embedding of a into b exists."""
+    b = draw(mixed_structures(max_n))
+    keep = {b.constant("c")} | draw(st.sets(st.integers(0, b.size - 1)))
+    order = draw(st.permutations(sorted(keep)))
+    pos = {v: i for i, v in enumerate(order)}
+    tables = {name: {tuple(pos[v] for v in t) for t in table
+                     if all(v in pos for v in t)}
+              for name, table in b.relations}
+    return Structure.make(MIXED_SIGNATURE, len(order), tables,
+                          {"c": pos[b.constant("c")]}), b
+
+
+UNARY_SIGNATURE = Signature(relations=(("red", 1), ("blue", 1)))
+
+
+@st.composite
+def unary_structures(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    colored = st.sets(st.integers(0, n - 1)).map(lambda vs: {(v,) for v in vs})
+    return Structure.make(UNARY_SIGNATURE, n,
+                          {"red": draw(colored), "blue": draw(colored)})
 
 
 @st.composite
@@ -131,6 +159,67 @@ class TestEnumerateEmbeddings:
         b = Structure.make(sig, 3, {"lt": table}, {"bottom": 0})
         embs = enumerate_embeddings(a, b)
         assert [e.map for e in embs] == [(0,)]
+
+    @given(mixed_structures(max_n=4), mixed_structures(max_n=5))
+    def test_matches_brute_force_on_mixed_structures(self, a, b):
+        got = [e.map for e in enumerate_embeddings(a, b)]
+        assert got == oracles.brute_embeddings(a, b)
+
+    @given(planted_pairs())
+    def test_matches_brute_force_on_planted_pairs(self, pair):
+        a, b = pair
+        got = [e.map for e in enumerate_embeddings(a, b)]
+        assert got and got == oracles.brute_embeddings(a, b)
+
+    @given(unary_structures(), unary_structures())
+    def test_matches_brute_force_on_unary_relations(self, a, b):
+        got = [e.map for e in enumerate_embeddings(a, b)]
+        assert got == oracles.brute_embeddings(a, b)
+
+    def test_matches_brute_force_on_chains(self):
+        for m in range(1, 8):
+            for n in range(1, m + 1):
+                a, b = linear_order(n), linear_order(m)
+                got = [e.map for e in enumerate_embeddings(a, b)]
+                assert got == oracles.brute_embeddings(a, b), (n, m)
+                assert len(got) == math.comb(m, n)
+
+
+class TestCandidateFilter:
+    """The static candidate lists of `enumerate_embeddings`: sound on every
+    drawn pair, and exact on chains."""
+
+    @given(planted_pairs())
+    def test_images_dominate_in_profile(self, pair):
+        a, b = pair
+        pa, pb, cands = _profile(a), _profile(b), _candidates(a, b)
+        for f in oracles.brute_embeddings(a, b):
+            for x, y in enumerate(f):
+                assert all(u <= v for u, v in zip(pa[x], pb[y])), (f, x)
+                assert y in cands[x]
+
+    @given(small_graphs(5), small_graphs(5))
+    def test_graph_images_are_candidates(self, a, b):
+        cands = _candidates(a, b)
+        for f in oracles.brute_embeddings(a, b):
+            assert all(y in cands[x] for x, y in enumerate(f))
+
+    def test_chains_keep_exactly_the_reachable_levels(self):
+        for m in range(1, 13):
+            for n in range(1, m + 1):
+                assert _candidates(linear_order(n), linear_order(m)) == [
+                    list(range(x, x + m - n + 1)) for x in range(n)], (n, m)
+        assert all(len(c) == 1 for c in
+                   _candidates(linear_order(12), linear_order(12)))
+
+    def test_constants_pin_their_element(self):
+        sig = Signature(relations=(("r", 1),), constants=("c", "d"))
+        b = Structure.make(sig, 3, {}, {"c": 0, "d": 2})
+        assert _candidates(b, b) == [[0], [1], [2]]
+        # c and d name one element of a but two of b: nothing embeds
+        a = Structure.make(sig, 1, {}, {"c": 0, "d": 0})
+        assert _candidates(a, b) == [[]]
+        assert enumerate_embeddings(a, b) == []
 
 
 class TestAutomorphisms:
