@@ -12,8 +12,8 @@ Three independent routes are provided:
   variable order on an explicit stack, with Aut(C) symmetry broken by a
   lex-leader test that holds under any variable order;
 - `lex_arrow_check`, a recursive DFS that colors hom(A, C) in its fixed
-  order and prunes only dead witnesses, kept as the differential oracle for
-  the search;
+  order and prunes only dead witnesses, with no Aut(C) cut: the plain
+  reference that both modes of the search are tested against;
 - `oracle_arrow_check`, a test of every coloring that prunes nothing.  It
   is bit-sliced: one int carries the test for a block of up to 2^16
   colorings, one per bit, in lex order.  `colorings_scanned` counts the
@@ -145,24 +145,6 @@ def _dominated(perms, values) -> bool:
             if x != y:
                 if x < y:
                     return True
-                break
-    return False
-
-
-def _lex_dominated(perms, values, depth: int) -> bool:
-    """`_dominated` for a coloring of the first `depth` positions whose
-    colors already appear in order; `lex_arrow_check` keeps this test of
-    its own so that the two searches share no pruning code."""
-    for perm in perms:
-        rename: dict[int, int] = {}
-        for j in range(depth):
-            v = values[perm[j]]
-            if v < 0:
-                break
-            canon = rename.setdefault(v, len(rename))
-            if canon < values[j]:
-                return True
-            if canon > values[j]:
                 break
     return False
 
@@ -364,16 +346,14 @@ def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
 
 
 def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
-                    t: int, *, node_budget: int | None = None,
-                    symmetry: bool = True) -> ArrowVerdict:
+                    t: int, *, node_budget: int | None = None) -> ArrowVerdict:
     """Decide the arrow by DFS over partial colorings of hom(A, C).
 
-    Colors are assigned to the domain in its fixed order.  A branch dies as
-    soon as some witness can no longer exceed t colors (its seen colors plus
-    its unassigned copies fit within t).  With symmetry on, the DFS keeps
-    only colorings that are lexicographically minimal in their orbit under
-    Aut(C) post-composition combined with color renaming; both reductions
-    preserve the existence of bad colorings, so verdicts are unchanged.
+    Colors are assigned to the domain in its fixed order, a new color only
+    as the least unused one, so one coloring per color renaming is tried.
+    A branch dies as soon as some witness can no longer exceed t colors
+    (its seen colors plus its unassigned copies fit within t).  Neither cut
+    changes whether a bad coloring exists, and there is no Aut(C) cut.
 
     This is the differential oracle for `arrow_check`; no command selects
     it.  Exhaustion proves HOLDS; a surviving leaf is a verifiable FAILS
@@ -393,8 +373,6 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
     for wi, copy in enumerate(inst.copies):
         for i in copy:
             incidence[i].append(wi)
-
-    perms = _domain_permutations(cat, a, c) if symmetry else []
 
     values = [-1] * m
     seen: list[set[int]] = [set() for _ in inst.copies]
@@ -421,10 +399,7 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
                     ok = False
             if not ok:
                 stats.witness_prunes += 1
-            elif perms and _lex_dominated(perms, values, depth + 1):
-                stats.symmetry_prunes += 1
-                ok = False
-            if ok and rec(depth + 1, max(used, col + 1)):
+            elif rec(depth + 1, max(used, col + 1)):
                 return True
             for wi, added in touched:
                 unassigned[wi] += 1

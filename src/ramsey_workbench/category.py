@@ -412,7 +412,6 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
 
 @dataclass
 class Skeletonization:
-    parent: FiniteCategory
     representatives: dict[str, str]   # object -> its representative
     canon_iso: dict[str, Embedding]   # object -> iso onto the representative
 
@@ -440,7 +439,7 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
         eta = compose_embeddings(canon[rep][1].inverse(), canon[a][1])
         # retarget onto the catalog's own copy of the representative
         canon_iso[a] = Embedding(cat.structure(a), cat.structure(rep), eta.map)
-    return Skeletonization(cat, representatives, canon_iso)
+    return Skeletonization(representatives, canon_iso)
 
 
 # -- abstract categories from JSON -----------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrows import (FAILS, HOLDS, UNKNOWN, Coloring, arrow_check)
+from .arrows import (FAILS, HOLDS, TIME_OUT, UNKNOWN, Coloring, arrow_check)
 from .category import FiniteCategory
 
 
@@ -75,7 +75,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                  deadline: float | None = None):
     """Least n such that every (B, k <= k_max) has a catalog witness C with
     C -> (B)^A_{k,n}, as (n, certificates, stopped searches); n is None
-    when no n up to the largest hom(A, -) works.
+    when no n up to the largest hom(A, -) works.  The searches share the
+    deadline, so the first one it stops ends the question with n None.
 
     The least n is relative to the catalog and can exceed the true small
     Ramsey degree when the witnesses lie beyond it: LO2 has degree 1 among
@@ -101,6 +102,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                         break
                     if verdict.status == UNKNOWN:
                         unknowns.append(f"{c}:{b}:{k}:{n}")
+                        if verdict.note == TIME_OUT:
+                            return None, [], unknowns
                 if witness is None:
                     all_found = False
                     break

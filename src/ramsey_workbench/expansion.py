@@ -17,6 +17,18 @@ the rows ``post(e, rep)``.  So the forgetful audit needs no scan over pairs
 of fibers.  Reasonable (every A* extends along e) means every A* is the
 restriction of some B*, and unique restrictions means each restriction
 occurs exactly once in fiber(A): two hash lookups per morphism.
+
+The same lemma decides every other relation between expansions.  A
+morphism of expansions C* -> D* is an f with restriction(D*, f) = C*, and
+since an isomorphism is such a morphism, two expansions of one object are
+isomorphic exactly when an automorphism g of it restricts one onto the
+other.  So an isomorphism type of expansions of A is an orbit
+{restriction(A*, g) : g in Aut(A)}, named by its least member by theta,
+and the automorphism action on a fiber moves F* to restriction(F*, g).
+Ages over one base are equal or incomparable.  Each age holds its own
+expansion's type, so if age(F*) lies inside age(F'*) over the same base,
+F* embeds into F'*.  An embedding between objects of equal size is an
+isomorphism, so F* and F'* are isomorphic and their ages are equal.
 """
 
 from __future__ import annotations
@@ -24,12 +36,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import FAILS, HOLDS
 from .category import FiniteCategory, skeletonize
 from .errors import ExpansionOverflow, WorkbenchError, check_type
-from .structures import Signature, Structure, canonical_key
+# not called here: perfbench/spans.py wraps this name in this module
+from .structures import canonical_key  # noqa: F401
 
 FIBER_BUDGET = 200_000   # most expansions one fiber may enumerate
 
@@ -44,19 +57,6 @@ class ExpandedObject:
             if r == rep:
                 return values
         raise KeyError(rep)
-
-
-@dataclass(frozen=True)
-class ExpandedSignature:
-    base: Signature
-    added: tuple[tuple[str, int, str, int], ...]   # (rep, color j, name, arity)
-
-    def as_signature(self) -> Signature:
-        return Signature(
-            relations=self.base.relations + tuple(
-                (name, arity) for _, _, name, arity in self.added),
-            constants=self.base.constants,
-        )
 
 
 class ExpansionSpace:
@@ -117,7 +117,7 @@ class ExpansionSpace:
 
     def hom_star(self, cstar: ExpandedObject, dstar: ExpandedObject) -> list[str]:
         return [f for f in self.cat.hom(cstar.base, dstar.base)
-                if self.morphism_preserves(f, cstar, dstar)]
+                if self.restriction(dstar, f) == cstar]
 
     def restriction(self, bstar: ExpandedObject, e: str) -> ExpandedObject:
         """The unique expansion of source(e) that makes e color-preserving."""
@@ -128,61 +128,21 @@ class ExpansionSpace:
             (rep, tuple(map(bstar.colors(rep).__getitem__, cat.post(e, rep))))
             for rep in self.reps))
 
-    def logical_action(self, fstar: ExpandedObject, g: str) -> ExpandedObject:
-        """The unique expansion with g color-preserving into fstar."""
-        cat = self.cat
-        if g not in cat.automorphism_ids(fstar.base):
-            raise WorkbenchError("the action needs an automorphism of the base")
-        return self.restriction(fstar, g)
-
     # -- ages ----------------------------------------------------------------
 
-    def age(self, fstar: ExpandedObject) -> dict[tuple, ExpandedObject]:
-        """Representative expansions admitting a morphism into fstar, keyed by
-        the canonical form of their rendering."""
-        out: dict[tuple, ExpandedObject] = {}
+    def age(self, fstar: ExpandedObject) -> dict[ExpandedObject, ExpandedObject]:
+        """Representative expansions admitting a morphism into fstar, one per
+        isomorphism type in first-seen order, each keyed by the least member,
+        by theta, of its orbit under the automorphisms of its base."""
+        out: dict[ExpandedObject, ExpandedObject] = {}
         for rep in self.reps:
+            auts = self.cat.automorphism_ids(rep)
             for e in self.cat.hom(rep, fstar.base):
                 astar = self.restriction(fstar, e)
-                key = canonical_key(self.render(astar))
-                if key not in out:
-                    out[key] = astar
+                key = min((self.restriction(astar, g) for g in auts),
+                          key=attrgetter("theta"))
+                out.setdefault(key, astar)
         return out
-
-    # -- rendering ------------------------------------------------------------
-
-    def expanded_signature(self) -> ExpandedSignature:
-        base = None
-        for obj in self.cat.objects:
-            base = self.cat.structure(obj).signature
-            break
-        if base is None:
-            raise WorkbenchError("empty catalog has no signature")
-        added = []
-        for rep in self.reps:
-            arity = self.cat.structure(rep).size
-            for j in range(1, self.degrees[rep] + 1):
-                name = f"{rep}_copy_color{j}"
-                if any(name == rn for rn, _ in base.relations):
-                    raise WorkbenchError(f"added relation {name!r} collides")
-                added.append((rep, j, name, arity))
-        return ExpandedSignature(base, tuple(added))
-
-    def render(self, cstar: ExpandedObject) -> Structure:
-        """View as a single structure over the widened signature."""
-        esig = self.expanded_signature()
-        base_struct = self.cat.structure(cstar.base)
-        tables = {rname: set(table) for rname, table in base_struct.relations}
-        for rep, j, name, _ in esig.added:
-            hom = self.cat.hom(rep, cstar.base)
-            colors = cstar.colors(rep)
-            tables[name] = {
-                self.cat.embedding(e).map
-                for i, e in enumerate(hom) if colors[i] == j - 1
-            }
-        constants = {cname: v for cname, v in base_struct.constants}
-        return Structure.make(esig.as_signature(), base_struct.size, tables,
-                              constants, name=f"{cstar.base}*")
 
 
 # -- whole-category checks ----------------------------------------------------
@@ -312,7 +272,6 @@ class OrbitAgeReport:
     orbits: list[list[ExpandedObject]]
     ages_equal_on_orbits: bool
     minimal: ExpandedObject
-    minimal_age_keys: tuple
     notes: list[str] = field(default_factory=list)
 
 
@@ -320,40 +279,29 @@ def orbit_age_analysis(space: ExpansionSpace, f_obj: str) -> OrbitAgeReport:
     """Orbits of the fiber under the automorphism action, their ages, and a
     deterministic inclusion-minimal-age selection.
 
+    An automorphism g moves F* to restriction(F*, g), and two expansions of
+    f_obj are isomorphic exactly when they share an orbit.  Ages over one
+    base are equal or incomparable, so every fiber member has an
+    inclusion-minimal age and the selection is the first in fiber order.
     On a finite fiber the closure of an orbit is the orbit itself, so the
     minimal-closed-orbit selection degenerates to comparing plain orbit
     ages; the report records that substitution.
     """
-    cat = space.cat
     fiber = space.fiber(f_obj)
-    auts = cat.automorphism_ids(f_obj)
+    auts = space.cat.automorphism_ids(f_obj)
     seen: set[ExpandedObject] = set()
     orbits: list[list[ExpandedObject]] = []
     for fstar in fiber:
         if fstar in seen:
             continue
-        orbit = []
-        for g in auts:
-            moved = space.logical_action(fstar, g)
-            if moved not in orbit:
-                orbit.append(moved)
-        orbit.sort(key=lambda x: x.theta)
+        orbit = sorted({space.restriction(fstar, g) for g in auts},
+                       key=attrgetter("theta"))
         orbits.append(orbit)
         seen.update(orbit)
 
-    ages = {fstar: frozenset(space.age(fstar).keys())
-            for orbit in orbits for fstar in orbit}
-    equal = all(
-        len({ages[fstar] for fstar in orbit}) == 1 for orbit in orbits
-    )
-
-    candidates = sorted(fiber, key=lambda x: (sorted(ages[x]), x.theta))
-    minimal = None
-    for cand in candidates:
-        if not any(ages[other] < ages[cand] for other in fiber):
-            minimal = cand
-            break
-    return OrbitAgeReport(orbits, equal, minimal, tuple(sorted(ages[minimal])),
+    equal = all(len({frozenset(space.age(fstar)) for fstar in orbit}) == 1
+                for orbit in orbits)
+    return OrbitAgeReport(orbits, equal, fiber[0],
                           notes=["closure taken as orbit: fiber is finite "
                                  "and discrete"])
 

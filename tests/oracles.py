@@ -16,10 +16,14 @@ kept from earlier checkers (``first_amalgam``, ``eager_two_of_k``,
 The scaffolding at the end backs the tests of sequences and expansions: the
 transformation calculus on structure chains with ``mono_test`` (acceptance
 tests 05a and 05b), ``mediating_morphism``, ``ultrahomogeneity_check``,
-``transport_expansion``, ``parse_expansion`` (the inverse of
-``ExpansionSpace.render``) and ``find_isomorphic``.  It calls package
-primitives (``compose``, ``enumerate_embeddings``, ``automorphisms``,
-``isomorphic`` and the expansion space's own methods) but no checker.
+``transport_expansion``, ``render`` with ``parse_expansion`` (its inverse)
+and ``find_isomorphic``.  It calls package primitives (``compose``,
+``enumerate_embeddings``, ``automorphisms``, ``isomorphic`` and the
+expansion space's own methods) but no checker.  ``render`` is the oracle
+for isomorphism types of expansions: it writes an expansion as one
+structure over a widened signature, with a table of copies per
+(representative, color), so ``canonical_key`` of a rendering names the
+type without the automorphism orbits that ``ExpansionSpace.age`` reads.
 """
 
 import functools
@@ -35,9 +39,10 @@ from ramsey_workbench.errors import (BudgetExceeded, ShapeMismatch,
 from ramsey_workbench.expansion import ExpandedObject, ExpansionSpace
 from ramsey_workbench.sequences import (ColimitResult, HomogeneityReport,
                                         TruncatedSequence)
-from ramsey_workbench.structures import (Embedding, Structure, automorphisms,
-                                         compose, enumerate_embeddings,
-                                         identity, isomorphic)
+from ramsey_workbench.structures import (Embedding, Signature, Structure,
+                                         automorphisms, compose,
+                                         enumerate_embeddings, identity,
+                                         isomorphic)
 
 
 def is_embedding_map(a: Structure, b: Structure, mapping) -> bool:
@@ -71,12 +76,6 @@ def brute_isomorphic(a: Structure, b: Structure) -> bool:
     if a.size != b.size:
         return False
     return bool(brute_embeddings(a, b))
-
-
-def render(s: Structure):
-    return (s.size,
-            tuple(tuple(sorted(table)) for _, table in s.relations),
-            s.constants)
 
 
 def brute_canonical_form(a: Structure) -> tuple[Structure, tuple[int, ...]]:
@@ -675,10 +674,58 @@ def ultrahomogeneity_check(f_struct: Structure,
     return HomogeneityReport(HOLDS, witnesses)
 
 
+@dataclass(frozen=True)
+class ExpandedSignature:
+    base: Signature
+    added: tuple[tuple[str, int, str, int], ...]   # (rep, color j, name, arity)
+
+    def as_signature(self) -> Signature:
+        return Signature(
+            relations=self.base.relations + tuple(
+                (name, arity) for _, _, name, arity in self.added),
+            constants=self.base.constants,
+        )
+
+
+def expanded_signature(space: ExpansionSpace) -> ExpandedSignature:
+    """The catalog's signature with one relation per (rep, color j), of the
+    rep's size, named ``{rep}_copy_color{j}``."""
+    cat = space.cat
+    if not cat.objects:
+        raise WorkbenchError("empty catalog has no signature")
+    base = cat.structure(cat.objects[0]).signature
+    added = []
+    for rep in space.reps:
+        arity = cat.structure(rep).size
+        for j in range(1, space.degrees[rep] + 1):
+            name = f"{rep}_copy_color{j}"
+            if any(name == rn for rn, _ in base.relations):
+                raise WorkbenchError(f"added relation {name!r} collides")
+            added.append((rep, j, name, arity))
+    return ExpandedSignature(base, tuple(added))
+
+
+def render(space: ExpansionSpace, cstar: ExpandedObject) -> Structure:
+    """cstar as one structure over the widened signature: the base tables,
+    and for each (rep, color j) the maps of the copies of rep colored j."""
+    cat = space.cat
+    esig = expanded_signature(space)
+    base_struct = cat.structure(cstar.base)
+    tables = {rname: set(table) for rname, table in base_struct.relations}
+    for rep, j, name, _ in esig.added:
+        colors = cstar.colors(rep)
+        tables[name] = {cat.embedding(e).map
+                        for i, e in enumerate(cat.hom(rep, cstar.base))
+                        if colors[i] == j - 1}
+    constants = {cname: v for cname, v in base_struct.constants}
+    return Structure.make(esig.as_signature(), base_struct.size, tables,
+                          constants, name=f"{cstar.base}*")
+
+
 def parse_expansion(space: ExpansionSpace, rendered: Structure,
                     base_obj: str) -> ExpandedObject:
     """Inverse of render; validates the three table conditions."""
-    esig = space.expanded_signature()
+    esig = expanded_signature(space)
     theta = []
     for rep in space.reps:
         hom = space.cat.hom(rep, base_obj)

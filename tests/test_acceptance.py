@@ -376,13 +376,14 @@ def test_07b_action_laws_and_orbit_ages(p3_space):
     auts = cat.automorphism_ids("P3")
     fiber = p3_space.fiber("P3")
     ident = cat.identity("P3")
+    # an automorphism g moves F* to restriction(F*, g)
     for fstar in fiber:
-        assert p3_space.logical_action(fstar, ident) == fstar
+        assert p3_space.restriction(fstar, ident) == fstar
         for g in auts:
             for h in auts:
-                assert p3_space.logical_action(
-                    p3_space.logical_action(fstar, g), h) == \
-                    p3_space.logical_action(fstar, cat.compose(g, h))
+                assert p3_space.restriction(
+                    p3_space.restriction(fstar, g), h) == \
+                    p3_space.restriction(fstar, cat.compose(g, h))
     report = orbit_age_analysis(p3_space, "P3")
     assert sum(len(o) for o in report.orbits) == 16
     assert report.ages_equal_on_orbits

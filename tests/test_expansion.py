@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -13,7 +14,7 @@ from ramsey_workbench.errors import ExpansionOverflow, WorkbenchError
 from ramsey_workbench.expansion import (ExpansionSpace, check_forgetful,
                                         expansion_property_check,
                                         orbit_age_analysis)
-from ramsey_workbench.structures import Structure
+from ramsey_workbench.structures import Structure, canonical_key
 
 import oracles
 from oracles import parse_expansion, transport_expansion
@@ -127,10 +128,12 @@ class TestMorphismsAndRestrictions:
 
 
 class TestLogicalAction:
+    """An automorphism g moves F* to restriction(F*, g)."""
+
     def test_identity_acts_trivially(self, p3_space):
         ident = p3_space.cat.identity("P3")
         for fstar in p3_space.fiber("P3"):
-            assert p3_space.logical_action(fstar, ident) == fstar
+            assert p3_space.restriction(fstar, ident) == fstar
 
     def test_right_action_law(self, p3_space):
         cat = p3_space.cat
@@ -138,16 +141,16 @@ class TestLogicalAction:
         for fstar in p3_space.fiber("P3"):
             for g in auts:
                 for h in auts:
-                    lhs = p3_space.logical_action(
-                        p3_space.logical_action(fstar, g), h)
-                    rhs = p3_space.logical_action(fstar, cat.compose(g, h))
+                    lhs = p3_space.restriction(
+                        p3_space.restriction(fstar, g), h)
+                    rhs = p3_space.restriction(fstar, cat.compose(g, h))
                     assert lhs == rhs
 
     def test_action_morphism_replays(self, p3_space):
         # g is a color-preserving morphism from the moved expansion back
         for fstar in p3_space.fiber("P3"):
             for g in p3_space.cat.automorphism_ids("P3"):
-                moved = p3_space.logical_action(fstar, g)
+                moved = p3_space.restriction(fstar, g)
                 assert p3_space.morphism_preserves(g, moved, fstar)
 
     def test_orbit_sizes_sum_to_fiber(self, p3_space):
@@ -198,16 +201,80 @@ class TestAges:
             assert not other_age < frozenset(p3_space.age(r1.minimal))
 
 
+@pytest.fixture(scope="module", params=["p3", "lo4", "g3"])
+def small_space(request):
+    """P3 with K2 in 2 colors, lo_catalog(4) with LO2 in 2 colors, and
+    graph_catalog(3) with its edge G2_1 in 2 colors."""
+    catalog, degrees = {
+        "p3": ([empty_graph(1, name="K1"), complete_graph(2, name="K2"),
+                path_graph(3)], {"K2": 2}),
+        "lo4": (lo_catalog(4), {"LO2": 2}),
+        "g3": (graph_catalog(3), {"G2_1": 2}),
+    }[request.param]
+    return ExpansionSpace(FiniteCategory.from_structures(catalog), degrees)
+
+
+class TestAgesAgainstRendering:
+    """``age`` names each isomorphism type by an automorphism orbit;
+    ``oracles.render`` names it by a canonical form.  The two must cut the
+    restrictions into the same classes and keep the same first members."""
+
+    @staticmethod
+    def restrictions(space, fstar):
+        return [space.restriction(fstar, e) for rep in space.reps
+                for e in space.cat.hom(rep, fstar.base)]
+
+    @staticmethod
+    def rendered_keys(space):
+        return functools.cache(
+            lambda x: canonical_key(oracles.render(space, x)))
+
+    def test_orbit_keys_partition_as_rendered_canonical_forms(self, small_space):
+        space = small_space
+        rendered = self.rendered_keys(space)
+
+        @functools.cache
+        def own_key(x):
+            # x's type is the only one over its base in its own age
+            (key,) = [k for k in space.age(x) if k.base == x.base]
+            return key
+
+        pairs = set()
+        for obj in space.cat.objects:
+            for fstar in space.fiber(obj):
+                below = self.restrictions(space, fstar)
+                pairs.update((own_key(x), rendered(x)) for x in below)
+                first = {}
+                for x in below:
+                    first.setdefault(rendered(x), x)
+                age = space.age(fstar)
+                assert list(age.values()) == list(first.values())
+                assert set(age) == {own_key(x) for x in below}
+        keys, forms = zip(*pairs)
+        assert len(pairs) == len(set(keys)) == len(set(forms))
+
+    def test_every_fiber_member_has_an_inclusion_minimal_age(self, small_space):
+        space = small_space
+        rendered = self.rendered_keys(space)
+        for obj in space.cat.objects:
+            fiber = space.fiber(obj)
+            ages = [frozenset(map(rendered, self.restrictions(space, f)))
+                    for f in fiber]
+            assert not any(a < b for a in ages for b in ages)
+            minimal = orbit_age_analysis(space, obj).minimal
+            assert minimal in fiber
+
+
 class TestRendering:
     def test_roundtrip(self, p3_space):
         for fstar in p3_space.fiber("P3"):
-            rendered = p3_space.render(fstar)
+            rendered = oracles.render(p3_space, fstar)
             assert parse_expansion(p3_space, rendered, "P3") == fstar
 
     def test_parse_rejects_a_tuple_that_is_not_a_copy(self, p3_space):
-        rendered = p3_space.render(p3_space.fiber("P3")[0])
+        rendered = oracles.render(p3_space, p3_space.fiber("P3")[0])
         name = next(name for rep, _, name, _ in
-                    p3_space.expanded_signature().added if rep == "K2")
+                    oracles.expanded_signature(p3_space).added if rep == "K2")
         # 0 and 2 are the ends of P3, so (0, 2) is no edge and no copy of K2
         tables = {rname: set(table) for rname, table in rendered.relations}
         tables[name].add((0, 2))
@@ -217,8 +284,8 @@ class TestRendering:
 
     def test_added_tables_partition_copies(self, p3_space):
         fstar = p3_space.fiber("P3")[5]
-        rendered = p3_space.render(fstar)
-        esig = p3_space.expanded_signature()
+        rendered = oracles.render(p3_space, fstar)
+        esig = oracles.expanded_signature(p3_space)
         k2_names = [name for rep, _, name, _ in esig.added if rep == "K2"]
         copies = {p3_space.cat.embedding(e).map
                   for e in p3_space.cat.hom("K2", "P3")}
@@ -232,11 +299,11 @@ class TestRendering:
 
     def test_base_tables_preserved(self, p3_space):
         fstar = p3_space.fiber("P3")[0]
-        rendered = p3_space.render(fstar)
+        rendered = oracles.render(p3_space, fstar)
         assert rendered.rel("edge") == path_graph(3).rel("edge")
 
     def test_added_names_disjoint_from_base(self, p3_space):
-        esig = p3_space.expanded_signature()
+        esig = oracles.expanded_signature(p3_space)
         base_names = {n for n, _ in esig.base.relations}
         added_names = {name for _, _, name, _ in esig.added}
         assert not (base_names & added_names)

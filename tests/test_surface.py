@@ -1,13 +1,16 @@
 """The package surface holds only what the package itself reaches.
 
-Two static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
+Static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
 
 - every public top-level function and class, and every public method of a
   top-level class, is referenced somewhere in the package outside its own
   definition, unless ``ALLOWED_UNREFERENCED`` names it with a reason;
 - every module-level import is used in its module, unless its line carries
   ``# noqa: F401`` right under a comment that gives the reason (the check a
-  linter's F401 makes; no linter is installed).
+  linter's F401 makes; no linter is installed);
+- every name such a kept import binds is one that ``perfbench/spans.py``
+  wraps in that module, the only reason to keep one, so a kept import
+  cannot outlive the benchmark point it serves.
 
 A reference is a name, an attribute or an imported name with the same
 identifier, so the guard is coarse: a method counts as reached when any
@@ -17,9 +20,11 @@ the allowlist cannot go stale.  Code that only tests call belongs in
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ramsey_workbench"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ramsey_workbench"
 
 ALLOWED_UNREFERENCED = {
     "lex_arrow_check": "the recursive differential oracle of the arrow search",
@@ -107,12 +112,11 @@ def bound_names(node):
         yield alias.asname or alias.name.split(".")[0]
 
 
-def test_every_module_level_import_is_used():
-    unused = []
+def module_imports():
+    """(module file, import node, kept) for each module-level import but
+    ``__future__``; kept means ``# noqa: F401`` under a reason comment."""
     for module, tree in modules().items():
         lines = (PACKAGE / module).read_text(encoding="utf-8").splitlines()
-        used = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
         for node in tree.body:
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
@@ -120,11 +124,36 @@ def test_every_module_level_import_is_used():
                 continue
             line = lines[node.lineno - 1]
             above = lines[node.lineno - 2].strip() if node.lineno > 1 else ""
-            if "# noqa: F401" in line and above.lstrip("#").strip() \
-                    and above.startswith("#"):
-                continue
-            for name in bound_names(node):
-                if name not in used:
-                    unused.append(f"{module}:{node.lineno} {name}")
+            kept = ("# noqa: F401" in line and above.lstrip("#").strip()
+                    and above.startswith("#"))
+            yield module, node, bool(kept)
+
+
+def test_every_module_level_import_is_used():
+    used = {module: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for module, tree in modules().items()}
+    unused = [f"{module}:{node.lineno} {name}"
+              for module, node, kept in module_imports() if not kept
+              for name in bound_names(node) if name not in used[module]]
     assert not unused, (f"unused imports: {unused}; a kept one needs "
                         f"'# noqa: F401' under a comment that says why")
+
+
+def wrapped_points():
+    """(module, attribute path) of every point perfbench/spans.py wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {(module, path) for module, path, *_ in spans._points()}
+
+
+def test_every_kept_import_is_a_wrapped_benchmark_point():
+    points = wrapped_points()
+    stale = [f"{module}:{node.lineno} {name}"
+             for module, node, kept in module_imports() if kept
+             for name in bound_names(node)
+             if (f"ramsey_workbench.{module.removesuffix('.py')}", name)
+             not in points]
+    assert not stale, (f"kept imports that perfbench/spans.py does not wrap: "
+                       f"{stale}; remove them")
