@@ -28,6 +28,12 @@ and ``compose`` indexes a hom-set by a row entry.  ``op`` is such a table
 too: its row (w, a) is ``pre(w, a)`` of the category it dualizes.  Rows are
 total and faithful: the loader refuses a table that leaves out a composite
 or names one outside its hom-set, and nothing checks them after.
+
+A table's ``automorphism_ids(a)`` reads rows too: f is kept when some j
+has ``post(f, a)[j] == pre(f, a)[j] == position(id_a)``.  Expansions pick
+representatives by invertible morphisms and decide absorption by sets of
+restrictions, so they run on tables; only ``skeletonize`` and
+``locally_finite_verdict`` need structures.
 """
 
 from __future__ import annotations
@@ -215,17 +221,14 @@ class FiniteCategory:
 
         In a structure category that is all of hom(a, a): a self-embedding
         of a finite structure is a bijection that preserves and reflects
-        every relation and constant, so it is an automorphism."""
+        every relation and constant, so it is an automorphism.  In a table,
+        f.g_j = id_a = g_j.f for some j, by rows."""
         if self._emb_index is not None:
             return list(self.hom(a, a))
-        out = []
-        for f in self.hom(a, a):
-            for g in self.hom(a, a):
-                if (self.compose(g, f) == self.identity(a)
-                        and self.compose(f, g) == self.identity(a)):
-                    out.append(f)
-                    break
-        return out
+        one = self.position(self.identity(a))
+        return [f for f in self.hom(a, a)
+                if any(x == y == one
+                       for x, y in zip(self.post(f, a), self.pre(f, a)))]
 
     def is_mono(self, mid: str) -> bool:
         """Every row post(mid, a) is injective."""
@@ -414,10 +417,6 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
 class Skeletonization:
     representatives: dict[str, str]   # object -> its representative
     canon_iso: dict[str, Embedding]   # object -> iso onto the representative
-
-    @property
-    def representative_objects(self) -> list[str]:
-        return list(dict.fromkeys(self.representatives.values()))
 
 
 def skeletonize(cat: FiniteCategory) -> Skeletonization:

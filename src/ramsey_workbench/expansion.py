@@ -1,45 +1,41 @@
-"""Coloring-family expansions of a structure catalog.
+"""Coloring-family expansions of a finite category.
 
 An expanded object is a base object C together with one coloring
-theta_A : hom(A, C) -> t_A per skeleton representative A.  Morphisms of
-expanded objects are base morphisms that transport colorings on the nose,
-and forgetting the colorings is a functor with finite fibers, unique
+theta_A : hom(A, C) -> t_A per representative A.  Morphisms of expanded
+objects are base morphisms that transport colorings on the nose, and
+forgetting the colorings is a functor with finite fibers, unique
 restrictions, and free extension along any morphism.  The checks here
-verify all of that exhaustively on the loaded catalog, and the analyses on
-a single fiber (automorphism orbits, ages, minimal-age selection) are the
-finite counterparts of the closure arguments used on infinite limits:
-fibers here are finite and discrete, so closures collapse to orbits, and
-reports say so.
+verify all of that exhaustively; on a single fiber, orbits stand in for
+the closures of the infinite setting, since fibers are finite and discrete.
+
+Only the ``FiniteCategory`` interface is read, so expansions run on table
+categories as on structure catalogs.  An object's representative is the
+first earlier representative r with f: a -> r and g: r -> a such that
+g.f = id_a and f.g = id_r, else the object itself: on a structure catalog,
+the first member of its isomorphism class.
 
 The restriction lemma: e: A -> B transports A* into B* exactly when A* is
-restriction(B*, e), whose colorings read B*'s colorings at the positions of
-the rows ``post(e, rep)``.  So the forgetful audit needs no scan over pairs
-of fibers.  Reasonable (every A* extends along e) means every A* is the
-restriction of some B*, and unique restrictions means each restriction
-occurs exactly once in fiber(A): two hash lookups per morphism.
-
-The same lemma decides every other relation between expansions.  A
-morphism of expansions C* -> D* is an f with restriction(D*, f) = C*, and
-since an isomorphism is such a morphism, two expansions of one object are
-isomorphic exactly when an automorphism g of it restricts one onto the
-other.  So an isomorphism type of expansions of A is an orbit
-{restriction(A*, g) : g in Aut(A)}, named by its least member by theta,
-and the automorphism action on a fiber moves F* to restriction(F*, g).
-Ages over one base are equal or incomparable.  Each age holds its own
-expansion's type, so if age(F*) lies inside age(F'*) over the same base,
-F* embeds into F'*.  An embedding between objects of equal size is an
-isomorphism, so F* and F'* are isomorphic and their ages are equal.
+restriction(B*, e), which reads B*'s colorings at the rows ``post(e, rep)``.
+So the forgetful audit needs no scan over pairs of fibers: reasonable
+means every A* is the restriction of some B*, and unique restrictions
+means each restriction occurs exactly once in fiber(A).  Absorption asks
+whether A* lies in {restriction(B*, f) : f in hom(A, B)}, a set built once
+per (A, B*).  Two expansions of one object are isomorphic exactly when an
+automorphism g restricts one onto the other, so isomorphism types are the
+orbits {restriction(A*, g) : g in Aut(A)}; a table reads Aut(A) off rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
 from . import FAILS, HOLDS
-from .category import FiniteCategory, skeletonize
+from .category import FiniteCategory
 from .errors import ExpansionOverflow, WorkbenchError, check_type
 # not called here: perfbench/spans.py wraps this name in this module
 from .structures import canonical_key  # noqa: F401
@@ -65,9 +61,13 @@ class ExpansionSpace:
 
     def __init__(self, cat: FiniteCategory, degrees: dict[str, int]):
         self.cat = cat
-        skeleton = skeletonize(cat)
-        self.reps: list[str] = skeleton.representative_objects
-        self.rep_of: dict[str, str] = skeleton.representatives
+        self.reps: list[str] = []
+        self.rep_of: dict[str, str] = {}
+        for a in cat.objects:
+            rep = next((r for r in self.reps if _isomorphic(cat, a, r)), a)
+            self.rep_of[a] = rep
+            if rep == a:
+                self.reps.append(a)
         for rep, t in degrees.items():
             check_type(t, int, f"degree of {rep}")
         unknown = set(degrees) - set(self.reps)
@@ -80,25 +80,18 @@ class ExpansionSpace:
     # -- fibers -------------------------------------------------------------
 
     def fiber_size(self, obj: str) -> int:
-        size = 1
-        for rep in self.reps:
-            size *= self.degrees[rep] ** len(self.cat.hom(rep, obj))
-        return size
+        return math.prod(self.degrees[rep] ** len(self.cat.hom(rep, obj))
+                         for rep in self.reps)
 
     def fiber(self, obj: str) -> list[ExpandedObject]:
         if self.fiber_size(obj) > FIBER_BUDGET:
             raise ExpansionOverflow(
                 f"fiber over {obj} has {self.fiber_size(obj)} expansions")
-        pools = []
-        for rep in self.reps:
-            t = self.degrees[rep]
-            m = len(self.cat.hom(rep, obj))
-            pools.append(list(itertools.product(range(t), repeat=m)))
-        out = []
-        for combo in itertools.product(*pools):
-            out.append(ExpandedObject(
-                obj, tuple((rep, values) for rep, values in zip(self.reps, combo))))
-        return out
+        pools = [itertools.product(range(self.degrees[rep]),
+                                   repeat=len(self.cat.hom(rep, obj)))
+                 for rep in self.reps]
+        return [ExpandedObject(obj, tuple(zip(self.reps, combo)))
+                for combo in itertools.product(*pools)]
 
     # -- morphisms ----------------------------------------------------------
 
@@ -115,10 +108,6 @@ class ExpansionSpace:
                     return False
         return True
 
-    def hom_star(self, cstar: ExpandedObject, dstar: ExpandedObject) -> list[str]:
-        return [f for f in self.cat.hom(cstar.base, dstar.base)
-                if self.restriction(dstar, f) == cstar]
-
     def restriction(self, bstar: ExpandedObject, e: str) -> ExpandedObject:
         """The unique expansion of source(e) that makes e color-preserving."""
         cat = self.cat
@@ -128,21 +117,13 @@ class ExpansionSpace:
             (rep, tuple(map(bstar.colors(rep).__getitem__, cat.post(e, rep))))
             for rep in self.reps))
 
-    # -- ages ----------------------------------------------------------------
 
-    def age(self, fstar: ExpandedObject) -> dict[ExpandedObject, ExpandedObject]:
-        """Representative expansions admitting a morphism into fstar, one per
-        isomorphism type in first-seen order, each keyed by the least member,
-        by theta, of its orbit under the automorphisms of its base."""
-        out: dict[ExpandedObject, ExpandedObject] = {}
-        for rep in self.reps:
-            auts = self.cat.automorphism_ids(rep)
-            for e in self.cat.hom(rep, fstar.base):
-                astar = self.restriction(fstar, e)
-                key = min((self.restriction(astar, g) for g in auts),
-                          key=attrgetter("theta"))
-                out.setdefault(key, astar)
-        return out
+def _isomorphic(cat: FiniteCategory, a: str, r: str) -> bool:
+    """Some f: a -> r and g: r -> a with g.f = id_a and f.g = id_r.  id_a
+    is read last: a structure category enumerates hom(a, a) to find it."""
+    return any(cat.compose(g, f) == cat.identity(a)
+               and cat.compose(f, g) == cat.identity(r)
+               for f in cat.hom(a, r) for g in cat.hom(r, a))
 
 
 # -- whole-category checks ----------------------------------------------------
@@ -270,38 +251,31 @@ def check_forgetful(space: ExpansionSpace,
 @dataclass
 class OrbitAgeReport:
     orbits: list[list[ExpandedObject]]
-    ages_equal_on_orbits: bool
     minimal: ExpandedObject
     notes: list[str] = field(default_factory=list)
 
 
 def orbit_age_analysis(space: ExpansionSpace, f_obj: str) -> OrbitAgeReport:
-    """Orbits of the fiber under the automorphism action, their ages, and a
-    deterministic inclusion-minimal-age selection.
+    """Orbits of the fiber under the automorphism action, which moves F* to
+    restriction(F*, g), and the first fiber member as the minimal-age pick.
 
-    An automorphism g moves F* to restriction(F*, g), and two expansions of
-    f_obj are isomorphic exactly when they share an orbit.  Ages over one
-    base are equal or incomparable, so every fiber member has an
-    inclusion-minimal age and the selection is the first in fiber order.
-    On a finite fiber the closure of an orbit is the orbit itself, so the
-    minimal-closed-orbit selection degenerates to comparing plain orbit
-    ages; the report records that substitution.
+    Orbit members have equal ages, so none is computed: restriction(
+    restriction(F*, g), e) = restriction(F*, g.e), and g.e runs over
+    hom(A, F) as e does.  When every endomorphism of f_obj is invertible, as
+    in a structure catalog, ages over it are equal or incomparable, so every
+    member's age is inclusion-minimal.  A finite orbit is its own closure;
+    the report records that substitution.
     """
     fiber = space.fiber(f_obj)
     auts = space.cat.automorphism_ids(f_obj)
     seen: set[ExpandedObject] = set()
     orbits: list[list[ExpandedObject]] = []
     for fstar in fiber:
-        if fstar in seen:
-            continue
-        orbit = sorted({space.restriction(fstar, g) for g in auts},
-                       key=attrgetter("theta"))
-        orbits.append(orbit)
-        seen.update(orbit)
-
-    equal = all(len({frozenset(space.age(fstar)) for fstar in orbit}) == 1
-                for orbit in orbits)
-    return OrbitAgeReport(orbits, equal, fiber[0],
+        if fstar not in seen:
+            orbits.append(sorted({space.restriction(fstar, g) for g in auts},
+                                 key=attrgetter("theta")))
+            seen.update(orbits[-1])
+    return OrbitAgeReport(orbits, fiber[0],
                           notes=["closure taken as orbit: fiber is finite "
                                  "and discrete"])
 
@@ -322,31 +296,27 @@ def expansion_property_check(space: ExpansionSpace,
     Direct: every base object has a target object all of whose designated
     expansions absorb all of its own.  Single-object: every designated
     expansion separately admits such a target.  The two must agree on
-    directed mono catalogs; any disagreement is flagged.
+    directed mono catalogs; any disagreement is flagged.  A* has a morphism
+    into B* exactly when it is one of the restrictions of B* along hom(A, B),
+    and that set is built once per (A, B*).
     """
     cat = space.cat
 
-    def absorbs(a_list, b_list) -> bool:
-        return all(space.hom_star(astar, bstar)
-                   for astar in a_list for bstar in b_list)
+    @functools.cache
+    def below(a: str, bstar: ExpandedObject) -> set[ExpandedObject]:
+        return {space.restriction(bstar, f) for f in cat.hom(a, bstar.base)}
 
-    direct: dict[str, str | None] = {}
-    for a, a_list in designated.items():
-        if not a_list:
-            direct[a] = a
-            continue
-        direct[a] = next(
-            (b for b in cat.objects
-             if absorbs(a_list, designated.get(b, []))), None)
+    def target(a_list) -> str | None:
+        """The first object whose designated expansions absorb a_list."""
+        return next((b for b in cat.objects
+                     if all(astar in below(astar.base, bstar)
+                            for astar in a_list
+                            for bstar in designated.get(b, []))), None)
 
-    single: dict[tuple[str, tuple], str | None] = {}
-    for a, a_list in designated.items():
-        for dstar in a_list:
-            single[(a, dstar.theta)] = next(
-                (b for b in cat.objects
-                 if all(space.hom_star(dstar, bstar)
-                        for bstar in designated.get(b, []))), None)
-
+    direct = {a: target(a_list) if a_list else a
+              for a, a_list in designated.items()}
+    single = {(a, dstar.theta): target([dstar])
+              for a, a_list in designated.items() for dstar in a_list}
     direct_status = HOLDS if all(v is not None for v in direct.values()) else FAILS
     single_status = HOLDS if all(v is not None for v in single.values()) else FAILS
     return ExpansionPropertyReport(direct, single, direct_status, single_status,

@@ -13,6 +13,7 @@ report UNKNOWN-AT-BOUND when the bound is the only obstacle.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -148,13 +149,15 @@ def weak_fraisse_check(cat: FiniteCategory, levels: list[str], steps: list[str],
         for m in range(n, top):
             w[n, m + 1] = cat.compose(steps[m], w[n, m])
 
+    pre = functools.cache(cat.pre)   # levels share rows pre(f.w(n, m), X_k)
+
     def absorbs(n: int, m: int) -> bool:
         targets = [(levels[k], cat.position(w[n, k]))
                    for k in range(m, min(k_max, top) + 1)]
         for c in catalog:
             for f in cat.hom(levels[m], c):
                 fw = cat.compose(f, w[n, m])
-                if not any(at in cat.pre(fw, x_k) for x_k, at in targets):
+                if not any(at in pre(fw, x_k) for x_k, at in targets):
                     return False
         return True
 
@@ -193,13 +196,17 @@ def weak_homogeneity_check(cat: FiniteCategory, f_obj: str,
     rule of this module is left open; the verdict stays FAILS.
     """
     auts = cat.automorphism_ids(f_obj)
+    pre = functools.cache(cat.pre)   # each row pre(e, F) is read once
     witnesses = []
     for a in catalog:
+        into_f = cat.hom(a, f_obj)
+        if not into_f:
+            continue
         moved = [cat.post(h, a) for h in auts]   # position of h.f, per f
-        for k, f in enumerate(cat.hom(a, f_obj)):
+        for k, f in enumerate(into_f):
             orbit = {row[k] for row in moved}
             for b, e in ((b, e) for b in catalog for e in cat.hom(a, b)):
-                row = cat.pre(e, f_obj)
+                row = pre(e, f_obj)
                 if k in row and orbit.issuperset(row):
                     witnesses.append({"A": a, "f": f, "B": b, "e": e,
                                       "i": cat.hom(b, f_obj)[row.index(k)]})

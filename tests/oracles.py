@@ -5,25 +5,26 @@ all injections, canonical forms by minimizing over all permutations, arrow
 verdicts by scanning every coloring.  Expected values in the test suite are
 frozen from these, not from the implementations under test.  The scans
 kept from earlier checkers (``first_amalgam``, ``eager_two_of_k``,
-``scan_forgetful``) call the package's primitives, ``compose`` and
-``morphism_preserves``, but not the checkers they test.
+``scan_forgetful``, ``scan_automorphism_ids``) call the package's
+primitives, ``compose`` and ``morphism_preserves``, but not the checkers
+they test.
 ``scan_arrow_check``, the coloring-by-coloring scan that the bit-sliced
 ``oracle_arrow_check`` replaced, reads its instance through
 ``ArrowInstance.build`` and returns the package's verdict types.
 ``lo_table`` writes the chain category's compose table by hand, without
-``compose``.
+``compose``; ``table_dump`` writes any category's table through it.
 
 The scaffolding at the end backs the tests of sequences and expansions: the
 transformation calculus on structure chains with ``mono_test`` (acceptance
 tests 05a and 05b), ``mediating_morphism``, ``ultrahomogeneity_check``,
 ``transport_expansion``, ``render`` with ``parse_expansion`` (its inverse)
-and ``find_isomorphic``.  It calls package primitives (``compose``,
-``enumerate_embeddings``, ``automorphisms``, ``isomorphic`` and the
-expansion space's own methods) but no checker.  ``render`` is the oracle
-for isomorphism types of expansions: it writes an expansion as one
-structure over a widened signature, with a table of copies per
-(representative, color), so ``canonical_key`` of a rendering names the
-type without the automorphism orbits that ``ExpansionSpace.age`` reads.
+``hom_star``, ``age`` and ``find_isomorphic``.  It calls package
+primitives (``compose``, ``enumerate_embeddings``, ``automorphisms``,
+``isomorphic`` and the expansion space's own methods) but no checker.
+``render`` is the oracle for isomorphism types of expansions: it writes an
+expansion as one structure over a widened signature, with a table of copies
+per (representative, color), so ``canonical_key`` of a rendering names the
+type without the automorphism orbits that ``age`` reads.
 """
 
 import functools
@@ -419,6 +420,25 @@ def lo_table(n: int) -> dict:
                            for a in range(1, n + 1)}}
 
 
+def table_dump(cat) -> dict:
+    """cat as the JSON table ``abstract_from_json`` reads: its non-empty
+    hom-sets, identities and every composite, asked of ``compose`` one
+    pair at a time."""
+    return {"objects": list(cat.objects),
+            "homs": {f"{a}->{b}": cat.hom(a, b) for a in cat.objects
+                     for b in cat.objects if cat.hom(a, b)},
+            "compose": {f"{g}∘{f}": cat.compose(g, f)
+                        for g, f in composable_pairs(cat)},
+            "identities": {a: cat.identity(a) for a in cat.objects}}
+
+
+def scan_automorphism_ids(cat, a) -> list[str]:
+    """The f in hom(a, a) with some g, g.f = id_a = f.g, by ``compose``."""
+    endo, one = cat.hom(a, a), cat.identity(a)
+    return [f for f in endo
+            if any(cat.compose(g, f) == one == cat.compose(f, g) for g in endo)]
+
+
 def scan_forgetful(space, fibers=None):
     """The forgetful audit by scanning pairs of fibers, kept as the reference
     for ``expansion.check_forgetful``: reasonable by searching fiber(B) for a
@@ -744,6 +764,30 @@ def parse_expansion(space: ExpansionSpace, rendered: Structure,
                 space.cat.embedding_id(rep, base_obj, tup)
         theta.append((rep, tuple(values)))
     return ExpandedObject(base_obj, tuple(theta))
+
+
+def hom_star(space: ExpansionSpace, cstar: ExpandedObject,
+             dstar: ExpandedObject) -> list[str]:
+    """The morphisms of expansions cstar -> dstar: hom(C, D) filtered by the
+    compose-based ``morphism_preserves``."""
+    return [f for f in space.cat.hom(cstar.base, dstar.base)
+            if space.morphism_preserves(f, cstar, dstar)]
+
+
+def age(space: ExpansionSpace,
+        fstar: ExpandedObject) -> dict[ExpandedObject, ExpandedObject]:
+    """Representative expansions admitting a morphism into fstar, one per
+    isomorphism type in first-seen order, each keyed by the least member,
+    by theta, of its orbit under the automorphisms of its base."""
+    out: dict[ExpandedObject, ExpandedObject] = {}
+    for rep in space.reps:
+        auts = space.cat.automorphism_ids(rep)
+        for e in space.cat.hom(rep, fstar.base):
+            astar = space.restriction(fstar, e)
+            key = min((space.restriction(astar, g) for g in auts),
+                      key=lambda x: x.theta)
+            out.setdefault(key, astar)
+    return out
 
 
 def transport_expansion(space: ExpansionSpace,

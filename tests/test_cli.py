@@ -67,6 +67,26 @@ class TestArrowCommand:
                     "-k", "2", "-t", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("nodes", ["-5", "-1", "2.5", "abc"])
+    def test_node_budget_must_be_a_whole_number_not_negative(
+            self, lo_paths, tmp_path, monkeypatch, nodes):
+        # a negative budget once read as 0: UNKNOWN-AT-BOUND with exit 2
+        out = tmp_path / "r.json"
+        argv = ["arrow", "--catalog", lo_paths["lo6"], "--C", "LO6",
+                "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"]
+        assert run(["--out", str(out), "--budget-nodes", nodes] + argv) == 3
+        monkeypatch.setenv("RW_BUDGET_NODES", nodes)
+        assert run(["--out", str(out)] + argv) == 3
+        assert not out.exists()
+
+    def test_node_budget_past_the_float_range_is_accepted(self, lo_paths,
+                                                          tmp_path):
+        code, report = run_json(
+            ["--budget-nodes", "9" * 400, "arrow", "--catalog", lo_paths["lo6"],
+             "--C", "LO6", "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"],
+            tmp_path / "r.json")
+        assert (code, report["config"]["budget_nodes"]) == (0, int("9" * 400))
+
     def test_lo10_three_colors_fail_within_the_node_budget(self, tmp_path):
         # R(3,3,3) = 17 > 10: a bad coloring exists and must be found
         catalog = tmp_path / "lo10.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -350,7 +351,29 @@ def whom(f_struct, catalog):
                                   f_struct.name, [c.name for c in catalog])
 
 
+@pytest.fixture
+def row_calls(monkeypatch):
+    """Counts of FiniteCategory.pre and .post calls from here on."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(FiniteCategory, name)
+        return lambda self, *args: calls.update([name]) or real(self, *args)
+
+    for name in ("pre", "post"):
+        monkeypatch.setattr(FiniteCategory, name, counted(name))
+    return calls
+
+
 class TestWeakFraisse:
+    def test_each_row_is_read_once(self, row_calls):
+        # the chain LO1..LO8 over lo_catalog(8) asks 316 membership
+        # questions of 176 distinct rows pre(f.w(n, m), X_k)
+        report = wfcheck(lo_chain(8), lo_catalog(8), m_max=7, k_max=7)
+        assert report.absorption_witness == \
+            oracles.chain_absorption_witnesses(8, 8)
+        assert row_calls == {"pre": 176}
+
     def test_lo_chain_absorbs_catalog(self):
         seq = lo_chain(8)
         report = wfcheck(seq, lo_catalog(4), m_max=7, k_max=7)
@@ -410,6 +433,15 @@ class TestHomogeneity:
         expected = oracles.weak_homogeneity_witnesses(e4, catalog)
         assert None not in [b for _, _, b in expected]
         _assert_matches_oracle(e4, catalog)
+
+    def test_each_row_is_read_once(self, graphs4_category, row_calls):
+        # E4 = G4_0: only the four empty graphs embed in it, so Aut(E4)'s 24
+        # rows are built for 4 objects A, and each A's first e, its
+        # identity, witnesses every f, so pre(e, E4) is read once per A
+        cat = graphs4_category
+        report = weak_homogeneity_check(cat, "G4_0", cat.objects)
+        assert report.status == "HOLDS"
+        assert row_calls == {"pre": 4, "post": 96}
 
     @pytest.mark.parametrize("f_struct", graph_catalog(4, min_n=4),
                              ids=lambda s: s.name)

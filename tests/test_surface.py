@@ -10,7 +10,11 @@ Static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
   linter's F401 makes; no linter is installed);
 - every name such a kept import binds is one that ``perfbench/spans.py``
   wraps in that module, the only reason to keep one, so a kept import
-  cannot outlive the benchmark point it serves.
+  cannot outlive the benchmark point it serves;
+- the checkers (``arrows``, ``amalgam``, ``degrees``, ``expansion``) import
+  only ``FiniteCategory`` from ``category``, and from ``structures`` or
+  ``catalogs`` only kept imports, so they read their objects through the
+  category interface alone.
 
 A reference is a name, an attribute or an imported name with the same
 identifier, so the guard is coarse: a method counts as reached when any
@@ -157,3 +161,36 @@ def test_every_kept_import_is_a_wrapped_benchmark_point():
              not in points]
     assert not stale, (f"kept imports that perfbench/spans.py does not wrap: "
                        f"{stale}; remove them")
+
+
+# sequences is exempt: its truncated sequences and colimits are structure
+# chains
+CHECKERS = ("arrows.py", "amalgam.py", "degrees.py", "expansion.py")
+
+
+def imported_from(node):
+    """(package module, name) for each name an import brings in; the name is
+    None when the import binds the module itself."""
+    if isinstance(node, ast.Import):
+        return [(alias.name, None) for alias in node.names]
+    if node.module is None:    # from . import module
+        return [(alias.name, None) for alias in node.names]
+    return [(node.module, alias.name) for alias in node.names]
+
+
+def test_checkers_see_only_the_category():
+    leaks = []
+    for module in CHECKERS:
+        text = (PACKAGE / module).read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            kept = "# noqa: F401" in lines[node.lineno - 1]
+            for source, name in imported_from(node):
+                source = source.removeprefix("ramsey_workbench.")
+                if ((source == "category" and name != "FiniteCategory")
+                        or (source in ("structures", "catalogs") and not kept)):
+                    leaks.append(f"{module}:{node.lineno} {source}.{name}")
+    assert not leaks, (f"checkers must read objects through FiniteCategory "
+                       f"alone: {leaks}")
