@@ -38,7 +38,6 @@ class AmalgamWitness:
 
 @dataclass
 class AmalgamationReport:
-    property: str
     status: str
     witnesses: list = field(default_factory=list)
     failure: dict | None = None
@@ -114,13 +113,12 @@ def is_amalgamation_arrow(cat: FiniteCategory, f: str, *,
                     hf = cat.compose(h, f)
                     hit = engine.amalgamate(gf, hf)
                     if hit is None:
-                        return AmalgamationReport(
-                            "amalgamation-arrow", FAILS,
-                            failure={"f": f, "g": g, "h": h,
-                                     "reason": "no amalgam in catalog"})
+                        return AmalgamationReport(FAILS, failure={
+                            "f": f, "g": g, "h": h,
+                            "reason": "no amalgam in catalog"})
                     d, r, s = hit
                     witnesses.append(AmalgamWitness(g, h, d, r, s))
-    return AmalgamationReport("amalgamation-arrow", HOLDS, witnesses)
+    return AmalgamationReport(HOLDS, witnesses)
 
 
 def wap_check(cat: FiniteCategory) -> AmalgamationReport:
@@ -137,12 +135,10 @@ def wap_check(cat: FiniteCategory) -> AmalgamationReport:
             if found:
                 break
         if found is None:
-            return AmalgamationReport(
-                "weak-amalgamation", FAILS,
-                failure={"A": a, "reason": "no amalgamation arrow in catalog"})
+            return AmalgamationReport(FAILS, failure={
+                "A": a, "reason": "no amalgamation arrow in catalog"})
         arrows[a] = found
-    return AmalgamationReport("weak-amalgamation", HOLDS,
-                              witnesses=[arrows[a] for a in cat.objects])
+    return AmalgamationReport(HOLDS, [arrows[a] for a in cat.objects])
 
 
 def two_of_k_check(cat: FiniteCategory, a: str, k: int) -> AmalgamationReport:
@@ -163,13 +159,12 @@ def two_of_k_check(cat: FiniteCategory, a: str, k: int) -> AmalgamationReport:
                 hits.append((tup, i, j, found))
                 break
         else:
-            return AmalgamationReport(
-                "two-out-of-k", FAILS,
-                failure={"A": a, "k": k, "tuple": list(tup)})
+            return AmalgamationReport(FAILS,
+                                      failure={"A": a, "k": k, "tuple": list(tup)})
     witnesses = [{"tuple": list(tup), "i": i, "j": j,
                   "D": found[0], "r": found[1], "s": found[2]}
                  for tup, i, j, found in hits]
-    return AmalgamationReport("two-out-of-k", HOLDS, witnesses,
+    return AmalgamationReport(HOLDS, witnesses,
                               notes=[f"tuples checked: {len(pool) ** k}"])
 
 

@@ -418,6 +418,7 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
 ORACLE_BLOCK = 1 << 16
 ORACLE_FIRST = 1 << 6
 ORACLE_GROWTH = 32
+ORACLE_BUDGET = 2_000_000   # most colorings `oracle_arrow_check` tests
 
 
 def _digit_masks(k: int, places: int) -> list[list[int]]:
@@ -454,7 +455,7 @@ def _first_block_runs(size: int):
 
 
 def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
-                       t: int, *, budget: int = 2_000_000) -> ArrowVerdict:
+                       t: int) -> ArrowVerdict:
     """Decide the arrow by testing every coloring, pruning nothing.
 
     The k^m colorings of hom(A, C) are ranked in lex order, as
@@ -487,8 +488,8 @@ def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
     inst = ArrowInstance.build(cat, c, b, a)
     degenerate = "empty-hom-A-B" if not inst.hom_ab else None
     m = len(inst.domain)
-    if k ** m > budget:
-        raise BudgetExceeded(f"{k}^{m} colorings exceed budget {budget}")
+    if k ** m > ORACLE_BUDGET:
+        raise BudgetExceeded(f"{k}^{m} colorings exceed budget {ORACLE_BUDGET}")
     places = 0      # trailing positions that a block runs through
     while places < m and k ** (places + 1) <= ORACLE_BLOCK:
         places += 1

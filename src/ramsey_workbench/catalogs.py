@@ -294,6 +294,11 @@ def catalog_from_json(doc: dict) -> list[Structure]:
         constants = _check(spec.get("constants", {}), dict, f"constants of {name}")
         for cname, v in constants.items():
             _check(v, int, f"constant {cname} of {name}")
+        stray = ({*tables} - {r for r, _ in sig.relations}
+                 | {*constants} - {*sig.constants})
+        if stray:
+            raise WorkbenchError(f"catalog structure {name} names symbols "
+                                 f"{sorted(stray)} outside the signature")
         out.append(Structure.make(sig, size, tables, constants, name=name))
     return out
 

@@ -551,18 +551,18 @@ def run(argv: list[str]) -> int:
             report = {"replay": result, "command": args.command_echo}
         else:
             code, report = ask(args)
-    except (WorkbenchError, FileNotFoundError, KeyError, ValueError,
-            json.JSONDecodeError) as exc:
+        text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (WorkbenchError, OSError, KeyError, ValueError) as exc:
+        # OSError: a file flag names no file; a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.verbose:
-            print(f"report written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    if args.verbose and args.out:
+        print(f"report written to {args.out}", file=sys.stderr)
     if args.verbose and args.subcommand != "replay":
         print(f"{args.subcommand}: status={report['status']} "
               f"elapsed={time.monotonic() - started:.3f}s", file=sys.stderr)

@@ -2,11 +2,11 @@
 
 An expanded object is a base object C together with one coloring
 theta_A : hom(A, C) -> t_A per representative A.  Morphisms of expanded
-objects are base morphisms that transport colorings on the nose, and
-forgetting the colorings is a functor with finite fibers, unique
-restrictions, and free extension along any morphism.  The checks here
-verify all of that exhaustively; on a single fiber, orbits stand in for
-the closures of the infinite setting, since fibers are finite and discrete.
+objects are base morphisms that transport colorings on the nose.  Forgetting
+the colorings is a functor with finite fibers and unique restrictions by
+construction, and free extension along every mono: only a non-mono table
+can break it.  The checks verify all of it exhaustively; on one fiber, orbits
+stand in for the infinite setting's closures: fibers are finite and discrete.
 
 Only the ``FiniteCategory`` interface is read, so expansions run on table
 categories as on structure catalogs.  An object's representative is the
@@ -155,37 +155,28 @@ def _restrict_column(column: list[tuple[int, ...]], row: tuple[int, ...]):
     return map(itemgetter(*row), column)
 
 
-def check_forgetful(space: ExpansionSpace,
-                    fibers: dict[str, list[ExpandedObject]] | None = None) -> ForgetfulReport:
+def check_forgetful(space: ExpansionSpace) -> ForgetfulReport:
     """Exhaustive audit of the forgetful functor on the catalog.
 
-    ``fibers`` overrides the full enumeration (used to probe doctored
-    sub-fibers, which should break the free-extension property).  It must
-    hold every catalog object, with each theta listing the representatives
-    in order; an entry may sit over a foreign base.
+    Each fiber is the space's own: every coloring family over its base,
+    once each.  So surjectivity, precompactness and unique restrictions hold
+    by construction, and morphisms of expansions are base morphisms
+    verbatim.  Only reasonableness can fail, on a category that is not all
+    mono: a row ``post(e, rep)`` that repeats a position makes some A* the
+    restriction of nothing.
 
     By the restriction lemma, e: A -> B preserves (A*, B*) exactly when
     A* = restriction(B*, e).  So for each e, with R_e the restrictions of
-    the entries of fiber(B) in fiber order, each property is a hash lookup:
-    reasonable means every A* in fiber(A) occurs in R_e, and unique
-    restrictions means every member of R_e occurs exactly once in fiber(A).
-    That is O(|fiber B|) per morphism, and R_e lives for one morphism.
-    The first B* giving each A* is confirmed by ``morphism_preserves``.
-    ``failure`` names what a scan over pairs of fibers finds first: the
-    reasonable failure in (A, B, e, A*) order, else the unique-restrictions
-    failure in (B, B*, A, e) order.
+    fiber(B) in fiber order, each property is a hash lookup: reasonable
+    means every A* in fiber(A) occurs in R_e, and unique restrictions means
+    every member of R_e occurs exactly once in fiber(A).  That is
+    O(|fiber B|) per morphism, and R_e lives for one morphism.  The first
+    B* giving each A* is confirmed by ``morphism_preserves``.  ``failure``
+    names the first reasonable failure in (A, B, e, A*) order, else the
+    first unique-restrictions failure in (A, B, e) order.
     """
     cat = space.cat
-    reps = tuple(space.reps)
-    if fibers is None:
-        fibers = {obj: space.fiber(obj) for obj in cat.objects}
-    else:
-        for obj in cat.objects:
-            if obj not in fibers:
-                raise WorkbenchError(f"fiber override lacks catalog object {obj!r}")
-            if any(tuple(r for r, _ in x.theta) != reps for x in fibers[obj]):
-                raise WorkbenchError(f"fiber override over {obj!r} holds an "
-                                     f"expansion that does not color {list(reps)}")
+    fibers = {obj: space.fiber(obj) for obj in cat.objects}
     sizes = {obj: len(fibers[obj]) for obj in cat.objects}
 
     surjective = all(sizes[obj] >= 1 for obj in cat.objects)
@@ -193,59 +184,37 @@ def check_forgetful(space: ExpansionSpace,
 
     injective = True   # morphisms of expansions are base morphisms verbatim
 
-    # the colorings of each entry in rep order, None for an entry over a
-    # foreign base: it is nobody's restriction and has none
-    keys = {obj: [tuple(v for _, v in x.theta) if x.base == obj else None
-                  for x in fibers[obj]] for obj in cat.objects}
-    own = {obj: [i for i, k in enumerate(keys[obj]) if k is not None]
-           for obj in cat.objects}
-    columns = {obj: [[keys[obj][i][j] for i in own[obj]] for j in range(len(reps))]
-               for obj in cat.objects}
-    first_foreign = {obj: next((i for i, k in enumerate(keys[obj]) if k is None),
-                               sizes[obj]) for obj in cat.objects}
+    # each expansion's colorings in rep order, and per rep a column of them
+    keys = {obj: [tuple(v for _, v in x.theta) for x in fibers[obj]]
+            for obj in cat.objects}
+    columns = {obj: list(zip(*keys[obj])) for obj in cat.objects}
 
-    failure = None   # the first reasonable failure
-    least = None     # ((B, B* position, A, e position), e): least unique failure
-    rank = {obj: i for i, obj in enumerate(cat.objects)}
+    failure = None          # the first reasonable failure
+    unique_failure = None   # the first unique-restrictions failure
     for a in cat.objects:
-        count = Counter(k for k in keys[a] if k is not None)
+        count = Counter(keys[a])
         for b in cat.objects:
-            for k, e in enumerate(cat.hom(a, b)):
-                # R_e, over the entries own[b] of fiber(B)
+            for e in cat.hom(a, b):
                 r_e = list(zip(*map(_restrict_column, columns[b],
-                                    [cat.post(e, rep) for rep in reps])))
+                                    [cat.post(e, rep) for rep in space.reps])))
                 if failure is None:
                     # built reversed, so each restriction keeps its first giver
-                    first = dict(zip(reversed(r_e), reversed(own[b])))
+                    first = dict(zip(reversed(r_e), reversed(fibers[b])))
                     for astar, key in zip(fibers[a], keys[a]):
-                        i = first.get(key)
-                        if i is None or not space.morphism_preserves(
-                                e, astar, fibers[b][i]):
+                        bstar = first.get(key)
+                        if bstar is None or not space.morphism_preserves(
+                                e, astar, bstar):
                             failure = {"property": "reasonable", "e": e,
                                        "Astar": astar.theta}
                             break
                 counts = list(map(count.__getitem__, r_e))
-                i = first_foreign[b]
-                if counts.count(1) < len(counts):
+                if unique_failure is None and counts.count(1) < len(counts):
                     j = next(j for j, c in enumerate(counts) if c != 1)
-                    i = min(i, own[b][j])
-                if i < sizes[b] and (least is None
-                                     or (rank[b], i, rank[a], k) < least[0]):
-                    least = ((rank[b], i, rank[a], k), e)
-
-    reasonable = failure is None
-    unique = least is None
-    if least is not None:
-        (_, i, _, _), e = least
-        bstar = fibers[cat.target(e)][i]
-        if bstar.base != cat.target(e):
-            # the scan asks restriction() for it, which refuses
-            raise WorkbenchError("restriction needs a morphism into the base")
-        if failure is None:
-            failure = {"property": "unique-restrictions", "e": e,
-                       "Bstar": bstar.theta}
-    return ForgetfulReport(surjective, injective, reasonable, unique,
-                           precompact, sizes, failure)
+                    unique_failure = {"property": "unique-restrictions",
+                                      "e": e, "Bstar": fibers[b][j].theta}
+    return ForgetfulReport(surjective, injective, failure is None,
+                           unique_failure is None, precompact, sizes,
+                           failure or unique_failure)
 
 
 @dataclass

@@ -383,11 +383,10 @@ def eager_two_of_k(cat, a, k):
                        "D": found[0], "r": found[1], "s": found[2]}
                 break
         if hit is None:
-            return AmalgamationReport(
-                "two-out-of-k", "FAILS",
-                failure={"A": a, "k": k, "tuple": list(tup)})
+            return AmalgamationReport("FAILS",
+                                      failure={"A": a, "k": k, "tuple": list(tup)})
         witnesses.append(hit)
-    return AmalgamationReport("two-out-of-k", "HOLDS", witnesses,
+    return AmalgamationReport("HOLDS", witnesses,
                               notes=[f"tuples checked: {len(pool) ** k}"])
 
 
@@ -432,6 +431,22 @@ def table_dump(cat) -> dict:
             "identities": {a: cat.identity(a) for a in cat.objects}}
 
 
+def one_object_table(elements, products) -> dict:
+    """The one-object table on elements, the first the identity; products
+    maps "g∘f" to the composite for each pair not involving the identity."""
+    return {"objects": ["G"], "homs": {"G->G": list(elements)},
+            "compose": products, "identities": {"G": elements[0]}}
+
+
+Z3 = one_object_table(["e", "a", "b"], {"a∘a": "b", "a∘b": "e",
+                                        "b∘a": "e", "b∘b": "a"})
+IDEMPOTENT = one_object_table(["1", "z"], {"z∘z": "z"})
+# x.y = 1 but y.x = x: y inverts x on one side only; w.w = 1
+NON_ASSOCIATIVE = one_object_table(["1", "x", "y", "w"], {
+    "x∘x": "y", "x∘y": "1", "x∘w": "x", "y∘x": "x", "y∘y": "y",
+    "y∘w": "w", "w∘x": "y", "w∘y": "x", "w∘w": "1"})
+
+
 def scan_automorphism_ids(cat, a) -> list[str]:
     """The f in hom(a, a) with some g, g.f = id_a = f.g, by ``compose``."""
     endo, one = cat.hom(a, a), cat.identity(a)
@@ -439,7 +454,7 @@ def scan_automorphism_ids(cat, a) -> list[str]:
             if any(cat.compose(g, f) == one == cat.compose(f, g) for g in endo)]
 
 
-def scan_forgetful(space, fibers=None):
+def scan_forgetful(space):
     """The forgetful audit by scanning pairs of fibers, kept as the reference
     for ``expansion.check_forgetful``: reasonable by searching fiber(B) for a
     preserving extension of each A*, unique restrictions by listing every A*
@@ -451,7 +466,7 @@ def scan_forgetful(space, fibers=None):
     from ramsey_workbench.expansion import ForgetfulReport
 
     cat = space.cat
-    fibers = fibers or {obj: space.fiber(obj) for obj in cat.objects}
+    fibers = {obj: space.fiber(obj) for obj in cat.objects}
     sizes = {obj: len(fibers[obj]) for obj in cat.objects}
 
     surjective = all(sizes[obj] >= 1 for obj in cat.objects)

@@ -270,9 +270,10 @@ class TestBudgets:
         verdict = arrow_check(lo6, "LO6", "LO3", "LO2", 2, 1, node_budget=10)
         assert verdict.status == UNKNOWN
 
-    def test_oracle_budget_raises(self, lo6):
+    def test_oracle_budget_raises(self, lo6, monkeypatch):
+        monkeypatch.setattr(arrows, "ORACLE_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            oracle_arrow_check(lo6, "LO6", "LO3", "LO2", 2, 1, budget=100)
+            oracle_arrow_check(lo6, "LO6", "LO3", "LO2", 2, 1)
 
 
 LO8_ARGS = ("LO8", "LO4", "LO2", 3, 2)   # FAILS after 4,504 nodes

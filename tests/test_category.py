@@ -11,6 +11,7 @@ from ramsey_workbench.errors import MissingIsoData, WorkbenchError
 from ramsey_workbench.structures import Embedding, enumerate_embeddings
 
 import oracles
+from oracles import IDEMPOTENT, NON_ASSOCIATIVE, Z3
 
 
 @pytest.fixture(scope="module")
@@ -543,22 +544,6 @@ class TestOp:
         rep = check_axioms(op(cat))
         # dually directed: common source instead of common target
         assert rep.directed
-
-
-def one_object_table(elements, products) -> dict:
-    """The one-object table on elements, the first the identity; products
-    maps "g∘f" to the composite for each pair not involving the identity."""
-    return {"objects": ["G"], "homs": {"G->G": list(elements)},
-            "compose": products, "identities": {"G": elements[0]}}
-
-
-Z3 = one_object_table(["e", "a", "b"], {"a∘a": "b", "a∘b": "e",
-                                        "b∘a": "e", "b∘b": "a"})
-IDEMPOTENT = one_object_table(["1", "z"], {"z∘z": "z"})
-# x.y = 1 but y.x = x: y inverts x on one side only; w.w = 1
-NON_ASSOCIATIVE = one_object_table(["1", "x", "y", "w"], {
-    "x∘x": "y", "x∘y": "1", "x∘w": "x", "y∘x": "x", "y∘y": "y",
-    "y∘w": "w", "w∘x": "y", "w∘y": "x", "w∘w": "1"})
 
 
 class TestTableAutomorphisms:

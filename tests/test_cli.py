@@ -843,6 +843,25 @@ class TestCatalogValidation:
         assert run(["--out", str(lo_paths["root"] / "mutant-report.json"),
                     "cat", "check", "--catalog", str(catalog)]) == 3
 
+    @pytest.mark.parametrize("field,symbol", [
+        ("relations", "edges"), ("constants", "c")], ids=["relation", "constant"])
+    def test_symbol_outside_the_signature_exits_three(self, tmp_path, capsys,
+                                                      field, symbol):
+        # a K2 whose table sat under "edges" once loaded edgeless, so the
+        # skeleton put it in one class with E2 and exited 0
+        doc = catalog_to_json([graph(2, [], name="E2"),
+                               graph(2, [(0, 1)], name="K2")])
+        k2 = doc["structures"][1]
+        if field == "relations":
+            k2["relations"] = {symbol: k2["relations"]["edge"]}
+        else:
+            k2["constants"] = {symbol: 0}
+        catalog = tmp_path / "c.json"
+        catalog.write_text(json.dumps(doc))
+        assert run(["cat", "skeleton", "--catalog", str(catalog)]) == 3
+        err = capsys.readouterr().err
+        assert "K2" in err and repr(symbol) in err
+
 
 ABSTRACT_DOC = {"objects": ["A"], "homs": {"A->A": ["a"]},
                 "identities": {"A": "a"}, "compose": {"a∘a": "a"}}
@@ -958,3 +977,24 @@ class TestLoaderValidation:
         assert run(["--out", str(tmp_path / "r.json"), "expand", "check",
                     "--catalog", str(cat_path),
                     "--degrees", str(degrees_path)]) == 3
+
+
+class TestFileErrors:
+    """A file flag naming a directory or a path in a missing directory is an
+    input error: exit 3 with an ``error:`` line, as a missing file is."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "{dir}/no/such/r.json", "cat", "check", "--catalog", "{lo4}"],
+        ["--out", "{dir}", "cat", "check", "--catalog", "{lo4}"],
+        ["cat", "check", "--catalog", "{dir}"],
+        ["arrow", "--catalog", "{lo4}", "--C", "LO4", "--B", "LO3", "--A", "LO2",
+         "-k", "2", "-t", "1", "--cnf", "{dir}"],
+        ["seq", "colim", "--catalog", "{lo4}", "--seq", "{dir}"],
+        ["expand", "check", "--catalog", "{lo4}", "--degrees", "{dir}"],
+    ], ids=["out-in-missing-dir", "out-is-dir", "catalog-is-dir", "cnf-is-dir",
+            "seq-is-dir", "degrees-is-dir"])
+    def test_exits_three_with_an_error_line(self, lo_paths, tmp_path, capsys,
+                                            argv):
+        argv = [a.format(dir=tmp_path, lo4=lo_paths["lo4"]) for a in argv]
+        assert run(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")

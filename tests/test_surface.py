@@ -14,7 +14,11 @@ Static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
 - the checkers (``arrows``, ``amalgam``, ``degrees``, ``expansion``) import
   only ``FiniteCategory`` from ``category``, and from ``structures`` or
   ``catalogs`` only kept imports, so they read their objects through the
-  category interface alone.
+  category interface alone;
+- every optional parameter of a public top-level function in the checkers
+  and ``sequences`` is passed by some call in the package, unless
+  ``ALLOWED_UNREFERENCED`` names the function, so no knob serves tests
+  alone.
 
 A reference is a name, an attribute or an imported name with the same
 identifier, so the guard is coarse: a method counts as reached when any
@@ -194,3 +198,62 @@ def test_checkers_see_only_the_category():
                     leaks.append(f"{module}:{node.lineno} {source}.{name}")
     assert not leaks, (f"checkers must read objects through FiniteCategory "
                        f"alone: {leaks}")
+
+
+KNOB_MODULES = CHECKERS + ("sequences.py",)
+
+
+def optional_parameters(function):
+    """(position or None, name) of each parameter with a default; the
+    position is None for a keyword-only one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield i, positional[i].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def passes(call, position, name) -> bool:
+    """Whether the call may set the parameter: by keyword, by position, or
+    through a * or ** unpacking."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unpassed_parameters():
+    """module:line function(parameter) of each optional parameter of a
+    public top-level function in KNOB_MODULES that no call in src/ passes;
+    a call is matched by the name or attribute it calls."""
+    trees = modules()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = (callee.id if isinstance(callee, ast.Name)
+                        else getattr(callee, "attr", None))
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module in KNOB_MODULES:
+        for node in trees[module].body:
+            if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                    or node.name in ALLOWED_UNREFERENCED):
+                continue
+            out += [f"{module}:{node.lineno} {node.name}({name})"
+                    for position, name in optional_parameters(node)
+                    if not any(passes(call, position, name)
+                               for call in calls.get(node.name, []))]
+    return out
+
+
+def test_every_optional_parameter_is_passed_from_the_package():
+    unpassed = unpassed_parameters()
+    assert not unpassed, (
+        f"optional parameters no call in src/ passes: {unpassed}; make each "
+        f"a module constant that tests monkeypatch, or delete it")
