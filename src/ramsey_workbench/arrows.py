@@ -9,8 +9,8 @@ exhausts.
 Three independent routes are provided:
 
 - `arrow_check`, the engine's search: forward checking and a fail-first
-  variable order on an explicit stack, with Aut(C) symmetry broken by a
-  lex-leader test that holds under any variable order;
+  variable order on an explicit stack, with Aut(C) symmetry broken by an
+  incremental lex-leader test that holds under any variable order;
 - `lex_arrow_check`, a recursive DFS that colors hom(A, C) in its fixed
   order and prunes only dead witnesses, with no Aut(C) cut: the plain
   reference that both modes of the search are tested against;
@@ -110,43 +110,44 @@ def verify_bad_coloring(cat, c, b, a, t, coloring: Coloring) -> bool:
     return is_bad(inst, coloring.values, t)
 
 
-def _domain_permutations(cat: FiniteCategory, a: str, c: str):
-    """Permutations of the domain hom(A, C) induced by Aut(C) acting by
-    post-composition."""
-    perms = set()
-    for g in cat.automorphism_ids(c):
-        if g == cat.identity(c):
-            continue
-        perm = cat.post(g, a)
-        if perm != tuple(range(len(perm))):
-            perms.add(perm)
-    return sorted(perms)
+def _lex_root(cat: FiniteCategory, c: str, m: int) -> list:
+    """The tied set of the root: every g != id in Aut(C), waiting on
+    position 0, with a row of m unread entries (see `_lex_step`)."""
+    ident = cat.identity(c)
+    return [(0, 0, g, [-1] * m, {}, {})
+            for g in cat.automorphism_ids(c) if g != ident]
 
 
-def _dominated(perms, values) -> bool:
-    """Some Aut(C) image of the coloring has a smaller normal form.
-
-    The normal form of a coloring renames its colors in order of first
-    appearance along the domain order, so it is the same for every color
-    renaming.  The comparison runs along the domain order for as long as
-    both the coloring and its image are colored there, so it reads only
-    positions already fixed and never depends on the order they were
-    colored in.
-    """
-    for perm in perms:
-        mine: dict[int, int] = {}
-        image: dict[int, int] = {}
-        for j, v in enumerate(values):
-            u = values[perm[j]]
-            if u < 0 or v < 0:
+def _lex_step(cat: FiniteCategory, domain, tied: list, p: int,
+              values) -> list | None:
+    """The tied set after position p is colored, or None when some Aut(C)
+    image of the coloring has a smaller normal form: its colors renamed in
+    order of first appearance along the domain order.  A tied g is (waits
+    on, stop, g, row, mine, image): the coloring and its image tie before
+    stop under the renamings mine and image, and one of them is unset at
+    stop.  Only the g waiting on p resume; one whose image is larger, or
+    ties on the whole domain, leaves the set.  ``row[j]`` is the position
+    of g . domain[j], read on first use."""
+    m = len(values)
+    keep = [s for s in tied if s[0] != p]
+    for _, j, g, row, mine, image in [s for s in tied if s[0] == p]:
+        mine, image = dict(mine), dict(image)
+        while j < m:
+            x = row[j]
+            if x < 0 <= values[j]:
+                x = row[j] = cat.position(cat.compose(g, domain[j]))
+            wait = j if values[j] < 0 else x
+            if values[wait] < 0:
+                keep.append((wait, j, g, row, mine, image))
                 break
-            x = image.setdefault(u, len(image))
-            y = mine.setdefault(v, len(mine))
-            if x != y:
-                if x < y:
-                    return True
+            y = image.setdefault(values[x], len(image))
+            z = mine.setdefault(values[j], len(mine))
+            if y != z:
+                if y < z:
+                    return None
                 break
-    return False
+            j += 1
+    return keep
 
 
 def _trivial_verdict(inst: ArrowInstance, k: int, t: int,
@@ -192,7 +193,7 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     one: unused colors are never struck, so they are interchangeable.
 
     With symmetry on, a node is cut when some Aut(C) image of its coloring
-    has a smaller normal form (`_dominated`).  This is sound under the
+    has a smaller normal form (`_lex_step`).  This is sound under the
     fail-first order.  Take a bad coloring X whose normal form is least
     among its Aut(C) images; every color renaming of X has that least form
     too, so the test never cuts a renaming of X.  Forward checking strikes
@@ -201,13 +202,21 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     X down to a leaf.  Hence a leaf is reached exactly when a bad coloring
     exists, with symmetry on or off.
 
+    The test cuts exactly what a scan of every g from position 0 at every
+    node would cut.  A g's comparison stops at the first position where the
+    coloring or its image is unset; the positions before it stay colored on
+    the whole branch, so the comparison reads the same at every descendant.
+    A g whose image was larger leaves the tied set for the branch, and a
+    tied g resumes where the scan would go on.  An element acting trivially
+    on hom(A, C) never cuts, so every g != id is kept, undeduplicated.
+
     Exhaustion proves HOLDS; a leaf is a verifiable FAILS certificate;
     exceeding the node budget, or passing the `deadline` (a
-    `time.monotonic()` value, read once before the instance is built and
-    then every `CLOCK_EVERY` nodes), yields UNKNOWN-AT-BOUND with a note
-    that names the budget.  A deadline already passed stops the question
-    before it reads any hom-set, so a run of short searches cannot overrun
-    it one search at a time.
+    `time.monotonic()` value, read once before the instance is built, once
+    after it and Aut(C) are built, and then every `CLOCK_EVERY` nodes),
+    yields UNKNOWN-AT-BOUND with a note that names the budget.  A deadline
+    already passed stops the question before it reads any hom-set, so a run
+    of short searches cannot overrun it one search at a time.
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be positive")
@@ -219,9 +228,12 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
     if trivial is not None:
         return trivial
     stats = ArrowStats()
-    perms = _domain_permutations(cat, a, c) if symmetry else []
+    tied = _lex_root(cat, c, len(inst.domain)) if symmetry else []
+    if deadline is not None and time.monotonic() >= deadline:
+        return ArrowVerdict(UNKNOWN, None, stats, note=TIME_OUT)
     return _search_verdict(
-        lambda: _forward_search(inst, k, t, perms, node_budget, deadline, stats),
+        lambda: _forward_search(cat, inst, k, t, tied, node_budget, deadline,
+                                stats),
         inst, k, t, stats, degenerate)
 
 
@@ -235,8 +247,8 @@ def _node_limit(nodes: int, node_budget: int | None,
     return clock if node_budget is None else min(clock, node_budget)
 
 
-def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
-                    node_budget: int | None, deadline: float | None,
+def _forward_search(cat: FiniteCategory, inst: ArrowInstance, k: int, t: int,
+                    tied: list, node_budget: int | None, deadline: float | None,
                     stats: ArrowStats):
     """The search of `arrow_check`: a bad coloring as a list, or None.
 
@@ -305,18 +317,18 @@ def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
                     best, best_size, best_deg = q, size, degree[q]
         return best
 
-    def frame(used: int) -> list:
-        # [position, candidate colors, next candidate, colors used, trail mark]
+    def frame(used: int, tied: list) -> list:
+        # [position, candidates, next, colors used, trail mark, tied set]
         p = select()
         d = dom[p]
         cands = [col for col in range(min(used + 1, k)) if d >> col & 1]
-        return [p, cands, 0, used, 0]
+        return [p, cands, 0, used, 0, tied]
 
     limit = _node_limit(stats.nodes, node_budget, deadline)
-    stack = [frame(0)]
+    stack = [frame(0, tied)]
     while stack:
         top = stack[-1]
-        p, cands, i, used, mark = top
+        p, cands, i, used, mark, tied = top
         if values[p] >= 0:
             unassign(p, mark)
         if i == len(cands):
@@ -329,7 +341,8 @@ def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
         if not assign(p, col):
             stats.witness_prunes += 1
             continue
-        if perms and _dominated(perms, values):
+        child = _lex_step(cat, inst.domain, tied, p, values) if tied else tied
+        if child is None:
             stats.symmetry_prunes += 1
             continue
         stats.nodes += 1
@@ -341,7 +354,7 @@ def _forward_search(inst: ArrowInstance, k: int, t: int, perms,
             limit = _node_limit(stats.nodes, node_budget, deadline)
         if depth == m:
             return values
-        stack.append(frame(max(used, col + 1)))
+        stack.append(frame(max(used, col + 1), child))
     return None
 
 

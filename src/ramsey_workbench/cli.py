@@ -371,12 +371,11 @@ BOUND_TO = {("exhaustion", "arrow-holds"): ("arrow", HOLDS),
 
 
 def _replay_category(data: bytes) -> FiniteCategory:
-    doc = json.loads(data)   # parsed once for either reading
-    try:
-        structures = catalog_from_json(doc)
-    except (WorkbenchError, KeyError):
-        return abstract_from_json(doc)
-    return FiniteCategory.from_structures(structures)
+    """A structure catalog, which has a signature, or else a table."""
+    doc = json.loads(data)
+    if isinstance(doc, dict) and "signature" in doc:
+        return FiniteCategory.from_structures(catalog_from_json(doc))
+    return abstract_from_json(doc)
 
 
 def replay(report_path: str) -> tuple[int, dict]:

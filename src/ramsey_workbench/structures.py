@@ -7,10 +7,14 @@ fix constants; they are the morphisms everywhere else in the engine.
 
 Every ``Embedding`` is valid by construction.  The constructor checks each
 map once, where it enters the program (enumeration, sequence files,
-canonical forms, colimits); ``compose`` builds composites without checking
-again, since a composite of embeddings is an embedding.  Code inside the
-engine therefore trusts any ``Embedding`` it is handed, and the category
-layer composes by looking composite maps up instead of building them.
+canonical forms, colimits).  An injective f maps A^ar onto image^ar one
+to one, so it preserves and reflects R exactly when R_B ∩ image^ar equals
+f(R_A): when f(R_A) lies in R_B and R_B has |R_A| tuples in image^ar.  A^ar
+is scanned in order only on a mismatch, to name the first tuple that
+fails.  ``compose`` builds composites without checking again, since a
+composite of embeddings is an embedding.  Code inside the engine therefore
+trusts any ``Embedding`` it is handed, and the category layer composes by
+looking composite maps up instead of building them.
 
 All types are immutable and hashable, all operations are pure, and every
 enumeration is returned in a deterministic (lexicographic) order so that
@@ -131,11 +135,15 @@ class Embedding:
             raise WorkbenchError("embedding map is not injective")
         if any(not (0 <= v < self.target.size) for v in self.map):
             raise WorkbenchError("embedding map out of range")
-        for rname, table in self.source.relations:
-            ar = self.source.signature.arity(rname)
+        image, get = set(self.map), self.map.__getitem__
+        for (rname, table), (_, ar) in zip(self.source.relations,
+                                           self.source.signature.relations):
             tgt = self.target.rel(rname)
+            if (sum(map(image.issuperset, tgt)) == len(table)
+                    and tgt.issuperset([tuple(map(get, t)) for t in table])):
+                continue
             for t in itertools.product(range(self.source.size), repeat=ar):
-                if (t in table) != (tuple(self.map[v] for v in t) in tgt):
+                if (t in table) != (tuple(map(get, t)) in tgt):
                     raise WorkbenchError(f"relation {rname!r} not matched on {t}")
         for cname, v in self.source.constants:
             if self.map[v] != self.target.constant(cname):

@@ -62,11 +62,11 @@ def graphs5_category():
 
 @pytest.fixture
 def deadline_passes_once_started(monkeypatch):
-    """`arrows` reads its clock as -inf once, then as +inf: any deadline
-    holds at the check before the instance is built and has passed at
-    every later reading."""
+    """`arrows` reads its clock as -inf twice, then as +inf: any deadline
+    holds at the checks before and after the instance is built and has
+    passed at every reading in the search."""
     from ramsey_workbench import arrows
 
-    readings = itertools.chain([-math.inf], itertools.repeat(math.inf))
+    readings = itertools.chain([-math.inf] * 2, itertools.repeat(math.inf))
     monkeypatch.setattr(arrows, "time",
                         SimpleNamespace(monotonic=readings.__next__))

@@ -11,6 +11,9 @@ they test.
 ``scan_arrow_check``, the coloring-by-coloring scan that the bit-sliced
 ``oracle_arrow_check`` replaced, reads its instance through
 ``ArrowInstance.build`` and returns the package's verdict types.
+``domain_permutations`` with ``dominated`` is the full-scan lex-leader test
+that the search's tied sets replaced, and ``scan_embedding_error`` the
+tuple-by-tuple scan that ``Embedding`` now runs only to name a failure.
 ``lo_table`` writes the chain category's compose table by hand, without
 ``compose``; ``table_dump`` writes any category's table through it.
 
@@ -59,6 +62,28 @@ def is_embedding_map(a: Structure, b: Structure, mapping) -> bool:
             if (t in table) != (tuple(mapping[x] for x in t) in tgt):
                 return False
     return True
+
+
+def scan_embedding_error(a: Structure, b: Structure, mapping) -> str | None:
+    """The message ``Embedding(a, b, mapping)`` raised when it tested every
+    tuple of a^ar for each relation in order, or None for an embedding."""
+    if a.signature != b.signature:
+        return "embedding endpoints disagree on signature"
+    if len(mapping) != a.size:
+        return "embedding map has wrong length"
+    if len(set(mapping)) != len(mapping):
+        return "embedding map is not injective"
+    if any(not (0 <= v < b.size) for v in mapping):
+        return "embedding map out of range"
+    for rname, table in a.relations:
+        tgt = b.rel(rname)
+        for t in itertools.product(range(a.size), repeat=a.signature.arity(rname)):
+            if (t in table) != (tuple(mapping[v] for v in t) in tgt):
+                return f"relation {rname!r} not matched on {t}"
+    for cname, v in a.constants:
+        if mapping[v] != b.constant(cname):
+            return f"constant {cname!r} not preserved"
+    return None
 
 
 def brute_embeddings(a: Structure, b: Structure) -> list[tuple[int, ...]]:
@@ -176,6 +201,41 @@ def scan_arrow_check(cat, c, b, a, k, t, *, budget=2_000_000) -> ArrowVerdict:
             return ArrowVerdict(FAILS, Coloring(inst.domain, k, values), stats,
                                 degenerate)
     return ArrowVerdict(HOLDS, None, stats, degenerate)
+
+
+def domain_permutations(cat, a, c):
+    """Permutations of the domain hom(A, C) induced by Aut(C) acting by
+    post-composition, built as full ``post`` rows, without the identity,
+    duplicates or permutations that act trivially."""
+    perms = set()
+    for g in cat.automorphism_ids(c):
+        if g == cat.identity(c):
+            continue
+        perm = cat.post(g, a)
+        if perm != tuple(range(len(perm))):
+            perms.add(perm)
+    return sorted(perms)
+
+
+def dominated(perms, values) -> bool:
+    """The full-scan lex-leader test that the search's tied sets replaced:
+    some permutation's image of the coloring has a smaller normal form,
+    comparing every permutation from position 0, along the domain order,
+    for as long as both the coloring and its image are colored there."""
+    for perm in perms:
+        mine: dict[int, int] = {}
+        image: dict[int, int] = {}
+        for j, v in enumerate(values):
+            u = values[perm[j]]
+            if u < 0 or v < 0:
+                break
+            x = image.setdefault(u, len(image))
+            y = mine.setdefault(v, len(mine))
+            if x != y:
+                if x < y:
+                    return True
+                break
+    return False
 
 
 def chain_arrow_status(c: int, b: int, a: int, k: int, t: int) -> str:

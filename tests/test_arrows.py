@@ -13,7 +13,7 @@ from ramsey_workbench.arrows import (FAILS, HOLDS, UNKNOWN, ArrowInstance,
                                      arrow_check, export_cnf, is_bad,
                                      lex_arrow_check, oracle_arrow_check,
                                      verify_bad_coloring)
-from ramsey_workbench.catalogs import (complete_graph, graph_catalog,
+from ramsey_workbench.catalogs import (complete_graph, graph, graph_catalog,
                                        linear_order, lo_catalog)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import BudgetExceeded
@@ -322,6 +322,21 @@ class TestDeadline:
         assert (verdict.status, verdict.note, verdict.stats.nodes) == (
             UNKNOWN, note, nodes)
 
+    def test_deadline_passed_during_the_build_stops_before_the_search(
+            self, monkeypatch):
+        # the deadline holds at the first reading and has passed once the
+        # instance and Aut(K5) are built; the search alone would end with
+        # FAILS in 45 nodes, before its first clock reading
+        cat = FiniteCategory.from_structures(
+            [complete_graph(n) for n in (2, 3, 5)])
+        readings = itertools.chain([0.0], itertools.repeat(2.0))
+        monkeypatch.setattr(arrows, "time",
+                            SimpleNamespace(monotonic=readings.__next__))
+        verdict = arrow_check(cat, "K5", "K3", "K2", 3, 2, deadline=1.0)
+        assert (verdict.status, verdict.note) == (UNKNOWN, arrows.TIME_OUT)
+        assert verdict.stats == ArrowStats()
+        assert cat._homs[("K5", "K5")]      # Aut(K5) was built
+
     def test_no_deadline_never_reads_the_clock(self, lo8, monkeypatch):
         def clock():
             raise AssertionError("the clock was read without a deadline")
@@ -584,3 +599,82 @@ class TestSymmetryPath:
         assert on.status == off.status == FAILS
         inst = ArrowInstance.build(cat, "K5", "K3", "K2")
         assert is_bad(inst, on.bad_coloring.values, 2)
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    @pytest.mark.parametrize("b, a, status", [
+        ("K3", "K2", FAILS), ("K4", "K2", FAILS), ("K3", "K1", HOLDS)])
+    def test_k6_known_answers(self, symmetry, b, a, status):
+        """K6 -> (K3)^K2_{2,1} and (K4)^K2_{2,1} fail: color each edge
+        embedding by the order of its endpoints, so every copy of K3 or K4
+        sees both colors.  K6 -> (K3)^K1_{2,1} holds by pigeonhole: two
+        colors on six vertices give three alike."""
+        cat = FiniteCategory.from_structures(
+            [complete_graph(n) for n in (1, 2, 3, 4, 6)])
+        verdict = arrow_check(cat, "K6", b, a, 2, 1, symmetry=symmetry)
+        assert verdict.status == status
+        assert lex_arrow_check(cat, "K6", b, a, 2, 1).status == status
+        if status == FAILS:
+            inst = ArrowInstance.build(cat, "K6", b, a)
+            assert is_bad(inst, verdict.bad_coloring.values, 1)
+            maps = [cat.embedding(mid).map for mid in inst.domain]
+            assert is_bad(inst, [int(x < y) for x, y in maps], 1)
+
+
+def _walk_cases():
+    """(category, C, A) for the lex-leader walks: Aut(K5) on hom(K2, K5);
+    the table Z3 acting on itself; and an edge with two isolated vertices,
+    whose swap of the isolated vertices acts trivially on hom(K2, C)."""
+    edge_and_points = graph(4, [(0, 1)], name="E2+2")
+    return {
+        "k5": (FiniteCategory.from_structures(
+            [complete_graph(2), complete_graph(5)]), "K5", "K2"),
+        "z3-table": (abstract_from_json(oracles.Z3), "G", "G"),
+        "trivial-action": (FiniteCategory.from_structures(
+            [complete_graph(2), edge_and_points]), "E2+2", "K2"),
+    }
+
+
+WALK_CASES = _walk_cases()
+
+
+class TestTiedSetLexLeader:
+    """The tied-set test of the search against the full scan it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    @given(data=st.data())
+    def test_every_step_of_a_walk_agrees_with_the_full_scan(self, case, data):
+        cat, c, a = WALK_CASES[case]
+        domain = cat.hom(a, c)
+        perms = oracles.domain_permutations(cat, a, c)
+        values = [-1] * len(domain)
+        # (position colored at the node, the node's tied set); a cut child
+        # is never entered, as in the search
+        path = [(None, arrows._lex_root(cat, c, len(domain)))]
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            free = [q for q in range(len(domain)) if values[q] < 0]
+            if free and (len(path) == 1 or data.draw(st.integers(0, 3)) > 0):
+                p = data.draw(st.sampled_from(free), label="position")
+                values[p] = data.draw(st.integers(0, 2), label="color")
+                child = arrows._lex_step(cat, domain, path[-1][1], p, values)
+                assert (child is None) == oracles.dominated(perms, values), values
+                if child is None:
+                    values[p] = -1
+                else:
+                    path.append((p, child))
+            else:
+                p, _ = path.pop()
+                values[p] = -1
+
+    def test_trivially_acting_elements_stay_in_the_tied_set(self):
+        cat, c, a = WALK_CASES["trivial-action"]
+        domain = cat.hom(a, c)
+        assert oracles.domain_permutations(cat, a, c) == [(1, 0)]
+        tied = arrows._lex_root(cat, c, len(domain))
+        assert len(tied) == len(cat.automorphism_ids(c)) - 1 == 3
+        values = [0, -1]
+        tied = arrows._lex_step(cat, domain, tied, 0, values)
+        assert len(tied) == 3
+        # every element ties on the whole domain: all leave, and none cuts
+        values[1] = 1
+        assert arrows._lex_step(cat, domain, tied, 1, values) == []
+        assert not oracles.dominated([(1, 0)], values)

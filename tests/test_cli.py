@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -430,6 +431,30 @@ class TestReplay:
             {"type": "composition-equality", "lhs": ["x"], "rhs": ["x"],
              "note": "no catalog"}]}))
         assert run(["replay", str(orphan)]) == 3
+
+    def test_malformed_structure_catalog_gives_the_loader_message(
+            self, tmp_path, capsys):
+        # a structure catalog is read as one even when it is malformed: the
+        # error names the stray symbol, not a table key such as 'objects'
+        catalog = tmp_path / "lo4.json"
+        save_catalog(lo_catalog(4), catalog)
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "arrow", "--catalog", str(catalog),
+                    "--C", "LO4", "--B", "LO3", "--A", "LO2",
+                    "-k", "2", "-t", "1"]) == 1
+        doc = json.loads(catalog.read_text())
+        lo3 = next(s for s in doc["structures"] if s["name"] == "LO3")
+        lo3["relations"] = {"lts": lo3["relations"]["lt"]}
+        catalog.write_text(json.dumps(doc))
+        report = json.loads(out.read_text())
+        report["catalog"]["sha256"] = hashlib.sha256(
+            catalog.read_bytes()).hexdigest()
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["replay", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: catalog structure LO3 names symbols ['lts'] "
+                       "outside the signature\n")
 
     @pytest.mark.parametrize("base,doctor", [
         ("arrow", _set_field("domain", 3)),

@@ -269,6 +269,49 @@ class TestEmbeddingAlgebra:
             Embedding(linear_order(2), linear_order(3), (0, 0))
 
 
+VALIDATION_SIGNATURE = Signature(
+    relations=(("u", 1), ("r", 2), ("t", 3)), constants=("c",))
+
+
+@st.composite
+def validation_maps(draw, max_n=4):
+    """(a, b, map): a is the sub-structure of b induced on a drawn list of
+    elements, the planted embedding, then perhaps with tuples of a toggled,
+    and perhaps another map of the same length, not always injective."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    elt = st.integers(min_value=0, max_value=n - 1)
+    b = Structure.make(VALIDATION_SIGNATURE, n, {
+        name: draw(st.sets(st.tuples(*[elt] * arity), max_size=10))
+        for name, arity in VALIDATION_SIGNATURE.relations}, {"c": draw(elt)})
+    order = draw(st.lists(elt, min_size=1, max_size=n, unique=True))
+    pos = {v: i for i, v in enumerate(order)}
+    tables = {}
+    for name, arity in VALIDATION_SIGNATURE.relations:
+        table = {tuple(pos[v] for v in t) for t in b.rel(name)
+                 if all(v in pos for v in t)}
+        inner = st.integers(0, len(order) - 1)
+        tables[name] = table ^ draw(st.sets(st.tuples(*[inner] * arity),
+                                            max_size=1))
+    const = pos.get(b.constant("c"), draw(st.integers(0, len(order) - 1)))
+    a = Structure.make(VALIDATION_SIGNATURE, len(order), tables, {"c": const})
+    mapping = draw(st.one_of(st.just(tuple(order)),
+                             st.lists(elt, min_size=len(order),
+                                      max_size=len(order)).map(tuple)))
+    return a, b, mapping
+
+
+class TestValidationDifferential:
+    @given(validation_maps())
+    def test_embedding_accepts_and_names_what_the_scan_does(self, drawn):
+        a, b, mapping = drawn
+        try:
+            Embedding(a, b, mapping)
+            message = None
+        except WorkbenchError as exc:
+            message = str(exc)
+        assert message == oracles.scan_embedding_error(a, b, mapping)
+
+
 class TestComposeDifferential:
     """Unchecked composites against the validating constructor."""
 
