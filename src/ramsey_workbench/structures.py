@@ -8,13 +8,15 @@ fix constants; they are the morphisms everywhere else in the engine.
 Every ``Embedding`` is valid by construction.  The constructor checks each
 map once, where it enters the program (enumeration, sequence files,
 canonical forms, colimits).  An injective f maps A^ar onto image^ar one
-to one, so it preserves and reflects R exactly when R_B ∩ image^ar equals
-f(R_A): when f(R_A) lies in R_B and R_B has |R_A| tuples in image^ar.  A^ar
-is scanned in order only on a mismatch, to name the first tuple that
-fails.  ``compose`` builds composites without checking again, since a
-composite of embeddings is an embedding.  Code inside the engine therefore
-trusts any ``Embedding`` it is handed, and the category layer composes by
-looking composite maps up instead of building them.
+to one, so it preserves and reflects R exactly when f^-1(R_B ∩ image^ar)
+equals R_A; the error names the least tuple of their symmetric difference,
+the first that a scan of A^ar in order would meet.  The check reads
+|R_B| + |R_A| tuples, not |A|^ar: cheaper when R_B is small next to A^ar,
+dearer for a small source in a large dense target.  ``compose`` builds
+composites without checking again, since a composite of embeddings is an
+embedding.  Code inside the engine therefore trusts any ``Embedding`` it is
+handed, and the category layer composes by looking composite maps up
+instead of building them.
 
 All types are immutable and hashable, all operations are pure, and every
 enumeration is returned in a deterministic (lexicographic) order so that
@@ -135,16 +137,14 @@ class Embedding:
             raise WorkbenchError("embedding map is not injective")
         if any(not (0 <= v < self.target.size) for v in self.map):
             raise WorkbenchError("embedding map out of range")
-        image, get = set(self.map), self.map.__getitem__
-        for (rname, table), (_, ar) in zip(self.source.relations,
-                                           self.source.signature.relations):
-            tgt = self.target.rel(rname)
-            if (sum(map(image.issuperset, tgt)) == len(table)
-                    and tgt.issuperset([tuple(map(get, t)) for t in table])):
-                continue
-            for t in itertools.product(range(self.source.size), repeat=ar):
-                if (t in table) != (tuple(map(get, t)) in tgt):
-                    raise WorkbenchError(f"relation {rname!r} not matched on {t}")
+        image = set(self.map)
+        inv = {v: i for i, v in enumerate(self.map)}.__getitem__
+        for rname, table in self.source.relations:
+            pre = {tuple(map(inv, s)) for s in self.target.rel(rname)
+                   if image.issuperset(s)}
+            if pre != table:
+                raise WorkbenchError(
+                    f"relation {rname!r} not matched on {min(pre ^ table)}")
         for cname, v in self.source.constants:
             if self.map[v] != self.target.constant(cname):
                 raise WorkbenchError(f"constant {cname!r} not preserved")

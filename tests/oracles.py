@@ -13,7 +13,7 @@ they test.
 ``ArrowInstance.build`` and returns the package's verdict types.
 ``domain_permutations`` with ``dominated`` is the full-scan lex-leader test
 that the search's tied sets replaced, and ``scan_embedding_error`` the
-tuple-by-tuple scan that ``Embedding`` now runs only to name a failure.
+tuple-by-tuple scan that ``Embedding``'s set comparison replaced.
 ``lo_table`` writes the chain category's compose table by hand, without
 ``compose``; ``table_dump`` writes any category's table through it.
 
