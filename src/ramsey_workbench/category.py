@@ -394,7 +394,6 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
         finiteness={
             "objects": len(cat.objects),
             "morphisms": sum(1 for _ in cat.all_morphisms()),
-            "all_hom_sets_finite": True,
         },
         below_sets=below,
         ambient_templates_note=(

@@ -18,7 +18,7 @@ defaults are read again on every call.  ``--budget-secs`` sets one absolute
 deadline per arrow or degree question, which each search checks before it
 starts and every 1,024 nodes; a search stopped by it is UNKNOWN-AT-BOUND,
 with a note that the time budget ran out.  ``--oracle`` keeps its coloring
-budget and ignores the deadline.
+budget and ignores the deadline and the node budget.
 """
 
 from __future__ import annotations
@@ -257,15 +257,13 @@ def _expand_build(args, cat):
 
 def _expand_check(args, cat):
     rep = check_forgetful(_expansion_space(args, cat))
-    return "forgetful-functor", HOLDS if rep.all_hold else FAILS, asdict(rep), []
+    return "forgetful-functor", HOLDS if rep.reasonable else FAILS, asdict(rep), []
 
 
 def _expand_orbits(args, cat):
     rep = orbit_age_analysis(_expansion_space(args, cat), args.obj)
-    # members of one orbit restrict to the same set (see orbit_age_analysis)
     return "orbit-age", HOLDS, {
         "object": args.obj, "orbit_sizes": sorted(len(o) for o in rep.orbits),
-        "ages_equal_on_orbits": True,
         "minimal_theta": dict(rep.minimal.theta), "notes": rep.notes}, []
 
 
@@ -352,6 +350,34 @@ def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
 
 
 INSTANCE_FIELDS = {"kind": str, "C": str, "B": str, "A": str, "k": int, "t": int}
+
+
+def _carries_a_claim(cert: dict, verdict: dict) -> bool:
+    """Whether the certificate's instance is one its verdict claims: the
+    arrow's C, B, A, k and t; an upper certificate's witness as C, B and k at
+    the upper end; or the lower certificate's B and k at one below the lower
+    end, any C.  Each verdict field read must have the certificate's type."""
+    if cert["kind"].startswith("arrow-"):
+        claims = [verdict]
+    else:
+        interval = check_type(verdict.get("interval"), dict, "degree interval")
+        if cert["kind"] == "degree-upper":
+            claims = [{**check_type(u, dict, "upper certificate"),
+                       "C": u.get("witness"), "t": interval.get("upper")}
+                      for u in check_type(interval.get("upper_certificates"),
+                                          list, "upper certificates")]
+        else:
+            lower = check_type(interval.get("lower"), int, "interval lower")
+            claims = [{**check_type(interval.get("lower_certificate"), dict,
+                                    "lower certificate"),
+                       "C": cert["C"], "t": lower - 1}]
+        claims = [{**claim, "A": interval.get("object")} for claim in claims]
+    return tuple(cert[name] for name in "CBAkt") in [
+        tuple(check_type(claim.get(name), INSTANCE_FIELDS[name],
+                         f"verdict field {name!r}") for name in "CBAkt")
+        for claim in claims]
+
+
 # certificate type -> (re-checker, needs the report's catalog, field types);
 # a one-item list is a list whose items have that type
 REPLAY = {
@@ -384,16 +410,16 @@ def replay(report_path: str) -> tuple[int, dict]:
     The catalog's hash is checked for every report; the catalog itself is
     parsed on the first certificate that reads it.  A report with a status
     must have exactly one verdict, with that status.  A certificate with a
-    kind must name one in ``BOUND_TO`` and sit under the verdict and status
-    that it binds the kind to."""
+    kind must name one in ``BOUND_TO``, sit under the verdict and status
+    that it binds the kind to, and carry one of that verdict's instances."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
-    status, check = report.get("status"), None
+    status, verdict = report.get("status"), {}
     if "status" in report:
         verdicts = check_type(report.get("verdicts"), list, "report verdicts")
         if [check_type(v, dict, "verdict").get("status") for v in verdicts] != [status]:
             raise CorruptCertificate("the report's status is not its one verdict's")
-        check = verdicts[0].get("check")
+        verdict = verdicts[0]
     data = cat = None
     if "catalog" in report:
         entry = check_type(report["catalog"], dict, "report catalog")
@@ -423,9 +449,13 @@ def replay(report_path: str) -> tuple[int, dict]:
             if (kind, cert["kind"]) not in BOUND_TO:
                 raise CorruptCertificate(f"unknown {kind} kind {cert['kind']!r}")
             question, bound = BOUND_TO[kind, cert["kind"]]
-            if question != check or bound not in (None, status):
-                raise CorruptCertificate(f"{kind} {cert['kind']} under a "
-                                         f"{check!r} verdict of status {status!r}")
+            if question != verdict.get("check") or bound not in (None, status):
+                raise CorruptCertificate(
+                    f"{kind} {cert['kind']} under a {verdict.get('check')!r} "
+                    f"verdict of status {status!r}")
+            if not _carries_a_claim(cert, verdict):
+                raise CorruptCertificate(f"{kind} {cert['kind']} is not for "
+                                         f"its verdict's instance")
         if needs_catalog and cat is None:
             cat = _replay_category(data)
         recheck(cert, cat)
@@ -456,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     # defaults come from RW_* at every run (see _env_defaults)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--budget-nodes", type=_budget(int, "a whole number"))
+    parser.add_argument("--budget-nodes", type=_budget(int, "a whole number"),
+                        help="search nodes for each arrow search of an arrow "
+                             "or degree question; --oracle ignores it")
     parser.add_argument("--budget-secs",
                         type=_budget(float, "a finite number of seconds"),
                         help="wall-clock seconds for an arrow or degree "

@@ -4,8 +4,9 @@ The true degree of an object quantifies over an unbounded class, so every
 verdict here is stamped with the catalog and color bound it was computed
 against; the engine never claims an absolute degree.  Upper bounds carry a
 witness object per (target, colors) pair, lower bounds carry a bad coloring
-per catalog object, and both kinds of certificate replay by re-running the
-arrow decision they came from.
+per catalog object.  Replay evaluates each bad coloring directly; an upper
+bound's ``exhaustion`` certificate is a statement, which replay binds to the
+interval and checks names catalog objects, but does not re-decide.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 An expanded object is a base object C together with one coloring
 theta_A : hom(A, C) -> t_A per representative A.  Morphisms of expanded
 objects are base morphisms that transport colorings on the nose.  Forgetting
-the colorings is a functor with finite fibers and unique restrictions by
-construction, and free extension along every mono: only a non-mono table
-can break it.  The checks verify all of it exhaustively; on one fiber, orbits
-stand in for the infinite setting's closures: fibers are finite and discrete.
+the colorings is a functor whose reasonableness, free extension along every
+mono, the audit decides; only a non-mono table breaks it.  Its four other
+facts hold by construction, and ``tests/oracles.scan_forgetful`` checks them.
+On one fiber, orbits stand in for the infinite setting's closures: fibers
+are finite and discrete.
 
 Only the ``FiniteCategory`` interface is read, so expansions run on table
 categories as on structure catalogs.  An object's representative is the
@@ -17,8 +18,7 @@ the first member of its isomorphism class.
 The restriction lemma: e: A -> B transports A* into B* exactly when A* is
 restriction(B*, e), which reads B*'s colorings at the rows ``post(e, rep)``.
 So the forgetful audit needs no scan over pairs of fibers: reasonable
-means every A* is the restriction of some B*, and unique restrictions
-means each restriction occurs exactly once in fiber(A).  Absorption asks
+means every A* is the restriction of some B*.  Absorption asks
 whether A* lies in {restriction(B*, f) : f in hom(A, B)}, a set built once
 per (A, B*).  Two expansions of one object are isomorphic exactly when an
 automorphism g restricts one onto the other, so isomorphism types are the
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
@@ -131,19 +130,9 @@ def _isomorphic(cat: FiniteCategory, a: str, r: str) -> bool:
 
 @dataclass
 class ForgetfulReport:
-    surjective_on_objects: bool
-    injective_on_homs: bool
     reasonable: bool
-    unique_restrictions: bool
-    precompact: bool
     fiber_sizes: dict[str, int]
     failure: dict | None = None
-
-    @property
-    def all_hold(self) -> bool:
-        return (self.surjective_on_objects and self.injective_on_homs
-                and self.reasonable and self.unique_restrictions
-                and self.precompact)
 
 
 def _restrict_column(column: list[tuple[int, ...]], row: tuple[int, ...]):
@@ -156,65 +145,43 @@ def _restrict_column(column: list[tuple[int, ...]], row: tuple[int, ...]):
 
 
 def check_forgetful(space: ExpansionSpace) -> ForgetfulReport:
-    """Exhaustive audit of the forgetful functor on the catalog.
-
-    Each fiber is the space's own: every coloring family over its base,
-    once each.  So surjectivity, precompactness and unique restrictions hold
-    by construction, and morphisms of expansions are base morphisms
-    verbatim.  Only reasonableness can fail, on a category that is not all
-    mono: a row ``post(e, rep)`` that repeats a position makes some A* the
-    restriction of nothing.
+    """Exhaustive audit of the forgetful functor on the catalog: it decides
+    reasonableness, the one property that can fail, on a category that is
+    not all mono: a row ``post(e, rep)`` that repeats a position makes some
+    A* the restriction of nothing.  Each fiber is the space's own, every
+    coloring family over its base once, so the functor is surjective on
+    objects, injective on homs and precompact, with unique restrictions, by
+    construction; ``tests/oracles.scan_forgetful`` checks those four facts.
 
     By the restriction lemma, e: A -> B preserves (A*, B*) exactly when
     A* = restriction(B*, e).  So for each e, with R_e the restrictions of
-    fiber(B) in fiber order, each property is a hash lookup: reasonable
-    means every A* in fiber(A) occurs in R_e, and unique restrictions means
-    every member of R_e occurs exactly once in fiber(A).  That is
-    O(|fiber B|) per morphism, and R_e lives for one morphism.  The first
-    B* giving each A* is confirmed by ``morphism_preserves``.  ``failure``
-    names the first reasonable failure in (A, B, e, A*) order, else the
-    first unique-restrictions failure in (A, B, e) order.
+    fiber(B) in fiber order, reasonable means every A* in fiber(A) occurs
+    in R_e: a hash lookup, O(|fiber B|) per morphism.  The first B* giving
+    each A* is confirmed by ``morphism_preserves``.  ``failure`` names the
+    first failure in (A, B, e, A*) order.
     """
     cat = space.cat
     fibers = {obj: space.fiber(obj) for obj in cat.objects}
     sizes = {obj: len(fibers[obj]) for obj in cat.objects}
-
-    surjective = all(sizes[obj] >= 1 for obj in cat.objects)
-    precompact = all(sizes[obj] == space.fiber_size(obj) for obj in cat.objects)
-
-    injective = True   # morphisms of expansions are base morphisms verbatim
-
     # each expansion's colorings in rep order, and per rep a column of them
     keys = {obj: [tuple(v for _, v in x.theta) for x in fibers[obj]]
             for obj in cat.objects}
     columns = {obj: list(zip(*keys[obj])) for obj in cat.objects}
-
-    failure = None          # the first reasonable failure
-    unique_failure = None   # the first unique-restrictions failure
     for a in cat.objects:
-        count = Counter(keys[a])
         for b in cat.objects:
             for e in cat.hom(a, b):
                 r_e = list(zip(*map(_restrict_column, columns[b],
                                     [cat.post(e, rep) for rep in space.reps])))
-                if failure is None:
-                    # built reversed, so each restriction keeps its first giver
-                    first = dict(zip(reversed(r_e), reversed(fibers[b])))
-                    for astar, key in zip(fibers[a], keys[a]):
-                        bstar = first.get(key)
-                        if bstar is None or not space.morphism_preserves(
-                                e, astar, bstar):
-                            failure = {"property": "reasonable", "e": e,
-                                       "Astar": astar.theta}
-                            break
-                counts = list(map(count.__getitem__, r_e))
-                if unique_failure is None and counts.count(1) < len(counts):
-                    j = next(j for j, c in enumerate(counts) if c != 1)
-                    unique_failure = {"property": "unique-restrictions",
-                                      "e": e, "Bstar": fibers[b][j].theta}
-    return ForgetfulReport(surjective, injective, failure is None,
-                           unique_failure is None, precompact, sizes,
-                           failure or unique_failure)
+                # built reversed, so each restriction keeps its first giver
+                first = dict(zip(reversed(r_e), reversed(fibers[b])))
+                for astar, key in zip(fibers[a], keys[a]):
+                    bstar = first.get(key)
+                    if bstar is None or not space.morphism_preserves(
+                            e, astar, bstar):
+                        return ForgetfulReport(False, sizes, {
+                            "property": "reasonable", "e": e,
+                            "Astar": astar.theta})
+    return ForgetfulReport(True, sizes)
 
 
 @dataclass

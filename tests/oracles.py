@@ -514,17 +514,31 @@ def scan_automorphism_ids(cat, a) -> list[str]:
             if any(cat.compose(g, f) == one == cat.compose(f, g) for g in endo)]
 
 
-def scan_forgetful(space):
+@dataclass
+class ForgetfulScan:
+    """The five properties of the forgetful functor, as the scan finds them;
+    ``failure`` names the first reasonable failure, else the first
+    unique-restrictions failure."""
+    surjective_on_objects: bool
+    injective_on_homs: bool
+    reasonable: bool
+    unique_restrictions: bool
+    precompact: bool
+    fiber_sizes: dict[str, int]
+    failure: dict | None
+
+
+def scan_forgetful(space) -> ForgetfulScan:
     """The forgetful audit by scanning pairs of fibers, kept as the reference
     for ``expansion.check_forgetful``: reasonable by searching fiber(B) for a
     preserving extension of each A*, unique restrictions by listing every A*
-    that e preserves into each B*.  O(|fiber A|·|fiber B|) per morphism.
+    that e preserves into each B*, and injective on homs by listing, for each
+    pair (A*, B*), the base morphisms that preserve it.  O(|fiber A|·|fiber B|)
+    per morphism.
 
     It calls the space's compose-based ``morphism_preserves`` and
     ``restriction``; it shares no code with the audit's restriction rows.
     """
-    from ramsey_workbench.expansion import ForgetfulReport
-
     cat = space.cat
     fibers = {obj: space.fiber(obj) for obj in cat.objects}
     sizes = {obj: len(fibers[obj]) for obj in cat.objects}
@@ -532,52 +546,31 @@ def scan_forgetful(space):
     surjective = all(sizes[obj] >= 1 for obj in cat.objects)
     precompact = all(sizes[obj] == space.fiber_size(obj) for obj in cat.objects)
 
-    injective = True   # morphisms of expansions are base morphisms verbatim
-    failure = None
-
-    reasonable = True
-    for a in cat.objects:
-        for b in cat.objects:
-            for e in cat.hom(a, b):
-                for astar in fibers[a]:
-                    hit = next((bstar for bstar in fibers[b]
-                                if space.morphism_preserves(e, astar, bstar)),
-                               None)
-                    if hit is None:
-                        reasonable = False
-                        failure = {"property": "reasonable", "e": e,
-                                   "Astar": astar.theta}
-                        break
-                if not reasonable:
-                    break
-            if not reasonable:
-                break
-        if not reasonable:
-            break
+    failure = next(({"property": "reasonable", "e": e, "Astar": astar.theta}
+                    for a in cat.objects for b in cat.objects
+                    for e in cat.hom(a, b) for astar in fibers[a]
+                    if not any(space.morphism_preserves(e, astar, bstar)
+                               for bstar in fibers[b])), None)
+    reasonable = failure is None
 
     unique = True
+    hom_star = {}   # (A*, B*) -> the base morphisms that preserve the pair
     for b in cat.objects:
         for bstar in fibers[b]:
             for a in cat.objects:
                 for e in cat.hom(a, b):
                     matching = [astar for astar in fibers[a]
                                 if space.morphism_preserves(e, astar, bstar)]
-                    expected = space.restriction(bstar, e)
-                    if matching != [expected]:
+                    for astar in matching:
+                        hom_star.setdefault((astar, bstar), []).append(e)
+                    if unique and matching != [space.restriction(bstar, e)]:
                         unique = False
-                        if failure is None:
-                            failure = {"property": "unique-restrictions",
-                                       "e": e, "Bstar": bstar.theta}
-                        break
-                if not unique:
-                    break
-            if not unique:
-                break
-        if not unique:
-            break
+                        failure = failure or {"property": "unique-restrictions",
+                                              "e": e, "Bstar": bstar.theta}
+    injective = all(len(set(homs)) == len(homs) for homs in hom_star.values())
 
-    return ForgetfulReport(surjective, injective, reasonable, unique,
-                           precompact, sizes, failure)
+    return ForgetfulScan(surjective, injective, reasonable, unique,
+                         precompact, sizes, failure)
 
 
 # -- sequence and expansion scaffolding ------------------------------------

@@ -365,10 +365,13 @@ def test_07a_sixteen_expansions_and_forgetful_checks(p3_space):
     assert len(p3_space.fiber("P3")) == 16
     report = check_forgetful(p3_space)
     assert report.reasonable
-    assert report.precompact
-    assert report.unique_restrictions
-    assert report.injective_on_homs
     assert report.fiber_sizes["P3"] == 16
+    # the audit reports only what can fail; the scan finds the rest
+    scan = oracles.scan_forgetful(p3_space)
+    assert scan.precompact
+    assert scan.unique_restrictions
+    assert scan.injective_on_homs
+    assert scan.surjective_on_objects
 
 
 def test_07b_action_laws_and_orbit_ages(p3_space):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -13,8 +14,8 @@ from ramsey_workbench.arrows import (FAILS, HOLDS, UNKNOWN, ArrowInstance,
                                      arrow_check, export_cnf, is_bad,
                                      lex_arrow_check, oracle_arrow_check,
                                      verify_bad_coloring)
-from ramsey_workbench.catalogs import (complete_graph, graph, graph_catalog,
-                                       linear_order, lo_catalog)
+from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
+                                       graph_catalog, linear_order, lo_catalog)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json
 from ramsey_workbench.errors import BudgetExceeded
 
@@ -561,6 +562,44 @@ class TestGroundTruth:
         assert verdict.status == FAILS
         values = verdict.bad_coloring.values
         assert all(values[2 * i] != values[2 * i + 1] for i in range(pairs))
+
+
+def _order_pattern(image) -> int:
+    """The index of an injection's order pattern among the permutations."""
+    ranks = tuple(sorted(image).index(v) for v in image)
+    return list(itertools.permutations(range(len(image)))).index(ranks)
+
+
+@pytest.fixture(scope="module")
+def sets6_category():
+    """Finite sets E1..E6, with injections as morphisms."""
+    return FiniteCategory.from_structures([empty_graph(n) for n in range(1, 7)])
+
+
+class TestFiniteSets:
+    """Sets with injections as morphisms.  An injection of E_m into E_n is
+    an m-tuple of distinct points; colouring it by its order pattern leaves
+    every copy of E_b with all m! patterns, so no copy sees fewer colours."""
+
+    def _pattern_coloring(self, cat, c, a, m):
+        maps = [cat.embedding(mid).map for mid in cat.hom(a, c)]
+        n = cat.structure(c).size
+        assert sorted(maps) == sorted(itertools.permutations(range(n), m))
+        return Coloring(tuple(cat.hom(a, c)), math.factorial(m),
+                        tuple(_order_pattern(x) for x in maps))
+
+    @pytest.mark.parametrize("c,b,a,k,t", [
+        ("E5", "E3", "E2", 2, 1), ("E6", "E3", "E2", 2, 1),
+        ("E5", "E3", "E3", 6, 5)])
+    def test_order_patterns_refute(self, sets6_category, c, b, a, k, t):
+        cat = sets6_category
+        coloring = self._pattern_coloring(cat, c, a, cat.structure(a).size)
+        assert coloring.k == k
+        assert verify_bad_coloring(cat, c, b, a, t, coloring)
+        verdict = arrow_check(cat, c, b, a, k, t)
+        assert verdict.status == FAILS
+        assert is_bad(ArrowInstance.build(cat, c, b, a),
+                      verdict.bad_coloring.values, t)
 
 
 class TestSymmetryPath:

@@ -583,6 +583,68 @@ class TestReplay:
                                           self._fails_coloring(replayable))))
         assert run(["replay", str(path)]) == code
 
+    @staticmethod
+    def _verdict(report):
+        return report["verdicts"][0]
+
+    @staticmethod
+    def _interval(report):
+        return report["verdicts"][0]["interval"]
+
+    @pytest.mark.parametrize("base,doctor", [
+        # LO6 -> (LO3)^LO2_{2,1} holds (R(3,3) = 6); the LO5 colouring
+        # proves nothing about it
+        ("arrow", lambda r: TestReplay._verdict(r).update(C="LO6")),
+        ("holds", lambda r: TestReplay._verdict(r).update(t=2)),
+        ("degree", lambda r: TestReplay._interval(r).update(upper=2)),
+        ("degree", lambda r: TestReplay._interval(r).update(object="LO1")),
+        ("degree", lambda r: TestReplay._interval(r)[
+            "upper_certificates"][0].update(witness="LO3")),
+        ("degree-lower", lambda r: TestReplay._interval(r).update(lower=3)),
+        ("degree-lower", lambda r: TestReplay._interval(r)[
+            "lower_certificate"].update(B="LO2")),
+    ], ids=["fails-C", "holds-t", "degree-upper-raised", "degree-object",
+            "degree-witness", "degree-lower-raised", "degree-lower-B"])
+    def test_certificate_is_bound_to_its_verdicts_instance(
+            self, replayable, tmp_path, base, doctor):
+        """A certificate must carry the instance its verdict claims: an
+        arrow's C, B, A, k and t, one upper certificate's witness, B and k
+        at the upper end, or the lower certificate's B and k one below the
+        lower end."""
+        report = json.loads(replayable[base].read_text())
+        doctor(report)
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(CorruptCertificate, match="verdict's instance"):
+            cli.replay(str(path))
+        assert run(["replay", str(path)]) == 3
+
+    @pytest.mark.parametrize("base,doctor", [
+        ("arrow", lambda r: TestReplay._verdict(r).update(k="2")),
+        ("arrow", lambda r: TestReplay._verdict(r).update(k=True)),
+        ("arrow", lambda r: TestReplay._verdict(r).pop("C")),
+        ("degree", lambda r: TestReplay._verdict(r).update(interval=[1, 2])),
+        ("degree", lambda r: TestReplay._interval(r).update(upper="1")),
+        ("degree", lambda r: TestReplay._interval(r).update(
+            upper_certificates=["LO2"])),
+        ("degree", lambda r: TestReplay._interval(r).update(
+            upper_certificates=None)),
+        ("degree-lower", lambda r: TestReplay._interval(r).update(lower="2")),
+        ("degree-lower", lambda r: TestReplay._interval(r).update(
+            lower_certificate=[])),
+        ("degree-lower", lambda r: TestReplay._interval(r).update(
+            lower_certificate=None)),
+    ], ids=["k-string", "k-bool", "C-missing", "interval-list", "upper-string",
+            "upper-cert-string", "upper-certs-null", "lower-string",
+            "lower-cert-list", "lower-cert-null"])
+    def test_wrong_typed_verdict_field_exits_three(self, replayable, tmp_path,
+                                                   base, doctor):
+        report = json.loads(replayable[base].read_text())
+        doctor(report)
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        assert run(["replay", str(path)]) == 3
+
     def test_empty_report_succeeds(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"certificates": []}))

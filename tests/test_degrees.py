@@ -1,7 +1,7 @@
 import pytest
 
 from ramsey_workbench.arrows import Coloring, arrow_check
-from ramsey_workbench.catalogs import lo_catalog, path_graph
+from ramsey_workbench.catalogs import empty_graph, lo_catalog, path_graph
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.degrees import (degree_interval, degree_lower,
                                       degree_upper)
@@ -95,6 +95,15 @@ class TestDegreeLower:
         interval = degree_interval(lo7_category, "LO2", 2,
                                    bs=["LO1", "LO2", "LO3"])
         assert interval.lower <= (interval.upper or interval.lower)
+
+    def test_sets_pair_degree_is_two(self):
+        # colouring each injection of E2 by the order of its two points
+        # leaves every copy of any E_b with both colours, so t = 1 fails at
+        # every C; k <= 2 colours make t = 2 hold with C = B
+        cat = FiniteCategory.from_structures(
+            [empty_graph(n) for n in range(1, 6)])
+        interval = degree_interval(cat, "E2", 2)
+        assert (interval.lower, interval.upper) == (2, 2)
 
     def test_rejects_trivial_bound(self, lo7_category):
         with pytest.raises(ValueError):

@@ -342,16 +342,28 @@ class TestRendering:
         assert not (base_names & added_names)
 
 
+def audited(space):
+    """check_forgetful's report, checked against the scan in tests/oracles.py:
+    the same reasonable, fiber sizes and failure, and the four properties
+    that hold by construction, which only the scan reports."""
+    report, scan = check_forgetful(space), oracles.scan_forgetful(space)
+    assert (report.reasonable, report.fiber_sizes, report.failure) == (
+        scan.reasonable, scan.fiber_sizes, scan.failure)
+    assert (scan.surjective_on_objects and scan.injective_on_homs
+            and scan.unique_restrictions and scan.precompact)
+    return report
+
+
 class TestForgetfulChecks:
     def test_all_four_properties_on_p3(self, p3_space):
-        report = check_forgetful(p3_space)
-        assert report.all_hold
+        report = audited(p3_space)
+        assert report.reasonable
         assert report.fiber_sizes == {"K1": 1, "K2": 4, "P3": 16}
 
     def test_unit_degrees_catalog(self):
         cat = FiniteCategory.from_structures(lo_catalog(4))
         report = check_forgetful(ExpansionSpace(cat, {}))
-        assert report.all_hold
+        assert report.reasonable
         assert set(report.fiber_sizes.values()) == {1}
 
     @pytest.mark.parametrize("doc,failure", [
@@ -366,13 +378,9 @@ class TestForgetfulChecks:
                                    "Astar": (("G", (0, 0, 0, 1)),)}),
     ], ids=["z3", "idempotent", "non-assoc"])
     def test_one_object_tables_fail_only_reasonableness(self, doc, failure):
-        space = ExpansionSpace(abstract_from_json(doc), {"G": 2})
-        report = check_forgetful(space)
+        report = audited(ExpansionSpace(abstract_from_json(doc), {"G": 2}))
         assert report.failure == failure
         assert report.reasonable == (failure is None)
-        assert (report.surjective_on_objects and report.unique_restrictions
-                and report.precompact)
-        assert report == oracles.scan_forgetful(space)
 
     def test_degenerate_soundness_hom_counts(self, graphs4_category):
         # with unit degrees the expanded category mirrors the base one
@@ -410,13 +418,13 @@ def audit_questions(draw):
 
 class TestForgetfulAgainstScan:
     """check_forgetful decides by restriction; the scan in tests/oracles.py
-    decides by searching pairs of fibers.  Reports, failure included, must
-    agree."""
+    decides by searching pairs of fibers.  Their findings, failure included,
+    must agree, and the scan must find the four constructed properties."""
 
     @settings(max_examples=60)
     @given(audit_questions())
     def test_same_report_as_the_scan(self, space):
-        assert check_forgetful(space) == oracles.scan_forgetful(space)
+        audited(space)
 
     def test_each_witness_is_the_first_preserving_extension(self, monkeypatch):
         cat = FiniteCategory.from_structures(lo_catalog(3))
@@ -426,7 +434,7 @@ class TestForgetfulAgainstScan:
         monkeypatch.setattr(ExpansionSpace, "morphism_preserves",
                             lambda self, f, c, d: calls.append((f, c, d))
                             or real(self, f, c, d))
-        assert check_forgetful(space).all_hold
+        assert check_forgetful(space).reasonable
         assert calls == [
             (e, astar, next(bstar for bstar in space.fiber(b)
                             if real(space, e, astar, bstar)))
@@ -437,7 +445,7 @@ class TestForgetfulAgainstScan:
         # every 2-coloring of the pairs of LOn is an expansion: 2^C(n, 2)
         cat = FiniteCategory.from_structures(lo_catalog(5))
         report = check_forgetful(ExpansionSpace(cat, {"LO2": 2}))
-        assert report.all_hold and report.failure is None
+        assert report.reasonable and report.failure is None
         assert report.fiber_sizes == {f"LO{n}": 2 ** math.comb(n, 2)
                                       for n in range(1, 6)}
 
@@ -533,7 +541,7 @@ class TestTransport:
         fibers = {obj: sorted(space.fiber(obj), key=lambda x: x.theta)
                   for obj in duplicated.objects}
         report = check_forgetful(space)
-        assert report.all_hold
+        assert report.reasonable
         assert fibers == transported
 
     def test_skeletal_catalog_transport_is_identity(self, p3_space):

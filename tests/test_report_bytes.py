@@ -22,11 +22,11 @@ from oracles import lo_table
 # (name, argv with {placeholders}, exit code, sha256)
 QUESTIONS = [
     ("cat-check", ["cat", "check", "--catalog", "{lo4}"], 0,
-     "ed15ae256200c1d4c832bbe0acd9ac0b9ac24e909b527ff3b7a881cec6383473"),
+     "47ab4e044085b52f11480d812af3970bc3693a75367f289823a9d7e8343db6b2"),
     ("cat-check-gap", ["cat", "check", "--catalog", "{gap}"], 2,
-     "b5607e86d62045f54b7de03abdb619e6fb244e8867a8e25790b57501d087eb16"),
+     "a719f7c57abf2f1d849a0ba26168c4b34b5e8f1253adb28003c570ba67a80ddb"),
     ("cat-check-graphs", ["cat", "check", "--catalog", "{g3}"], 1,
-     "bcbd07ee5606ecb5fa4af51d3d65f34e6802fb5c526628e816df00d9ce89fdb5"),
+     "07f9bfff22a5caa03b8f3d7b6ab1ee7bdea0f83f4052181340dd9378d6a80818"),
     ("cat-skeleton", ["cat", "skeleton", "--catalog", "{skel}"], 0,
      "83aca388f68cdfd833c3eda1b6320ecdc1c15f926bc54d28216a7210d5f01fe7"),
     ("cat-op", ["cat", "op", "--catalog", "{lo4}"], 0,
@@ -76,21 +76,21 @@ QUESTIONS = [
      "81c124c11bf8aa5c944d055a8bd247716d849f3772bae890877d261f2ddf3a81"),
     ("expand-check", ["expand", "check", "--catalog", "{p3}",
                       "--degrees", "{deg}"], 0,
-     "6212750cfb1821df64521030425c8d6dcd50f4dd1372127a08643db6a1492a2a"),
+     "7cafc4ab870ba9830445d2b59b6c1147077d6efaa78746dff513abaee9b909bb"),
     ("expand-check-lo4", ["expand", "check", "--catalog", "{lo4}",
                           "--degrees", "{deg_lo1}"], 0,
-     "8b1baf323aebc99a1a78d05c69e28becbc8bdaa2202f8214cb61bf7382909802"),
+     "c8dd71750de32fa4b78053a46a2c794c612379d67084cb705317361c6cdb1cb9"),
     # minimal_theta is the first fiber member: ages over one base are equal
     # or incomparable, so every member's age is inclusion-minimal
     ("expand-orbits", ["expand", "orbits", "--catalog", "{p3}",
                        "--degrees", "{deg}", "--obj", "P3"], 0,
-     "057b0852c127778f482daea76d27d44d4300a79f3d057915fd4a7395854fc2dd"),
+     "2975d7f6eb6d750e2a7de95983ae37215d14c881e725838021c5752a3033330c"),
     ("expand-ep", ["expand", "ep", "--catalog", "{p3}",
                    "--degrees", "{deg}"], 1,
      "60ba2dfe88a69bdd32cf5f24dfbf5af00876d1570b2143bb01a5bb678e65238c"),
     ("cat-check-abstract", ["cat", "check", "--abstract", "--catalog",
                             "{lo5t}"], 0,
-     "5d51e3d0c3fd521dc1861e1ca092a54b6bd310eaf4be2a333cc79c09dda24078"),
+     "69555329d71bd0a730ee2f1d025e6938ad35fbb7148b76336e206b42ff411dc2"),
     ("cat-op-abstract", ["cat", "op", "--abstract", "--catalog", "{lo5t}"], 0,
      "f017e5a6bd7de883acef0b51d2edff5f89d46b4506a6bf23037343e6f0ccb662"),
     ("amalgam-wap-abstract", ["amalgam", "--wap", "--abstract", "--catalog",

@@ -18,7 +18,10 @@ Static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
 - every optional parameter of a public top-level function in the checkers
   and ``sequences`` is passed by some call in the package, unless
   ``ALLOWED_UNREFERENCED`` names the function, so no knob serves tests
-  alone.
+  alone;
+- no dict display maps a key to ``True`` or ``False``, and no function
+  binds a local to a bool constant that it never rebinds, so a report
+  carries no finding that no input can make false.
 
 A reference is a name, an attribute or an imported name with the same
 identifier, so the guard is coarse: a method counts as reached when any
@@ -29,6 +32,7 @@ the allowlist cannot go stale.  Code that only tests call belongs in
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -257,3 +261,41 @@ def test_every_optional_parameter_is_passed_from_the_package():
     assert not unpassed, (
         f"optional parameters no call in src/ passes: {unpassed}; make each "
         f"a module constant that tests monkeypatch, or delete it")
+
+
+def is_bool_constant(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is bool
+
+
+def constant_findings():
+    """module:line name of each dict display entry whose value is True or
+    False, and of each function local that is bound only once, to True or
+    False; a name bound in a nested function counts as rebinding it."""
+    out = set()
+    for module, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                out |= {f"{module}:{value.lineno} {ast.unparse(key)}"
+                        for key, value in zip(node.keys, node.values)
+                        if key is not None and is_bool_constant(value)}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stores = Counter(n.id for n in ast.walk(node)
+                                 if isinstance(n, ast.Name)
+                                 and isinstance(n.ctx, ast.Store))
+                for bind in ast.walk(node):
+                    if (isinstance(bind, (ast.Assign, ast.AnnAssign))
+                            and is_bool_constant(bind.value)):
+                        targets = (bind.targets if isinstance(bind, ast.Assign)
+                                   else [bind.target])
+                        out |= {f"{module}:{bind.lineno} {target.id}"
+                                for target in targets
+                                if isinstance(target, ast.Name)
+                                and stores[target.id] == 1}
+    return sorted(out)
+
+
+def test_no_finding_is_a_constant():
+    constants = constant_findings()
+    assert not constants, (
+        f"findings that no input can make false: {constants}; report only "
+        f"what some input can make false")
