@@ -352,30 +352,36 @@ def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
 INSTANCE_FIELDS = {"kind": str, "C": str, "B": str, "A": str, "k": int, "t": int}
 
 
-def _carries_a_claim(cert: dict, verdict: dict) -> bool:
-    """Whether the certificate's instance is one its verdict claims: the
-    arrow's C, B, A, k and t; an upper certificate's witness as C, B and k at
-    the upper end; or the lower certificate's B and k at one below the lower
-    end, any C.  Each verdict field read must have the certificate's type."""
-    if cert["kind"].startswith("arrow-"):
-        claims = [verdict]
-    else:
-        interval = check_type(verdict.get("interval"), dict, "degree interval")
-        if cert["kind"] == "degree-upper":
-            claims = [{**check_type(u, dict, "upper certificate"),
-                       "C": u.get("witness"), "t": interval.get("upper")}
-                      for u in check_type(interval.get("upper_certificates"),
-                                          list, "upper certificates")]
-        else:
-            lower = check_type(interval.get("lower"), int, "interval lower")
-            claims = [{**check_type(interval.get("lower_certificate"), dict,
-                                    "lower certificate"),
-                       "C": cert["C"], "t": lower - 1}]
-        claims = [{**claim, "A": interval.get("object")} for claim in claims]
-    return tuple(cert[name] for name in "CBAkt") in [
-        tuple(check_type(claim.get(name), INSTANCE_FIELDS[name],
-                         f"verdict field {name!r}") for name in "CBAkt")
-        for claim in claims]
+def _instance(claim: dict) -> tuple:
+    """A claim's C, B, A, k and t, each of its certificate field's type."""
+    return tuple(check_type(claim.get(name), INSTANCE_FIELDS[name],
+                            f"verdict field {name!r}") for name in "CBAkt")
+
+
+def _owed_certificates(verdict: dict) -> list[tuple]:
+    """The kind and instance of each certificate a degree verdict owes: a
+    degree-lower one at each catalog object its lower certificate has a bad
+    colouring for, with that certificate's B and k at one below the lower
+    end, and a degree-upper one for each upper certificate, its witness as
+    C, at the upper end."""
+    if verdict.get("check") != "degree-interval":
+        return []
+    interval = check_type(verdict.get("interval"), dict, "degree interval")
+    a = interval.get("object")
+    owed = []
+    if interval.get("lower_certificate") is not None:
+        lower = check_type(interval["lower_certificate"], dict,
+                           "lower certificate")
+        t = check_type(interval.get("lower"), int, "interval lower") - 1
+        owed += [("degree-lower", {**lower, "C": c, "A": a, "t": t})
+                 for c in check_type(lower.get("bad_colorings"), dict,
+                                     "bad colorings")]
+    owed += [("degree-upper", {**check_type(u, dict, "upper certificate"),
+                               "C": u.get("witness"), "A": a,
+                               "t": interval.get("upper")})
+             for u in check_type(interval.get("upper_certificates"), list,
+                                 "upper certificates")]
+    return [(kind, *_instance(claim)) for kind, claim in owed]
 
 
 # certificate type -> (re-checker, needs the report's catalog, field types);
@@ -388,12 +394,16 @@ REPLAY = {
     "map-equality": (_replay_maps, False, {"lhs": [int], "rhs": [int], "note": str}),
     "exhaustion": (_replay_exhaustion, True, INSTANCE_FIELDS),
 }
-# (certificate type, kind) -> (the check of the one verdict it may sit under,
-# the only status it may sit under, or None for any); no other kind replays
-BOUND_TO = {("exhaustion", "arrow-holds"): ("arrow", HOLDS),
-            ("bad-coloring", "arrow-fails"): ("arrow", FAILS),
-            ("exhaustion", "degree-upper"): ("degree-interval", HOLDS),
-            ("bad-coloring", "degree-lower"): ("degree-interval", None)}
+# (certificate type, kind, or None for a type without kinds) -> (the checks
+# of the one verdict it may sit under, the only status it may sit under, or
+# None for any); no other kind replays
+BOUND_TO = {("exhaustion", "arrow-holds"): (("arrow",), HOLDS),
+            ("bad-coloring", "arrow-fails"): (("arrow",), FAILS),
+            ("exhaustion", "degree-upper"): (("degree-interval",), HOLDS),
+            ("bad-coloring", "degree-lower"): (("degree-interval",), None),
+            ("composition-equality", None): (
+                ("weak-amalgamation", "two-out-of-k"), HOLDS),
+            ("map-equality", None): (("colimit",), HOLDS)}
 
 
 def _replay_category(data: bytes) -> FiniteCategory:
@@ -409,9 +419,10 @@ def replay(report_path: str) -> tuple[int, dict]:
 
     The catalog's hash is checked for every report; the catalog itself is
     parsed on the first certificate that reads it.  A report with a status
-    must have exactly one verdict, with that status.  A certificate with a
-    kind must name one in ``BOUND_TO``, sit under the verdict and status
-    that it binds the kind to, and carry one of that verdict's instances."""
+    must have exactly one verdict, with that status.  Every certificate
+    sits under the verdict and status that ``BOUND_TO`` binds its type and
+    kind to.  An arrow certificate carries its verdict's C, B, A, k and t,
+    and a degree verdict carries exactly the certificates it owes."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
     status, verdict = report.get("status"), {}
@@ -430,6 +441,7 @@ def replay(report_path: str) -> tuple[int, dict]:
             raise CorruptCertificate("catalog file changed since the report")
     certificates = check_type(report.get("certificates", []), list,
                               "report certificates")
+    presented = []      # kind and instance of each degree certificate
     for cert in certificates:
         kind = check_type(check_type(cert, dict, "certificate").get("type"),
                           str, "certificate type")
@@ -445,20 +457,28 @@ def replay(report_path: str) -> tuple[int, dict]:
                     check_type(item, field_type[0], f"an item of {what}")
             else:
                 check_type(cert.get(name), field_type, what)
-        if "kind" in fields:
-            if (kind, cert["kind"]) not in BOUND_TO:
-                raise CorruptCertificate(f"unknown {kind} kind {cert['kind']!r}")
-            question, bound = BOUND_TO[kind, cert["kind"]]
-            if question != verdict.get("check") or bound not in (None, status):
+        subkind = cert["kind"] if "kind" in fields else None
+        if (kind, subkind) not in BOUND_TO:
+            raise CorruptCertificate(f"unknown {kind} kind {subkind!r}")
+        questions, bound = BOUND_TO[kind, subkind]
+        named = kind if subkind is None else f"{kind} {subkind}"
+        if verdict.get("check") not in questions or bound not in (None, status):
+            raise CorruptCertificate(
+                f"{named} under a {verdict.get('check')!r} "
+                f"verdict of status {status!r}")
+        if subkind in ("arrow-fails", "arrow-holds"):
+            if _instance(cert) != _instance(verdict):
                 raise CorruptCertificate(
-                    f"{kind} {cert['kind']} under a {verdict.get('check')!r} "
-                    f"verdict of status {status!r}")
-            if not _carries_a_claim(cert, verdict):
-                raise CorruptCertificate(f"{kind} {cert['kind']} is not for "
-                                         f"its verdict's instance")
+                    f"{named} is not for its verdict's instance")
+        elif subkind is not None:
+            presented.append((subkind, *_instance(cert)))
         if needs_catalog and cat is None:
             cat = _replay_category(data)
         recheck(cert, cat)
+    if sorted(presented) != sorted(_owed_certificates(verdict)):
+        raise CorruptCertificate(
+            "degree certificates are not one for each bad colouring and upper "
+            "certificate of their verdict's instance")
     return 0, {"replayed": len(certificates), "status": HOLDS}
 
 

@@ -450,6 +450,32 @@ def eager_two_of_k(cat, a, k):
                               notes=[f"tuples checked: {len(pool) ** k}"])
 
 
+def scan_wap(cat):
+    """The weak amalgamation check as it was before it decided candidates
+    on extensions into sinks, kept as the reference for
+    ``amalgam.wap_check``: each f: A -> A' in catalog order gets the whole
+    pair scan of ``is_amalgamation_arrow``."""
+    from ramsey_workbench.amalgam import (AmalgamationReport, AmalgamEngine,
+                                          is_amalgamation_arrow)
+
+    engine = AmalgamEngine(cat)
+    arrows = {}
+    for a in cat.objects:
+        found = None
+        for a_prime in cat.objects:
+            for f in cat.hom(a, a_prime):
+                if is_amalgamation_arrow(cat, f, engine=engine).status == "HOLDS":
+                    found = {"A": a, "Aprime": a_prime, "f": f}
+                    break
+            if found:
+                break
+        if found is None:
+            return AmalgamationReport("FAILS", failure={
+                "A": a, "reason": "no amalgamation arrow in catalog"})
+        arrows[a] = found
+    return AmalgamationReport("HOLDS", [arrows[a] for a in cat.objects])
+
+
 def lo_table(n: int) -> dict:
     """Compose-table dump of the embedding category of LO1..LOn.
 

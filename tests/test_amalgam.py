@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from ramsey_workbench.amalgam import (AmalgamEngine, extract_amalgamable_pair,
                                       failure_chain, find_extraction_instance,
-                                      is_amalgamation_arrow,
-                                      two_of_k_check,
+                                      holds_on_sinks, is_amalgamation_arrow,
+                                      sinks, two_of_k_check,
                                       verify_pairwise_non_amalgamable,
                                       wap_check)
-from ramsey_workbench.catalogs import (empty_graph, graph, graph_catalog,
-                                       linear_order, lo_catalog)
+from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
+                                       graph_catalog, linear_order, lo_catalog)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json, op
 from ramsey_workbench.errors import ArrowDoesNotHold, FactorSearchFailed
 
@@ -339,13 +339,20 @@ class TestPreRows:
 
 
 @st.composite
-def two_of_k_questions(draw):
-    """A sub-catalog of the chains up to LO5 or the graphs on at most 3
-    vertices in any order, one of its objects and k in {2, 3}."""
+def sub_catalogs(draw):
+    """The category of a sub-catalog of the chains up to LO5 or the graphs
+    on at most 3 vertices, in any order."""
     pool = draw(st.sampled_from([lo_catalog(5), graph_catalog(3)]))
     catalog = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
                             unique_by=lambda s: s.name))
-    cat = FiniteCategory.from_structures(catalog)
+    return FiniteCategory.from_structures(catalog)
+
+
+@st.composite
+def two_of_k_questions(draw):
+    """A sub-catalog as ``sub_catalogs`` draws it, one of its objects and k
+    in {2, 3}."""
+    cat = draw(sub_catalogs())
     return cat, draw(st.sampled_from(cat.objects)), draw(st.sampled_from([2, 3]))
 
 
@@ -367,3 +374,85 @@ class TestTwoOfKOnDemand:
                             or real(self, u, v))
         assert two_of_k_check(cat, "LO2", 3).status == "FAILS"
         assert 0 < len(pairs) <= 155
+
+
+def _incompatible_pair_catalog():
+    return FiniteCategory.from_structures(
+        [empty_graph(1, name="K1"), graph(2, [(0, 1)], name="K2"),
+         empty_graph(2, name="E2")])
+
+
+SINK_CATEGORIES = {
+    **{f"lo{n}": lambda n=n: FiniteCategory.from_structures(lo_catalog(n))
+       for n in range(1, 7)},
+    "g3": lambda: FiniteCategory.from_structures(graph_catalog(3)),
+    "k4": lambda: FiniteCategory.from_structures(
+        [complete_graph(n, name=f"K{n}") for n in range(1, 5)]),
+    "e4": lambda: FiniteCategory.from_structures(
+        [empty_graph(n, name=f"E{n}") for n in range(1, 5)]),
+    "lo6t": lambda: abstract_from_json(oracles.lo_table(6)),
+    "op-lo4": lambda: op(FiniteCategory.from_structures(lo_catalog(4))),
+    "z3": lambda: abstract_from_json(oracles.Z3),
+    "idempotent": lambda: abstract_from_json(oracles.IDEMPOTENT),
+    "non-assoc": lambda: abstract_from_json(oracles.NON_ASSOCIATIVE),
+    "incompatible-pair": _incompatible_pair_catalog,
+}
+
+
+def _agrees_with_the_scan(cat) -> None:
+    engine, scan, tops = AmalgamEngine(cat), AmalgamEngine(cat), sinks(cat)
+    for f in cat.all_morphisms():
+        assert holds_on_sinks(engine, f, tops) == (
+            is_amalgamation_arrow(cat, f, engine=scan).status == "HOLDS"), f
+    assert wap_check(cat) == oracles.scan_wap(cat)
+
+
+class TestSinkDecision:
+    """wap_check decides on extensions into the sinks; the whole-catalog
+    pair scan is the reference, arrow by arrow and check by check."""
+
+    @pytest.mark.parametrize("name", SINK_CATEGORIES)
+    def test_same_decisions_as_the_scan(self, name):
+        _agrees_with_the_scan(SINK_CATEGORIES[name]())
+
+    def test_both_decisions_occur(self):
+        cat = SINK_CATEGORIES["lo4"]()
+        engine, tops = AmalgamEngine(cat), sinks(cat)
+        assert {holds_on_sinks(engine, f, tops)
+                for f in cat.all_morphisms()} == {True, False}
+
+    @settings(max_examples=25)
+    @given(sub_catalogs())
+    def test_same_decisions_on_sub_catalogs(self, cat):
+        _agrees_with_the_scan(cat)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_a_chain_has_its_top_as_the_one_sink(self, n):
+        cat = FiniteCategory.from_structures(lo_catalog(n))
+        assert sinks(cat) == [f"LO{n}"]
+
+    @pytest.mark.parametrize("name", SINK_CATEGORIES)
+    def test_every_object_maps_into_a_sink(self, name):
+        cat = SINK_CATEGORIES[name]()
+        tops = sinks(cat)
+        assert all(any(cat.hom(b, m) for m in tops) for b in cat.objects)
+
+    def test_graphs_have_several_sinks(self):
+        # the four graphs on 3 vertices embed into no other catalog graph
+        cat = SINK_CATEGORIES["g3"]()
+        assert sinks(cat) == [b for b in cat.objects
+                              if cat.structure(b).size == 3]
+
+    def test_decides_only_pairs_into_the_sink(self, monkeypatch):
+        # LO8 is the one sink, so every pair is two extensions into it, and
+        # each of the 247 failing candidates falls to its first pair: 127
+        # distinct pairs, where the whole-catalog scan asked 5,234
+        cat = abstract_from_json(oracles.lo_table(8))
+        pairs = set()
+        real = AmalgamEngine.amalgamate
+        monkeypatch.setattr(AmalgamEngine, "amalgamate",
+                            lambda self, u, v: pairs.add((u, v))
+                            or real(self, u, v))
+        assert wap_check(cat).status == "HOLDS"
+        assert {cat.target(w) for pair in pairs for w in pair} == {"LO8"}
+        assert 0 < len(pairs) <= 127

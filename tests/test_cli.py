@@ -285,8 +285,8 @@ def _set_field(name, value):
 
 @pytest.fixture(scope="module")
 def replayable(lo_paths):
-    """Reports that replay, with bad-coloring, exhaustion and map-equality
-    certificates."""
+    """Reports that replay, with bad-coloring, exhaustion, map-equality and
+    composition-equality certificates."""
     root = lo_paths["root"]
     seq = root / "seq.json"
     seq.write_text(json.dumps({"objects": ["LO1", "LO2", "LO3"],
@@ -303,6 +303,9 @@ def replayable(lo_paths):
                           "--kmax", "2", "--bmax", "3"], 0),
         "colim": (["seq", "colim", "--catalog", lo_paths["lo4"],
                    "--seq", str(seq)], 0),
+        "wap": (["amalgam", "--wap", "--catalog", lo_paths["lo4"]], 0),
+        "two-of-k": (["amalgam", "--two-of-k", "2", "--A", "LO4",
+                      "--catalog", lo_paths["lo4"]], 0),
     }
     reports = {}
     for name, (argv, code) in questions.items():
@@ -535,12 +538,16 @@ class TestReplay:
         ("arrow", lambda text: text.replace('"FAILS"', '"HOLDS"')),
         ("holds", lambda text: json.dumps(
             {**json.loads(text), "verdicts": json.loads(text)["verdicts"] * 2})),
+        ("wap", lambda text: text.replace('"HOLDS"', '"FAILS"')),
+        ("two-of-k", lambda text: text.replace('"HOLDS"', '"FAILS"')),
+        ("colim", lambda text: text.replace('"HOLDS"', '"FAILS"')),
     ], ids=["holds-all-flipped", "holds-status-flipped", "fails-all-flipped",
-            "two-verdicts"])
+            "two-verdicts", "wap-flipped", "two-of-k-flipped", "colim-flipped"])
     def test_report_must_agree_with_its_verdict(self, replayable, tmp_path,
                                                 base, doctor):
         """The status is that of exactly one verdict, and an arrow-holds
-        exhaustion sits under HOLDS, an arrow-fails colouring under FAILS."""
+        exhaustion sits under HOLDS, an arrow-fails colouring under FAILS,
+        and an equality certificate under the HOLDS of its question."""
         path = tmp_path / "doctored.json"
         path.write_text(doctor(replayable[base].read_text()))
         assert run(["replay", str(path)]) == 3
@@ -582,6 +589,56 @@ class TestReplay:
         path.write_text(json.dumps(doctor(report,
                                           self._fails_coloring(replayable))))
         assert run(["replay", str(path)]) == code
+
+    @pytest.mark.parametrize("base,borrowed", [
+        ("colim", "wap"), ("colim", "two-of-k"), ("wap", "colim"),
+        ("two-of-k", "colim"), ("holds", "wap")])
+    def test_equality_certificate_is_bound_to_its_question(
+            self, replayable, tmp_path, base, borrowed):
+        """A composition-equality sits only under a weak-amalgamation or
+        two-out-of-k verdict, a map-equality only under a colimit one."""
+        report = json.loads(replayable[base].read_text())
+        lent = json.loads(replayable[borrowed].read_text())["certificates"]
+        report["certificates"] = report["certificates"] + lent[:1]
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(CorruptCertificate, match="under a"):
+            cli.replay(str(path))
+        assert run(["replay", str(path)]) == 3
+
+    @pytest.mark.parametrize("base,keep", [
+        # the lower end is refuted at LO1 only, or nowhere at all
+        ("degree-lower", lambda cert: cert["kind"] != "degree-lower"
+         or cert["C"] == "LO1"),
+        ("degree-lower", lambda cert: False),
+        ("degree-lower", lambda cert: cert["kind"] != "degree-upper"),
+        ("degree", lambda cert: cert["k"] == 1),
+    ], ids=["lower-at-LO1-only", "no-certificates", "no-upper",
+            "upper-at-k1-only"])
+    def test_degree_report_owes_its_certificates(self, replayable, tmp_path,
+                                                 base, keep):
+        """One degree-lower colouring for each object the lower certificate
+        names, and one degree-upper exhaustion for each upper certificate."""
+        report = json.loads(replayable[base].read_text())
+        report["certificates"] = [c for c in report["certificates"] if keep(c)]
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(CorruptCertificate, match="one for each bad colouring"):
+            cli.replay(str(path))
+        assert run(["replay", str(path)]) == 3
+
+    def test_degree_certificate_twice_is_rejected(self, replayable, tmp_path):
+        report = json.loads(replayable["degree-lower"].read_text())
+        report["certificates"].append(report["certificates"][0])
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        assert run(["replay", str(path)]) == 3
+
+    @pytest.mark.parametrize("base", ["wap", "two-of-k", "colim",
+                                      "degree", "degree-lower"])
+    def test_reports_as_written_replay(self, replayable, base):
+        assert json.loads(replayable[base].read_text())["certificates"]
+        assert run(["replay", str(replayable[base])]) == 0
 
     @staticmethod
     def _verdict(report):
