@@ -59,7 +59,8 @@ class AmalgamEngine:
 
     For each (morphism v, object D) it touches, it keeps hom(target v, D),
     the row ``pre(v, D)`` and a dict from each row value to its first index.
-    They die with the engine."""
+    On a table that row is an entry of the category's cached
+    ``columns(source v, target v, D)``.  They die with the engine."""
 
     def __init__(self, cat: FiniteCategory):
         self.cat = cat

@@ -23,11 +23,14 @@ and its dual ``pre(v, d)`` maps hom(target v, d) into hom(source v, d), the
 position of s.v for each s.  Hot loops compare rows, not composites.  A table
 category stores its composition as these rows and nothing else: the loader
 writes ``rows[g][source f][position f] = position(g.f)`` for every entry it
-checks, so ``post`` returns a stored row, ``pre`` reads one slot of several,
-and ``compose`` indexes a hom-set by a row entry.  ``op`` is such a table
-too: its row (w, a) is ``pre(w, a)`` of the category it dualizes.  Rows are
-total and faithful: the loader refuses a table that leaves out a composite
-or names one outside its hom-set, and nothing checks them after.
+checks, so ``post`` returns a stored row and ``compose`` indexes a hom-set by
+a row entry.  The rows post(s, a) for s in hom(b, d), stacked, have as
+columns the rows pre(v, d) for v in hom(a, b): ``columns(a, b, d)`` is that
+transpose, built once per block and cached, and a table's ``pre`` reads one
+of its entries.  ``op`` is such a table too, built block by block: its rows
+are the columns of the category it dualizes.  Rows are total and faithful:
+the loader refuses a table that leaves out a composite or names one outside
+its hom-set, and nothing checks them after.
 
 A table's ``automorphism_ids(a)`` reads rows too: f is kept when some j
 has ``post(f, a)[j] == pre(f, a)[j] == position(id_a)``.  Expansions pick
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import HOLDS, UNKNOWN
 from .errors import (MissingIsoData, SignatureMismatch, WorkbenchError,
@@ -70,6 +74,8 @@ class FiniteCategory:
         # table composition: rows[g][a] = post(g, a), for each a with
         # hom(a, source g) non-empty
         self._rows: dict[str, dict[str, tuple]] | None = rows
+        # table only: (a, b, d) -> columns(a, b, d), built on first read
+        self._cols: dict[tuple[str, str, str], list[tuple]] = {}
         self.structures: dict[str, Structure] = dict(structures or {})
         self._emb_index: dict[tuple[str, str, tuple[int, ...]], str] | None = None
         # "a->b" -> (a, b), the hom-set an id "a->b#k" names, read on demand
@@ -204,12 +210,26 @@ class FiniteCategory:
     def pre(self, v: str, d: str) -> tuple[int, ...]:
         """Position of s.v for each s in hom(target v, d), in order.  Reads
         only hom(target v, d) and hom(source v, d)."""
-        pool = self.hom(self.target(v), d)
         if self._rows is None:
             pos, compose = self._pos, self.compose
-            return tuple([pos[compose(s, v)] for s in pool])
-        rows, a, k = self._rows, self.source(v), self._pos[v]
-        return tuple([rows[s][a][k] for s in pool])
+            return tuple([pos[compose(s, v)] for s in self.hom(self.target(v), d)])
+        return self.columns(self.source(v), self.target(v), d)[self._pos[v]]
+
+    def columns(self, a: str, b: str, d: str) -> list[tuple[int, ...]]:
+        """``pre(v, d)`` for each v in hom(a, b), in order.  On a table it is
+        the transpose of the rows post(s, a) for s in hom(b, d), cached; an
+        empty hom(b, d) gives empty columns."""
+        if self._rows is None:
+            return [self.pre(v, d) for v in self.hom(a, b)]
+        try:
+            return self._cols[(a, b, d)]
+        except KeyError:
+            pool = self.hom(b, d)
+            rows = self._rows
+            cols = (list(zip(*[rows[s][a] for s in pool])) if pool
+                    else [()] * len(self.hom(a, b)))
+            self._cols[(a, b, d)] = cols
+            return cols
 
     def all_morphisms(self):
         for a in self.objects:
@@ -232,8 +252,9 @@ class FiniteCategory:
 
     def is_mono(self, mid: str) -> bool:
         """Every row post(mid, a) is injective."""
-        return all(len(set(row)) == len(row)
-                   for row in (self.post(mid, a) for a in self.objects))
+        rows = ((self.post(mid, a) for a in self.objects) if self._rows is None
+                else self._rows[mid].values())
+        return all(len(set(row)) == len(row) for row in rows)
 
     def is_epi(self, mid: str) -> bool:
         """Every row pre(mid, c) is injective."""
@@ -250,16 +271,24 @@ class FiniteCategory:
 def op(cat: FiniteCategory) -> FiniteCategory:
     """Opposite category: hom-sets swapped, composition reversed.
 
-    A row table whose row (w, a) is ``cat.pre(w, a)``: w.f in op is f.w in
-    cat."""
-    homs = {(b, a): cat.hom(a, b) for a in cat.objects for b in cat.objects}
-    morphisms, rows = {}, {}
-    for mid in cat.all_morphisms():
-        m = cat.morphism(mid)
-        morphisms[mid] = Morphism(mid, m.tgt, m.src, m.emb)
-        rows[mid] = {a: cat.pre(mid, a) for a in cat.objects
-                     if cat.hom(m.tgt, a)}
-    identities = {a: cat.identity(a) for a in cat.objects}
+    A row table whose row (w, d) is ``cat.pre(w, d)``: w.f in op is f.w in
+    cat.  Built per hom-set block hom(a, b) of cat, whose rows are the
+    ``columns(a, b, d)`` for each d that b maps into."""
+    objects = cat.objects
+    homs, morphisms, rows = {}, {}, {}
+    for a in objects:
+        for b in objects:
+            block = homs[(b, a)] = cat.hom(a, b)
+            if not block:
+                continue
+            for mid in block:
+                morphisms[mid] = Morphism(mid, b, a, cat.morphism(mid).emb)
+                rows[mid] = {}
+            for d in objects:
+                if cat.hom(b, d):
+                    for mid, col in zip(block, cat.columns(a, b, d)):
+                        rows[mid][d] = col
+    identities = {a: cat.identity(a) for a in objects}
     return FiniteCategory(cat.objects, homs, morphisms, identities, rows=rows,
                           structures=cat.structures)
 
@@ -267,7 +296,8 @@ def op(cat: FiniteCategory) -> FiniteCategory:
 def tables_equal(c1: FiniteCategory, c2: FiniteCategory) -> bool:
     """Object lists, identities, hom-sets and all composites agree.
 
-    With equal hom-sets, equal rows ``post(w, a)`` are equal composites."""
+    With equal hom-sets, equal rows ``post(w, a)`` are equal composites, and
+    two tables hold the same rows under the same keys."""
     if c1.objects != c2.objects:
         return False
     for a in c1.objects:
@@ -276,6 +306,8 @@ def tables_equal(c1: FiniteCategory, c2: FiniteCategory) -> bool:
         for b in c1.objects:
             if c1.hom(a, b) != c2.hom(a, b):
                 return False
+    if c1._rows is not None and c2._rows is not None:
+        return c1._rows == c2._rows
     return all(c1.post(w, a) == c2.post(w, a)
                for w in c1.all_morphisms() for a in c1.objects)
 
@@ -355,15 +387,17 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
                 for a in objects for f in cat.hom(a, b))
         for b in objects)
 
-    # h.(g.f) = (h.g).f for all f: flat[h.g] is flat[h] after flat[g]
+    # h.(g.f) = (h.g).f for all f: flat[h.g] is flat[h] after flat[g].  read
+    # takes h.g's index, then flat[h] after flat[g]; flat[g] holds g.id at
+    # least, so read always takes two or more indices and returns a tuple
     associativity_ok = True
     for g, row_g in flat.items():
-        at, c = index[g], cat.target(g)
+        read, c = itemgetter(index[g], *row_g), cat.target(g)
         for d in objects:
             into_d = into[d]
             for h in cat.hom(c, d):
-                row_h = flat[h]
-                if flat[into_d[row_h[at]]] != tuple(map(row_h.__getitem__, row_g)):
+                got = read(flat[h])
+                if flat[into_d[got[0]]] != got[1:]:
                     associativity_ok = False
 
     below = {
@@ -443,6 +477,14 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
 # -- abstract categories from JSON -----------------------------------------
 
 
+def _field(doc: dict, name: str, kind: type, what: str):
+    try:
+        value = doc[name]
+    except KeyError:
+        raise WorkbenchError(f"category document has no {name!r} field") from None
+    return check_type(value, kind, what)
+
+
 def abstract_from_json(doc: dict) -> FiniteCategory:
     """The category a JSON table describes, every field type-checked and
     every reference checked: object names are distinct, hom keys name
@@ -452,53 +494,61 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
     slots the table leaves empty."""
     doc = check_type(doc, dict, "category document")
     objects = [check_type(a, str, "object")
-               for a in check_type(doc["objects"], list, "object list")]
+               for a in _field(doc, "objects", list, "object list")]
     if len(set(objects)) != len(objects):
         raise WorkbenchError("category object names must be distinct")
     homs: dict[tuple[str, str], list[str]] = {}
     morphisms: dict[str, Morphism] = {}
-    pos: dict[str, int] = {}
-    for key, mids in check_type(doc["homs"], dict, "hom-set table").items():
+    for key, mids in _field(doc, "homs", dict, "hom-set table").items():
         src, sep, tgt = key.partition("->")
         if not sep or src not in objects or tgt not in objects:
             raise WorkbenchError(f"hom key {key!r} is not A->B for declared A, B")
         homs[(src, tgt)] = [check_type(mid, str, f"morphism of {key}")
                             for mid in check_type(mids, list, f"hom-set {key}")]
-        for k, mid in enumerate(homs[(src, tgt)]):
+        for mid in homs[(src, tgt)]:
             if mid in morphisms:
                 raise WorkbenchError(f"morphism {mid!r} appears in two hom-sets")
             morphisms[mid] = Morphism(mid, src, tgt)
-            pos[mid] = k
-    rows: dict[str, dict[str, list | tuple]] = {
-        g: {a: [None] * len(homs[(a, m.src)])
-            for a in objects if homs.get((a, m.src))}
-        for g, m in morphisms.items()}
+    rows: dict[str, dict[str, list | tuple]] = {}
+    # mid -> (source, target, position, rows[mid]): one lookup per name
+    entry: dict[str, tuple[str, str, int, dict]] = {}
+    for (src, tgt), mids in homs.items():
+        for k, mid in enumerate(mids):
+            row = rows[mid] = {a: [None] * len(homs[(a, src)])
+                               for a in objects if homs.get((a, src))}
+            entry[mid] = (src, tgt, k, row)
     table = check_type(doc.get("compose", {}), dict, "composition table")
-    if not all(type(mid) is str for mid in table.values()):
-        raise WorkbenchError("every composite must be a morphism id string")
     for key, mid in table.items():
+        # before any lookup: a list or dict is unhashable
+        if type(mid) is not str:
+            raise WorkbenchError("every composite must be a morphism id string")
         g, sep, f = key.partition("∘")
-        mg, mf, m = morphisms.get(g), morphisms.get(f), morphisms.get(mid)
-        if not sep or mg is None or mf is None or mf.tgt != mg.src:
+        eg, ef = entry.get(g), entry.get(f)
+        if not sep or eg is None or ef is None or ef[1] != eg[0]:
             raise WorkbenchError(f"composition key {key!r} names no composable pair")
-        if m is None or (m.src, m.tgt) != (mf.src, mg.tgt):
+        e = entry.get(mid)
+        if e is None or e[0] != ef[0] or e[1] != eg[1]:
             raise WorkbenchError(
-                f"composite {key!r} = {mid!r} is not in hom({mf.src}, {mg.tgt})")
-        rows[g][mf.src][pos[f]] = pos[mid]
-    identities = check_type(doc["identities"], dict, "identity table")
+                f"composite {key!r} = {mid!r} is not in hom({ef[0]}, {eg[1]})")
+        eg[3][ef[0]][ef[2]] = e[2]
+    identities = _field(doc, "identities", dict, "identity table")
     if not all(type(mid) is str for mid in identities.values()):
         raise WorkbenchError("every identity must be a morphism id string")
     for a in objects:
-        ia = identities[a]
-        if ia not in homs.get((a, a), ()):
+        try:
+            ia = identities[a]
+        except KeyError:
+            raise WorkbenchError(f"identity table has no entry for {a!r}") from None
+        e = entry.get(ia)
+        if e is None or e[0] != a or e[1] != a:
             raise WorkbenchError(f"identity {ia!r} of {a!r} is not in hom({a}, {a})")
-        k = pos[ia]
+        k = e[2]
         for b in objects:
             for f in homs.get((a, b), []):     # f . ia
-                row = rows[f][a]
-                if row[k] is None:
-                    row[k] = pos[f]
-            row = rows[ia].get(b, [])          # ia . f for f into a
+                _, _, j, by_a = entry[f]
+                if by_a[a][k] is None:
+                    by_a[a][k] = j
+            row = e[3].get(b, [])              # ia . f for f into a
             for j, slot in enumerate(row):
                 if slot is None:
                     row[j] = j

@@ -335,6 +335,45 @@ class TestRowKernel:
         assert not check_axioms(cat).identity_ok
 
 
+class TestColumns:
+    """A table's ``pre`` reads a cached transpose of its rows; the composite
+    of each s in hom(target v, d) with v is the definition."""
+
+    @staticmethod
+    def check_pre(cat):
+        empty = 0
+        for v in cat.all_morphisms():
+            for d in cat.objects:
+                pool = cat.hom(cat.target(v), d)
+                assert cat.pre(v, d) == tuple(
+                    cat.position(cat.compose(s, v)) for s in pool)
+                empty += not pool
+        return empty
+
+    @settings(max_examples=100)
+    @given(random_tables())
+    def test_random_tables_and_their_op(self, doc):
+        cat = abstract_from_json(doc)
+        self.check_pre(cat)
+        self.check_pre(op(cat))
+
+    @pytest.mark.parametrize("doc", [Z3, IDEMPOTENT, NON_ASSOCIATIVE,
+                                     oracles.one_object_table(["e"], {})],
+                             ids=["z3", "idempotent", "non-assoc", "trivial"])
+    def test_one_object_tables(self, doc):
+        # in the trivial table every flat row in check_axioms has length 1
+        cat = abstract_from_json(doc)
+        self.check_pre(cat)
+        self.check_pre(op(cat))
+        assert (check_axioms(cat).associativity_ok
+                == oracles.brute_associative(cat))
+
+    def test_empty_pools_read_as_empty(self):
+        cat = abstract_from_json(NON_MONO)
+        assert self.check_pre(cat) > 0 and self.check_pre(op(cat)) > 0
+        assert cat.pre("g", "A") == ()
+
+
 class TestAssociativityOracle:
     """Associativity by rows of post-composition against the triple scan."""
 

@@ -1049,6 +1049,37 @@ class TestLoaderValidation:
         assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
                     "--abstract", "--catalog", str(path)]) == 3
 
+    @pytest.mark.parametrize("composite", [5, None, ["a"], {}],
+                             ids=["int", "null", "list", "dict"])
+    def test_non_string_composite_exits_three(self, tmp_path, capsys,
+                                              composite):
+        """The loader type-checks a composite before it looks the name up,
+        so an unhashable one is refused, not raised as a TypeError."""
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(dict(TWO_OBJECT_DOC, compose={
+            "f∘a": composite})))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
+                    "--abstract", "--catalog", str(path)]) == 3
+        assert ("every composite must be a morphism id string"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("doc,named", [
+        ({k: v for k, v in TWO_OBJECT_DOC.items() if k != "objects"},
+         "no 'objects' field"),
+        ({k: v for k, v in TWO_OBJECT_DOC.items() if k != "homs"},
+         "no 'homs' field"),
+        ({k: v for k, v in TWO_OBJECT_DOC.items() if k != "identities"},
+         "no 'identities' field"),
+        (dict(TWO_OBJECT_DOC, identities={"B": "b"}),
+         "identity table has no entry for 'A'"),
+    ], ids=["objects", "homs", "identities", "identity-of-A"])
+    def test_missing_field_is_named(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
+                    "--abstract", "--catalog", str(path)]) == 3
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [
         dict(TWO_OBJECT_DOC,
              homs=dict(TWO_OBJECT_DOC["homs"], **{"A->C": ["x"]})),

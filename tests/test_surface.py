@@ -21,7 +21,10 @@ Static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
   alone;
 - no dict display maps a key to ``True`` or ``False``, and no function
   binds a local to a bool constant that it never rebinds, so a report
-  carries no finding that no input can make false.
+  carries no finding that no input can make false;
+- no question in ``cli.QUESTIONS`` returns a verdict constant or a string
+  literal as its status, unless ``INFORMATIONAL`` names it with a reason, so a status
+  that no input can change is declared as such.
 
 A reference is a name, an attribute or an imported name with the same
 identifier, so the guard is coarse: a method counts as reached when any
@@ -299,3 +302,52 @@ def test_no_finding_is_a_constant():
     assert not constants, (
         f"findings that no input can make false: {constants}; report only "
         f"what some input can make false")
+
+
+INFORMATIONAL = {
+    "_cat_skeleton": "lists representatives; any catalog has a skeleton",
+    "_seq_colim": "builds the colimit of a chain, which always exists; "
+                  "its map-equality certificates replay the cocone",
+    "_expand_build": "lists the fibers of the expansion",
+    "_expand_orbits": "lists orbit sizes; equal ages on orbits follow from "
+                      "restriction being functorial",
+}
+VERDICTS = {"HOLDS", "FAILS", "UNKNOWN"}
+
+
+def constant_statuses():
+    """Each function that ``cli.QUESTIONS`` maps to, with the lines where
+    it returns a verdict constant or a string literal as its status, the
+    second item of the returned tuple."""
+    tree = modules()["cli.py"]
+    questions = next(
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "QUESTIONS" for t in node.targets))
+    names = {entry.elts[0].id for entry in questions.values}
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            out[node.name] = [
+                ret.lineno for ret in ast.walk(node)
+                if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+                and len(ret.value.elts) > 1
+                and ((isinstance(ret.value.elts[1], ast.Name)
+                      and ret.value.elts[1].id in VERDICTS)
+                     or isinstance(ret.value.elts[1], ast.Constant))]
+    assert set(out) == names, f"questions defined outside cli: {names - set(out)}"
+    return out
+
+
+def test_no_question_answers_a_constant_status():
+    constant = [f"cli.py:{lines[0]} {name}"
+                for name, lines in constant_statuses().items()
+                if lines and name not in INFORMATIONAL]
+    assert not constant, (
+        f"questions whose status no input can change: {constant}; compute the "
+        f"status, or list the question in INFORMATIONAL with a reason")
+
+
+def test_informational_questions_answer_a_constant_status():
+    statuses = constant_statuses()
+    stale = [name for name in INFORMATIONAL if not statuses.get(name)]
+    assert not stale, f"informational but not a constant status: {stale}"
