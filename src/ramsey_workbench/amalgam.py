@@ -224,10 +224,12 @@ def extract_amalgamable_pair(cat: FiniteCategory, a: str, k: int, c: str,
 
     Given f_i: A -> B_i, g_i: B_i -> C, and D with D -> (C)^A_{k,k-1}:
     color each h in hom(A, D) by the least i < k-1 such that h factors
-    through f_i (last color otherwise), take a copy x of C in D avoiding
-    some color j, read off i = color(x.g_j.f_j), and return the pair (i, j)
-    with the factorization witness.  The defining equation g.f_i = x.g_j.f_j
-    replays by composition.
+    through f_i, that is, the row ``pre(f_i, D)`` holds its position (last
+    color otherwise); take the first copy x of C in D whose row
+    ``post(x, A)`` avoids some color j; read off i = color(x.g_j.f_j), and
+    return the pair (i, j) with the factorization witness g, the first in
+    hom(B_i, D) at that position of the row.  The defining equation
+    g.f_i = x.g_j.f_j replays by composition.
     """
     if len(g_list) != k or len(f_list) != k:
         raise ValueError("need exactly k composable pairs")
@@ -242,57 +244,34 @@ def extract_amalgamable_pair(cat: FiniteCategory, a: str, k: int, c: str,
         raise ArrowDoesNotHold(
             f"{d} -> ({c})^{a}_({k},{k - 1}) is {verdict.status}")
 
-    hom_ad = cat.hom(a, d)
-    factor_cache: dict[tuple[str, int], str | None] = {}
+    colors = [k - 1] * len(cat.hom(a, d))
+    for i in reversed(range(k - 1)):     # the least i is written last
+        for p in cat.pre(f_list[i], d):
+            colors[p] = i
 
-    def factor_through(h: str, i: int) -> str | None:
-        key = (h, i)
-        if key not in factor_cache:
-            found = None
-            b_i = cat.target(f_list[i])
-            for g in cat.hom(b_i, d):
-                if cat.compose(g, f_list[i]) == h:
-                    found = g
-                    break
-            factor_cache[key] = found
-        return factor_cache[key]
-
-    def chi(h: str) -> int:
-        for i in range(k - 1):
-            if factor_through(h, i) is not None:
-                return i
-        return k - 1
-
-    coloring = {h: chi(h) for h in hom_ad}
-
-    x_found = None
     for x in cat.hom(c, d):
-        seen = {coloring[cat.compose(x, e)] for e in cat.hom(a, c)}
+        seen = {colors[p] for p in cat.post(x, a)}
         if len(seen) <= k - 1:
-            x_found = (x, seen)
             break
-    if x_found is None:
+    else:
         raise ArrowDoesNotHold("no copy of C sees at most k-1 colors; "
                                "arrow verdict was inconsistent")
-    x, seen = x_found
-    avoided = [j for j in range(k) if j not in seen]
-    j = avoided[0]
+    j = next(j for j in range(k) if j not in seen)
 
     rhs = cat.compose(x, cat.compose(g_list[j], f_list[j]))
-    i = coloring[rhs]
+    p = cat.position(rhs)
+    i = colors[p]
     if i == j:
         raise FactorSearchFailed("extracted pair is degenerate; "
                                  "precondition violated")
     if i == k - 1:
         # the avoided color j < k-1 forces a factorization below k-1
         raise FactorSearchFailed("composite landed in the residual color")
-    g = factor_through(rhs, i)
-    if g is None:
-        raise FactorSearchFailed("coloring promised a factorization "
-                                 "that does not exist")
+    g = cat.hom(cat.target(f_list[i]), d)[cat.pre(f_list[i], d).index(p)]
     lhs = cat.compose(g, f_list[i])
     assert lhs == rhs
-    return PairExtraction(i, j, g, x, lhs, rhs, coloring)
+    return PairExtraction(i, j, g, x, lhs, rhs,
+                          dict(zip(cat.hom(a, d), colors)))
 
 
 def find_extraction_instance(cat: FiniteCategory, a: str, k: int, *,

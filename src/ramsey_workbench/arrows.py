@@ -80,7 +80,6 @@ class ArrowInstance:
 
     domain: tuple[str, ...]           # hom(A, C)
     copies: tuple[tuple[int, ...], ...]  # per w in hom(B, C): indices of w.hom(A,B)
-    witnesses: tuple[str, ...]        # hom(B, C)
     hom_ab: tuple[str, ...]
 
     @staticmethod
@@ -89,9 +88,8 @@ class ArrowInstance:
         only hom(A,C), hom(A,B) and hom(B,C) are enumerated."""
         domain = tuple(cat.hom(a, c))
         hom_ab = tuple(cat.hom(a, b))
-        hom_bc = tuple(cat.hom(b, c))
-        copies = tuple(cat.post(w, a) for w in hom_bc)
-        return ArrowInstance(domain, copies, hom_bc, hom_ab)
+        copies = tuple(cat.post(w, a) for w in cat.hom(b, c))
+        return ArrowInstance(domain, copies, hom_ab)
 
 
 def is_bad(inst: ArrowInstance, values, t: int) -> bool:
@@ -153,7 +151,7 @@ def _lex_step(cat: FiniteCategory, domain, tied: list, p: int,
 def _trivial_verdict(inst: ArrowInstance, k: int, t: int,
                      degenerate: str | None) -> ArrowVerdict | None:
     """The verdict of an instance that needs no search, else None."""
-    if not inst.witnesses:
+    if not inst.copies:
         # no witness exists and at least one coloring always does
         bad = Coloring(inst.domain, k, tuple(0 for _ in inst.domain))
         return ArrowVerdict(FAILS, bad, ArrowStats(), degenerate,
@@ -426,11 +424,8 @@ def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
 
 
 # Colorings per bitset in `oracle_arrow_check`: an int of at most 8 KiB.
-# The first block is tested in runs of ranks: up to ORACLE_FIRST, then each
-# ORACLE_GROWTH times as far, so an early bad coloring costs little.
+# Every block is tested whole, so a FAILS costs the ints of its block.
 ORACLE_BLOCK = 1 << 16
-ORACLE_FIRST = 1 << 6
-ORACLE_GROWTH = 32
 ORACLE_BUDGET = 2_000_000   # most colorings `oracle_arrow_check` tests
 
 
@@ -455,18 +450,6 @@ def _digit_masks(k: int, places: int) -> list[list[int]]:
     return masks
 
 
-def _first_block_runs(size: int):
-    """The rank ranges [lo, hi) that split the first block, in order.  Each
-    run is ORACLE_GROWTH times as far as the last, and the last run takes
-    the rest of the block, so lo is at most hi / ORACLE_GROWTH."""
-    lo, hi = 0, ORACLE_FIRST
-    while lo < size:
-        if hi * ORACLE_GROWTH > size:
-            hi = size
-        yield lo, hi
-        lo, hi = hi, hi * ORACLE_GROWTH
-
-
 def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
                        t: int) -> ArrowVerdict:
     """Decide the arrow by testing every coloring, pruning nothing.
@@ -480,16 +463,9 @@ def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
     block, a copy of B sees color col on the OR of its positions'
     `_digit_masks`; it sees more than t colors where t + 1 of its k "sees"
     masks hold, a running threshold count; and a coloring is bad where
-    every copy sees more than t colors.  The lowest bad bit is the first bad
-    coloring in lex order, so a FAILS stops at the first block holding one.
-
-    The first block goes in disjoint runs of ranks [lo, hi) that grow from
-    `ORACLE_FIRST` by `ORACLE_GROWTH` (`_first_block_runs`), and a FAILS
-    there stops at the first run holding one, so a FAILS at a low rank
-    costs ints of about its rank, not of a whole block.  A run
-    works on the masks cut to their low hi bits and starts with no bad bit
-    below lo, so each coloring is decided in one run only; the ranks below
-    lo, at most 1/ORACLE_GROWTH of the run, are carried along unused.
+    every copy sees more than t colors.  Each block, the first included, is
+    tested whole in one pass; its lowest bad bit is the first bad coloring
+    in lex order, so a FAILS stops at the first block holding one.
 
     `colorings_scanned` is the rank of the first bad coloring plus one, or
     k^m when none is bad: the count a scan of one coloring at a time, in lex
@@ -511,36 +487,32 @@ def oracle_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
     masks = _digit_masks(k, places)
     split = [([i for i in copy if i < lead], [i - lead for i in copy if i >= lead])
              for copy in inst.copies]
+    full = (1 << size) - 1
     for block, prefix in enumerate(itertools.product(range(k), repeat=lead)):
-        runs = _first_block_runs(size) if block == 0 else ((0, size),)
-        for lo, hi in runs:
-            full = (1 << hi) - 1
-            bad = full ^ ((1 << lo) - 1)
-            cut = masks if hi == size else [[mask & full for mask in digit]
-                                            for digit in masks]
-            for fixed, digits in split:
-                sees = [0] * k
-                for i in fixed:
-                    sees[prefix[i]] = full
-                for j in digits:
-                    row = cut[j]
-                    for col in range(k):
-                        sees[col] |= row[col]
-                more = [0] * (t + 1)    # more[j]: sees more than j colors so far
+        bad = full
+        for fixed, digits in split:
+            sees = [0] * k
+            for i in fixed:
+                sees[prefix[i]] = full
+            for j in digits:
+                row = masks[j]
                 for col in range(k):
-                    for j in range(min(col, t), 0, -1):
-                        more[j] |= more[j - 1] & sees[col]
-                    more[0] |= sees[col]
-                bad &= more[t]
-                if not bad:
-                    break
-            if bad:
-                rank = (bad & -bad).bit_length() - 1
-                stats.colorings_scanned = block * size + rank + 1
-                values = prefix + tuple(rank // k ** (places - 1 - j) % k
-                                        for j in range(places))
-                return ArrowVerdict(FAILS, Coloring(inst.domain, k, values),
-                                    stats, degenerate)
+                    sees[col] |= row[col]
+            more = [0] * (t + 1)    # more[j]: sees more than j colors so far
+            for col in range(k):
+                for j in range(min(col, t), 0, -1):
+                    more[j] |= more[j - 1] & sees[col]
+                more[0] |= sees[col]
+            bad &= more[t]
+            if not bad:
+                break
+        if bad:
+            rank = (bad & -bad).bit_length() - 1
+            stats.colorings_scanned = block * size + rank + 1
+            values = prefix + tuple(rank // k ** (places - 1 - j) % k
+                                    for j in range(places))
+            return ArrowVerdict(FAILS, Coloring(inst.domain, k, values),
+                                stats, degenerate)
     stats.colorings_scanned = k ** m
     return ArrowVerdict(HOLDS, None, stats, degenerate)
 

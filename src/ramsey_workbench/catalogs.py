@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import WorkbenchError, check_type
+from .errors import WorkbenchError, check_field, check_type
 from .structures import Signature, Structure, _merge_orbits, canonical_key
 
 LO_SIGNATURE = Signature(relations=(("lt", 2),))
@@ -258,14 +258,15 @@ def _check(value, kind: type, what: str):
 def catalog_from_json(doc: dict) -> list[Structure]:
     """The catalog a JSON document describes.
 
-    Every field is type-checked here (see ``errors.check_type``).
+    Every field is type-checked here, and a missing one is named.
     """
-    sig_doc = _check(_check(doc, dict, "document")["signature"], dict, "signature")
+    doc = _check(doc, dict, "document")
+    sig_doc = check_field(doc, "signature", dict, "catalog signature")
     relations = []
-    for r in _check(sig_doc["relations"], list, "relation list"):
+    for r in check_field(sig_doc, "relations", list, "catalog relation list"):
         r = _check(r, dict, "relation symbol")
-        relations.append((_check(r["name"], str, "relation name"),
-                          _check(r["arity"], int, "arity")))
+        relations.append((check_field(r, "name", str, "catalog relation name"),
+                          check_field(r, "arity", int, "catalog arity")))
     sig = Signature(
         relations=tuple(relations),
         constants=tuple(_check(c, str, "constant symbol") for c in
@@ -273,13 +274,13 @@ def catalog_from_json(doc: dict) -> list[Structure]:
     )
     out = []
     names = set()
-    for spec in _check(doc["structures"], list, "structure list"):
+    for spec in check_field(doc, "structures", list, "catalog structure list"):
         spec = _check(spec, dict, "structure")
-        name = _check(spec["name"], str, "structure name")
+        name = check_field(spec, "name", str, "catalog structure name")
         if name in names:
             raise WorkbenchError(f"duplicate structure name {name!r}")
         names.add(name)
-        size = _check(spec["size"], int, f"size of {name}")
+        size = check_field(spec, "size", int, f"catalog size of {name}")
         if size < 0:
             raise WorkbenchError(f"catalog size of {name} is negative")
         tables = {}

@@ -47,7 +47,7 @@ from operator import itemgetter
 
 from . import HOLDS, UNKNOWN
 from .errors import (MissingIsoData, SignatureMismatch, WorkbenchError,
-                     check_type)
+                     check_field, check_type)
 from .structures import (Embedding, Structure, canonical_form,
                          compose as compose_embeddings, enumerate_embeddings)
 # not called here: perfbench/spans.py wraps these two names in this module
@@ -477,37 +477,40 @@ def skeletonize(cat: FiniteCategory) -> Skeletonization:
 # -- abstract categories from JSON -----------------------------------------
 
 
-def _field(doc: dict, name: str, kind: type, what: str):
-    try:
-        value = doc[name]
-    except KeyError:
-        raise WorkbenchError(f"category document has no {name!r} field") from None
-    return check_type(value, kind, what)
-
-
 def abstract_from_json(doc: dict) -> FiniteCategory:
     """The category a JSON table describes, every field type-checked and
-    every reference checked: object names are distinct, hom keys name
-    objects, identities and composites lie in their hom-sets, and every
-    composable pair has a composite.  Nothing checks them later.  Each
+    every reference checked: object names are distinct, each hom key
+    splits at one "->" into two objects, no id holds "∘", identities and
+    composites lie in their hom-sets, and every composable pair has a
+    composite.  Nothing checks them later.  Each
     composite is written into its row; identity composites fill only the
     slots the table leaves empty."""
     doc = check_type(doc, dict, "category document")
     objects = [check_type(a, str, "object")
-               for a in _field(doc, "objects", list, "object list")]
-    if len(set(objects)) != len(objects):
+               for a in check_field(doc, "objects", list, "object list")]
+    declared = set(objects)
+    if len(declared) != len(objects):
         raise WorkbenchError("category object names must be distinct")
     homs: dict[tuple[str, str], list[str]] = {}
     morphisms: dict[str, Morphism] = {}
-    for key, mids in _field(doc, "homs", dict, "hom-set table").items():
-        src, sep, tgt = key.partition("->")
-        if not sep or src not in objects or tgt not in objects:
+    for key, mids in check_field(doc, "homs", dict, "hom-set table").items():
+        # object names may hold "->": take the one split naming two objects
+        splits = [(key[:i], key[i + 2:]) for i in range(len(key))
+                  if key.startswith("->", i)
+                  and key[:i] in declared and key[i + 2:] in declared]
+        if len(splits) > 1:
+            readings = " and ".join(f"{s!r}->{t!r}" for s, t in splits)
+            raise WorkbenchError(f"hom key {key!r} is ambiguous: it reads {readings}")
+        if not splits:
             raise WorkbenchError(f"hom key {key!r} is not A->B for declared A, B")
+        (src, tgt), = splits
         homs[(src, tgt)] = [check_type(mid, str, f"morphism of {key}")
                             for mid in check_type(mids, list, f"hom-set {key}")]
         for mid in homs[(src, tgt)]:
             if mid in morphisms:
                 raise WorkbenchError(f"morphism {mid!r} appears in two hom-sets")
+            if "∘" in mid:
+                raise WorkbenchError(f"morphism id {mid!r} holds the separator '∘'")
             morphisms[mid] = Morphism(mid, src, tgt)
     rows: dict[str, dict[str, list | tuple]] = {}
     # mid -> (source, target, position, rows[mid]): one lookup per name
@@ -531,7 +534,7 @@ def abstract_from_json(doc: dict) -> FiniteCategory:
             raise WorkbenchError(
                 f"composite {key!r} = {mid!r} is not in hom({ef[0]}, {eg[1]})")
         eg[3][ef[0]][ef[2]] = e[2]
-    identities = _field(doc, "identities", dict, "identity table")
+    identities = check_field(doc, "identities", dict, "identity table")
     if not all(type(mid) is str for mid in identities.values()):
         raise WorkbenchError("every identity must be a morphism id string")
     for a in objects:

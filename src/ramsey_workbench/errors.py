@@ -56,3 +56,10 @@ def check_type(value, kind: type, what: str):
         raise WorkbenchError(f"{what} must be {kind.__name__}, "
                              f"not {type(value).__name__} {shown}")
     return value
+
+
+def check_field(doc: dict, name: str, kind: type, what: str):
+    """check_type(doc[name], kind, what), naming the field if doc lacks it."""
+    if name not in doc:
+        raise WorkbenchError(f"no {name!r} field for the {what}")
+    return check_type(doc[name], kind, what)

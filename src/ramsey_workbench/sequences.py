@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import FAILS, HOLDS, UNKNOWN
 from .category import FiniteCategory
 from .errors import (ShapeMismatch, TruncationOverflow, WorkbenchError,
-                     check_type)
+                     check_field, check_type)
 from .structures import Embedding, Structure, compose, identity
 # not called here: perfbench/spans.py wraps these two names in this module
 from .structures import automorphisms, enumerate_embeddings  # noqa: F401
@@ -226,7 +226,7 @@ def sequence_from_json(doc: dict, catalog: list[Structure]) -> TruncatedSequence
     """The sequence a JSON document describes, every field type-checked."""
     by_name = {s.name: s for s in catalog}
     doc = check_type(doc, dict, "sequence document")
-    names = check_type(doc["objects"], list, "sequence object list")
+    names = check_field(doc, "objects", list, "sequence object list")
     try:
         objects = tuple(by_name[check_type(n, str, "sequence object")]
                         for n in names)

@@ -149,9 +149,6 @@ class Embedding:
             if self.map[v] != self.target.constant(cname):
                 raise WorkbenchError(f"constant {cname!r} not preserved")
 
-    def __call__(self, i: int) -> int:
-        return self.map[i]
-
     @property
     def is_identity(self) -> bool:
         return self.source == self.target and self.map == tuple(range(self.source.size))

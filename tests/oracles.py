@@ -5,7 +5,8 @@ all injections, canonical forms by minimizing over all permutations, arrow
 verdicts by scanning every coloring.  Expected values in the test suite are
 frozen from these, not from the implementations under test.  The scans
 kept from earlier checkers (``first_amalgam``, ``eager_two_of_k``,
-``scan_forgetful``, ``scan_automorphism_ids``) call the package's
+``scan_wap``, ``scan_extraction``, ``scan_forgetful``,
+``scan_automorphism_ids``) call the package's
 primitives, ``compose`` and ``morphism_preserves``, but not the checkers
 they test.
 ``scan_arrow_check``, the coloring-by-coloring scan that the bit-sliced
@@ -35,10 +36,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from ramsey_workbench import FAILS, HOLDS, UNKNOWN
+from ramsey_workbench.amalgam import PairExtraction
 from ramsey_workbench.arrows import (ArrowInstance, ArrowStats, ArrowVerdict,
-                                     Coloring)
-from ramsey_workbench.category import Skeletonization
-from ramsey_workbench.errors import (BudgetExceeded, ShapeMismatch,
+                                     Coloring, arrow_check)
+from ramsey_workbench.category import FiniteCategory, Skeletonization
+from ramsey_workbench.errors import (ArrowDoesNotHold, BudgetExceeded,
+                                     FactorSearchFailed, ShapeMismatch,
                                      TruncationOverflow, WorkbenchError)
 from ramsey_workbench.expansion import ExpandedObject, ExpansionSpace
 from ramsey_workbench.sequences import (ColimitResult, HomogeneityReport,
@@ -474,6 +477,79 @@ def scan_wap(cat):
                 "A": a, "reason": "no amalgamation arrow in catalog"})
         arrows[a] = found
     return AmalgamationReport("HOLDS", [arrows[a] for a in cat.objects])
+
+
+def scan_extraction(cat: FiniteCategory, a: str, k: int, c: str,
+                    d: str, g_list: list[str],
+                    f_list: list[str]) -> PairExtraction:
+    """The pair extraction as it was before it read ``pre`` and ``post``
+    rows, kept as the reference for ``amalgam.extract_amalgamable_pair``:
+    each h in hom(A, D) is colored by composing every g in hom(B_i, D) with
+    f_i, and each copy of C by composing x with every e in hom(A, C)."""
+    if len(g_list) != k or len(f_list) != k:
+        raise ValueError("need exactly k composable pairs")
+    for fi, gi in zip(f_list, g_list):
+        if cat.source(fi) != a or cat.target(fi) != cat.source(gi):
+            raise ValueError("f_i and g_i do not line up")
+        if cat.target(gi) != c:
+            raise ValueError("g_i must land in C")
+
+    verdict = arrow_check(cat, d, c, a, k, k - 1)
+    if verdict.status != HOLDS:
+        raise ArrowDoesNotHold(
+            f"{d} -> ({c})^{a}_({k},{k - 1}) is {verdict.status}")
+
+    hom_ad = cat.hom(a, d)
+    factor_cache: dict[tuple[str, int], str | None] = {}
+
+    def factor_through(h: str, i: int) -> str | None:
+        key = (h, i)
+        if key not in factor_cache:
+            found = None
+            b_i = cat.target(f_list[i])
+            for g in cat.hom(b_i, d):
+                if cat.compose(g, f_list[i]) == h:
+                    found = g
+                    break
+            factor_cache[key] = found
+        return factor_cache[key]
+
+    def chi(h: str) -> int:
+        for i in range(k - 1):
+            if factor_through(h, i) is not None:
+                return i
+        return k - 1
+
+    coloring = {h: chi(h) for h in hom_ad}
+
+    x_found = None
+    for x in cat.hom(c, d):
+        seen = {coloring[cat.compose(x, e)] for e in cat.hom(a, c)}
+        if len(seen) <= k - 1:
+            x_found = (x, seen)
+            break
+    if x_found is None:
+        raise ArrowDoesNotHold("no copy of C sees at most k-1 colors; "
+                               "arrow verdict was inconsistent")
+    x, seen = x_found
+    avoided = [j for j in range(k) if j not in seen]
+    j = avoided[0]
+
+    rhs = cat.compose(x, cat.compose(g_list[j], f_list[j]))
+    i = coloring[rhs]
+    if i == j:
+        raise FactorSearchFailed("extracted pair is degenerate; "
+                                 "precondition violated")
+    if i == k - 1:
+        # the avoided color j < k-1 forces a factorization below k-1
+        raise FactorSearchFailed("composite landed in the residual color")
+    g = factor_through(rhs, i)
+    if g is None:
+        raise FactorSearchFailed("coloring promised a factorization "
+                                 "that does not exist")
+    lhs = cat.compose(g, f_list[i])
+    assert lhs == rhs
+    return PairExtraction(i, j, g, x, lhs, rhs, coloring)
 
 
 def lo_table(n: int) -> dict:

@@ -10,9 +10,11 @@ from ramsey_workbench.amalgam import (AmalgamEngine, extract_amalgamable_pair,
                                       verify_pairwise_non_amalgamable,
                                       wap_check)
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
-                                       graph_catalog, linear_order, lo_catalog)
+                                       graph_catalog, linear_order, lo_catalog,
+                                       path_graph)
 from ramsey_workbench.category import FiniteCategory, abstract_from_json, op
-from ramsey_workbench.errors import ArrowDoesNotHold, FactorSearchFailed
+from ramsey_workbench.errors import (ArrowDoesNotHold, FactorSearchFailed,
+                                     WorkbenchError)
 
 import oracles
 
@@ -148,6 +150,36 @@ class TestTwoOfK:
             two_of_k_check(lo5, "LO2", 1)
 
 
+def _extraction(extract, cat, *instance):
+    """The extraction, or the type and message of the error it raises."""
+    try:
+        return extract(cat, *instance)
+    except WorkbenchError as err:
+        return type(err), str(err)
+
+
+def _chain_instances(cat):
+    """The chain instances of ``TestPairExtraction``, on any category that
+    holds LO2..LO6 with the chain catalog's morphisms in its hom order."""
+    f_list = cat.hom("LO2", "LO3")[:2]
+    ident = [cat.identity("LO3")] * 2
+    return [("LO2", 2, "LO3", "LO6", ident, f_list),
+            ("LO2", 2, "LO3", "LO6", ident, [f_list[0]] * 2),
+            ("LO2", 3, "LO3", "LO6", ident + ident[:1], [f_list[0]] * 3),
+            ("LO2", 2, "LO3", "LO5", ident, f_list),
+            ("LO2", 2, "LO4", "LO6", [cat.hom("LO3", "LO4")[0]] * 2, f_list)]
+
+
+def _rigid_pair_instance():
+    """Three-colour instance on P3, whose automorphisms are f_0 and f_1."""
+    cat = FiniteCategory.from_structures(graph_catalog(3))
+    p3 = oracles.find_isomorphic(list(cat.structures.values()),
+                                 path_graph(3)).name
+    auts = cat.hom(p3, p3)
+    return cat, (p3, 3, p3, p3, [cat.identity(p3)] * 3,
+                 [auts[0], auts[1], auts[0]])
+
+
 class TestPairExtraction:
     def test_transcript_on_the_classical_instance(self, lo6):
         f_list = lo6.hom("LO2", "LO3")[:2]
@@ -180,14 +212,8 @@ class TestPairExtraction:
                                      g_list, f_list)
 
     def test_three_color_instance_on_rigid_pair(self):
-        from ramsey_workbench.catalogs import graph_catalog, path_graph
-        from oracles import find_isomorphic
-        cat = FiniteCategory.from_structures(graph_catalog(3))
-        p3 = find_isomorphic(list(cat.structures.values()), path_graph(3)).name
-        auts = cat.hom(p3, p3)
-        f_list = [auts[0], auts[1], auts[0]]
-        g_list = [cat.identity(p3)] * 3
-        out = extract_amalgamable_pair(cat, p3, 3, p3, p3, g_list, f_list)
+        cat, instance = _rigid_pair_instance()
+        out = extract_amalgamable_pair(cat, *instance)
         assert out.lhs == out.rhs and out.i != out.j
 
     def test_search_wrapper_finds_an_instance(self):
@@ -210,6 +236,29 @@ class TestPairExtraction:
                 assert out.lhs == out.rhs
             except ArrowDoesNotHold:
                 pass
+
+
+class TestExtractionMatchesScan:
+    """The row-read extraction equals the compose scan it replaced: the same
+    (i, j, g, x, lhs, rhs, coloring), or the same error."""
+
+    @pytest.mark.parametrize("table", [False, True], ids=["lo6", "lo-table-6"])
+    def test_chain_instances(self, lo6, table):
+        cat = abstract_from_json(oracles.lo_table(6)) if table else lo6
+        for instance in _chain_instances(cat):
+            assert (_extraction(extract_amalgamable_pair, cat, *instance)
+                    == _extraction(oracles.scan_extraction, cat, *instance))
+
+    def test_rigid_pair(self):
+        cat, instance = _rigid_pair_instance()
+        out = extract_amalgamable_pair(cat, *instance)
+        assert out == oracles.scan_extraction(cat, *instance)
+
+    def test_search_instance(self):
+        cat = FiniteCategory.from_structures(lo_catalog(3))
+        a, k, c, d, g_list, f_list = find_extraction_instance(cat, "LO1", 2)
+        out = extract_amalgamable_pair(cat, a, k, c, d, g_list, f_list)
+        assert out == oracles.scan_extraction(cat, a, k, c, d, g_list, f_list)
 
 
 V_POSET = {

@@ -208,27 +208,12 @@ class TestBitSlicedOracle:
         assert holds == ArrowVerdict(HOLDS, None,
                                      ArrowStats(colorings_scanned=2 ** 18))
 
-    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 128, 2047, 2048,
-                                      2049, 3 ** 10, 2 ** 15, 2 ** 16])
-    def test_first_block_runs_split_the_block(self, size):
-        """Runs in order, each right after the last, with at most a
-        1/ORACLE_GROWTH share of ranks before lo in its ints."""
-        runs = list(arrows._first_block_runs(size))
-        assert runs[0][0] == 0 and runs[-1][1] == size
-        assert all(hi == lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
-        assert all(lo * arrows.ORACLE_GROWTH <= hi for lo, hi in runs)
-        if size >= arrows.ORACLE_FIRST * arrows.ORACLE_GROWTH:
-            assert runs[0] == (0, arrows.ORACLE_FIRST)
-
     @pytest.mark.parametrize("j,rank", [(10, 32), (9, 64), (5, 1024),
                                         (4, 2048), (1, 2 ** 14)])
     def test_first_bad_coloring_in_each_run_of_the_first_block(self, j, rank):
-        """16 positions make one block of 2^16 colorings, tested in runs
-        [0, 64), [64, 2048) and [2048, 2^16).  With the one copy {x0, xj},
-        the first bad coloring sets xj alone, at rank 2^(15-j): inside a
-        run or at its first rank."""
-        assert list(arrows._first_block_runs(2 ** 16)) == [
-            (0, 64), (64, 2048), (2048, 2 ** 16)]
+        """16 positions make one block of 2^16 colorings.  With the one copy
+        {x0, xj}, the first bad coloring sets xj alone, at rank 2^(15-j),
+        from low in the block to a quarter of the way in."""
         cat = _pairs_category(16, [(0, j)])
         verdict = oracle_arrow_check(cat, "C", "B", "A", 2, 1)
         assert verdict == oracles.scan_arrow_check(cat, "C", "B", "A", 2, 1)

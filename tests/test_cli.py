@@ -965,6 +965,25 @@ class TestCatalogValidation:
         node[path[-1]] = value
         return doc
 
+    @pytest.mark.parametrize("path", [
+        ("signature",), ("signature", "relations"),
+        ("signature", "relations", 0, "name"),
+        ("signature", "relations", 0, "arity"), ("structures",),
+        ("structures", 1, "name"), ("structures", 1, "size"),
+    ], ids=["signature", "relations", "symbol-name", "symbol-arity",
+            "structures", "structure-name", "structure-size"])
+    def test_missing_field_is_named(self, tmp_path, capsys, path):
+        doc = self._set(path, None)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        catalog = tmp_path / "c.json"
+        catalog.write_text(json.dumps(doc))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
+                    "--catalog", str(catalog)]) == 3
+        assert f"no {path[-1]!r} field" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path,value", [
         (("structures", 1, "size"), "2"),
         (("structures", 2, "relations", "lt"), 5),
@@ -1014,6 +1033,12 @@ TWO_OBJECT_DOC = {"objects": ["A", "B"],
                   "homs": {"A->A": ["a"], "B->B": ["b"], "A->B": ["f"]},
                   "identities": {"A": "a", "B": "b"},
                   "compose": {"f∘a": "f", "b∘f": "f"}}
+# four objects, two of whose names hold "->", with identities only
+ARROW_NAMED_DOC = {"objects": ["A", "B->C", "A->B", "C"],
+                   "homs": {"A->A": ["a"], "B->C->B->C": ["bc"],
+                            "A->B->A->B": ["ab"], "C->C": ["c"]},
+                   "identities": {"A": "a", "B->C": "bc", "A->B": "ab",
+                                  "C": "c"}}
 
 
 class TestLoaderValidation:
@@ -1037,6 +1062,15 @@ class TestLoaderValidation:
             assert run(["--out", str(out), "seq", action, "--catalog",
                         lo_paths["lo4"], "--seq", str(seq_path)]) == 3
             assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["colim", "wfcheck"])
+    def test_sequence_without_objects_is_named(self, lo_paths, tmp_path,
+                                               capsys, action):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"bonding": {}}))
+        assert run(["--out", str(tmp_path / "r.json"), "seq", action,
+                    "--catalog", lo_paths["lo4"], "--seq", str(seq_path)]) == 3
+        assert "no 'objects' field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [
         ("homs", {"A->A": 5}),
@@ -1127,6 +1161,44 @@ class TestLoaderValidation:
         assert any("misses {!r} . {!r}".format(*key.split("∘")) in err
                    for key in dropped)
         assert not out.exists()
+
+    def test_object_names_may_hold_the_hom_separator(self, tmp_path):
+        """Each hom key has one split into two declared objects.  With
+        identities only, the axioms hold but the four objects have no common
+        extension; a morphism from each other object into A makes the table
+        directed."""
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(ARROW_NAMED_DOC))
+        argv = ["--abstract", "--catalog", str(path)]
+        code, report = run_json(["cat", "check"] + argv, tmp_path / "r.json")
+        detail = report["verdicts"][0]["detail"]
+        assert (code, report["status"]) == (1, "FAILS")
+        assert sorted(detail["below_sets"]) == sorted(ARROW_NAMED_DOC["objects"])
+        assert detail["identity_ok"] and detail["associativity_ok"]
+        assert not detail["directed"]
+        assert run_json(["cat", "op"] + argv, tmp_path / "op.json")[0] == 0
+        path.write_text(json.dumps(dict(ARROW_NAMED_DOC, homs=dict(
+            ARROW_NAMED_DOC["homs"], **{"B->C->A": ["p"], "A->B->A": ["q"],
+                                        "C->A": ["r"]}))))
+        code, report = run_json(["cat", "check"] + argv, tmp_path / "r.json")
+        assert (code, report["status"]) == (0, "HOLDS")
+
+    @pytest.mark.parametrize("doc,named", [
+        (dict(ARROW_NAMED_DOC, homs=dict(ARROW_NAMED_DOC["homs"],
+                                         **{"A->B->C": []})),
+         "hom key 'A->B->C' is ambiguous: it reads 'A'->'B->C' and "
+         "'A->B'->'C'"),
+        (dict(ABSTRACT_DOC, homs={"A->A": ["a∘a"]}, identities={"A": "a∘a"},
+              compose={}),
+         "morphism id 'a∘a' holds the separator '∘'"),
+    ], ids=["ambiguous-hom-key", "composition-separator-in-id"])
+    def test_separator_in_a_name_is_refused(self, tmp_path, capsys, doc,
+                                            named):
+        path = tmp_path / "abstract.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--out", str(tmp_path / "r.json"), "cat", "check",
+                    "--abstract", "--catalog", str(path)]) == 3
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("action", ["check", "op"])
     def test_two_object_abstract_category_holds(self, tmp_path, action):
