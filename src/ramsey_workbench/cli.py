@@ -8,9 +8,11 @@ those flags and makes the question's ``(check, status, verdict fields,
 certificates[, top-level extras])`` the report's one verdict, whose status
 is the report's and sets the exit code: 0 holds, 1 fails, 2 unknown at
 bound, 3 input error.  ``REPLAY`` maps each certificate type to a re-checker
-and the types of the fields it reads, which are checked first.  Checkers
-are called through this module's globals, so a tracer that replaces
-``cli.<name>`` sees every call.
+and the types of the fields it reads, which are checked first.  ``_owed``
+is the one rule for the certificates an arrow or degree verdict owes:
+``ask`` writes them and replay requires them; ``BOUND_TO`` binds each other
+type to the verdicts it may sit under.  Checkers are called through this
+module's globals, so a tracer that replaces ``cli.<name>`` sees every call.
 
 ``run`` builds the argument parser once per process, on its first call, and
 reuses it; the ``RW_SEED``, ``RW_BUDGET_NODES`` and ``RW_BUDGET_SECS``
@@ -73,11 +75,6 @@ def _require_objects(objects, args, *flags: str) -> None:
             raise WorkbenchError(f"--{flag} {name!r} is not a catalog object")
 
 
-def _coloring_cert(kind: str, instance: dict, coloring: Coloring) -> dict:
-    return {"type": "bad-coloring", "kind": kind, **instance,
-            "domain": coloring.domain, "values": coloring.values}
-
-
 # -- questions ----------------------------------------------------------------
 
 
@@ -121,21 +118,16 @@ def _arrow(args, cat):
         verdict = arrow_check(cat, *instance.values(), node_budget=args.budget_nodes,
                               deadline=_deadline(args),
                               symmetry=not args.no_symmetry)
-    stats = asdict(verdict.stats)
-    certificates = []
-    if verdict.status == FAILS and verdict.bad_coloring is not None:
-        certificates.append(_coloring_cert("arrow-fails", instance,
-                                           verdict.bad_coloring))
-    elif verdict.status == HOLDS:
-        certificates.append({"type": "exhaustion", "kind": "arrow-holds",
-                             **instance, "nodes": stats["nodes"],
-                             "colorings_scanned": stats["colorings_scanned"]})
     if args.cnf:
         with open(args.cnf, "w", encoding="utf-8") as fh:
             fh.write(export_cnf(cat, *instance.values()))
-    fields = {**instance, "degenerate": verdict.degenerate, "stats": stats}
+    fields = {**instance, "degenerate": verdict.degenerate,
+              "stats": asdict(verdict.stats)}
     if verdict.note == TIME_OUT:    # only a stopped clock adds a field
         fields["note"] = TIME_OUT
+    certificates = _owed({"check": "arrow", "status": verdict.status, **fields})
+    if verdict.status == FAILS:     # the colouring only the certificate holds
+        certificates[0].update(vars(verdict.bad_coloring))
     return "arrow", verdict.status, fields, certificates
 
 
@@ -145,19 +137,12 @@ def _degree(args, cat):
     deadline = _deadline(args)
     interval = degree_interval(cat, args.A, args.kmax, bs=bs,
                                node_budget=args.budget_nodes, deadline=deadline)
-    low = interval.lower_cert
-    certificates = [] if low is None else [
-        _coloring_cert("degree-lower", {"C": c, "B": low.b, "A": args.A,
-                                        "k": low.k, "t": low.n - 1}, coloring)
-        for c, coloring in sorted(low.bad_colorings.items())]
-    certificates += [{"type": "exhaustion", "kind": "degree-upper", "C": u.witness,
-                      "B": u.b, "A": args.A, "k": u.k, "t": interval.upper}
-                     for u in interval.upper_certs]
-    status = HOLDS if interval.upper is not None else UNKNOWN
     fields = {"interval": interval.as_dict()}
+    status = _degree_status(fields["interval"])
     if deadline is not None and time.monotonic() >= deadline:
         fields["note"] = TIME_OUT   # searches still running then stopped
-    return "degree-interval", status, fields, certificates
+    return "degree-interval", status, fields, _owed(
+        {"check": "degree-interval", "status": status, **fields})
 
 
 def _amalgam_wap(args, cat):
@@ -330,8 +315,12 @@ def _replay_coloring(cert: dict, cat: FiniteCategory) -> None:
 def _replay_composition(cert: dict, cat: FiniteCategory) -> None:
     if not (cert["lhs"] and cert["rhs"]):
         raise CorruptCertificate(f"empty composition: {cert['note']}")
-    lhs, rhs = (reduce(lambda f, g: cat.compose(g, f), reversed(cert[side]))
-                for side in ("lhs", "rhs"))
+    try:
+        lhs, rhs = (reduce(lambda f, g: cat.compose(g, f), reversed(cert[side]))
+                    for side in ("lhs", "rhs"))
+        cat.morphism(lhs)       # a side of one id composes nothing
+    except KeyError as exc:     # FiniteCategory.morphism: an id it lacks
+        raise CorruptCertificate(f"no morphism {exc}: {cert['note']}") from None
     if lhs != rhs:
         raise CorruptCertificate(f"composition differs: {cert['note']}")
 
@@ -352,36 +341,59 @@ def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
 INSTANCE_FIELDS = {"kind": str, "C": str, "B": str, "A": str, "k": int, "t": int}
 
 
-def _instance(claim: dict) -> tuple:
+def _instance(claim: dict) -> dict:
     """A claim's C, B, A, k and t, each of its certificate field's type."""
-    return tuple(check_type(claim.get(name), INSTANCE_FIELDS[name],
-                            f"verdict field {name!r}") for name in "CBAkt")
+    return {name: check_type(claim.get(name), INSTANCE_FIELDS[name],
+                             f"verdict field {name!r}") for name in "CBAkt"}
 
 
-def _owed_certificates(verdict: dict) -> list[tuple]:
-    """The kind and instance of each certificate a degree verdict owes: a
-    degree-lower one at each catalog object its lower certificate has a bad
-    colouring for, with that certificate's B and k at one below the lower
-    end, and a degree-upper one for each upper certificate, its witness as
-    C, at the upper end."""
-    if verdict.get("check") != "degree-interval":
+def _degree_status(interval: dict) -> str:
+    """A degree verdict HOLDS exactly when its interval has an upper end."""
+    return UNKNOWN if interval.get("upper") is None else HOLDS
+
+
+def _owed(verdict: dict) -> list[dict]:
+    """The kinded certificates a verdict owes, in report order, as the fields
+    each must carry; ``ask`` writes them and ``replay`` requires them.  An
+    arrow HOLDS owes its exhaustion with the search's counts, an arrow FAILS
+    a colouring of its instance.  A degree verdict, whose status its
+    interval sets, owes a colouring for each bad colouring of its lower
+    certificate, one below the lower end, then an exhaustion for each upper
+    certificate at the upper end."""
+    check, status = verdict.get("check"), verdict.get("status")
+    if check == "arrow" and status == HOLDS:
+        stats = check_type(verdict.get("stats"), dict, "arrow stats")
+        return [{"type": "exhaustion", "kind": "arrow-holds",
+                 **_instance(verdict), "nodes": stats.get("nodes"),
+                 "colorings_scanned": stats.get("colorings_scanned")}]
+    if check == "arrow" and status == FAILS:
+        return [{"type": "bad-coloring", "kind": "arrow-fails",
+                 **_instance(verdict)}]
+    if check != "degree-interval":
         return []
     interval = check_type(verdict.get("interval"), dict, "degree interval")
-    a = interval.get("object")
-    owed = []
-    if interval.get("lower_certificate") is not None:
-        lower = check_type(interval["lower_certificate"], dict,
-                           "lower certificate")
+    if status != _degree_status(interval):
+        raise CorruptCertificate(f"a degree verdict of status {status!r} "
+                                 f"with upper end {interval.get('upper')!r}")
+    a, owed = interval.get("object"), []
+    lower = interval.get("lower_certificate")
+    if lower is not None:
+        check_type(lower, dict, "lower certificate")
         t = check_type(interval.get("lower"), int, "interval lower") - 1
-        owed += [("degree-lower", {**lower, "C": c, "A": a, "t": t})
-                 for c in check_type(lower.get("bad_colorings"), dict,
-                                     "bad colorings")]
-    owed += [("degree-upper", {**check_type(u, dict, "upper certificate"),
-                               "C": u.get("witness"), "A": a,
-                               "t": interval.get("upper")})
-             for u in check_type(interval.get("upper_certificates"), list,
-                                 "upper certificates")]
-    return [(kind, *_instance(claim)) for kind, claim in owed]
+        for c, coloring in check_type(lower.get("bad_colorings"), dict,
+                                      "bad colorings").items():
+            coloring = check_type(coloring, dict, "bad coloring")
+            owed.append({"type": "bad-coloring", "kind": "degree-lower",
+                         **_instance({**lower, "C": c, "A": a, "t": t}),
+                         "domain": coloring.get("domain"),
+                         "values": coloring.get("values")})
+    for upper in check_type(interval.get("upper_certificates"), list,
+                            "upper certificates"):
+        upper = check_type(upper, dict, "upper certificate")
+        owed.append({"type": "exhaustion", "kind": "degree-upper",
+                     **_instance({**upper, "C": upper.get("witness"), "A": a,
+                                  "t": interval.get("upper")})})
+    return owed
 
 
 # certificate type -> (re-checker, needs the report's catalog, field types);
@@ -394,16 +406,11 @@ REPLAY = {
     "map-equality": (_replay_maps, False, {"lhs": [int], "rhs": [int], "note": str}),
     "exhaustion": (_replay_exhaustion, True, INSTANCE_FIELDS),
 }
-# (certificate type, kind, or None for a type without kinds) -> (the checks
-# of the one verdict it may sit under, the only status it may sit under, or
-# None for any); no other kind replays
-BOUND_TO = {("exhaustion", "arrow-holds"): (("arrow",), HOLDS),
-            ("bad-coloring", "arrow-fails"): (("arrow",), FAILS),
-            ("exhaustion", "degree-upper"): (("degree-interval",), HOLDS),
-            ("bad-coloring", "degree-lower"): (("degree-interval",), None),
-            ("composition-equality", None): (
-                ("weak-amalgamation", "two-out-of-k"), HOLDS),
-            ("map-equality", None): (("colimit",), HOLDS)}
+# type of a certificate without kinds -> the (check, status) of each verdict
+# it may sit under; a kinded certificate is one its verdict owes
+BOUND_TO = {"composition-equality": {("weak-amalgamation", HOLDS),
+                                     ("two-out-of-k", HOLDS)},
+            "map-equality": {("colimit", HOLDS)}}
 
 
 def _replay_category(data: bytes) -> FiniteCategory:
@@ -419,10 +426,10 @@ def replay(report_path: str) -> tuple[int, dict]:
 
     The catalog's hash is checked for every report; the catalog itself is
     parsed on the first certificate that reads it.  A report with a status
-    must have exactly one verdict, with that status.  Every certificate
-    sits under the verdict and status that ``BOUND_TO`` binds its type and
-    kind to.  An arrow certificate carries its verdict's C, B, A, k and t,
-    and a degree verdict carries exactly the certificates it owes."""
+    must have exactly one verdict, with that status.  Its kinded
+    certificates are, in order, the ones ``_owed`` derives from that
+    verdict, on every field each names; every other certificate sits under
+    a verdict and status that ``BOUND_TO`` binds its type to."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
     status, verdict = report.get("status"), {}
@@ -441,7 +448,9 @@ def replay(report_path: str) -> tuple[int, dict]:
             raise CorruptCertificate("catalog file changed since the report")
     certificates = check_type(report.get("certificates", []), list,
                               "report certificates")
-    presented = []      # kind and instance of each degree certificate
+    owed, kinded = _owed(verdict), 0
+    unowed = ("kinded certificates are not one for each bad colouring and "
+              "exhaustion their verdict's instance owes, in order")
     for cert in certificates:
         kind = check_type(check_type(cert, dict, "certificate").get("type"),
                           str, "certificate type")
@@ -457,28 +466,18 @@ def replay(report_path: str) -> tuple[int, dict]:
                     check_type(item, field_type[0], f"an item of {what}")
             else:
                 check_type(cert.get(name), field_type, what)
-        subkind = cert["kind"] if "kind" in fields else None
-        if (kind, subkind) not in BOUND_TO:
-            raise CorruptCertificate(f"unknown {kind} kind {subkind!r}")
-        questions, bound = BOUND_TO[kind, subkind]
-        named = kind if subkind is None else f"{kind} {subkind}"
-        if verdict.get("check") not in questions or bound not in (None, status):
-            raise CorruptCertificate(
-                f"{named} under a {verdict.get('check')!r} "
-                f"verdict of status {status!r}")
-        if subkind in ("arrow-fails", "arrow-holds"):
-            if _instance(cert) != _instance(verdict):
-                raise CorruptCertificate(
-                    f"{named} is not for its verdict's instance")
-        elif subkind is not None:
-            presented.append((subkind, *_instance(cert)))
+        if "kind" in fields:    # every field the owed one names, as owed
+            if kinded == len(owed) or not owed[kinded].items() <= cert.items():
+                raise CorruptCertificate(unowed)
+            kinded += 1
+        elif (verdict.get("check"), status) not in BOUND_TO[kind]:
+            raise CorruptCertificate(f"{kind} under a {verdict.get('check')!r} "
+                                     f"verdict of status {status!r}")
         if needs_catalog and cat is None:
             cat = _replay_category(data)
         recheck(cert, cat)
-    if sorted(presented) != sorted(_owed_certificates(verdict)):
-        raise CorruptCertificate(
-            "degree certificates are not one for each bad colouring and upper "
-            "certificate of their verdict's instance")
+    if kinded != len(owed):
+        raise CorruptCertificate(unowed)
     return 0, {"replayed": len(certificates), "status": HOLDS}
 
 

@@ -334,6 +334,26 @@ class TestReplay:
         out.write_text(json.dumps(report))
         assert run(["replay", str(out)]) == 3
 
+    @pytest.mark.parametrize("unknown,alone", [
+        ("nope", False), ("LO1->LO9#0", False), ("nope", True)],
+        ids=["nope", "no-hom-set", "one-id-sides"])
+    def test_unknown_morphism_is_named(self, replayable, tmp_path, capsys,
+                                       unknown, alone):
+        report = json.loads(replayable["wap"].read_text())
+        cert = report["certificates"][0]
+        if alone:       # sides of one id each, which compose nothing
+            cert["lhs"] = cert["rhs"] = [unknown]
+        else:
+            cert["lhs"][0] = unknown
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(CorruptCertificate):
+            cli.replay(str(path))
+        capsys.readouterr()
+        assert run(["replay", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: no morphism {unknown!r}: {cert['note']}\n")
+
     def test_wap_replay_reads_only_the_named_hom_sets(self, tmp_path,
                                                       monkeypatch):
         from ramsey_workbench import category

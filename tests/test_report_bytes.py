@@ -11,10 +11,10 @@ import json
 
 import pytest
 
+from ramsey_workbench import FAILS, HOLDS, UNKNOWN, cli
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
                                        graph_catalog, lo_catalog, path_graph,
                                        save_catalog)
-from ramsey_workbench import cli
 from ramsey_workbench.cli import run
 
 from oracles import lo_table
@@ -188,3 +188,49 @@ def test_expansions_are_pinned(inputs, tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert digest(report, ("expansions",)) == (
         "6a9e99ceb3d249c6ff1b0826390ee7925862fbaba4c97201c2d127d4594d8a98")
+
+
+# Each pinned report whose status flip replay still accepts, with the gap in
+# certificate coverage that lets the flip through (ROADMAP.md, "Certificate
+# coverage").  The list may only shrink.
+FLIP = {HOLDS: FAILS, FAILS: HOLDS, UNKNOWN: HOLDS}
+FLIP_SURVIVORS = {
+    "cat-check": "cat check FAILS owes its failing triple or non-mono pair",
+    "cat-check-abstract": "cat check FAILS owes its failing triple or "
+                          "non-mono pair",
+    "cat-check-gap": "cat check HOLDS owes nothing that replay re-decides",
+    "cat-check-graphs": "cat check HOLDS owes nothing that replay re-decides",
+    "cat-skeleton": "cat skeleton owes its isomorphism pairs",
+    "cat-op": "cat op has no coverage entry",
+    "cat-op-abstract": "cat op has no coverage entry",
+    "amalgam-two-of-k": "two-of-k FAILS owes its failing tuple, HOLDS its "
+                        "pair amalgams",
+    "amalgam-two-of-k-abstract": "two-of-k FAILS owes its failing tuple, "
+                                 "HOLDS its pair amalgams",
+    "amalgam-chain": "amalgam --chain has no coverage entry",
+    "amalgam-chain-abstract": "amalgam --chain has no coverage entry",
+    "seq-wfcheck": "seq wfcheck HOLDS owes its cofinality embedding and "
+                   "bendings",
+    "seq-whom": "seq whom owes witnesses that replay composes",
+    "expand-build": "expand build has no coverage entry",
+    "expand-check": "expand check has no coverage entry",
+    "expand-check-lo4": "expand check has no coverage entry",
+    "expand-orbits": "expand orbits has no coverage entry",
+    "expand-ep": "expand ep has no coverage entry",
+}
+
+
+def test_status_flips_that_replay_accepts_are_listed(inputs, tmp_path):
+    """Flip the status of each pinned report and of its verdict, and
+    replay it: the flips that still exit 0 are exactly the listed ones."""
+    out, flipped = tmp_path / "r.json", tmp_path / "flipped.json"
+    survivors = set()
+    for name, argv, code, pin in QUESTIONS:
+        assert run(["--out", str(out), "--seed", "7"]
+                   + [inputs.get(tok, tok) for tok in argv]) == code
+        report = json.loads(out.read_text(encoding="utf-8"))
+        report["status"] = report["verdicts"][0]["status"] = FLIP[report["status"]]
+        flipped.write_text(json.dumps(report), encoding="utf-8")
+        if run(["--out", str(out), "replay", str(flipped)]) == 0:
+            survivors.add(name)
+    assert survivors == set(FLIP_SURVIVORS)
