@@ -274,32 +274,6 @@ def extract_amalgamable_pair(cat: FiniteCategory, a: str, k: int, c: str,
                           dict(zip(cat.hom(a, d), colors)))
 
 
-def find_extraction_instance(cat: FiniteCategory, a: str, k: int, *,
-                             node_budget: int | None = None):
-    """Search the catalog for (C, D, g_list, f_list) on which the pair
-    extraction runs: a joint extension C of k copies of extensions of a,
-    and a D with the required arrow."""
-    pool = [f for b in cat.objects for f in cat.hom(a, b)]
-    for f_tuple in itertools.combinations_with_replacement(pool, k):
-        targets = [cat.target(f) for f in f_tuple]
-        for c in cat.objects:
-            gs = []
-            for b in targets:
-                hom = cat.hom(b, c)
-                if not hom:
-                    gs = None
-                    break
-                gs.append(hom[0])
-            if gs is None:
-                continue
-            for d in cat.objects:
-                verdict = arrow_check(cat, d, c, a, k, k - 1,
-                                      node_budget=node_budget)
-                if verdict.status == HOLDS:
-                    return a, k, c, d, list(gs), list(f_tuple)
-    return None
-
-
 def failure_chain(cat: FiniteCategory, a: str, depth: int) -> list[str]:
     """Iterated non-amalgamable extensions starting from the identity.
 

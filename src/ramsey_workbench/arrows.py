@@ -6,14 +6,11 @@ it means searching for a counterexample ("bad") coloring in which every w
 sees more than t colors; the relation holds exactly when that search
 exhausts.
 
-Three independent routes are provided:
+Two independent routes are provided:
 
 - `arrow_check`, the engine's search: forward checking and a fail-first
   variable order on an explicit stack, with Aut(C) symmetry broken by an
   incremental lex-leader test that holds under any variable order;
-- `lex_arrow_check`, a recursive DFS that colors hom(A, C) in its fixed
-  order and prunes only dead witnesses, with no Aut(C) cut: the plain
-  reference that both modes of the search are tested against;
 - `oracle_arrow_check`, a test of every coloring that prunes nothing.  It
   is bit-sliced: one int carries the test for a block of up to 2^16
   colorings, one per bit, in lex order.  `colorings_scanned` counts the
@@ -21,8 +18,10 @@ Three independent routes are provided:
   one coloring at a time would count.
 
 They must agree on every instance within the oracle's budget, and the
-test suite enforces that.  The oracle shares nothing with the searches but
-`ArrowInstance.build` and the verdict types.
+test suite enforces that.  The oracle shares nothing with the search but
+`ArrowInstance.build` and the verdict types.  The recursive reference
+that both modes of the search are also tested against, `lex_arrow_check`,
+lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -148,34 +147,6 @@ def _lex_step(cat: FiniteCategory, domain, tied: list, p: int,
     return keep
 
 
-def _trivial_verdict(inst: ArrowInstance, k: int, t: int,
-                     degenerate: str | None) -> ArrowVerdict | None:
-    """The verdict of an instance that needs no search, else None."""
-    if not inst.copies:
-        # no witness exists and at least one coloring always does
-        bad = Coloring(inst.domain, k, tuple(0 for _ in inst.domain))
-        return ArrowVerdict(FAILS, bad, ArrowStats(), degenerate,
-                            note="hom(B,C) is empty")
-    if t >= k or not inst.hom_ab:
-        return ArrowVerdict(HOLDS, None, ArrowStats(), degenerate,
-                            note="every witness sees at most t colors")
-    return None
-
-
-def _search_verdict(search, inst: ArrowInstance, k: int, t: int,
-                    stats: ArrowStats, degenerate: str | None) -> ArrowVerdict:
-    """Run `search()`, which returns a bad coloring or None, as a verdict."""
-    try:
-        leaf = search()
-    except BudgetExceeded as exc:
-        return ArrowVerdict(UNKNOWN, None, stats, degenerate, note=str(exc))
-    if leaf is None:
-        return ArrowVerdict(HOLDS, None, stats, degenerate)
-    bad = Coloring(inst.domain, k, tuple(leaf))
-    assert is_bad(inst, bad.values, t)
-    return ArrowVerdict(FAILS, bad, stats, degenerate)
-
-
 def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
                 node_budget: int | None = None, deadline: float | None = None,
                 symmetry: bool = True) -> ArrowVerdict:
@@ -222,17 +193,28 @@ def arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int, t: int, *,
         return ArrowVerdict(UNKNOWN, None, ArrowStats(), note=TIME_OUT)
     inst = ArrowInstance.build(cat, c, b, a)
     degenerate = None if inst.hom_ab else "empty-hom-A-B"
-    trivial = _trivial_verdict(inst, k, t, degenerate)
-    if trivial is not None:
-        return trivial
     stats = ArrowStats()
+    if not inst.copies:
+        # no witness exists and at least one coloring always does
+        bad = Coloring(inst.domain, k, tuple(0 for _ in inst.domain))
+        return ArrowVerdict(FAILS, bad, stats, degenerate,
+                            note="hom(B,C) is empty")
+    if t >= k or not inst.hom_ab:
+        return ArrowVerdict(HOLDS, None, stats, degenerate,
+                            note="every witness sees at most t colors")
     tied = _lex_root(cat, c, len(inst.domain)) if symmetry else []
     if deadline is not None and time.monotonic() >= deadline:
         return ArrowVerdict(UNKNOWN, None, stats, note=TIME_OUT)
-    return _search_verdict(
-        lambda: _forward_search(cat, inst, k, t, tied, node_budget, deadline,
-                                stats),
-        inst, k, t, stats, degenerate)
+    try:
+        leaf = _forward_search(cat, inst, k, t, tied, node_budget, deadline,
+                               stats)
+    except BudgetExceeded as exc:
+        return ArrowVerdict(UNKNOWN, None, stats, note=str(exc))
+    if leaf is None:
+        return ArrowVerdict(HOLDS, None, stats)
+    bad = Coloring(inst.domain, k, tuple(leaf))
+    assert is_bad(inst, bad.values, t)
+    return ArrowVerdict(FAILS, bad, stats)
 
 
 def _node_limit(nodes: int, node_budget: int | None,
@@ -354,73 +336,6 @@ def _forward_search(cat: FiniteCategory, inst: ArrowInstance, k: int, t: int,
             return values
         stack.append(frame(max(used, col + 1), child))
     return None
-
-
-def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
-                    t: int, *, node_budget: int | None = None) -> ArrowVerdict:
-    """Decide the arrow by DFS over partial colorings of hom(A, C).
-
-    Colors are assigned to the domain in its fixed order, a new color only
-    as the least unused one, so one coloring per color renaming is tried.
-    A branch dies as soon as some witness can no longer exceed t colors
-    (its seen colors plus its unassigned copies fit within t).  Neither cut
-    changes whether a bad coloring exists, and there is no Aut(C) cut.
-
-    This is the differential oracle for `arrow_check`; no command selects
-    it.  Exhaustion proves HOLDS; a surviving leaf is a verifiable FAILS
-    certificate; exceeding the node budget yields UNKNOWN-AT-BOUND.
-    """
-    if k < 1 or t < 1:
-        raise ValueError("k and t must be positive")
-    inst = ArrowInstance.build(cat, c, b, a)
-    degenerate = None if inst.hom_ab else "empty-hom-A-B"
-    trivial = _trivial_verdict(inst, k, t, degenerate)
-    if trivial is not None:
-        return trivial
-    stats = ArrowStats()
-    m = len(inst.domain)
-
-    incidence: list[list[int]] = [[] for _ in range(m)]
-    for wi, copy in enumerate(inst.copies):
-        for i in copy:
-            incidence[i].append(wi)
-
-    values = [-1] * m
-    seen: list[set[int]] = [set() for _ in inst.copies]
-    unassigned = [len(copy) for copy in inst.copies]
-
-    def rec(depth: int, used: int) -> bool:
-        stats.nodes += 1
-        if node_budget is not None and stats.nodes > node_budget:
-            raise BudgetExceeded(NODE_OUT)
-        if depth == m:
-            return True
-        top = min(used + 1, k)
-        for col in range(top):
-            values[depth] = col
-            ok = True
-            touched = []
-            for wi in incidence[depth]:
-                unassigned[wi] -= 1
-                added = col not in seen[wi]
-                if added:
-                    seen[wi].add(col)
-                touched.append((wi, added))
-                if len(seen[wi]) + unassigned[wi] <= t:
-                    ok = False
-            if not ok:
-                stats.witness_prunes += 1
-            elif rec(depth + 1, max(used, col + 1)):
-                return True
-            for wi, added in touched:
-                unassigned[wi] += 1
-                if added:
-                    seen[wi].discard(col)
-            values[depth] = -1
-        return False
-
-    return _search_verdict(lambda: values if rec(0, 0) else None,
-                           inst, k, t, stats, degenerate)
 
 
 # Colorings per bitset in `oracle_arrow_check`: an int of at most 8 KiB.

@@ -282,15 +282,14 @@ def op(cat: FiniteCategory) -> FiniteCategory:
             if not block:
                 continue
             for mid in block:
-                morphisms[mid] = Morphism(mid, b, a, cat.morphism(mid).emb)
+                morphisms[mid] = Morphism(mid, b, a)
                 rows[mid] = {}
             for d in objects:
                 if cat.hom(b, d):
                     for mid, col in zip(block, cat.columns(a, b, d)):
                         rows[mid][d] = col
     identities = {a: cat.identity(a) for a in objects}
-    return FiniteCategory(cat.objects, homs, morphisms, identities, rows=rows,
-                          structures=cat.structures)
+    return FiniteCategory(cat.objects, homs, morphisms, identities, rows=rows)
 
 
 def tables_equal(c1: FiniteCategory, c2: FiniteCategory) -> bool:
@@ -417,8 +416,7 @@ def check_axioms(cat: FiniteCategory) -> AxiomReport:
                 directed_witnesses[f"{a},{b}"] = hit
 
     locally_finite: dict[str, str] = {}
-    # needs embeddings pointing the same way as the arrows, so skip on op views
-    if cat.structures and cat._emb_index is not None:
+    if cat.structures:
         for f_obj in cat.objects:
             locally_finite[f_obj] = locally_finite_verdict(cat, f_obj)
 

@@ -306,6 +306,7 @@ def ask(args) -> tuple[int, dict]:
 
 
 def _replay_coloring(cert: dict, cat: FiniteCategory) -> None:
+    _replay_instance(cert, cat)
     coloring = Coloring(tuple(cert["domain"]), cert["k"], tuple(cert["values"]))
     if not verify_bad_coloring(cat, cert["C"], cert["B"], cert["A"], cert["t"],
                                coloring):
@@ -330,12 +331,14 @@ def _replay_maps(cert: dict, cat) -> None:
         raise CorruptCertificate(f"maps differ: {cert['note']}")
 
 
-def _replay_exhaustion(cert: dict, cat: FiniteCategory) -> None:
-    """A statement until HOLDS is re-decided: an instance on catalog objects."""
+def _replay_instance(cert: dict, cat: FiniteCategory) -> None:
+    """An instance on catalog objects: an exhaustion's whole re-check until
+    HOLDS is re-decided, and a colouring's first, as off the catalog every
+    hom-set is empty and an empty hom(B, C) makes every colouring bad."""
     for name in ("C", "B", "A"):
         if cert[name] not in cat.objects:
-            raise CorruptCertificate(
-                f"exhaustion {name} {cert[name]!r} is not a catalog object")
+            raise CorruptCertificate(f"{cert['kind']} {name} {cert[name]!r} "
+                                     f"is not a catalog object")
 
 
 INSTANCE_FIELDS = {"kind": str, "C": str, "B": str, "A": str, "k": int, "t": int}
@@ -345,6 +348,33 @@ def _instance(claim: dict) -> dict:
     """A claim's C, B, A, k and t, each of its certificate field's type."""
     return {name: check_type(claim.get(name), INSTANCE_FIELDS[name],
                              f"verdict field {name!r}") for name in "CBAkt"}
+
+
+def _replay_interval(interval: dict, cat: FiniteCategory) -> None:
+    """A degree interval ranges over the report's catalog: its lower
+    certificate colours every catalog object, and an upper end has one
+    witness per (B, k) in ``degree_upper``'s order, B in ``b_range`` with
+    hom(A, B) non-empty and k up to ``k_max``.  ``_owed`` types the rest."""
+    if interval.get("catalog") != cat.objects:
+        raise CorruptCertificate("the degree interval's catalog is not the "
+                                 "report catalog's object list")
+    lower = interval.get("lower_certificate")
+    if (lower is not None
+            and sorted(lower["bad_colorings"]) != sorted(cat.objects)):
+        raise CorruptCertificate("the lower certificate does not hold one "
+                                 "bad colouring per catalog object")
+    if interval.get("upper") is None:
+        return
+    a = check_type(interval.get("object"), str, "interval object")
+    k_max = check_type(interval.get("k_max"), int, "interval k_max")
+    targets = [b for b in check_type(interval.get("b_range"), list, "b_range")
+               if cat.hom(a, check_type(b, str, "an item of b_range"))]
+    pairs = [[u["B"], u["k"]] for u in interval["upper_certificates"]]
+    # lengths first, so a huge k_max from the report builds no list
+    if len(pairs) != len(targets) * k_max or pairs != [
+            [b, k] for b in targets for k in range(1, k_max + 1)]:
+        raise CorruptCertificate("the upper end does not list one witness "
+                                 "for each (B, k) of b_range and k_max")
 
 
 def _degree_status(interval: dict) -> str:
@@ -404,7 +434,7 @@ REPLAY = {
     "composition-equality": (_replay_composition, True,
                              {"lhs": [str], "rhs": [str], "note": str}),
     "map-equality": (_replay_maps, False, {"lhs": [int], "rhs": [int], "note": str}),
-    "exhaustion": (_replay_exhaustion, True, INSTANCE_FIELDS),
+    "exhaustion": (_replay_instance, True, INSTANCE_FIELDS),
 }
 # type of a certificate without kinds -> the (check, status) of each verdict
 # it may sit under; a kinded certificate is one its verdict owes
@@ -428,8 +458,10 @@ def replay(report_path: str) -> tuple[int, dict]:
     parsed on the first certificate that reads it.  A report with a status
     must have exactly one verdict, with that status.  Its kinded
     certificates are, in order, the ones ``_owed`` derives from that
-    verdict, on every field each names; every other certificate sits under
-    a verdict and status that ``BOUND_TO`` binds its type to."""
+    verdict, on every field each names and on catalog objects, and a degree
+    interval ranges over the report's catalog (``_replay_interval``); every
+    other certificate sits under a verdict and status that ``BOUND_TO``
+    binds its type to."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
     status, verdict = report.get("status"), {}
@@ -478,6 +510,11 @@ def replay(report_path: str) -> tuple[int, dict]:
         recheck(cert, cat)
     if kinded != len(owed):
         raise CorruptCertificate(unowed)
+    if verdict.get("check") == "degree-interval":
+        if data is None:
+            raise CorruptCertificate("degree-interval without a catalog")
+        _replay_interval(verdict["interval"],
+                         _replay_category(data) if cat is None else cat)
     return 0, {"replayed": len(certificates), "status": HOLDS}
 
 

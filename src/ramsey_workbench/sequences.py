@@ -74,28 +74,19 @@ def colimit(seq: TruncatedSequence) -> ColimitResult:
     top_struct = seq.objects[top]
     to_top = [seq.bonding(n, top) for n in range(seq.length)]
 
+    # to_top[top] is the identity, so every top element gets a representative
     rep_of_top_elt: dict[int, tuple[int, int]] = {}
     for n in range(seq.length):
         for x in range(seq.objects[n].size):
             t = to_top[n].map[x]
             if t not in rep_of_top_elt:
                 rep_of_top_elt[t] = (n, x)
-    for t in range(top_struct.size):
-        rep_of_top_elt.setdefault(t, (top, t))
 
     reps = sorted(rep_of_top_elt.values())
     index_of_rep = {rep: i for i, rep in enumerate(reps)}
-    top_to_class = {
-        t: index_of_rep[rep_of_top_elt[t]] for t in range(top_struct.size)
-    }
-
-    relations = {
-        rname: {tuple(top_to_class[v] for v in t) for t in table}
-        for rname, table in top_struct.relations
-    }
-    constants = {cname: top_to_class[v] for cname, v in top_struct.constants}
-    colim = Structure.make(top_struct.signature, top_struct.size, relations,
-                           constants, name="colim")
+    top_to_class = tuple(index_of_rep[rep_of_top_elt[t]]
+                         for t in range(top_struct.size))
+    colim = top_struct.relabel(top_to_class, name="colim")
 
     cocone = tuple(
         Embedding(seq.objects[n], colim,

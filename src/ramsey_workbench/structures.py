@@ -292,8 +292,10 @@ def refinement_partition(a: Structure, rounds: int = 8) -> tuple[int, ...]:
     """Iterated invariant coloring of the universe (isomorphism-invariant).
 
     Colors are canonical ordinals assigned by sorted signature, so isomorphic
-    structures get equal color multisets.  Used as a cheap pre-filter before
-    full canonicalization; never as a substitute for it.
+    structures get equal color multisets.  A cheap pre-filter before full
+    canonicalization, never a substitute for it.  Nothing in the package
+    calls it; ``isomorphic`` in ``tests/oracles.py`` does, and it stays here
+    because ``perfbench/spans.py`` wraps it.
     """
     n = a.size
     const_elts = {v: cname for cname, v in a.constants}
@@ -475,10 +477,3 @@ def canonical_key(a: Structure) -> tuple:
     )
     return (a.size, bits, canon.constants)
 
-
-def isomorphic(a: Structure, b: Structure) -> bool:
-    if a.signature != b.signature or a.size != b.size:
-        return False
-    if sorted(refinement_partition(a)) != sorted(refinement_partition(b)):
-        return False
-    return canonical_form(a)[0] == canonical_form(b)[0]

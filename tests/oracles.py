@@ -18,13 +18,23 @@ tuple-by-tuple scan that ``Embedding``'s set comparison replaced.
 ``lo_table`` writes the chain category's compose table by hand, without
 ``compose``; ``table_dump`` writes any category's table through it.
 
+Three functions moved here from the package, which never called them:
+``lex_arrow_check``, the recursive DFS that both modes of ``arrow_check``
+are tested against, which like ``scan_arrow_check`` shares only
+``ArrowInstance.build``, ``is_bad`` and the verdict types with the package
+and decides its degenerate instances itself; ``isomorphic``, the test on
+structures that compares canonical forms after a ``refinement_partition``
+pre-filter; and ``find_extraction_instance``, the catalog search that feeds
+``amalgam.extract_amalgamable_pair``.
+
 The scaffolding at the end backs the tests of sequences and expansions: the
 transformation calculus on structure chains with ``mono_test`` (acceptance
 tests 05a and 05b), ``mediating_morphism``, ``ultrahomogeneity_check``,
 ``transport_expansion``, ``render`` with ``parse_expansion`` (its inverse)
 ``hom_star``, ``age`` and ``find_isomorphic``.  It calls package
 primitives (``compose``, ``enumerate_embeddings``, ``automorphisms``,
-``isomorphic`` and the expansion space's own methods) but no checker.
+``canonical_form`` through ``isomorphic`` above, and the expansion space's
+own methods) but no checker.
 ``render`` is the oracle for isomorphism types of expansions: it writes an
 expansion as one structure over a widened signature, with a table of copies
 per (representative, color), so ``canonical_key`` of a rendering names the
@@ -38,7 +48,7 @@ from dataclasses import dataclass, field
 from ramsey_workbench import FAILS, HOLDS, UNKNOWN
 from ramsey_workbench.amalgam import PairExtraction
 from ramsey_workbench.arrows import (ArrowInstance, ArrowStats, ArrowVerdict,
-                                     Coloring, arrow_check)
+                                     Coloring, arrow_check, is_bad)
 from ramsey_workbench.category import FiniteCategory, Skeletonization
 from ramsey_workbench.errors import (ArrowDoesNotHold, BudgetExceeded,
                                      FactorSearchFailed, ShapeMismatch,
@@ -47,9 +57,9 @@ from ramsey_workbench.expansion import ExpandedObject, ExpansionSpace
 from ramsey_workbench.sequences import (ColimitResult, HomogeneityReport,
                                         TruncatedSequence)
 from ramsey_workbench.structures import (Embedding, Signature, Structure,
-                                         automorphisms, compose,
-                                         enumerate_embeddings, identity,
-                                         isomorphic)
+                                         automorphisms, canonical_form,
+                                         compose, enumerate_embeddings,
+                                         identity, refinement_partition)
 
 
 def is_embedding_map(a: Structure, b: Structure, mapping) -> bool:
@@ -105,6 +115,14 @@ def brute_isomorphic(a: Structure, b: Structure) -> bool:
     if a.size != b.size:
         return False
     return bool(brute_embeddings(a, b))
+
+
+def isomorphic(a: Structure, b: Structure) -> bool:
+    if a.signature != b.signature or a.size != b.size:
+        return False
+    if sorted(refinement_partition(a)) != sorted(refinement_partition(b)):
+        return False
+    return canonical_form(a)[0] == canonical_form(b)[0]
 
 
 def brute_canonical_form(a: Structure) -> tuple[Structure, tuple[int, ...]]:
@@ -204,6 +222,75 @@ def scan_arrow_check(cat, c, b, a, k, t, *, budget=2_000_000) -> ArrowVerdict:
             return ArrowVerdict(FAILS, Coloring(inst.domain, k, values), stats,
                                 degenerate)
     return ArrowVerdict(HOLDS, None, stats, degenerate)
+
+
+def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,
+                    t: int) -> ArrowVerdict:
+    """Decide the arrow by DFS over partial colorings of hom(A, C).
+
+    Colors are assigned to the domain in its fixed order, a new color only
+    as the least unused one, so one coloring per color renaming is tried.
+    A branch dies as soon as some witness can no longer exceed t colors
+    (its seen colors plus its unassigned copies fit within t).  Neither cut
+    changes whether a bad coloring exists, and there is no Aut(C) cut.
+    A copy of at most t positions sees at most t colors under every
+    coloring, so the arrow holds; with no copy at all, the first coloring
+    the DFS reaches is bad.
+
+    This is the differential oracle for ``arrow_check``.  Exhaustion proves
+    HOLDS; a surviving leaf is a verifiable FAILS certificate.
+    """
+    if k < 1 or t < 1:
+        raise ValueError("k and t must be positive")
+    inst = ArrowInstance.build(cat, c, b, a)
+    degenerate = None if inst.hom_ab else "empty-hom-A-B"
+    stats = ArrowStats()
+    if any(len(set(copy)) <= t for copy in inst.copies):
+        return ArrowVerdict(HOLDS, None, stats, degenerate)
+    m = len(inst.domain)
+
+    incidence: list[list[int]] = [[] for _ in range(m)]
+    for wi, copy in enumerate(inst.copies):
+        for i in copy:
+            incidence[i].append(wi)
+
+    values = [-1] * m
+    seen: list[set[int]] = [set() for _ in inst.copies]
+    unassigned = [len(copy) for copy in inst.copies]
+
+    def rec(depth: int, used: int) -> bool:
+        stats.nodes += 1
+        if depth == m:
+            return True
+        top = min(used + 1, k)
+        for col in range(top):
+            values[depth] = col
+            ok = True
+            touched = []
+            for wi in incidence[depth]:
+                unassigned[wi] -= 1
+                added = col not in seen[wi]
+                if added:
+                    seen[wi].add(col)
+                touched.append((wi, added))
+                if len(seen[wi]) + unassigned[wi] <= t:
+                    ok = False
+            if not ok:
+                stats.witness_prunes += 1
+            elif rec(depth + 1, max(used, col + 1)):
+                return True
+            for wi, added in touched:
+                unassigned[wi] += 1
+                if added:
+                    seen[wi].discard(col)
+            values[depth] = -1
+        return False
+
+    if not rec(0, 0):
+        return ArrowVerdict(HOLDS, None, stats, degenerate)
+    bad = Coloring(inst.domain, k, tuple(values))
+    assert is_bad(inst, bad.values, t)
+    return ArrowVerdict(FAILS, bad, stats, degenerate)
 
 
 def domain_permutations(cat, a, c):
@@ -550,6 +637,32 @@ def scan_extraction(cat: FiniteCategory, a: str, k: int, c: str,
     lhs = cat.compose(g, f_list[i])
     assert lhs == rhs
     return PairExtraction(i, j, g, x, lhs, rhs, coloring)
+
+
+def find_extraction_instance(cat: FiniteCategory, a: str, k: int, *,
+                             node_budget: int | None = None):
+    """Search the catalog for (C, D, g_list, f_list) on which the pair
+    extraction runs: a joint extension C of k copies of extensions of a,
+    and a D with the required arrow."""
+    pool = [f for b in cat.objects for f in cat.hom(a, b)]
+    for f_tuple in itertools.combinations_with_replacement(pool, k):
+        targets = [cat.target(f) for f in f_tuple]
+        for c in cat.objects:
+            gs = []
+            for b in targets:
+                hom = cat.hom(b, c)
+                if not hom:
+                    gs = None
+                    break
+                gs.append(hom[0])
+            if gs is None:
+                continue
+            for d in cat.objects:
+                verdict = arrow_check(cat, d, c, a, k, k - 1,
+                                      node_budget=node_budget)
+                if verdict.status == HOLDS:
+                    return a, k, c, d, list(gs), list(f_tuple)
+    return None
 
 
 def lo_table(n: int) -> dict:

@@ -29,12 +29,12 @@ from ramsey_workbench.expansion import (ExpansionSpace, check_forgetful,
 from ramsey_workbench.sequences import (TruncatedSequence, colimit,
                                         weak_fraisse_check,
                                         weak_homogeneity_check)
-from ramsey_workbench.structures import Embedding, compose, isomorphic
+from ramsey_workbench.structures import Embedding, compose
 
 import oracles
 from oracles import (all_transformations, compose_transformations,
                      constant_sequence, equiv_check, find_isomorphic,
-                     mono_test)
+                     isomorphic, mono_test)
 
 
 @pytest.fixture(scope="module")

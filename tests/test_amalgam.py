@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramsey_workbench.amalgam import (AmalgamEngine, extract_amalgamable_pair,
-                                      failure_chain, find_extraction_instance,
-                                      holds_on_sinks, is_amalgamation_arrow,
+                                      failure_chain, holds_on_sinks,
+                                      is_amalgamation_arrow,
                                       sinks, two_of_k_check,
                                       verify_pairwise_non_amalgamable,
                                       wap_check)
@@ -218,7 +218,7 @@ class TestPairExtraction:
 
     def test_search_wrapper_finds_an_instance(self):
         cat = FiniteCategory.from_structures(lo_catalog(3))
-        found = find_extraction_instance(cat, "LO1", 2)
+        found = oracles.find_extraction_instance(cat, "LO1", 2)
         assert found is not None
         a, k, c, d, g_list, f_list = found
         out = extract_amalgamable_pair(cat, a, k, c, d, g_list, f_list)
@@ -256,7 +256,8 @@ class TestExtractionMatchesScan:
 
     def test_search_instance(self):
         cat = FiniteCategory.from_structures(lo_catalog(3))
-        a, k, c, d, g_list, f_list = find_extraction_instance(cat, "LO1", 2)
+        a, k, c, d, g_list, f_list = oracles.find_extraction_instance(
+            cat, "LO1", 2)
         out = extract_amalgamable_pair(cat, a, k, c, d, g_list, f_list)
         assert out == oracles.scan_extraction(cat, a, k, c, d, g_list, f_list)
 

@@ -563,6 +563,14 @@ class TestOp:
         assert o.hom("LO3", "LO2") == lo4.hom("LO2", "LO3")
         assert o.hom("LO2", "LO3") == []
 
+    def test_op_is_a_pure_table(self, lo4):
+        """No embedding survives dualizing: one would point against its
+        morphism, from LO3 into LO2."""
+        o = op(lo4)
+        assert o.source("LO2->LO3#0") == "LO3" and not o.structures
+        with pytest.raises(WorkbenchError, match="carries no embedding"):
+            o.embedding("LO2->LO3#0")
+
     def test_mono_epi_swap(self, lo4):
         o = op(lo4)
         for mid in lo4.all_morphisms():

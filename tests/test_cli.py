@@ -286,11 +286,13 @@ def _set_field(name, value):
 @pytest.fixture(scope="module")
 def replayable(lo_paths):
     """Reports that replay, with bad-coloring, exhaustion, map-equality and
-    composition-equality certificates."""
+    composition-equality certificates, on structure and table catalogs."""
     root = lo_paths["root"]
     seq = root / "seq.json"
     seq.write_text(json.dumps({"objects": ["LO1", "LO2", "LO3"],
                                "bonding": {"0->1": [0], "1->2": [0, 1]}}))
+    lo5t = root / "lo5t.json"
+    lo5t.write_text(json.dumps(lo_table(5)))
     questions = {
         "arrow": (["arrow", "--catalog", lo_paths["lo6"], "--C", "LO5", "--B",
                    "LO3", "--A", "LO2", "-k", "2", "-t", "1"], 1),
@@ -301,9 +303,14 @@ def replayable(lo_paths):
         # LO4 < R(3,3): one degree-lower colouring per catalog object
         "degree-lower": (["degree", "--catalog", lo_paths["lo4"], "--A", "LO2",
                           "--kmax", "2", "--bmax", "3"], 0),
+        # a passed deadline stops every search: no end, so no certificate
+        "degree-unknown": (["--budget-secs", "0", "degree", "--catalog",
+                            lo_paths["lo4"], "--A", "LO2"], 2),
         "colim": (["seq", "colim", "--catalog", lo_paths["lo4"],
                    "--seq", str(seq)], 0),
         "wap": (["amalgam", "--wap", "--catalog", lo_paths["lo4"]], 0),
+        "wap-abstract": (["amalgam", "--wap", "--abstract", "--catalog",
+                          str(lo5t)], 0),
         "two-of-k": (["amalgam", "--two-of-k", "2", "--A", "LO4",
                       "--catalog", lo_paths["lo4"]], 0),
     }
@@ -654,8 +661,8 @@ class TestReplay:
         path.write_text(json.dumps(report))
         assert run(["replay", str(path)]) == 3
 
-    @pytest.mark.parametrize("base", ["wap", "two-of-k", "colim",
-                                      "degree", "degree-lower"])
+    @pytest.mark.parametrize("base", ["wap", "wap-abstract", "two-of-k",
+                                      "colim", "degree", "degree-lower"])
     def test_reports_as_written_replay(self, replayable, base):
         assert json.loads(replayable[base].read_text())["certificates"]
         assert run(["replay", str(replayable[base])]) == 0
@@ -663,6 +670,82 @@ class TestReplay:
     @staticmethod
     def _verdict(report):
         return report["verdicts"][0]
+
+    @staticmethod
+    def _off_catalog(report, name, value, emptied=()):
+        """Put one instance object off the catalog, in the verdict and its
+        certificate alike, and empty the certificate's named fields."""
+        TestReplay._verdict(report)[name] = value
+        cert = report["certificates"][0]
+        cert.update({name: value}, **{field: [] for field in emptied})
+
+    @staticmethod
+    def _lower_at_lo1_only(report):
+        lower = TestReplay._interval(report)["lower_certificate"]
+        lower["bad_colorings"] = {"LO1": lower["bad_colorings"]["LO1"]}
+        report["certificates"] = [
+            c for c in report["certificates"]
+            if c["kind"] != "degree-lower" or c["C"] == "LO1"]
+
+    @staticmethod
+    def _no_upper(report):
+        TestReplay._interval(report)["upper_certificates"] = []
+        report["certificates"] = [c for c in report["certificates"]
+                                  if c["kind"] != "degree-upper"]
+
+    @pytest.mark.parametrize("base,doctor,fault", [
+        # off the catalog every hom-set is empty, so any colouring of the
+        # empty domain is bad, and with hom(B, C) empty so is every colouring
+        ("arrow", lambda r: TestReplay._off_catalog(
+            r, "C", "NOPE", ("domain", "values")),
+         "arrow-fails C 'NOPE' is not a catalog object"),
+        ("arrow", lambda r: TestReplay._off_catalog(r, "B", "LO9"),
+         "arrow-fails B 'LO9' is not a catalog object"),
+        ("holds", lambda r: TestReplay._off_catalog(r, "C", "NOPE"),
+         "arrow-holds C 'NOPE' is not a catalog object"),
+        ("degree-lower", lambda r: TestReplay._lower_at_lo1_only(r),
+         "the lower certificate does not hold one bad colouring per catalog "
+         "object"),
+        ("degree-lower", lambda r: TestReplay._no_upper(r),
+         "the upper end does not list one witness for each (B, k)"),
+        ("degree", lambda r: TestReplay._interval(r)["catalog"].pop(),
+         "the degree interval's catalog is not the report catalog's"),
+        ("degree-unknown", lambda r: r.pop("catalog"),
+         "degree-interval without a catalog"),
+        ("wap", _set_field("lhs", []),
+         "empty composition: amalgamation arrow for LO1"),
+        ("wap", _set_field("rhs", ["LO1->LO4#1"]),
+         "composition differs: amalgamation arrow for LO1"),
+        ("colim", lambda r: r["certificates"][-1]["rhs"].reverse(),
+         "maps differ: cocone triangle 2->2"),
+        ("arrow", _set_field("type", "frobnicate"),
+         "unknown certificate type 'frobnicate'"),
+        ("arrow", lambda r: r["certificates"][0]["domain"].reverse(),
+         "bad coloring does not replay: arrow-fails"),
+        ("arrow", lambda r: r["certificates"][0]["values"].pop(),
+         "coloring is not total"),
+        ("arrow", lambda r: r["certificates"][0]["values"].append(2),
+         "coloring is not total"),
+        ("arrow", lambda r: r["certificates"][0]["values"].__setitem__(0, 2),
+         "color out of range"),
+    ], ids=["fails-C-off-catalog", "fails-B-off-catalog",
+            "holds-C-off-catalog", "lower-at-LO1-only", "no-upper-witness",
+            "interval-catalog", "degree-without-catalog", "empty-composition",
+            "composition-differs", "maps-differ", "unknown-type",
+            "wrong-domain", "values-short", "values-long",
+            "color-out-of-range"])
+    def test_refusal_names_its_fault(self, replayable, tmp_path, capsys, base,
+                                     doctor, fault):
+        """Each doctored report meets one refusal, which the error names.
+        A fault in an instance is put in the verdict and its certificates
+        together, so the certificates are still the ones the verdict owes."""
+        report = json.loads(replayable[base].read_text())
+        doctor(report)
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["replay", str(path)]) == 3
+        assert fault in capsys.readouterr().err
 
     @staticmethod
     def _interval(report):

@@ -15,14 +15,14 @@ from ramsey_workbench.sequences import (ColimitResult, TruncatedSequence,
                                         weak_fraisse_check,
                                         weak_homogeneity_check)
 from ramsey_workbench.structures import (Embedding, compose,
-                                         enumerate_embeddings, identity,
-                                         isomorphic)
+                                         enumerate_embeddings, identity)
 
 import oracles
 from oracles import (Transformation, all_transformations,
                      compose_transformations, constant_sequence,
                      constant_transformation, equiv_check, find_isomorphic,
-                     mediating_morphism, mono_test, ultrahomogeneity_check)
+                     isomorphic, mediating_morphism, mono_test,
+                     ultrahomogeneity_check)
 
 
 def lo_chain(n, length=None):

@@ -17,8 +17,7 @@ from ramsey_workbench.structures import (Embedding, Signature, Structure,
                                          _candidates, _profile, automorphisms,
                                          canonical_form, canonical_key,
                                          compose, enumerate_embeddings,
-                                         identity, isomorphic,
-                                         refinement_partition)
+                                         identity, refinement_partition)
 
 import oracles
 
@@ -388,7 +387,7 @@ class TestCanonicalForm:
         a = graph(4, [(0, 1), (1, 2), (2, 3)])
         b = graph(4, [(0, 1), (1, 2), (2, 0)])
         assert canonical_form(a)[0] != canonical_form(b)[0]
-        assert not isomorphic(a, b)
+        assert not oracles.isomorphic(a, b)
 
     def test_constants_break_symmetry(self):
         sig = Signature(relations=(("edge", 2),), constants=("root",))
@@ -430,7 +429,7 @@ class TestCanonicalFormContract:
         vf2 = nx.algorithms.isomorphism.GraphMatcher(
             to_networkx(g), to_networkx(h)).is_isomorphic()
         assert (canonical_form(g)[0] == canonical_form(h)[0]) == vf2
-        assert isomorphic(g, h) == vf2
+        assert oracles.isomorphic(g, h) == vf2
 
     @pytest.mark.parametrize("build", [empty_graph, complete_graph])
     def test_symmetric_graph_is_its_own_form(self, build):

@@ -24,7 +24,10 @@ Static guards over ``src/ramsey_workbench/*.py``, read with ``ast``:
   carries no finding that no input can make false;
 - no question in ``cli.QUESTIONS`` returns a verdict constant or a string
   literal as its status, unless ``INFORMATIONAL`` names it with a reason, so a status
-  that no input can change is declared as such.
+  that no input can change is declared as such;
+- ``tests/oracles.py`` imports no ``_``-prefixed name from the package but
+  ``structures._level_slots``, so the references stay independent of the
+  engine's private helpers.
 
 A reference is a name, an attribute or an imported name with the same
 identifier, so the guard is coarse: a method counts as reached when any
@@ -42,18 +45,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ramsey_workbench"
 
 ALLOWED_UNREFERENCED = {
-    "lex_arrow_check": "the recursive differential oracle of the arrow search",
     "extract_amalgamable_pair": "the paper's bridge from a failed arrow to an "
                                 "amalgamable pair, not yet a command",
-    "find_extraction_instance": "the search that feeds extract_amalgamable_pair",
     "lo_catalog": "catalog builder for users and tests",
     "path_graph": "catalog builder for users and tests",
     "complete_graph": "catalog builder for users and tests",
     "empty_graph": "catalog builder for users and tests",
     "graph_catalog": "catalog builder for users and tests",
     "save_catalog": "writes the catalog files that every command loads",
-    "isomorphic": "the isomorphism test on structures; tests check "
-                  "canonical_form through it against networkx VF2",
 }
 
 
@@ -205,6 +204,29 @@ def test_checkers_see_only_the_category():
                     leaks.append(f"{module}:{node.lineno} {source}.{name}")
     assert not leaks, (f"checkers must read objects through FiniteCategory "
                        f"alone: {leaks}")
+
+
+# the one private name the references may share: the bit order that
+# canonical forms minimize, which brute_canonical_form minimizes too
+SHARED_PRIVATE = {("ramsey_workbench.structures", "_level_slots")}
+
+
+def test_references_import_no_private_name():
+    """``tests/oracles.py`` imports no ``_``-prefixed name from the package
+    but ``SHARED_PRIVATE``, so a reference cannot lean on the engine's
+    private helpers."""
+    text = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    private = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for source, name in imported_from(node):
+                path = source if name is None else f"{source}.{name}"
+                parts = path.split(".")
+                if (parts[0] == "ramsey_workbench"
+                        and any(part.startswith("_") for part in parts)
+                        and (source, name) not in SHARED_PRIVATE):
+                    private.append(f"oracles.py:{node.lineno} {path}")
+    assert not private, f"references importing private names: {private}"
 
 
 KNOB_MODULES = CHECKERS + ("sequences.py",)
