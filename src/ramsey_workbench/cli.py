@@ -9,9 +9,10 @@ certificates[, top-level extras])`` the report's one verdict, whose status
 is the report's and sets the exit code: 0 holds, 1 fails, 2 unknown at
 bound, 3 input error.  ``REPLAY`` maps each certificate type to a re-checker
 and the types of the fields it reads, which are checked first.  ``_owed``
-is the one rule for the certificates an arrow or degree verdict owes:
-``ask`` writes them and replay requires them; ``BOUND_TO`` binds each other
-type to the verdicts it may sit under.  Checkers are called through this
+is the one rule that derives, from an arrow or degree verdict's claim and
+the catalog, the certificates it owes: ``ask`` fills in their evidence and
+replay requires them, read once in step; ``BOUND_TO`` binds each other type
+to the verdicts it may sit under.  Checkers are called through this
 module's globals, so a tracer that replaces ``cli.<name>`` sees every call.
 
 ``run`` builds the argument parser once per process, on its first call, and
@@ -32,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict
 from functools import reduce
 
@@ -125,7 +127,8 @@ def _arrow(args, cat):
               "stats": asdict(verdict.stats)}
     if verdict.note == TIME_OUT:    # only a stopped clock adds a field
         fields["note"] = TIME_OUT
-    certificates = _owed({"check": "arrow", "status": verdict.status, **fields})
+    certificates = list(_owed(
+        {"check": "arrow", "status": verdict.status, **fields}, cat))
     if verdict.status == FAILS:     # the colouring only the certificate holds
         certificates[0].update(vars(verdict.bad_coloring))
     return "arrow", verdict.status, fields, certificates
@@ -141,8 +144,15 @@ def _degree(args, cat):
     status = _degree_status(fields["interval"])
     if deadline is not None and time.monotonic() >= deadline:
         fields["note"] = TIME_OUT   # searches still running then stopped
-    return "degree-interval", status, fields, _owed(
-        {"check": "degree-interval", "status": status, **fields})
+    certificates = list(_owed(
+        {"check": "degree-interval", "status": status, **fields}, cat))
+    witnesses = iter(interval.upper_certs)
+    for cert in certificates:       # the evidence only the certificates hold
+        if cert["kind"] == "degree-lower":
+            cert.update(vars(interval.lower_cert.bad_colorings[cert["C"]]))
+        else:
+            cert["C"] = next(witnesses).witness
+    return "degree-interval", status, fields, certificates
 
 
 def _amalgam_wap(args, cat):
@@ -344,37 +354,10 @@ def _replay_instance(cert: dict, cat: FiniteCategory) -> None:
 INSTANCE_FIELDS = {"kind": str, "C": str, "B": str, "A": str, "k": int, "t": int}
 
 
-def _instance(claim: dict) -> dict:
-    """A claim's C, B, A, k and t, each of its certificate field's type."""
+def _instance(claim: dict, names: str = "CBAkt") -> dict:
+    """The claim's fields named in names, each of its certificate field's type."""
     return {name: check_type(claim.get(name), INSTANCE_FIELDS[name],
-                             f"verdict field {name!r}") for name in "CBAkt"}
-
-
-def _replay_interval(interval: dict, cat: FiniteCategory) -> None:
-    """A degree interval ranges over the report's catalog: its lower
-    certificate colours every catalog object, and an upper end has one
-    witness per (B, k) in ``degree_upper``'s order, B in ``b_range`` with
-    hom(A, B) non-empty and k up to ``k_max``.  ``_owed`` types the rest."""
-    if interval.get("catalog") != cat.objects:
-        raise CorruptCertificate("the degree interval's catalog is not the "
-                                 "report catalog's object list")
-    lower = interval.get("lower_certificate")
-    if (lower is not None
-            and sorted(lower["bad_colorings"]) != sorted(cat.objects)):
-        raise CorruptCertificate("the lower certificate does not hold one "
-                                 "bad colouring per catalog object")
-    if interval.get("upper") is None:
-        return
-    a = check_type(interval.get("object"), str, "interval object")
-    k_max = check_type(interval.get("k_max"), int, "interval k_max")
-    targets = [b for b in check_type(interval.get("b_range"), list, "b_range")
-               if cat.hom(a, check_type(b, str, "an item of b_range"))]
-    pairs = [[u["B"], u["k"]] for u in interval["upper_certificates"]]
-    # lengths first, so a huge k_max from the report builds no list
-    if len(pairs) != len(targets) * k_max or pairs != [
-            [b, k] for b in targets for k in range(1, k_max + 1)]:
-        raise CorruptCertificate("the upper end does not list one witness "
-                                 "for each (B, k) of b_range and k_max")
+                             f"verdict field {name!r}") for name in names}
 
 
 def _degree_status(interval: dict) -> str:
@@ -382,48 +365,53 @@ def _degree_status(interval: dict) -> str:
     return UNKNOWN if interval.get("upper") is None else HOLDS
 
 
-def _owed(verdict: dict) -> list[dict]:
+def _owed(verdict: dict, cat: FiniteCategory | None) -> Iterator[dict]:
     """The kinded certificates a verdict owes, in report order, as the fields
-    each must carry; ``ask`` writes them and ``replay`` requires them.  An
-    arrow HOLDS owes its exhaustion with the search's counts, an arrow FAILS
-    a colouring of its instance.  A degree verdict, whose status its
-    interval sets, owes a colouring for each bad colouring of its lower
-    certificate, one below the lower end, then an exhaustion for each upper
-    certificate at the upper end."""
+    each must carry; ``ask`` adds their evidence and ``replay`` requires
+    them.  An arrow HOLDS owes its exhaustion, an arrow FAILS a colouring.
+    A degree verdict, whose status its interval sets, owes a colouring of
+    each catalog object, in sorted order, one below the lower end; then at
+    the upper end an exhaustion, whose C is evidence, per (B, k) in
+    ``degree_upper``'s order, B in ``b_range`` with hom(A, B) non-empty and
+    k up to ``k_max``."""
     check, status = verdict.get("check"), verdict.get("status")
     if check == "arrow" and status == HOLDS:
         stats = check_type(verdict.get("stats"), dict, "arrow stats")
-        return [{"type": "exhaustion", "kind": "arrow-holds",
-                 **_instance(verdict), "nodes": stats.get("nodes"),
-                 "colorings_scanned": stats.get("colorings_scanned")}]
+        yield {"type": "exhaustion", "kind": "arrow-holds",
+               **_instance(verdict), "nodes": stats.get("nodes"),
+               "colorings_scanned": stats.get("colorings_scanned")}
     if check == "arrow" and status == FAILS:
-        return [{"type": "bad-coloring", "kind": "arrow-fails",
-                 **_instance(verdict)}]
+        yield {"type": "bad-coloring", "kind": "arrow-fails",
+               **_instance(verdict)}
     if check != "degree-interval":
-        return []
+        return
     interval = check_type(verdict.get("interval"), dict, "degree interval")
     if status != _degree_status(interval):
         raise CorruptCertificate(f"a degree verdict of status {status!r} "
                                  f"with upper end {interval.get('upper')!r}")
-    a, owed = interval.get("object"), []
+    if interval.get("catalog") != cat.objects:
+        raise CorruptCertificate("the degree interval's catalog is not the "
+                                 "report catalog's object list")
+    a = check_type(interval.get("object"), str, "interval object")
+    k_max = check_type(interval.get("k_max"), int, "interval k_max")
+    targets = [b for b in check_type(interval.get("b_range"), list, "b_range")
+               if cat.hom(a, check_type(b, str, "an item of b_range"))]
     lower = interval.get("lower_certificate")
     if lower is not None:
-        check_type(lower, dict, "lower certificate")
         t = check_type(interval.get("lower"), int, "interval lower") - 1
-        for c, coloring in check_type(lower.get("bad_colorings"), dict,
-                                      "bad colorings").items():
-            coloring = check_type(coloring, dict, "bad coloring")
-            owed.append({"type": "bad-coloring", "kind": "degree-lower",
-                         **_instance({**lower, "C": c, "A": a, "t": t}),
-                         "domain": coloring.get("domain"),
-                         "values": coloring.get("values")})
-    for upper in check_type(interval.get("upper_certificates"), list,
-                            "upper certificates"):
-        upper = check_type(upper, dict, "upper certificate")
-        owed.append({"type": "exhaustion", "kind": "degree-upper",
-                     **_instance({**upper, "C": upper.get("witness"), "A": a,
-                                  "t": interval.get("upper")})})
-    return owed
+        claim = {**_instance(check_type(lower, dict, "lower certificate"),
+                             "Bk"), "A": a, "t": t}
+        if claim["B"] not in targets or claim["k"] > k_max:
+            raise CorruptCertificate("the lower certificate's B or k is "
+                                     "outside b_range and k_max")
+        for c in sorted(cat.objects):
+            yield {"type": "bad-coloring", "kind": "degree-lower", "C": c, **claim}
+    if interval.get("upper") is not None:
+        t = check_type(interval["upper"], int, "interval upper")
+        for b in targets:
+            for k in range(1, k_max + 1):
+                yield {"type": "exhaustion", "kind": "degree-upper",
+                       "B": b, "A": a, "k": k, "t": t}
 
 
 # certificate type -> (re-checker, needs the report's catalog, field types);
@@ -455,13 +443,13 @@ def replay(report_path: str) -> tuple[int, dict]:
     """Re-verify every certificate in a report by direct evaluation.
 
     The catalog's hash is checked for every report; the catalog itself is
-    parsed on the first certificate that reads it.  A report with a status
-    must have exactly one verdict, with that status.  Its kinded
-    certificates are, in order, the ones ``_owed`` derives from that
-    verdict, on every field each names and on catalog objects, and a degree
-    interval ranges over the report's catalog (``_replay_interval``); every
-    other certificate sits under a verdict and status that ``BOUND_TO``
-    binds its type to."""
+    parsed first for a verdict whose claim it bounds, else on the first
+    certificate that reads it.  A report with a status must have exactly one
+    verdict, with that status.  Its kinded certificates are, in order, the
+    ones ``_owed`` derives from that verdict and the catalog, on every field
+    each names and on catalog objects.  Every other certificate sits under a
+    verdict that ``BOUND_TO`` binds its type to; a two-out-of-k HOLDS has
+    one per k-tuple, up to the cap."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
     status, verdict = report.get("status"), {}
@@ -480,7 +468,12 @@ def replay(report_path: str) -> tuple[int, dict]:
             raise CorruptCertificate("catalog file changed since the report")
     certificates = check_type(report.get("certificates", []), list,
                               "report certificates")
-    owed, kinded = _owed(verdict), 0
+    check = verdict.get("check")
+    if check == "degree-interval" or (check, status) == ("two-out-of-k", HOLDS):
+        if data is None:
+            raise CorruptCertificate(f"{check} without a catalog")
+        cat = _replay_category(data)
+    owed = _owed(verdict, cat)
     unowed = ("kinded certificates are not one for each bad colouring and "
               "exhaustion their verdict's instance owes, in order")
     for cert in certificates:
@@ -499,22 +492,24 @@ def replay(report_path: str) -> tuple[int, dict]:
             else:
                 check_type(cert.get(name), field_type, what)
         if "kind" in fields:    # every field the owed one names, as owed
-            if kinded == len(owed) or not owed[kinded].items() <= cert.items():
+            expected = next(owed, None)
+            if expected is None or not expected.items() <= cert.items():
                 raise CorruptCertificate(unowed)
-            kinded += 1
-        elif (verdict.get("check"), status) not in BOUND_TO[kind]:
-            raise CorruptCertificate(f"{kind} under a {verdict.get('check')!r} "
+        elif (check, status) not in BOUND_TO[kind]:
+            raise CorruptCertificate(f"{kind} under a {check!r} "
                                      f"verdict of status {status!r}")
         if needs_catalog and cat is None:
             cat = _replay_category(data)
         recheck(cert, cat)
-    if kinded != len(owed):
+    if next(owed, None) is not None:
         raise CorruptCertificate(unowed)
-    if verdict.get("check") == "degree-interval":
-        if data is None:
-            raise CorruptCertificate("degree-interval without a catalog")
-        _replay_interval(verdict["interval"],
-                         _replay_category(data) if cat is None else cat)
+    if (check, status) == ("two-out-of-k", HOLDS):
+        a, k = _instance(verdict, "Ak").values()
+        pool = sum(len(cat.hom(a, b)) for b in cat.objects)
+        # id_A is in the pool, so with two members k = 8 passes the cap
+        if k < 2 or len(certificates) != min(WITNESS_CAP, pool ** min(k, 8)):
+            raise CorruptCertificate("a two-out-of-k HOLDS owes one pair "
+                                     "amalgam per k-tuple, up to the cap")
     return 0, {"replayed": len(certificates), "status": HOLDS}
 
 

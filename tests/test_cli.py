@@ -234,6 +234,10 @@ class TestObjectNames:
         (["arrow", "--C", "LO4", "--B", "NOPE", "--A", "LO2", "-k", "2",
           "-t", "1"], "--B 'NOPE'"),
         (["degree", "--A", "NOPE"], "--A 'NOPE'"),
+        (["arrow", "--C", "LO4", "--B", "LO3", "--A", "LO2", "-k", "0",
+          "-t", "1"], "k and t must be positive"),
+        (["arrow", "--oracle", "--C", "LO4", "--B", "LO3", "--A", "LO2",
+          "-k", "2", "-t", "0"], "k and t must be positive"),
         (["degree", "--A", "LO2", "--kmax", "0"], "k_max must be positive"),
         (["amalgam", "--two-of-k", "3"], "--A is required"),
         (["amalgam", "--two-of-k", "3", "--A", "NOPE"], "--A 'NOPE'"),
@@ -245,7 +249,8 @@ class TestObjectNames:
         (["seq", "whom", "--obj", "NOPE"], "--obj 'NOPE'"),
         (["expand", "orbits"], "--obj is required"),
         (["expand", "orbits", "--obj", "NOPE"], "--obj 'NOPE'"),
-    ], ids=["arrow-A", "arrow-C", "arrow-B", "degree-A", "degree-kmax-0",
+    ], ids=["arrow-A", "arrow-C", "arrow-B", "degree-A", "arrow-k-0",
+            "oracle-t-0", "degree-kmax-0",
             "two-of-k-no-A", "two-of-k-A", "chain-no-A", "chain-A",
             "colim-no-seq", "wfcheck-no-seq", "whom-no-obj", "whom-obj",
             "orbits-no-obj", "orbits-obj"])
@@ -313,6 +318,9 @@ def replayable(lo_paths):
                           str(lo5t)], 0),
         "two-of-k": (["amalgam", "--two-of-k", "2", "--A", "LO4",
                       "--catalog", lo_paths["lo4"]], 0),
+        # a tuple of three extensions of LO2 that no pair in LO6 amalgamates
+        "two-of-k-fails": (["amalgam", "--two-of-k", "3", "--A", "LO2",
+                            "--catalog", lo_paths["lo6"]], 1),
     }
     reports = {}
     for name, (argv, code) in questions.items():
@@ -567,14 +575,17 @@ class TestReplay:
             {**json.loads(text), "verdicts": json.loads(text)["verdicts"] * 2})),
         ("wap", lambda text: text.replace('"HOLDS"', '"FAILS"')),
         ("two-of-k", lambda text: text.replace('"HOLDS"', '"FAILS"')),
+        ("two-of-k-fails", lambda text: text.replace('"FAILS"', '"HOLDS"')),
         ("colim", lambda text: text.replace('"HOLDS"', '"FAILS"')),
     ], ids=["holds-all-flipped", "holds-status-flipped", "fails-all-flipped",
-            "two-verdicts", "wap-flipped", "two-of-k-flipped", "colim-flipped"])
+            "two-verdicts", "wap-flipped", "two-of-k-flipped",
+            "two-of-k-fails-flipped", "colim-flipped"])
     def test_report_must_agree_with_its_verdict(self, replayable, tmp_path,
                                                 base, doctor):
         """The status is that of exactly one verdict, and an arrow-holds
         exhaustion sits under HOLDS, an arrow-fails colouring under FAILS,
-        and an equality certificate under the HOLDS of its question."""
+        and an equality certificate under the HOLDS of its question; a
+        two-out-of-k HOLDS owes its pair amalgams."""
         path = tmp_path / "doctored.json"
         path.write_text(doctor(replayable[base].read_text()))
         assert run(["replay", str(path)]) == 3
@@ -644,8 +655,8 @@ class TestReplay:
             "upper-at-k1-only"])
     def test_degree_report_owes_its_certificates(self, replayable, tmp_path,
                                                  base, keep):
-        """One degree-lower colouring for each object the lower certificate
-        names, and one degree-upper exhaustion for each upper certificate."""
+        """One degree-lower colouring for each catalog object, and one
+        degree-upper exhaustion for each (B, k) of b_range and k_max."""
         report = json.loads(replayable[base].read_text())
         report["certificates"] = [c for c in report["certificates"] if keep(c)]
         path = tmp_path / "doctored.json"
@@ -680,18 +691,23 @@ class TestReplay:
         cert.update({name: value}, **{field: [] for field in emptied})
 
     @staticmethod
-    def _lower_at_lo1_only(report):
-        lower = TestReplay._interval(report)["lower_certificate"]
-        lower["bad_colorings"] = {"LO1": lower["bad_colorings"]["LO1"]}
-        report["certificates"] = [
-            c for c in report["certificates"]
-            if c["kind"] != "degree-lower" or c["C"] == "LO1"]
+    def _keep(report, keep):
+        report["certificates"] = [c for c in report["certificates"] if keep(c)]
 
     @staticmethod
-    def _no_upper(report):
-        TestReplay._interval(report)["upper_certificates"] = []
-        report["certificates"] = [c for c in report["certificates"]
-                                  if c["kind"] != "degree-upper"]
+    def _relabel_holds(report, *dropped):
+        """The report and its verdict relabelled HOLDS, less dropped keys."""
+        report["status"] = TestReplay._verdict(report)["status"] = "HOLDS"
+        for key in dropped:
+            del report[key]
+
+    @staticmethod
+    def _k_max_1(report):
+        """k_max cut to 1, and the k = 2 upper certificates with it; the
+        lower certificate keeps its k = 2."""
+        TestReplay._interval(report)["k_max"] = 1
+        TestReplay._keep(report, lambda c: c["kind"] == "degree-lower"
+                         or c["k"] == 1)
 
     @pytest.mark.parametrize("base,doctor,fault", [
         # off the catalog every hom-set is empty, so any colouring of the
@@ -703,13 +719,37 @@ class TestReplay:
          "arrow-fails B 'LO9' is not a catalog object"),
         ("holds", lambda r: TestReplay._off_catalog(r, "C", "NOPE"),
          "arrow-holds C 'NOPE' is not a catalog object"),
-        ("degree-lower", lambda r: TestReplay._lower_at_lo1_only(r),
-         "the lower certificate does not hold one bad colouring per catalog "
-         "object"),
-        ("degree-lower", lambda r: TestReplay._no_upper(r),
-         "the upper end does not list one witness for each (B, k)"),
+        ("degree-lower", lambda r: TestReplay._keep(
+            r, lambda c: c["kind"] != "degree-lower" or c["C"] == "LO1"),
+         "kinded certificates are not one for each bad colouring"),
+        ("degree-lower", lambda r: TestReplay._keep(
+            r, lambda c: c["kind"] != "degree-upper"),
+         "kinded certificates are not one for each bad colouring"),
         ("degree", lambda r: TestReplay._interval(r)["catalog"].pop(),
          "the degree interval's catalog is not the report catalog's"),
+        ("degree-lower", lambda r: TestReplay._k_max_1(r),
+         "the lower certificate's B or k is outside b_range and k_max"),
+        # hom(LO2, LO1) is empty, and b_range without LO3 leaves it out
+        ("degree-lower", lambda r: TestReplay._interval(r)[
+            "lower_certificate"].update(B="LO1"),
+         "the lower certificate's B or k is outside b_range and k_max"),
+        ("degree-lower", lambda r: TestReplay._interval(r).update(
+            b_range=["LO1", "LO2"]),
+         "the lower certificate's B or k is outside b_range and k_max"),
+        # a claim that would owe 10^9 exhaustions per B builds no list
+        ("degree-lower", lambda r: TestReplay._interval(r).update(
+            k_max=10 ** 9),
+         "kinded certificates are not one for each bad colouring"),
+        ("degree", lambda r: r["certificates"][0].update(C="NOPE"),
+         "degree-upper C 'NOPE' is not a catalog object"),
+        ("two-of-k", lambda r: r["certificates"].pop(),
+         "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
+        ("two-of-k", lambda r: TestReplay._verdict(r).update(k=1),
+         "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
+        ("two-of-k-fails", lambda r: TestReplay._relabel_holds(r),
+         "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
+        ("two-of-k-fails", lambda r: TestReplay._relabel_holds(r, "catalog"),
+         "two-out-of-k without a catalog"),
         ("degree-unknown", lambda r: r.pop("catalog"),
          "degree-interval without a catalog"),
         ("wap", _set_field("lhs", []),
@@ -730,7 +770,11 @@ class TestReplay:
          "color out of range"),
     ], ids=["fails-C-off-catalog", "fails-B-off-catalog",
             "holds-C-off-catalog", "lower-at-LO1-only", "no-upper-witness",
-            "interval-catalog", "degree-without-catalog", "empty-composition",
+            "interval-catalog", "lower-k-above-k_max", "lower-B-no-hom",
+            "lower-B-off-b_range", "k_max-huge", "upper-C-off-catalog",
+            "two-of-k-amalgam-cut", "two-of-k-k-1", "two-of-k-fails-as-holds",
+            "two-of-k-without-catalog", "degree-without-catalog",
+            "empty-composition",
             "composition-differs", "maps-differ", "unknown-type",
             "wrong-domain", "values-short", "values-long",
             "color-out-of-range"])
@@ -758,19 +802,16 @@ class TestReplay:
         ("holds", lambda r: TestReplay._verdict(r).update(t=2)),
         ("degree", lambda r: TestReplay._interval(r).update(upper=2)),
         ("degree", lambda r: TestReplay._interval(r).update(object="LO1")),
-        ("degree", lambda r: TestReplay._interval(r)[
-            "upper_certificates"][0].update(witness="LO3")),
         ("degree-lower", lambda r: TestReplay._interval(r).update(lower=3)),
         ("degree-lower", lambda r: TestReplay._interval(r)[
             "lower_certificate"].update(B="LO2")),
     ], ids=["fails-C", "holds-t", "degree-upper-raised", "degree-object",
-            "degree-witness", "degree-lower-raised", "degree-lower-B"])
+            "degree-lower-raised", "degree-lower-B"])
     def test_certificate_is_bound_to_its_verdicts_instance(
             self, replayable, tmp_path, base, doctor):
         """A certificate must carry the instance its verdict claims: an
-        arrow's C, B, A, k and t, one upper certificate's witness, B and k
-        at the upper end, or the lower certificate's B and k one below the
-        lower end."""
+        arrow's C, B, A, k and t, the B and k of each (B, k) at the upper
+        end, or the lower certificate's B and k one below the lower end."""
         report = json.loads(replayable[base].read_text())
         doctor(report)
         path = tmp_path / "doctored.json"
@@ -785,17 +826,20 @@ class TestReplay:
         ("arrow", lambda r: TestReplay._verdict(r).pop("C")),
         ("degree", lambda r: TestReplay._verdict(r).update(interval=[1, 2])),
         ("degree", lambda r: TestReplay._interval(r).update(upper="1")),
-        ("degree", lambda r: TestReplay._interval(r).update(
-            upper_certificates=["LO2"])),
-        ("degree", lambda r: TestReplay._interval(r).update(
-            upper_certificates=None)),
+        ("degree", lambda r: TestReplay._interval(r).update(k_max="2")),
+        ("degree", lambda r: TestReplay._interval(r).update(k_max=2.0)),
+        ("degree", lambda r: TestReplay._interval(r).update(b_range="LO2")),
+        ("degree", lambda r: TestReplay._interval(r).update(b_range=[2])),
         ("degree-lower", lambda r: TestReplay._interval(r).update(lower="2")),
+        ("degree-lower", lambda r: TestReplay._interval(r)[
+            "lower_certificate"].update(k="2")),
         ("degree-lower", lambda r: TestReplay._interval(r).update(
             lower_certificate=[])),
         ("degree-lower", lambda r: TestReplay._interval(r).update(
             lower_certificate=None)),
     ], ids=["k-string", "k-bool", "C-missing", "interval-list", "upper-string",
-            "upper-cert-string", "upper-certs-null", "lower-string",
+            "k_max-string", "k_max-float", "b_range-string",
+            "b_range-int-item", "lower-string", "lower-k-string",
             "lower-cert-list", "lower-cert-null"])
     def test_wrong_typed_verdict_field_exits_three(self, replayable, tmp_path,
                                                    base, doctor):
@@ -1091,7 +1135,8 @@ class TestCatalogValidation:
         (("structures", 1, "size"), "2"),
         (("structures", 2, "relations", "lt"), 5),
         (("structures", 0, "size"), -1),
-    ], ids=["string-size", "int-table", "negative-size"])
+        (("structures", 1, "name"), "LO1"),
+    ], ids=["string-size", "int-table", "negative-size", "duplicate-name"])
     def test_malformed_field_exits_three(self, tmp_path, path, value):
         catalog = tmp_path / "c.json"
         catalog.write_text(json.dumps(self._set(path, value)))
@@ -1153,8 +1198,13 @@ class TestLoaderValidation:
         (["LO1", "LO2", "LO3"], {"0->1": [0], "00->1": [0], "1->2": [0, 1]}),
         (["LO1", "LO2", "LO3"], {"0->1": [0], "1->2": [1, 0]}),
         (["LO1", "LO2", "LO5"], {"0->1": [0], "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->1": ["0"], "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->2": [0], "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->1": [], "1->2": [0, 1]}),
+        (["LO1", "LO2", "LO3"], {"0->1": [2], "1->2": [0, 1]}),
     ], ids=["string-map", "non-int-level", "leading-zero", "not-an-embedding",
-            "object-not-in-catalog"])
+            "object-not-in-catalog", "string-in-map", "no-first-step",
+            "short-map", "map-off-target"])
     def test_malformed_sequence_exits_three(self, lo_paths, tmp_path, objects,
                                             bonding):
         seq_path = tmp_path / "seq.json"
@@ -1227,9 +1277,12 @@ class TestLoaderValidation:
         dict(TWO_OBJECT_DOC, compose={"f∘a": "a"}),
         {"objects": ["A", "A"], "homs": {"A->A": ["i"]},
          "identities": {"A": "i"}},
+        dict(TWO_OBJECT_DOC,
+             homs=dict(TWO_OBJECT_DOC["homs"], **{"A->B": ["f", "a"]})),
+        dict(TWO_OBJECT_DOC, identities={"A": 5, "B": "b"}),
     ], ids=["undeclared-object", "unknown-identity", "identity-off-diagonal",
             "unknown-morphism", "non-composable", "composite-in-wrong-hom-set",
-            "repeated-object"])
+            "repeated-object", "id-in-two-hom-sets", "non-string-identity"])
     @pytest.mark.parametrize("action", ["check", "op"])
     def test_bad_reference_in_abstract_category_exits_three(
             self, tmp_path, doc, action):
