@@ -76,6 +76,15 @@ def all_graphs(n: int) -> list[Structure]:
     with the same representative as a scan of all 2^C(k,2) masks in
     increasing order.
 
+    As in canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 1998), H is joined only to the least subset
+    mask s of each orbit of the automorphisms of H that its certificate
+    search found.  An automorphism g of H, with vertex 0 fixed, carries the
+    candidate joined to S onto the one joined to g(S), so the least mask of
+    a class, high | s, has the least s of its orbit.  The automorphisms found
+    may generate only a subgroup of Aut(H), whose finer orbits cost
+    certificates but lose no class.
+
     The argument asks only that equal certificates mean isomorphic graphs and
     isomorphic graphs equal certificates, so any complete invariant keeps the
     same least-mask representatives.  The certificate orders classes
@@ -87,23 +96,28 @@ def all_graphs(n: int) -> list[Structure]:
         raise WorkbenchError(f"a graph cannot have {n} vertices")
     if n <= 1:
         return [graph(n, [], name=f"G{n}_0")]
-    reps = [0]                      # the graph on one vertex
+    reps = {0: []}                  # the graph on one vertex: mask -> auts
     for k in range(2, n + 1):
         pairs = _pairs(k)
         # bit b of a (k-1)-vertex mask lands on bit lift[b] after the shift
         lift = [pairs.index((i + 1, j + 1)) for i, j in _pairs(k - 1)]
-        least: dict[int, int] = {}
-        for h in reps:
+        least: dict[int, tuple[int, list[list[int]]]] = {}
+        for h, auts in reps.items():
             high = sum(1 << lift[b] for b in range(len(lift)) if h >> b & 1)
             rows = _adjacency(pairs, k, high)
-            for s in range(1 << (k - 1)):
-                # bit v - 1 of s joins vertex 0 to vertex v
-                cert = _certificate([s << 1] + [
+            # bit v - 1 of s joins vertex 0 to vertex v; an automorphism of H
+            # maps the vertex subsets among themselves
+            root = list(range(1 << (k - 1)))
+            for gamma in auts:
+                _merge_orbits(root, [sum(1 << gamma[u] for u in range(k - 1)
+                                         if s >> u & 1) for s in range(len(root))])
+            for s in [s for s, r in enumerate(root) if r == s]:
+                cert, found = _certificate([s << 1] + [
                     row | (s >> (v - 1) & 1) for v, row in enumerate(rows) if v])
                 mask = high | s
-                if cert not in least or mask < least[cert]:
-                    least[cert] = mask
-        reps = least.values()
+                if cert not in least or mask < least[cert][0]:
+                    least[cert] = (mask, found)
+        reps = dict(least.values())
     masks = sorted(reps, key=lambda m: canonical_key(graph(n, _edges(pairs, m))))
     return [graph(n, _edges(pairs, m), name=f"G{n}_{i}")
             for i, m in enumerate(masks)]
@@ -146,8 +160,9 @@ def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
         cells = out
 
 
-def _certificate(adj: list[int]) -> int:
-    """A complete isomorphism invariant of the graph with adjacency rows adj.
+def _certificate(adj: list[int]) -> tuple[int, list[list[int]]]:
+    """A complete isomorphism invariant of the graph with adjacency rows adj,
+    and the automorphisms (vertex -> image) its search found.
 
     Individualization-refinement, as in McKay and Piperno, "Practical graph
     isomorphism, II" (J. Symbolic Comput. 2014): refine to an equitable
@@ -212,7 +227,7 @@ def _certificate(adj: list[int]) -> int:
                    fixed + [v])
 
     search(_refine(adj, [list(range(n))]), [])
-    return best
+    return best, auts
 
 
 def _edges(pairs, mask: int) -> list[tuple[int, int]]:

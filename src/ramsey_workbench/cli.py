@@ -370,10 +370,11 @@ def _owed(verdict: dict, cat: FiniteCategory | None) -> Iterator[dict]:
     each must carry; ``ask`` adds their evidence and ``replay`` requires
     them.  An arrow HOLDS owes its exhaustion, an arrow FAILS a colouring.
     A degree verdict, whose status its interval sets, owes a colouring of
-    each catalog object, in sorted order, one below the lower end; then at
+    each catalog object, in sorted order, one below the lower end, which is
+    1 without a lower certificate and at least 2 with one; then at
     the upper end an exhaustion, whose C is evidence, per (B, k) in
     ``degree_upper``'s order, B in ``b_range`` with hom(A, B) non-empty and
-    k up to ``k_max``."""
+    k up to ``k_max``; the upper end must not be below the lower."""
     check, status = verdict.get("check"), verdict.get("status")
     if check == "arrow" and status == HOLDS:
         stats = check_type(verdict.get("stats"), dict, "arrow stats")
@@ -396,11 +397,14 @@ def _owed(verdict: dict, cat: FiniteCategory | None) -> Iterator[dict]:
     k_max = check_type(interval.get("k_max"), int, "interval k_max")
     targets = [b for b in check_type(interval.get("b_range"), list, "b_range")
                if cat.hom(a, check_type(b, str, "an item of b_range"))]
-    lower = interval.get("lower_certificate")
-    if lower is not None:
-        t = check_type(interval.get("lower"), int, "interval lower") - 1
-        claim = {**_instance(check_type(lower, dict, "lower certificate"),
-                             "Bk"), "A": a, "t": t}
+    lower = check_type(interval.get("lower"), int, "interval lower")
+    cert = interval.get("lower_certificate")
+    if (cert is None) != (lower == 1) or lower < 1:
+        raise CorruptCertificate(f"a lower end of {lower} with lower "
+                                 f"certificate {cert!r}")
+    if cert is not None:
+        claim = {**_instance(check_type(cert, dict, "lower certificate"),
+                             "Bk"), "A": a, "t": lower - 1}
         if claim["B"] not in targets or claim["k"] > k_max:
             raise CorruptCertificate("the lower certificate's B or k is "
                                      "outside b_range and k_max")
@@ -408,6 +412,8 @@ def _owed(verdict: dict, cat: FiniteCategory | None) -> Iterator[dict]:
             yield {"type": "bad-coloring", "kind": "degree-lower", "C": c, **claim}
     if interval.get("upper") is not None:
         t = check_type(interval["upper"], int, "interval upper")
+        if t < lower:
+            raise CorruptCertificate(f"a degree interval [{lower}, {t}]")
         for b in targets:
             for k in range(1, k_max + 1):
                 yield {"type": "exhaustion", "kind": "degree-upper",

@@ -60,10 +60,22 @@ class DegreeInterval:
         }
 
 
+def _decide(memo: dict | None, cat: FiniteCategory, c: str, b: str, a: str,
+            k: int, t: int, node_budget: int | None, deadline: float | None):
+    """C -> (B)^A_{k,t} as memo holds it, else searched and kept in memo
+    (if there is one) unless the deadline stopped the search."""
+    key, memo = (c, b, a, k, t), {} if memo is None else memo
+    verdict = memo.get(key) or arrow_check(
+        cat, c, b, a, k, t, node_budget=node_budget, deadline=deadline)
+    if verdict.note != TIME_OUT:
+        memo[key] = verdict
+    return verdict
+
+
 def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
                  bs: list[str] | None = None,
                  node_budget: int | None = None,
-                 deadline: float | None = None):
+                 deadline: float | None = None, memo: dict | None = None):
     """Least n such that every (B, k <= k_max) has a catalog witness C with
     C -> (B)^A_{k,n}, as (n, certificates, stopped searches); n is None
     when no n up to the largest hom(A, -) works.  The searches share the
@@ -85,9 +97,8 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
             for k in range(1, k_max + 1):
                 witness = None
                 for c in cat.objects:
-                    verdict = arrow_check(cat, c, b, a, k, n,
-                                          node_budget=node_budget,
-                                          deadline=deadline)
+                    verdict = _decide(memo, cat, c, b, a, k, n,
+                                      node_budget, deadline)
                     if verdict.status == HOLDS:
                         witness = c
                         break
@@ -109,7 +120,7 @@ def degree_upper(cat: FiniteCategory, a: str, k_max: int, *,
 def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
                  bs: list[str] | None = None,
                  node_budget: int | None = None,
-                 deadline: float | None = None):
+                 deadline: float | None = None, memo: dict | None = None):
     """A target B making the arrow fail at t = n-1 for every catalog C,
     which establishes degree >= n relative to this catalog."""
     if n < 2:
@@ -120,8 +131,8 @@ def degree_lower(cat: FiniteCategory, a: str, k: int, n: int, *,
         bad: dict[str, Coloring] = {}
         refuted = True
         for c in cat.objects:
-            verdict = arrow_check(cat, c, b, a, k, n - 1,
-                                  node_budget=node_budget, deadline=deadline)
+            verdict = _decide(memo, cat, c, b, a, k, n - 1,
+                              node_budget, deadline)
             if verdict.status != FAILS:
                 refuted = False
                 break
@@ -136,11 +147,14 @@ def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
                     node_budget: int | None = None,
                     deadline: float | None = None) -> DegreeInterval:
     """Both ends of the degree.  Each arrow search gets the node budget,
-    all share the deadline, and a search stopped by either is undecided."""
+    all share the deadline, and a search stopped by either is undecided.
+    Both ends share one memo of verdicts (``_decide``)."""
     if k_max < 1:
         raise ValueError(f"k_max must be positive, not {k_max}")
+    memo: dict = {}
     upper, upper_certs, unknowns = degree_upper(
-        cat, a, k_max, bs=bs, node_budget=node_budget, deadline=deadline)
+        cat, a, k_max, bs=bs, node_budget=node_budget, deadline=deadline,
+        memo=memo)
 
     lower = 1
     lower_cert = None
@@ -151,7 +165,7 @@ def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
         hit = None
         for k in range(1, k_max + 1):
             hit = degree_lower(cat, a, k, n, bs=bs, node_budget=node_budget,
-                               deadline=deadline)
+                               deadline=deadline, memo=memo)
             if hit is not None:
                 break
         if hit is None:

@@ -359,36 +359,18 @@ def _merge_orbits(root: list[int], gamma: list[int]) -> None:
             root[max(rx, ry)] = min(rx, ry)
 
 
-def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
-    """Least relabeling of ``a`` over all permutations, plus the witness.
-
-    The order minimized is: membership bits of all relation tuples listed by
-    growing maximum coordinate (then relation, then lexicographic tuple),
-    with constant positions as the final tie-break.  The search walks
-    permutations in lexicographic order with branch-and-bound on the
-    determined key prefix, and the witness is the first least leaf in that
-    order, so it is the identity when the input is already canonical.
-
-    Automorphism pruning (as in nauty and Traces): a leaf that ties the best
-    key gives the automorphism mapping the best leaf's elements, position by
-    position, onto its own.  At each node a child is explored only if it is
-    the least element of its orbit under the automorphisms found so far that
-    fix the current prefix pointwise.  A skipped subtree is the image of an
-    earlier explored one under such an automorphism, so it repeats earlier
-    keys only, and the first least leaf is never skipped.  Symmetric inputs
-    such as empty and complete graphs no longer cost n! leaves.
-    """
+def _least_leaf(a: Structure) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The first least leaf of ``canonical_form``'s search, as the elements
+    listed by new position, and the level bits it minimizes."""
     n = a.size
-    if n == 0:
-        return a, Embedding(a, a, ())
-    tables = [table for _, table in a.relations]
-    levels = [[(tables[ri], t) for ri, t in slots]
+    # a getter of one index returns the bare element, so unary tables hold those
+    tables = [table if ar > 1 else {x for x, in table}
+              for (_, table), (_, ar) in zip(a.relations, a.signature.relations)]
+    levels = [[(tables[ri], operator.itemgetter(*t)) for ri, t in slots]
               for slots in _level_slots(a.signature, n)]
 
     def level_bits(pre: list[int], p: int) -> tuple[int, ...]:
-        get = pre.__getitem__
-        return tuple([1 if tuple(map(get, t)) in table else 0
-                      for table, t in levels[p]])
+        return tuple([1 if get(pre) in table else 0 for table, get in levels[p]])
 
     def tail(pre: list[int]) -> tuple[int, ...]:
         return tuple(pre.index(v) for _, v in a.constants)
@@ -413,6 +395,13 @@ def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
                 return 1
         return 0
 
+    def merge_fixing(root: list[int], merged: int) -> int:
+        # the automorphisms from index merged on that fix the prefix
+        for gamma in auts[merged:]:
+            if all(gamma[v] == v for v in pre):
+                _merge_orbits(root, gamma)
+        return len(auts)
+
     def rec(p: int):
         nonlocal best_bits, best_tail, best_pre
         if p == n:
@@ -430,22 +419,19 @@ def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
                 best_bits, best_tail, best_pre = list(cur_bits), cur_tail, tuple(pre)
             return
         # orbits of the automorphisms found so far that fix the prefix,
-        # merged as they arrive; None until one does
-        root = None
-        merged = 0
-        for e in range(n):
-            if used[e]:
-                continue
-            for gamma in auts[merged:]:
-                if all(gamma[v] == v for v in pre):
-                    root = root or list(range(n))
-                    _merge_orbits(root, gamma)
-            merged = len(auts)
-            if root is not None and root[e] != e:
+        # merged as they arrive
+        root = list(range(n))
+        merged = merge_fixing(root, 0)
+        children = [(e, level_bits(pre + [e], p)) for e in range(n)
+                    if not used[e] and root[e] == e]
+        least = min(bits for _, bits in children)
+        for e, bits in children:
+            merged = merge_fixing(root, merged)
+            if bits != least or root[e] != e:
                 continue
             pre.append(e)
             used[e] = True
-            cur_bits.append(level_bits(pre, p))
+            cur_bits.append(bits)
             if compare_prefix() <= 0:
                 rec(p + 1)
             cur_bits.pop()
@@ -453,8 +439,33 @@ def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
             used[e] = False
 
     rec(0)
+    return best_pre, best_bits
 
-    position = [0] * n
+
+def canonical_form(a: Structure) -> tuple[Structure, Embedding]:
+    """Least relabeling of ``a`` over all permutations, plus the witness.
+
+    The order minimized is: membership bits of all relation tuples listed by
+    growing maximum coordinate (then relation, then lexicographic tuple),
+    with constant positions as the final tie-break.  The search walks
+    permutations in lexicographic order with branch-and-bound on the
+    determined key prefix, and the witness is the first least leaf in that
+    order, so it is the identity when the input is already canonical.
+
+    At each node a child is entered only if its level bits are least among
+    its siblings': every key under a child with larger bits is larger than
+    every key under that sibling.  It must also be the least element of its
+    orbit under the automorphisms found so far that fix the prefix pointwise
+    (as in nauty and Traces; a leaf that ties the best key gives the
+    automorphism mapping the best leaf's elements, position by position, onto
+    its own).  A skipped subtree is the image of an earlier explored one, so
+    it repeats earlier keys only, and its child has the bits of its orbit's
+    least member, so the least bits are read off the children kept.  Neither
+    cut skips the first least leaf, and symmetric inputs such as empty and
+    complete graphs no longer cost n! leaves.
+    """
+    best_pre, _ = _least_leaf(a)
+    position = [0] * a.size
     for idx, elt in enumerate(best_pre):
         position[elt] = idx
     canon = a.relabel(tuple(position), name=a.name)
@@ -467,13 +478,6 @@ def canonical_key(a: Structure) -> tuple:
     The key is the bit sequence the canonicalizer minimizes, so within one
     size sparser structures sort first.
     """
-    canon, _ = canonical_form(a)
-    tables = [table for _, table in canon.relations]
-    slots = _level_slots(canon.signature, canon.size)
-    bits = tuple(
-        1 if t in tables[ri] else 0
-        for p in range(canon.size)
-        for ri, t in slots[p]
-    )
-    return (a.size, bits, canon.constants)
-
+    best_pre, best_bits = _least_leaf(a)
+    constants = tuple((cname, best_pre.index(v)) for cname, v in a.constants)
+    return (a.size, tuple(itertools.chain.from_iterable(best_bits)), constants)

@@ -742,6 +742,15 @@ class TestReplay:
          "kinded certificates are not one for each bad colouring"),
         ("degree", lambda r: r["certificates"][0].update(C="NOPE"),
          "degree-upper C 'NOPE' is not a catalog object"),
+        # [1, 1] with no lower certificate, claiming a lower end of 5
+        ("degree", lambda r: TestReplay._interval(r).update(lower=5),
+         "a lower end of 5 with lower certificate None"),
+        ("degree", lambda r: TestReplay._interval(r).update(lower=0),
+         "a lower end of 0 with lower certificate None"),
+        ("degree-lower", lambda r: TestReplay._interval(r).update(lower=1),
+         "a lower end of 1 with lower certificate {'B': 'LO3'"),
+        ("degree", lambda r: TestReplay._interval(r).update(upper=0),
+         "a degree interval [1, 0]"),
         ("two-of-k", lambda r: r["certificates"].pop(),
          "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
         ("two-of-k", lambda r: TestReplay._verdict(r).update(k=1),
@@ -772,6 +781,8 @@ class TestReplay:
             "holds-C-off-catalog", "lower-at-LO1-only", "no-upper-witness",
             "interval-catalog", "lower-k-above-k_max", "lower-B-no-hom",
             "lower-B-off-b_range", "k_max-huge", "upper-C-off-catalog",
+            "lower-5-without-certificate", "lower-0-without-certificate",
+            "lower-1-with-certificate", "lower-above-upper",
             "two-of-k-amalgam-cut", "two-of-k-k-1", "two-of-k-fails-as-holds",
             "two-of-k-without-catalog", "degree-without-catalog",
             "empty-composition",

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from ramsey_workbench.arrows import Coloring, arrow_check
+from ramsey_workbench import degrees
+from ramsey_workbench.arrows import TIME_OUT, Coloring, arrow_check
 from ramsey_workbench.catalogs import empty_graph, lo_catalog, path_graph
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.degrees import (degree_interval, degree_lower,
@@ -108,3 +111,34 @@ class TestDegreeLower:
     def test_rejects_trivial_bound(self, lo7_category):
         with pytest.raises(ValueError):
             degree_lower(lo7_category, "LO2", 2, 1)
+
+
+class TestVerdictMemo:
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = Counter()
+
+        def counted(cat, c, b, a, k, t, **budgets):
+            calls[c, b, a, k, t] += 1
+            return arrow_check(cat, c, b, a, k, t, **budgets)
+
+        monkeypatch.setattr(degrees, "arrow_check", counted)
+        return calls
+
+    def test_no_instance_is_searched_twice(self, monkeypatch):
+        # both ends ask LO_c -> (LO3)^LO2_{k,1}; without the memo 63 searches
+        calls = self._counted(monkeypatch)
+        cat = FiniteCategory.from_structures(lo_catalog(8))
+        interval = degree_interval(cat, "LO2", 3, bs=["LO1", "LO2", "LO3"])
+        assert (interval.lower, interval.upper) == (2, 2)
+        assert len(calls) == sum(calls.values()) == 40
+
+    def test_searches_the_deadline_stopped_are_asked_again(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        cat = FiniteCategory.from_structures(lo_catalog(4))
+        memo = {}
+        for _ in range(2):
+            verdict = degrees._decide(memo, cat, "LO4", "LO3", "LO2", 2, 1,
+                                      None, 0.0)
+            assert verdict.note == TIME_OUT
+        assert not memo and sum(calls.values()) == 2

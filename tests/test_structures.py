@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import math
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from ramsey_workbench import catalogs
 from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, _certificate,
                                        all_graphs, complete_graph,
                                        empty_graph, graph,
@@ -431,6 +433,17 @@ class TestCanonicalFormContract:
         assert (canonical_form(g)[0] == canonical_form(h)[0]) == vf2
         assert oracles.isomorphic(g, h) == vf2
 
+    def test_five_vertex_classes_under_seeded_relabellings(self):
+        # the least-sibling and orbit cuts must keep the first least leaf
+        # whatever the labelling, so each class is drawn in several
+        rng = random.Random(5)
+        for g in all_graphs(5):
+            for _ in range(3):
+                h = g.relabel(tuple(rng.sample(range(5), 5)))
+                canon, iso = canonical_form(h)
+                want, position = oracles.brute_canonical_form(h)
+                assert canon == want and iso.map == position
+
     @pytest.mark.parametrize("build", [empty_graph, complete_graph])
     def test_symmetric_graph_is_its_own_form(self, build):
         # 9! leaves without automorphism pruning
@@ -466,7 +479,7 @@ def _edge_set(g: Structure) -> frozenset:
 
 
 class TestGraphGeneration:
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(7))
     def test_least_mask_representatives_match_the_scan(self, n):
         got = [_edge_set(g) for g in all_graphs(n)]
         assert len(got) == len(set(got))
@@ -493,6 +506,14 @@ class TestGraphGeneration:
                 for h in same[i + 1:]:
                     assert not nx.is_isomorphic(g, h)
 
+    def test_one_extension_per_orbit_bounds_the_certificates(self, monkeypatch):
+        # extending every subset of every parent takes 1,306 certificates
+        calls = []
+        monkeypatch.setattr(catalogs, "_certificate",
+                            lambda adj: calls.append(adj) or _certificate(adj))
+        assert len(all_graphs(6)) == 156
+        assert len(calls) <= 700
+
     def test_edge_cases(self):
         assert [(g.name, g.size) for g in all_graphs(0)] == [("G0_0", 0)]
         assert [(g.name, g.size) for g in all_graphs(1)] == [("G1_0", 1)]
@@ -517,7 +538,7 @@ class TestGraphCertificate:
         groups: dict[int, set] = {}
         for mask in range(1 << len(pairs)):
             g = graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
-            groups.setdefault(_certificate(_rows(g)), set()).add(mask)
+            groups.setdefault(_certificate(_rows(g))[0], set()).add(mask)
         assert ({frozenset(masks) for masks in groups.values()}
                 == set(oracles.brute_graph_orbits(n)))
 
@@ -525,10 +546,21 @@ class TestGraphCertificate:
     def test_equal_certificates_exactly_for_vf2_isomorphic_graphs(self, pair, data):
         g, h = pair
         vf2 = nx.is_isomorphic(to_networkx(g), to_networkx(h))
-        same = _certificate(_rows(g)) == _certificate(_rows(h))
+        same = _certificate(_rows(g))[0] == _certificate(_rows(h))[0]
         assert same == vf2 == (canonical_form(g)[0] == canonical_form(h)[0])
         perm = data.draw(st.permutations(range(g.size)))
-        assert _certificate(_rows(g.relabel(tuple(perm)))) == _certificate(_rows(g))
+        assert (_certificate(_rows(g.relabel(tuple(perm))))[0]
+                == _certificate(_rows(g))[0])
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_automorphism_found_preserves_adjacency(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            rows = _rows(graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1]))
+            for gamma in _certificate(rows)[1]:
+                assert sorted(gamma) == list(range(n))
+                assert all((rows[gamma[v]] >> gamma[u] & 1) == (rows[v] >> u & 1)
+                           for u in range(n) for v in range(n))
 
 
 class TestIsomorphismInvariance:
