@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -420,6 +421,30 @@ def _owed(verdict: dict, cat: FiniteCategory | None) -> Iterator[dict]:
                        "B": b, "A": a, "k": k, "t": t}
 
 
+def _replay_pair_amalgams(certificates: list[dict], cat: FiniteCategory,
+                          a: str, k: int) -> None:
+    """A two-out-of-k HOLDS owes one pair amalgam per k-tuple of morphisms
+    out of a, in ``itertools.product`` order up to the cap, as
+    ``two_of_k_check`` asks them: its lhs ends in the tuple's i-th member
+    and its rhs in the j-th, for some i < j."""
+    pool = [g for b in cat.objects for g in cat.hom(a, b)]
+    # id_A is in the pool, so with two members 2^8 tuples pass the cap: the
+    # tuples within it are k - 8 copies of pool[0], then a tuple of 8 places,
+    # and two of those copies give every pair (i, j) that more would
+    places = min(k, 8)
+    if k < 2 or len(certificates) != min(WITNESS_CAP, len(pool) ** places):
+        raise CorruptCertificate("a two-out-of-k HOLDS owes one pair "
+                                 "amalgam per k-tuple, up to the cap")
+    lead = tuple(pool[:1] * min(k - places, 2))
+    for n, (cert, tail) in enumerate(
+            zip(certificates, itertools.product(pool, repeat=places))):
+        tup = lead + tail
+        if not any(cert["lhs"][-1] == tup[i] and cert["rhs"][-1] == tup[j]
+                   for i, j in itertools.combinations(range(len(tup)), 2)):
+            raise CorruptCertificate(f"pair amalgam {n} does not amalgamate "
+                                     f"a pair of k-tuple {n}")
+
+
 # certificate type -> (re-checker, needs the report's catalog, field types);
 # a one-item list is a list whose items have that type
 REPLAY = {
@@ -455,7 +480,7 @@ def replay(report_path: str) -> tuple[int, dict]:
     ones ``_owed`` derives from that verdict and the catalog, on every field
     each names and on catalog objects.  Every other certificate sits under a
     verdict that ``BOUND_TO`` binds its type to; a two-out-of-k HOLDS has
-    one per k-tuple, up to the cap."""
+    one per k-tuple, up to the cap, on a pair of that tuple."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
     status, verdict = report.get("status"), {}
@@ -511,11 +536,7 @@ def replay(report_path: str) -> tuple[int, dict]:
         raise CorruptCertificate(unowed)
     if (check, status) == ("two-out-of-k", HOLDS):
         a, k = _instance(verdict, "Ak").values()
-        pool = sum(len(cat.hom(a, b)) for b in cat.objects)
-        # id_A is in the pool, so with two members k = 8 passes the cap
-        if k < 2 or len(certificates) != min(WITNESS_CAP, pool ** min(k, 8)):
-            raise CorruptCertificate("a two-out-of-k HOLDS owes one pair "
-                                     "amalgam per k-tuple, up to the cap")
+        _replay_pair_amalgams(certificates, cat, a, k)
     return 0, {"replayed": len(certificates), "status": HOLDS}
 
 

@@ -7,16 +7,18 @@ fix constants; they are the morphisms everywhere else in the engine.
 
 Every ``Embedding`` is valid by construction.  The constructor checks each
 map once, where it enters the program (enumeration, sequence files,
-canonical forms, colimits).  An injective f maps A^ar onto image^ar one
-to one, so it preserves and reflects R exactly when f^-1(R_B ∩ image^ar)
-equals R_A; the error names the least tuple of their symmetric difference,
-the first that a scan of A^ar in order would meet.  The check reads
-|R_B| + |R_A| tuples, not |A|^ar: cheaper when R_B is small next to A^ar,
-dearer for a small source in a large dense target.  ``compose`` builds
-composites without checking again, since a composite of embeddings is an
-embedding.  Code inside the engine therefore trusts any ``Embedding`` it is
-handed, and the category layer composes by looking composite maps up
-instead of building them.
+canonical forms, colimits).  An injective f maps the tuples of A^ar, in
+lexicographic order, one to one onto those of image^ar, so it preserves and
+reflects R exactly when the membership of f(t) in R_B, for t in that order,
+reads the source's own bits (``Structure.membership_bits``, computed once
+per structure); the error names the first tuple where the two differ, the
+least of their symmetric difference.  Both sequences are built by C-level
+passes (``map`` over ``itertools.product``), so the check costs |A|^ar set
+lookups and no Python step per tuple, whatever the size of R_B.
+``compose`` builds composites without checking again, since a composite of
+embeddings is an embedding.  Code inside the engine therefore trusts any
+``Embedding`` it is handed, and the category layer composes by looking
+composite maps up instead of building them.
 
 All types are immutable and hashable, all operations are pure, and every
 enumeration is returned in a deterministic (lexicographic) order so that
@@ -25,6 +27,7 @@ certificates built on top of them are reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -94,6 +97,17 @@ class Structure:
         con = tuple((cname, constants[cname]) for cname in signature.constants)
         return Structure(signature, size, rel, con, name=name)
 
+    @functools.cached_property
+    def membership_bits(self) -> tuple[list[bool], ...]:
+        """Per relation, in signature order, whether each tuple of the
+        universe is in its table, tuples in lexicographic order.  Lists,
+        since ``Embedding`` compares them with lists it builds, which cost
+        less than tuples; read them, never write."""
+        return tuple(
+            list(map(table.__contains__,
+                     itertools.product(range(self.size), repeat=ar)))
+            for (_, table), (_, ar) in zip(self.relations, self.signature.relations))
+
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         for rname, table in self.relations:
             if rname == name:
@@ -135,16 +149,17 @@ class Embedding:
             raise WorkbenchError("embedding map has wrong length")
         if len(set(self.map)) != len(self.map):
             raise WorkbenchError("embedding map is not injective")
-        if any(not (0 <= v < self.target.size) for v in self.map):
+        if self.map and not 0 <= min(self.map) <= max(self.map) < self.target.size:
             raise WorkbenchError("embedding map out of range")
-        image = set(self.map)
-        inv = {v: i for i, v in enumerate(self.map)}.__getitem__
-        for rname, table in self.source.relations:
-            pre = {tuple(map(inv, s)) for s in self.target.rel(rname)
-                   if image.issuperset(s)}
-            if pre != table:
-                raise WorkbenchError(
-                    f"relation {rname!r} not matched on {min(pre ^ table)}")
+        # f is injective, so equal bits are exactly "preserves and reflects"
+        for (rname, _), bits, (_, ar), (_, tb) in zip(
+                self.source.relations, self.source.membership_bits,
+                self.source.signature.relations, self.target.relations):
+            got = list(map(tb.__contains__, itertools.product(self.map, repeat=ar)))
+            if got != bits:
+                t = next(t for t, x, y in zip(itertools.product(
+                    range(self.source.size), repeat=ar), got, bits) if x != y)
+                raise WorkbenchError(f"relation {rname!r} not matched on {t}")
         for cname, v in self.source.constants:
             if self.map[v] != self.target.constant(cname):
                 raise WorkbenchError(f"constant {cname!r} not preserved")
@@ -182,13 +197,6 @@ def compose(g: Embedding, f: Embedding) -> Embedding:
     if f.target != g.source:
         raise WorkbenchError("embeddings not composable")
     return _trusted(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
-
-
-def _tuples_touching(last: int, arity: int):
-    """Tuples over {0..last} that mention ``last``, lexicographically."""
-    for t in itertools.product(range(last + 1), repeat=arity):
-        if last in t:
-            yield t
 
 
 def _profile(s: Structure) -> list[list[int]]:
@@ -238,7 +246,10 @@ def enumerate_embeddings(a: Structure, b: Structure) -> list[Embedding]:
     lexicographic order.  On chains the filter is exact: LO_n -> LO_m leaves
     x the images x..x+m-n, and Aut(LO_n) costs n steps, not 2^n.
 
-    Every map found is still validated in full by ``Embedding``.
+    The pruning tests are compiled once per call (``_compile``): one getter
+    per tuple reads its images off the partial map.  Every map found is
+    still validated in full by ``Embedding``, once, in one C-level pass per
+    relation.
     """
     if a.signature != b.signature:
         raise SignatureMismatch("embedding enumeration needs a shared signature")
@@ -248,17 +259,14 @@ def enumerate_embeddings(a: Structure, b: Structure) -> list[Embedding]:
     cands = _candidates(a, b)
     if not all(cands):
         return []
-    # per element i: (table_b, tuple, tuple in table_a) for the tuples over
-    # {0..i} that mention i, so every position in them is assigned
-    checks = [[(tb, t, t in ta)
-               for (_, ta), (_, tb), (_, ar)
-               in zip(a.relations, b.relations, a.signature.relations)
-               for t in _tuples_touching(i, ar)]
-              for i in range(n)]
+    # per element i: (table_b, getter, tuple in table_a) for the tuples whose
+    # largest element is i, so every position in them is assigned
+    ident = list(range(n))
+    checks = [[(tb, get, get(ident) in ta) for get, ta, tb in level]
+              for level in _compile(_level_slots(a.signature, n), a, b)]
 
     out: list[Embedding] = []
     assign = [-1] * n
-    image = assign.__getitem__
     used = [False] * m
 
     def rec(i: int):
@@ -269,8 +277,8 @@ def enumerate_embeddings(a: Structure, b: Structure) -> list[Embedding]:
             if used[v]:
                 continue
             assign[i] = v
-            for tb, t, inside in checks[i]:
-                if (tuple(map(image, t)) in tb) != inside:
+            for tb, get, inside in checks[i]:
+                if (get(assign) in tb) != inside:
                     break
             else:
                 used[v] = True
@@ -345,6 +353,19 @@ def _level_slots(sig: Signature, n: int) -> list[list[tuple[int, tuple[int, ...]
     return slots
 
 
+def _compile(slots: list[list[tuple[int, tuple[int, ...]]]],
+             *structures: Structure) -> list[list[tuple]]:
+    """Per level of slots, for each (relation index, tuple): one getter that
+    reads the tuple's images off a list, then that relation's table in each
+    structure.  A getter of one index returns the bare element, so a unary
+    table becomes the set of its elements."""
+    tables = [[table if ar > 1 else {x for x, in table}
+               for (_, table), (_, ar) in zip(s.relations, s.signature.relations)]
+              for s in structures]
+    return [[(operator.itemgetter(*t), *(ts[ri] for ts in tables)) for ri, t in level]
+            for level in slots]
+
+
 def _merge_orbits(root: list[int], gamma: list[int]) -> None:
     """Join the cycles of gamma in a union-find whose roots are least."""
     def find(x: int) -> int:
@@ -363,14 +384,10 @@ def _least_leaf(a: Structure) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The first least leaf of ``canonical_form``'s search, as the elements
     listed by new position, and the level bits it minimizes."""
     n = a.size
-    # a getter of one index returns the bare element, so unary tables hold those
-    tables = [table if ar > 1 else {x for x, in table}
-              for (_, table), (_, ar) in zip(a.relations, a.signature.relations)]
-    levels = [[(tables[ri], operator.itemgetter(*t)) for ri, t in slots]
-              for slots in _level_slots(a.signature, n)]
+    levels = _compile(_level_slots(a.signature, n), a)
 
     def level_bits(pre: list[int], p: int) -> tuple[int, ...]:
-        return tuple([1 if get(pre) in table else 0 for table, get in levels[p]])
+        return tuple([1 if get(pre) in table else 0 for get, table in levels[p]])
 
     def tail(pre: list[int]) -> tuple[int, ...]:
         return tuple(pre.index(v) for _, v in a.constants)

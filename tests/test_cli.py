@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import ramsey_workbench
 from ramsey_workbench import cli
 from ramsey_workbench.arrows import CLOCK_EVERY, TIME_OUT
 from ramsey_workbench.catalogs import (catalog_to_json, graph, linear_order,
@@ -213,12 +215,18 @@ class TestOtherCommands:
                     "--degrees", str(degrees_path)]) == 0
 
     def test_module_entry_point(self, lo_paths, tmp_path):
+        """The child imports the package under test, whoever put it on the
+        path of this process (PYTHONPATH or pytest's ``pythonpath``)."""
         out = tmp_path / "r.json"
+        package_root = os.path.dirname(os.path.dirname(ramsey_workbench.__file__))
+        path = os.pathsep.join(filter(None, [package_root,
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ramsey_workbench", "--out", str(out),
              "arrow", "--catalog", lo_paths["lo6"], "--C", "LO6",
              "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
 
 
@@ -702,6 +710,17 @@ class TestReplay:
             del report[key]
 
     @staticmethod
+    def _true_equalities(report):
+        """A FAILS relabelled HOLDS, with as many pair amalgams as it owes,
+        each the true equality id.f = f for f = LO2->LO3#0.  The first
+        tuple is three copies of id_LO2, so no pair of it ends either side."""
+        TestReplay._relabel_holds(report)
+        report["certificates"] = [
+            {"type": "composition-equality", "note": "pair amalgam",
+             "lhs": ["LO3->LO3#0", "LO2->LO3#0"], "rhs": ["LO2->LO3#0"]}
+        ] * cli.WITNESS_CAP
+
+    @staticmethod
     def _k_max_1(report):
         """k_max cut to 1, and the k = 2 upper certificates with it; the
         lower certificate keeps its k = 2."""
@@ -759,6 +778,8 @@ class TestReplay:
          "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
         ("two-of-k-fails", lambda r: TestReplay._relabel_holds(r, "catalog"),
          "two-out-of-k without a catalog"),
+        ("two-of-k-fails", lambda r: TestReplay._true_equalities(r),
+         "pair amalgam 0 does not amalgamate a pair of k-tuple 0"),
         ("degree-unknown", lambda r: r.pop("catalog"),
          "degree-interval without a catalog"),
         ("wap", _set_field("lhs", []),
@@ -784,7 +805,8 @@ class TestReplay:
             "lower-5-without-certificate", "lower-0-without-certificate",
             "lower-1-with-certificate", "lower-above-upper",
             "two-of-k-amalgam-cut", "two-of-k-k-1", "two-of-k-fails-as-holds",
-            "two-of-k-without-catalog", "degree-without-catalog",
+            "two-of-k-without-catalog", "two-of-k-untied-amalgams",
+            "degree-without-catalog",
             "empty-composition",
             "composition-differs", "maps-differ", "unknown-type",
             "wrong-domain", "values-short", "values-long",
@@ -866,6 +888,27 @@ class TestReplay:
         from ramsey_workbench.cli import replay
         code, result = replay(str(path))
         assert code == 0 and result["replayed"] == 0
+
+    @pytest.mark.parametrize("k", [3, 9, 10])
+    def test_pair_amalgams_are_tied_to_their_tuples(self, tmp_path, capsys, k):
+        """Two of any k > 3 extensions of LO1 in LO2 are equal, and an equal
+        pair amalgamates.  Past 8 places the capped tuples lead with copies
+        of id_LO1, and the report replays as written; with its first
+        amalgam moved onto LO1->LO2#1, absent from the first tuple, it
+        exits 3."""
+        catalog, report = tmp_path / "lo2.json", tmp_path / "r.json"
+        save_catalog(lo_catalog(2), catalog)
+        assert run(["--out", str(report), "amalgam", "--two-of-k", str(k),
+                    "--A", "LO1", "--catalog", str(catalog)]) == 0
+        assert run(["replay", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["certificates"][0].update(lhs=["LO2->LO2#0", "LO1->LO2#1"],
+                                      rhs=["LO1->LO2#1"])
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["replay", str(report)]) == 3
+        assert ("pair amalgam 0 does not amalgamate a pair of k-tuple 0"
+                in capsys.readouterr().err)
 
 
 class TestReadOnDemand:

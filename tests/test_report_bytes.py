@@ -254,3 +254,34 @@ def test_status_flips_that_replay_accepts_are_listed(inputs, tmp_path):
         if run(["--out", str(out), "replay", str(flipped)]) == 0:
             survivors.add(name)
     assert survivors == set(FLIP_SURVIVORS)
+
+
+# Each pinned report that still replays with some one certificate dropped,
+# with the gap in certificate coverage that lets the drop through (ROADMAP.md,
+# "Certificate coverage").  The list may only shrink.
+DROP_SURVIVORS = {
+    "amalgam-wap": "amalgam --wap HOLDS owes no certificate per arrow it "
+                   "lists",
+    "amalgam-wap-abstract": "amalgam --wap HOLDS owes no certificate per "
+                            "arrow it lists",
+    "seq-colim": "seq colim is informational and owes no cocone triangle",
+}
+
+
+def test_certificate_drops_that_replay_accepts_are_listed(inputs, tmp_path):
+    """Drop each certificate of each pinned report in turn and replay it:
+    the reports with a drop that still exits 0 are exactly the listed
+    ones."""
+    out, dropped = tmp_path / "r.json", tmp_path / "dropped.json"
+    survivors = set()
+    for name, argv, code, pin in QUESTIONS:
+        assert run(["--out", str(out), "--seed", "7"]
+                   + [inputs.get(tok, tok) for tok in argv]) == code
+        report = json.loads(out.read_text(encoding="utf-8"))
+        certificates = report["certificates"]
+        for i in range(len(certificates)):
+            report["certificates"] = certificates[:i] + certificates[i + 1:]
+            dropped.write_text(json.dumps(report), encoding="utf-8")
+            if run(["--out", str(out), "replay", str(dropped)]) == 0:
+                survivors.add(name)
+    assert survivors == set(DROP_SURVIVORS)

@@ -275,10 +275,11 @@ VALIDATION_SIGNATURE = Signature(
 
 
 @st.composite
-def validation_maps(draw, max_n=4):
+def validation_maps(draw, max_n=6):
     """(a, b, map): a is the sub-structure of b induced on a drawn list of
     elements, the planted embedding, then perhaps with tuples of a toggled,
-    and perhaps another map of the same length, not always injective."""
+    and perhaps another map of the same length, not always injective.  The
+    list is often shorter than b, so images miss part of the target."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     elt = st.integers(min_value=0, max_value=n - 1)
     b = Structure.make(VALIDATION_SIGNATURE, n, {
@@ -311,6 +312,45 @@ class TestValidationDifferential:
         except WorkbenchError as exc:
             message = str(exc)
         assert message == oracles.scan_embedding_error(a, b, mapping)
+
+
+class TestEnumeratedMapsAreChecked:
+    """Enumeration hands every map it finds to the validating constructor,
+    once, and the bits that check reads leave a structure's value alone."""
+
+    @pytest.mark.parametrize("catalog", [lo_catalog(5), graph_catalog(4)],
+                             ids=["lo5", "graphs4"])
+    def test_each_map_is_checked_once(self, monkeypatch, catalog):
+        checked = []
+        check = Embedding.__post_init__
+
+        def counted(self):
+            checked.append(self.map)
+            check(self)
+
+        monkeypatch.setattr(Embedding, "__post_init__", counted)
+        for a, b in itertools.product(catalog, repeat=2):
+            checked.clear()
+            maps = [e.map for e in enumerate_embeddings(a, b)]
+            assert checked == maps, (a, b)
+
+    @pytest.mark.parametrize("build", [
+        lambda: lo_catalog(4), lambda: graph_catalog(3),
+        lambda: [Structure.make(MIXED_SIGNATURE, 3, {"r": {(0, 1)},
+                                                     "t": {(2, 1, 0)}},
+                                {"c": 1}, name="M3")]],
+        ids=["lo4", "graphs3", "mixed"])
+    def test_read_bits_leave_equality_hash_and_bytes(self, tmp_path, build):
+        fresh, read = build(), build()
+        for s in read:
+            for (_, table), (_, ar), bits in zip(
+                    s.relations, s.signature.relations, s.membership_bits):
+                assert [t for t, bit in zip(itertools.product(
+                    range(s.size), repeat=ar), bits) if bit] == sorted(table)
+        assert fresh == read
+        assert [hash(s) for s in fresh] == [hash(s) for s in read]
+        assert (_sha256_of_saved(fresh, tmp_path / "fresh.json")
+                == _sha256_of_saved(read, tmp_path / "read.json"))
 
 
 class TestComposeDifferential:
