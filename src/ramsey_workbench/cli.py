@@ -147,12 +147,12 @@ def _degree(args, cat):
         fields["note"] = TIME_OUT   # searches still running then stopped
     certificates = list(_owed(
         {"check": "degree-interval", "status": status, **fields}, cat))
-    witnesses = iter(interval.upper_certs)
     for cert in certificates:       # the evidence only the certificates hold
         if cert["kind"] == "degree-lower":
-            cert.update(vars(interval.lower_cert.bad_colorings[cert["C"]]))
+            key = cert["C"], cert["B"], cert["k"], cert["t"]
+            cert.update(vars(interval.verdicts[key].bad_coloring))
         else:
-            cert["C"] = next(witnesses).witness
+            cert["C"] = interval.witnesses[cert["B"], cert["k"]]
     return "degree-interval", status, fields, certificates
 
 
@@ -374,8 +374,9 @@ def _owed(verdict: dict, cat: FiniteCategory | None) -> Iterator[dict]:
     each catalog object, in sorted order, one below the lower end, which is
     1 without a lower certificate and at least 2 with one; then at
     the upper end an exhaustion, whose C is evidence, per (B, k) in
-    ``degree_upper``'s order, B in ``b_range`` with hom(A, B) non-empty and
-    k up to ``k_max``; the upper end must not be below the lower."""
+    ``degree_interval``'s B-major order, B in ``b_range`` with hom(A, B)
+    non-empty and k up to ``k_max``; the upper end must not be below the
+    lower."""
     check, status = verdict.get("check"), verdict.get("status")
     if check == "arrow" and status == HOLDS:
         stats = check_type(verdict.get("stats"), dict, "arrow stats")
@@ -445,6 +446,30 @@ def _replay_pair_amalgams(certificates: list[dict], cat: FiniteCategory,
                                      f"a pair of k-tuple {n}")
 
 
+def _replay_amalgamation_arrows(certificates: list[dict], cat: FiniteCategory,
+                                arrows) -> None:
+    """A weak-amalgamation HOLDS lists one arrow f in hom(A, A') per catalog
+    object A, in catalog order, and owes per arrow one amalgam per pair
+    (g, h) of morphisms out of A', in ``itertools.product`` order up to the
+    cap, as ``is_amalgamation_arrow`` scans them: lhs [r, g, f] and rhs
+    [s, h, f]."""
+    owed = []
+    for a, w in itertools.zip_longest(
+            cat.objects, check_type(arrows, list, "amalgamation arrows")):
+        w = check_type(w, dict, f"the amalgamation arrow of {a}")
+        a_prime = check_type(w.get("Aprime"), str, "amalgamation arrow A'")
+        if w.get("A") != a or w.get("f") not in cat.hom(a, a_prime):
+            raise CorruptCertificate(f"amalgamation arrow {w!r} is not one "
+                                     f"for {a} in hom({a}, {a_prime})")
+        out = [g for b in cat.objects for g in cat.hom(a_prime, b)]
+        owed += [[g, w["f"], h, w["f"]] for g, h in itertools.islice(
+            itertools.product(out, repeat=2), WITNESS_CAP)]
+    if [c["lhs"][1:] + c["rhs"][1:] for c in certificates] != owed:
+        raise CorruptCertificate("a weak-amalgamation HOLDS owes one amalgam "
+                                 "per pair out of each arrow's target, in "
+                                 "order, up to the cap")
+
+
 # certificate type -> (re-checker, needs the report's catalog, field types);
 # a one-item list is a list whose items have that type
 REPLAY = {
@@ -480,7 +505,8 @@ def replay(report_path: str) -> tuple[int, dict]:
     ones ``_owed`` derives from that verdict and the catalog, on every field
     each names and on catalog objects.  Every other certificate sits under a
     verdict that ``BOUND_TO`` binds its type to; a two-out-of-k HOLDS has
-    one per k-tuple, up to the cap, on a pair of that tuple."""
+    one per k-tuple, up to the cap, on a pair of that tuple, and a
+    weak-amalgamation HOLDS one per pair out of each arrow's target."""
     with open(report_path, encoding="utf-8") as fh:
         report = check_type(json.load(fh), dict, "report")
     status, verdict = report.get("status"), {}
@@ -500,7 +526,8 @@ def replay(report_path: str) -> tuple[int, dict]:
     certificates = check_type(report.get("certificates", []), list,
                               "report certificates")
     check = verdict.get("check")
-    if check == "degree-interval" or (check, status) == ("two-out-of-k", HOLDS):
+    if check == "degree-interval" or status == HOLDS and check in (
+            "two-out-of-k", "weak-amalgamation"):
         if data is None:
             raise CorruptCertificate(f"{check} without a catalog")
         cat = _replay_category(data)
@@ -537,6 +564,8 @@ def replay(report_path: str) -> tuple[int, dict]:
     if (check, status) == ("two-out-of-k", HOLDS):
         a, k = _instance(verdict, "Ak").values()
         _replay_pair_amalgams(certificates, cat, a, k)
+    if (check, status) == ("weak-amalgamation", HOLDS):
+        _replay_amalgamation_arrows(certificates, cat, verdict.get("arrows"))
     return 0, {"replayed": len(certificates), "status": HOLDS}
 
 

@@ -108,6 +108,27 @@ class Structure:
                      itertools.product(range(self.size), repeat=ar)))
             for (_, table), (_, ar) in zip(self.relations, self.signature.relations))
 
+    @functools.cached_property
+    def degree_profile(self) -> list[list[int]]:
+        """Per element x: for each relation R and coordinate p, the number
+        of tuples with x at p that are in R, then the number that are not.
+        Each constant counts as a unary relation that holds at its element
+        only.  Computed once per structure; read it, never write."""
+        n = self.size
+        tables = [(table, ar) for (_, table), (_, ar)
+                  in zip(self.relations, self.signature.relations)]
+        tables += [({(v,)}, 1) for _, v in self.constants]
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for table, ar in tables:
+            per = n ** (ar - 1)
+            for p in range(ar):
+                inside = [0] * n
+                for t in table:
+                    inside[t[p]] += 1
+                for x in range(n):
+                    rows[x] += (inside[x], per - inside[x])
+        return rows
+
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         for rname, table in self.relations:
             if rname == name:
@@ -199,32 +220,12 @@ def compose(g: Embedding, f: Embedding) -> Embedding:
     return _trusted(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
-def _profile(s: Structure) -> list[list[int]]:
-    """Per element x: for each relation R and coordinate p, the number of
-    tuples with x at p that are in R, then the number that are not.  Each
-    constant counts as a unary relation that holds at its element only."""
-    n = s.size
-    tables = [(table, ar) for (_, table), (_, ar)
-              in zip(s.relations, s.signature.relations)]
-    tables += [({(v,)}, 1) for _, v in s.constants]
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for table, ar in tables:
-        per = n ** (ar - 1)
-        for p in range(ar):
-            inside = [0] * n
-            for t in table:
-                inside[t[p]] += 1
-            for x in range(n):
-                rows[x] += (inside[x], per - inside[x])
-    return rows
-
-
 def _candidates(a: Structure, b: Structure) -> list[list[int]]:
     """Per element x of a, in increasing order, the elements of b whose
     profile dominates that of x: the only images an embedding can give x."""
-    pb = _profile(b)
+    pb = b.degree_profile
     return [[y for y, py in enumerate(pb) if all(map(operator.le, px, py))]
-            for px in _profile(a)]
+            for px in a.degree_profile]
 
 
 def enumerate_embeddings(a: Structure, b: Structure) -> list[Embedding]:

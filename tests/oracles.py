@@ -11,7 +11,8 @@ primitives, ``compose`` and ``morphism_preserves``, but not the checkers
 they test.
 ``scan_arrow_check``, the coloring-by-coloring scan that the bit-sliced
 ``oracle_arrow_check`` replaced, reads its instance through
-``ArrowInstance.build`` and returns the package's verdict types.
+``ArrowInstance.build`` and returns the package's verdict types;
+``degree_from_table`` reads a degree off a table of its verdicts.
 ``domain_permutations`` with ``dominated`` is the full-scan lex-leader test
 that the search's tied sets replaced, and ``scan_embedding_error`` the
 tuple-by-tuple scan that ``Embedding``'s set comparison replaced.
@@ -222,6 +223,28 @@ def scan_arrow_check(cat, c, b, a, k, t, *, budget=2_000_000) -> ArrowVerdict:
             return ArrowVerdict(FAILS, Coloring(inst.domain, k, values), stats,
                                 degenerate)
     return ArrowVerdict(HOLDS, None, stats, degenerate)
+
+
+def degree_from_table(cat, a, k_max, bs=None) -> int:
+    """The degree of a relative to the catalog as a max-min over a table of
+    every arrow status C -> (B)^A_{k,t} with k, t <= k_max, for B in bs (the
+    catalog by default) with hom(A, B) non-empty: the max over (B, k) of the
+    min over C of t*, the least t at which the arrow holds (k_max + 1 when
+    none does), and 1 with no target.  Each status is scanned when there
+    are at most 2^16 colourings, and searched by ``arrow_check`` otherwise."""
+    def status(c, b, k, t):
+        if k ** len(cat.hom(a, c)) <= 2 ** 16:
+            return scan_arrow_check(cat, c, b, a, k, t).status
+        return arrow_check(cat, c, b, a, k, t).status
+
+    targets = [b for b in (bs if bs is not None else cat.objects)
+               if cat.hom(a, b)]
+    ks = range(1, k_max + 1)
+    table = {(c, b, k, t): status(c, b, k, t) for c in cat.objects
+             for b in targets for k in ks for t in ks}
+    return max((min(next((t for t in ks if table[c, b, k, t] == HOLDS),
+                         k_max + 1) for c in cat.objects)
+                for b in targets for k in ks), default=1)
 
 
 def lex_arrow_check(cat: FiniteCategory, c: str, b: str, a: str, k: int,

@@ -23,7 +23,7 @@ from ramsey_workbench.catalogs import (graph_catalog, linear_order,
 from ramsey_workbench.category import (FiniteCategory, check_axioms, op,
                                        tables_equal)
 from ramsey_workbench.cli import replay, run
-from ramsey_workbench.degrees import degree_lower, degree_upper
+from ramsey_workbench.degrees import degree_interval
 from ramsey_workbench.expansion import (ExpansionSpace, check_forgetful,
                                         orbit_age_analysis)
 from ramsey_workbench.sequences import (TruncatedSequence, colimit,
@@ -114,11 +114,11 @@ def test_03a_degree_upper_for_pairs_in_chains(lo7):
                 for b in (2, 3) for k in range(1, k_max + 1)}
 
     # two colors: bound 1, and triples need LO6 since R(3,3) = 6
-    n, certs, unknowns = degree_upper(lo7, "LO2", 2, bs=bs)
+    interval = degree_interval(lo7, "LO2", 2, bs=bs)
     expected = least_witnesses(2, 1)
     assert expected[("LO3", 2)] == "LO6"
-    assert n == 1 and not unknowns
-    assert {(c.b, c.k): c.witness for c in certs} == expected
+    assert interval.upper == 1 and not interval.unknowns
+    assert interval.witnesses == expected
 
     # three colors: bound 1 would need a 17-chain, R(3,3,3) = 17.  The bad
     # coloring of LO7 is re-checked on all 35 triples; every shorter catalog
@@ -133,21 +133,21 @@ def test_03a_degree_upper_for_pairs_in_chains(lo7):
 
     # so the least bound within the catalog is 2, with triples witnessed by
     # LO5: K4 has a proper 3-edge-coloring and K5 has none
-    n, certs, _ = degree_upper(lo7, "LO2", 3, bs=bs)
+    interval = degree_interval(lo7, "LO2", 3, bs=bs)
     expected = least_witnesses(3, 2)
     assert expected[("LO3", 3)] == "LO5"
-    assert n == 2, f"the least bound with witnesses in LO1..LO7 is 2, not {n}"
-    assert {(c.b, c.k): c.witness for c in certs} == expected
+    assert interval.upper == 2, ("the least bound with witnesses in LO1..LO7 "
+                                 f"is 2, not {interval.upper}")
+    assert interval.witnesses == expected
 
 
 def test_03b_degree_lower_for_paths_in_graphs(graphs5_category):
     cat = graphs5_category
     p3 = find_isomorphic(list(cat.structures.values()), path_graph(3)).name
-    cert = degree_lower(cat, p3, 2, 2)
-    assert cert is not None
-    assert cert.b == p3
-    assert set(cert.bad_colorings) == set(cat.objects)
-    for c, coloring in cert.bad_colorings.items():
+    interval = degree_interval(cat, p3, 2)
+    assert interval.lower == 2 and interval.lower_bk == (p3, 2)
+    for c in cat.objects:
+        coloring = interval.verdicts[c, p3, 2, 1].bad_coloring
         assert verify_bad_coloring(cat, c, p3, p3, 1, coloring)
 
 

@@ -10,7 +10,8 @@ from hypothesis import assume, given, strategies as st
 import ramsey_workbench
 from ramsey_workbench import cli
 from ramsey_workbench.arrows import CLOCK_EVERY, TIME_OUT
-from ramsey_workbench.catalogs import (catalog_to_json, graph, linear_order,
+from ramsey_workbench.catalogs import (catalog_to_json, complete_graph,
+                                       graph, graph_catalog, linear_order,
                                        lo_catalog, path_graph, save_catalog)
 from ramsey_workbench.cli import run
 from ramsey_workbench.errors import CorruptCertificate
@@ -390,6 +391,10 @@ class TestReplay:
         named = {tuple(mid.rpartition("#")[0].split("->"))
                  for cert in report["certificates"]
                  for mid in cert["lhs"] + cert["rhs"]}
+        # and the hom-sets out of each arrow's A', whose pairs the amalgams
+        # are tied to: here A' is LO7, so hom(LO7, LO1..LO6) are read empty
+        named |= {(w["Aprime"], s.name) for w in report["verdicts"][0]["arrows"]
+                  for s in lo_catalog(7)}
         reads = []
         real = category.enumerate_embeddings
         monkeypatch.setattr(category, "enumerate_embeddings",
@@ -404,6 +409,37 @@ class TestReplay:
             doctored["certificates"][0]["lhs"][-1] = bad
             out.write_text(json.dumps(doctored))
             assert run(["replay", str(out)]) == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda: graph_catalog(3),
+        lambda: [complete_graph(n, name=f"K{n}") for n in range(1, 5)]],
+        ids=["graphs3", "K1-K4"])
+    def test_wap_amalgams_are_tied_to_their_arrow_and_pair(self, tmp_path,
+                                                           capsys, build):
+        catalog, out = tmp_path / "c.json", tmp_path / "r.json"
+        save_catalog(build(), catalog)
+        assert run(["--out", str(out), "amalgam", "--wap",
+                    "--catalog", str(catalog)]) == 0
+        report = json.loads(out.read_text())
+        certificates = report["certificates"]
+        doctored = tmp_path / "doctored.json"
+        # each still a true equality: only its place ties it to a pair
+        swapped = [certificates[1], certificates[0]] + certificates[2:]
+        for certs in (certificates[1:], swapped):
+            doctored.write_text(json.dumps({**report, "certificates": certs}))
+            capsys.readouterr()
+            assert run(["replay", str(doctored)]) == 3
+            assert "owes one amalgam per pair" in capsys.readouterr().err
+        # one arrow per catalog object, each in hom(A, A')
+        verdict = report["verdicts"][0]
+        arrows = verdict["arrows"]
+        for listed in (arrows[:-1], arrows + arrows[-1:],
+                       [{**arrows[0], "A": arrows[1]["A"]}] + arrows[1:]):
+            doctored.write_text(json.dumps(
+                {**report, "verdicts": [{**verdict, "arrows": listed}]}))
+            capsys.readouterr()
+            assert run(["replay", str(doctored)]) == 3
+            assert "amalgamation arrow" in capsys.readouterr().err
 
     def test_tampered_report_rejected(self, lo_paths, tmp_path):
         out = tmp_path / "r.json"

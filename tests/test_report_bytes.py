@@ -202,17 +202,33 @@ def _colorings(node):
             yield from _colorings(item)
 
 
-def test_evidence_is_stated_once(inputs, tmp_path):
+@pytest.fixture(scope="module")
+def reports(inputs, tmp_path_factory):
+    """Each pinned question's report, asked once and parsed, by name; the
+    audits below mutate copies of them."""
+    out = tmp_path_factory.mktemp("reports") / "r.json"
+    written = {}
+    for name, argv, code, pin in QUESTIONS:
+        assert run(["--out", str(out), "--seed", "7"]
+                   + [inputs.get(tok, tok) for tok in argv]) == code, name
+        written[name] = json.loads(out.read_text(encoding="utf-8"))
+    return written
+
+
+def replays(report: dict, path) -> bool:
+    """Does ``rw replay`` accept the report, written to path, with exit 0?"""
+    path.write_text(json.dumps(report), encoding="utf-8")
+    return run(["--out", str(path.with_suffix(".replayed.json")),
+                "replay", str(path)]) == 0
+
+
+def test_evidence_is_stated_once(reports, tmp_path):
     """No verdict of a pinned report holds a colouring: colourings sit only
     in bad-coloring certificates, where replay evaluates them, so no report
     states one twice.  Every pinned report replays as written."""
-    out, replayed = tmp_path / "r.json", tmp_path / "replayed.json"
-    for name, argv, code, pin in QUESTIONS:
-        assert run(["--out", str(out), "--seed", "7"]
-                   + [inputs.get(tok, tok) for tok in argv]) == code
-        report = json.loads(out.read_text(encoding="utf-8"))
+    for name, report in reports.items():
         assert not list(_colorings(report["verdicts"])), name
-        assert run(["--out", str(replayed), "replay", str(out)]) == 0, name
+        assert replays(report, tmp_path / "r.json"), name
 
 # Each pinned report whose status flip replay still accepts, with the gap in
 # certificate coverage that lets the flip through (ROADMAP.md, "Certificate
@@ -240,18 +256,14 @@ FLIP_SURVIVORS = {
 }
 
 
-def test_status_flips_that_replay_accepts_are_listed(inputs, tmp_path):
+def test_status_flips_that_replay_accepts_are_listed(reports, tmp_path):
     """Flip the status of each pinned report and of its verdict, and
     replay it: the flips that still exit 0 are exactly the listed ones."""
-    out, flipped = tmp_path / "r.json", tmp_path / "flipped.json"
     survivors = set()
-    for name, argv, code, pin in QUESTIONS:
-        assert run(["--out", str(out), "--seed", "7"]
-                   + [inputs.get(tok, tok) for tok in argv]) == code
-        report = json.loads(out.read_text(encoding="utf-8"))
-        report["status"] = report["verdicts"][0]["status"] = FLIP[report["status"]]
-        flipped.write_text(json.dumps(report), encoding="utf-8")
-        if run(["--out", str(out), "replay", str(flipped)]) == 0:
+    for name, report in reports.items():
+        flipped = json.loads(json.dumps(report))
+        flipped["status"] = flipped["verdicts"][0]["status"] = FLIP[report["status"]]
+        if replays(flipped, tmp_path / "flipped.json"):
             survivors.add(name)
     assert survivors == set(FLIP_SURVIVORS)
 
@@ -260,28 +272,54 @@ def test_status_flips_that_replay_accepts_are_listed(inputs, tmp_path):
 # with the gap in certificate coverage that lets the drop through (ROADMAP.md,
 # "Certificate coverage").  The list may only shrink.
 DROP_SURVIVORS = {
-    "amalgam-wap": "amalgam --wap HOLDS owes no certificate per arrow it "
-                   "lists",
-    "amalgam-wap-abstract": "amalgam --wap HOLDS owes no certificate per "
-                            "arrow it lists",
     "seq-colim": "seq colim is informational and owes no cocone triangle",
 }
 
 
-def test_certificate_drops_that_replay_accepts_are_listed(inputs, tmp_path):
+def test_certificate_drops_that_replay_accepts_are_listed(reports, tmp_path):
     """Drop each certificate of each pinned report in turn and replay it:
     the reports with a drop that still exits 0 are exactly the listed
     ones."""
-    out, dropped = tmp_path / "r.json", tmp_path / "dropped.json"
     survivors = set()
-    for name, argv, code, pin in QUESTIONS:
-        assert run(["--out", str(out), "--seed", "7"]
-                   + [inputs.get(tok, tok) for tok in argv]) == code
-        report = json.loads(out.read_text(encoding="utf-8"))
+    for name, report in reports.items():
         certificates = report["certificates"]
         for i in range(len(certificates)):
-            report["certificates"] = certificates[:i] + certificates[i + 1:]
-            dropped.write_text(json.dumps(report), encoding="utf-8")
-            if run(["--out", str(out), "replay", str(dropped)]) == 0:
+            dropped = {**report,
+                       "certificates": certificates[:i] + certificates[i + 1:]}
+            if replays(dropped, tmp_path / "dropped.json"):
                 survivors.add(name)
     assert survivors == set(DROP_SURVIVORS)
+
+
+# Each (pinned report, verdict field) whose k or t, raised by one in the
+# verdict only, replay still accepts, with the gap in certificate coverage
+# that lets the shift through (ROADMAP.md, "Certificate coverage").  The list
+# may only shrink.
+SHIFT_SURVIVORS = {
+    ("arrow-budget", "k"): "an UNKNOWN arrow is undecided and owes no "
+                           "certificate",
+    ("arrow-budget", "t"): "an UNKNOWN arrow is undecided and owes no "
+                           "certificate",
+    ("amalgam-two-of-k", "k"): "two-of-k FAILS owes its failing tuple",
+    ("amalgam-two-of-k-abstract", "k"): "two-of-k FAILS owes its failing "
+                                        "tuple",
+    # a true claim: every 4-tuple holds a 3-tuple, and the first 200 4-tuples
+    # are pool[0] before the first 200 3-tuples, so each amalgam still fits
+    ("amalgam-two-of-k-holds", "k"): "two-of-k HOLDS at k holds at k + 1",
+}
+
+
+def test_k_and_t_shifts_that_replay_accepts_are_listed(reports, tmp_path):
+    """Raise the k or the t of each pinned report's verdict by one, leaving
+    its certificates as they are, and replay it: the shifts that still exit
+    0 are exactly the listed ones."""
+    survivors = set()
+    for name, report in reports.items():
+        for field in ("k", "t"):
+            if field not in report["verdicts"][0]:
+                continue
+            shifted = json.loads(json.dumps(report))
+            shifted["verdicts"][0][field] += 1
+            if replays(shifted, tmp_path / "shifted.json"):
+                survivors.add((name, field))
+    assert survivors == set(SHIFT_SURVIVORS)

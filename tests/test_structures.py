@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -16,7 +17,7 @@ from ramsey_workbench.catalogs import (GRAPH_SIGNATURE, _certificate,
 from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.errors import SignatureMismatch, WorkbenchError
 from ramsey_workbench.structures import (Embedding, Signature, Structure,
-                                         _candidates, _profile, automorphisms,
+                                         _candidates, automorphisms,
                                          canonical_form, canonical_key,
                                          compose, enumerate_embeddings,
                                          identity, refinement_partition)
@@ -193,7 +194,7 @@ class TestCandidateFilter:
     @given(planted_pairs())
     def test_images_dominate_in_profile(self, pair):
         a, b = pair
-        pa, pb, cands = _profile(a), _profile(b), _candidates(a, b)
+        pa, pb, cands = a.degree_profile, b.degree_profile, _candidates(a, b)
         for f in oracles.brute_embeddings(a, b):
             for x, y in enumerate(f):
                 assert all(u <= v for u, v in zip(pa[x], pb[y])), (f, x)
@@ -334,6 +335,26 @@ class TestEnumeratedMapsAreChecked:
             maps = [e.map for e in enumerate_embeddings(a, b)]
             assert checked == maps, (a, b)
 
+    @pytest.mark.parametrize("build", [lambda: lo_catalog(5),
+                                       lambda: graph_catalog(4)],
+                             ids=["lo5", "graphs4"])
+    def test_each_profile_is_computed_once(self, monkeypatch, build):
+        computed = []
+        profile = Structure.__dict__["degree_profile"].func
+
+        def counted(self):
+            computed.append(self)
+            return profile(self)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(Structure, "degree_profile")
+        monkeypatch.setattr(Structure, "degree_profile", cached)
+        catalog = build()
+        for a, b in itertools.product(catalog, repeat=2):
+            enumerate_embeddings(a, b)
+        assert len({id(s) for s in computed}) == len(computed)
+        assert {id(s) for s in catalog} <= {id(s) for s in computed}
+
     @pytest.mark.parametrize("build", [
         lambda: lo_catalog(4), lambda: graph_catalog(3),
         lambda: [Structure.make(MIXED_SIGNATURE, 3, {"r": {(0, 1)},
@@ -347,6 +368,7 @@ class TestEnumeratedMapsAreChecked:
                     s.relations, s.signature.relations, s.membership_bits):
                 assert [t for t, bit in zip(itertools.product(
                     range(s.size), repeat=ar), bits) if bit] == sorted(table)
+            assert len(s.degree_profile) == s.size
         assert fresh == read
         assert [hash(s) for s in fresh] == [hash(s) for s in read]
         assert (_sha256_of_saved(fresh, tmp_path / "fresh.json")
