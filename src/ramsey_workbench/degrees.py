@@ -76,7 +76,10 @@ def degree_interval(cat: FiniteCategory, a: str, k_max: int, *,
     The upper end is relative to the catalog and can exceed the true small
     Ramsey degree when the witnesses lie beyond it: LO2 has degree 1 among
     all chains, but at k_max = 3 in lo_catalog(7) the answer is 2, since
-    bound 1 for LO3 needs a 17-chain (R(3,3,3) = 17).
+    bound 1 for LO3 needs a 17-chain (R(3,3,3) = 17).  Without ``bs`` every
+    catalog object is a target, and a top object that only itself receives
+    has itself as its one witness C, each of whose copies sees all of
+    hom(A, C), so the upper end is at least min(k_max, |hom(A, top)|).
     """
     if k_max < 1:
         raise ValueError(f"k_max must be positive, not {k_max}")

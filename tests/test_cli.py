@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -290,6 +291,11 @@ class TestObjectNames:
         assert "hom(x, y->z) and hom(x->y, z)" in capsys.readouterr().err
 
 
+# the refusal of an equality that pays no amalgam its verdict owes, and of an
+# owed amalgam that no equality pays
+UNOWED_AMALGAM = "nor equalities one for each amalgam"
+
+
 def _set_field(name, value):
     def doctor(report):
         report["certificates"][0][name] = value
@@ -429,7 +435,7 @@ class TestReplay:
             doctored.write_text(json.dumps({**report, "certificates": certs}))
             capsys.readouterr()
             assert run(["replay", str(doctored)]) == 3
-            assert "owes one amalgam per pair" in capsys.readouterr().err
+            assert UNOWED_AMALGAM in capsys.readouterr().err
         # one arrow per catalog object, each in hom(A, A')
         verdict = report["verdicts"][0]
         arrows = verdict["arrows"]
@@ -591,6 +597,27 @@ class TestReplay:
                         "replay", str(out)]) == 0
         assert calls == []
 
+    @pytest.mark.parametrize("base,parses", [
+        ("two-of-k-fails", 0), ("check", 0), ("two-of-k", 1), ("wap", 1),
+        ("wap-abstract", 1)])
+    def test_catalog_is_parsed_on_first_use_only(self, replayable, lo_paths,
+                                                 tmp_path, monkeypatch, base,
+                                                 parses):
+        """A verdict that owes nothing parses no catalog, and one whose
+        owed amalgams and their re-checks read it parses it once."""
+        path = replayable.get(base)
+        if path is None:
+            path = tmp_path / "check.json"
+            assert run(["--out", str(path), "cat", "check",
+                        "--catalog", lo_paths["lo4"]]) == 0
+        calls = []
+        real = cli._replay_category
+        monkeypatch.setattr(cli, "_replay_category",
+                            lambda data: calls.append(data) or real(data))
+        assert run(["--out", str(tmp_path / "rep.json"),
+                    "replay", str(path)]) == 0
+        assert len(calls) == parses
+
     def test_changed_abstract_catalog_still_exits_three(self, tmp_path):
         catalog = tmp_path / "abstract.json"
         catalog.write_text(json.dumps(TWO_OBJECT_DOC))
@@ -672,19 +699,23 @@ class TestReplay:
                                           self._fails_coloring(replayable))))
         assert run(["replay", str(path)]) == code
 
-    @pytest.mark.parametrize("base,borrowed", [
-        ("colim", "wap"), ("colim", "two-of-k"), ("wap", "colim"),
-        ("two-of-k", "colim"), ("holds", "wap")])
+    @pytest.mark.parametrize("base,borrowed,fault", [
+        ("colim", "wap", UNOWED_AMALGAM), ("colim", "two-of-k", UNOWED_AMALGAM),
+        ("wap", "colim", "under a"), ("two-of-k", "colim", "under a"),
+        ("holds", "wap", UNOWED_AMALGAM)],
+        ids=["colim-wap", "colim-two-of-k", "wap-colim", "two-of-k-colim",
+             "holds-wap"])
     def test_equality_certificate_is_bound_to_its_question(
-            self, replayable, tmp_path, base, borrowed):
-        """A composition-equality sits only under a weak-amalgamation or
-        two-out-of-k verdict, a map-equality only under a colimit one."""
+            self, replayable, tmp_path, base, borrowed, fault):
+        """A composition-equality sits only where a weak-amalgamation or
+        two-out-of-k HOLDS owes it, a map-equality only under a colimit
+        HOLDS."""
         report = json.loads(replayable[base].read_text())
         lent = json.loads(replayable[borrowed].read_text())["certificates"]
         report["certificates"] = report["certificates"] + lent[:1]
         path = tmp_path / "doctored.json"
         path.write_text(json.dumps(report))
-        with pytest.raises(CorruptCertificate, match="under a"):
+        with pytest.raises(CorruptCertificate, match=fault):
             cli.replay(str(path))
         assert run(["replay", str(path)]) == 3
 
@@ -806,16 +837,21 @@ class TestReplay:
          "a lower end of 1 with lower certificate {'B': 'LO3'"),
         ("degree", lambda r: TestReplay._interval(r).update(upper=0),
          "a degree interval [1, 0]"),
-        ("two-of-k", lambda r: r["certificates"].pop(),
-         "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
+        ("two-of-k", lambda r: r["certificates"].pop(), UNOWED_AMALGAM),
         ("two-of-k", lambda r: TestReplay._verdict(r).update(k=1),
          "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
         ("two-of-k-fails", lambda r: TestReplay._relabel_holds(r),
-         "a two-out-of-k HOLDS owes one pair amalgam per k-tuple"),
+         UNOWED_AMALGAM),
+        # off the catalog nothing is owed, so no certificate is needed
+        ("two-of-k", lambda r: TestReplay._verdict(r).update(A="NOPE")
+         or r["certificates"].clear(), "not 'NOPE' at k = 2"),
+        ("degree", lambda r: TestReplay._interval(r).update(object="NOPE")
+         or r["certificates"].clear(),
+         "interval object 'NOPE' is not a catalog object"),
         ("two-of-k-fails", lambda r: TestReplay._relabel_holds(r, "catalog"),
          "two-out-of-k without a catalog"),
         ("two-of-k-fails", lambda r: TestReplay._true_equalities(r),
-         "pair amalgam 0 does not amalgamate a pair of k-tuple 0"),
+         UNOWED_AMALGAM),
         ("degree-unknown", lambda r: r.pop("catalog"),
          "degree-interval without a catalog"),
         ("wap", _set_field("lhs", []),
@@ -840,7 +876,8 @@ class TestReplay:
             "lower-B-off-b_range", "k_max-huge", "upper-C-off-catalog",
             "lower-5-without-certificate", "lower-0-without-certificate",
             "lower-1-with-certificate", "lower-above-upper",
-            "two-of-k-amalgam-cut", "two-of-k-k-1", "two-of-k-fails-as-holds",
+            "two-of-k-amalgam-cut", "two-of-k-k-1", "two-of-k-A-off-catalog",
+            "degree-object-off-catalog", "two-of-k-fails-as-holds",
             "two-of-k-without-catalog", "two-of-k-untied-amalgams",
             "degree-without-catalog",
             "empty-composition",
@@ -943,8 +980,7 @@ class TestReplay:
         report.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["replay", str(report)]) == 3
-        assert ("pair amalgam 0 does not amalgamate a pair of k-tuple 0"
-                in capsys.readouterr().err)
+        assert UNOWED_AMALGAM in capsys.readouterr().err
 
 
 class TestReadOnDemand:
@@ -1044,6 +1080,19 @@ class TestTimeBudget:
         assert report["config"]["budget_secs"] == 0
         assert report["certificates"] == []
         assert run(["--out", str(tmp_path / "rep.json"), "replay", str(out)]) == 0
+
+    def test_catalog_load_counts_against_the_deadline(self, lo_paths,
+                                                      tmp_path, monkeypatch):
+        """The deadline starts when the question does: a load that takes
+        longer than the budget leaves no time for the search."""
+        real = cli.load_catalog
+        monkeypatch.setattr(cli, "load_catalog",
+                            lambda path: time.sleep(0.2) or real(path))
+        code, report = run_json(
+            ["--budget-secs", "0.1", "arrow", "--catalog", lo_paths["lo6"],
+             "--C", "LO6", "--B", "LO3", "--A", "LO2", "-k", "2", "-t", "1"],
+            tmp_path / "r.json")
+        assert (code, report["verdicts"][0]["note"]) == (2, TIME_OUT)
 
     @pytest.mark.parametrize("secs", ["-1", "nan", "inf", "abc"])
     def test_budget_must_be_finite_and_not_negative(self, lo_paths, tmp_path,

@@ -6,18 +6,22 @@ Each pin is the sha256 of the report's ``status``, ``verdicts`` and
 alters a pin alters what users read; it must say so and update the pin.
 """
 
+import functools
 import hashlib
+import itertools
 import json
+import re
 
 import pytest
 
 from ramsey_workbench import FAILS, HOLDS, UNKNOWN, cli
 from ramsey_workbench.catalogs import (complete_graph, empty_graph, graph,
-                                       graph_catalog, lo_catalog, path_graph,
-                                       save_catalog)
+                                       graph_catalog, lo_catalog, load_catalog,
+                                       path_graph, save_catalog)
+from ramsey_workbench.category import FiniteCategory
 from ramsey_workbench.cli import run
 
-from oracles import lo_table
+from oracles import lo_table, scan_arrow_check
 
 # (name, argv with {placeholders}, exit code, sha256)
 QUESTIONS = [
@@ -323,3 +327,89 @@ def test_k_and_t_shifts_that_replay_accepts_are_listed(reports, tmp_path):
             if replays(shifted, tmp_path / "shifted.json"):
                 survivors.add((name, field))
     assert survivors == set(SHIFT_SURVIVORS)
+
+
+# Each pinned report that still replays with a copy of some one certificate
+# appended, with the gap in certificate coverage that lets the copy through
+# (ROADMAP.md, "Certificate coverage").  The list may only shrink.
+DUPLICATE_SURVIVORS = {
+    "seq-colim": "seq colim's map-equalities are uncounted",
+}
+
+
+def test_certificate_duplicates_that_replay_accepts_are_listed(reports,
+                                                               tmp_path):
+    """Append a copy of each certificate of each pinned report in turn and
+    replay it: the reports with a copy that still exits 0 are exactly the
+    listed ones, as every other certificate pays one entry its verdict
+    owes."""
+    survivors = set()
+    for name, report in reports.items():
+        certificates = report["certificates"]
+        if any(replays({**report, "certificates": certificates + [cert]},
+                       tmp_path / "duplicated.json") for cert in certificates):
+            survivors.add(name)
+    assert survivors == set(DUPLICATE_SURVIVORS)
+
+
+# Each (pinned report, object, new name) whose rename replay still accepts
+# although the renamed report claims an arrow that ``scan_arrow_check``
+# refutes, with the gap in certificate coverage that lets the rename through
+# (ROADMAP.md, "Certificate coverage").  The list may only shrink.
+EXHAUSTION_UNCHECKED = ("an arrow HOLDS owes an exhaustion that replay does "
+                        "not re-decide")
+RENAME_SURVIVORS = {
+    (name, old, new): EXHAUSTION_UNCHECKED
+    for name in ("arrow-holds", "arrow-oracle")
+    for old, new in [("LO6", "LO1"), ("LO6", "LO2"), ("LO6", "LO3"),
+                     ("LO6", "LO4"), ("LO6", "LO5"), ("LO3", "LO4"),
+                     ("LO3", "LO5"), ("LO3", "LO6")]}
+RENAMED = ("arrow", "arrow-holds", "arrow-oracle", "arrow-oracle-fails",
+           "arrow-budget", "degree", "degree-lower")
+# the status each kind of certificate claims for its instance
+CLAIMED = {"arrow-holds": HOLDS, "degree-upper": HOLDS,
+           "arrow-fails": FAILS, "degree-lower": FAILS}
+
+
+def _renamed(node, old: str, new: str):
+    """A JSON value with the object name old made new in every string,
+    whole or as a part of a morphism id or a ``C:B:k:n`` entry."""
+    if isinstance(node, str):
+        return re.sub(rf"\b{re.escape(old)}\b", new, node)
+    if isinstance(node, list):
+        return [_renamed(item, old, new) for item in node]
+    if isinstance(node, dict):
+        return {key: _renamed(value, old, new) for key, value in node.items()}
+    return node
+
+
+def test_renames_that_replay_accepts_are_listed(reports, tmp_path):
+    """Rename one catalog object to another everywhere in the verdict and
+    the certificates of each pinned arrow and degree report, and replay it:
+    the renames that still exit 0 and claim an arrow status that
+    ``scan_arrow_check`` refutes are exactly the listed ones."""
+    @functools.cache
+    def category(path):
+        return FiniteCategory.from_structures(load_catalog(path))
+
+    @functools.cache
+    def status(path, c, b, a, k, t):
+        return scan_arrow_check(category(path), c, b, a, k, t).status
+
+    survivors = set()
+    for name in RENAMED:
+        report = reports[name]
+        path = report["catalog"]["path"]
+        objects = category(path).objects
+        for old, new in itertools.permutations(objects, 2):
+            renamed = {**report, **_renamed(
+                {key: report[key] for key in ("verdicts", "certificates")},
+                old, new)}
+            if renamed == report or not replays(renamed,
+                                                tmp_path / "renamed.json"):
+                continue
+            if any(status(path, *(cert[x] for x in "CBAkt"))
+                   != CLAIMED[cert["kind"]]
+                   for cert in renamed["certificates"]):
+                survivors.add((name, old, new))
+    assert survivors == set(RENAME_SURVIVORS)
